@@ -13,8 +13,10 @@ explicit: flags only, no environment variables.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -198,45 +200,91 @@ def _cmd_coherence(args) -> int:
     return 0 if (rec.agree and rec.test.verdict == UNITARY_RELATED) else 1
 
 
-_TEMPLATE_NAMES = {
+_TEMPLATE_FUNCTIONS = {
     "cos": math.cos,
     "sin": math.sin,
     "tan": math.tan,
     "sqrt": math.sqrt,
     "exp": math.exp,
-    "pi": math.pi,
 }
+_BINARY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-def _eval_component(value, param: str, theta: float) -> float:
+def _compile_component(value, param: str):
+    """Template amplitude component as a function of the parameter.
+
+    Strings are parsed once into a tree of float operations.  Only number
+    literals, ``+ - * / **``, unary signs, the parameter, ``pi`` and
+    one-argument calls to the functions above are accepted; nothing else
+    is ever evaluated.
+    """
     if isinstance(value, (int, float)):
-        return float(value)
+        constant = float(value)
+        return lambda theta: constant
     if isinstance(value, str):
         try:
-            # Templates are local configuration; the eval environment is
-            # restricted to the math names above plus the parameter.
-            result = eval(  # noqa: S307
-                value, {"__builtins__": {}}, dict(_TEMPLATE_NAMES, **{param: theta})
-            )
-            return float(result)
-        except Exception as exc:
+            return _compile_node(ast.parse(value, mode="eval").body, param)
+        # The parser reports nesting too deep for it as MemoryError.
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
             raise SchemaError(f"bad template expression {value!r}: {exc}") from exc
     raise SchemaError(f"template amplitude component must be a number or string, got {value!r}")
 
 
-def _template_state_set(entries, param: str, theta: float) -> StateSet:
+def _compile_node(node, param: str):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        constant = float(node.value)
+        return lambda theta: constant
+    if isinstance(node, ast.Name) and node.id == param:
+        return lambda theta: theta
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return lambda theta: math.pi
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        op = _BINARY_OPS[type(node.op)]
+        left, right = _compile_node(node.left, param), _compile_node(node.right, param)
+        return lambda theta: op(left(theta), right(theta))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        op, operand = _UNARY_OPS[type(node.op)], _compile_node(node.operand, param)
+        return lambda theta: op(operand(theta))
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _TEMPLATE_FUNCTIONS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        fn, arg = _TEMPLATE_FUNCTIONS[node.func.id], _compile_node(node.args[0], param)
+        return lambda theta: fn(arg(theta))
+    raise ValueError(f"unsupported syntax {ast.unparse(node)!r}")
+
+
+def _compile_template(entries, param: str):
+    """Per state, per amplitude: (real, imaginary) component functions."""
     if not isinstance(entries, list) or not entries:
         raise SchemaError("template state list must be a non-empty list")
-    vectors = []
-    for state in entries:
-        vec = [
-            complex(
-                _eval_component(pair[0], param, theta),
-                _eval_component(pair[1], param, theta),
-            )
+    return [
+        [
+            (_compile_component(pair[0], param), _compile_component(pair[1], param))
             for pair in state
         ]
-        vectors.append(vec)
+        for state in entries
+    ]
+
+
+def _template_state_set(compiled, theta: float) -> StateSet:
+    try:
+        vectors = [
+            [complex(float(re(theta)), float(im(theta))) for re, im in state]
+            for state in compiled
+        ]
+    except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:
+        raise SchemaError(f"template expression failed at {theta!r}: {exc}") from exc
     return StateSet.from_vectors(vectors, normalize=True)
 
 
@@ -246,11 +294,13 @@ def _cmd_sweep(args) -> int:
     doc = serialize.load_document(args.template)
     if not isinstance(doc, dict) or "initial" not in doc or "final" not in doc:
         raise SchemaError("template needs 'initial' and 'final' state lists")
+    initial_template = _compile_template(doc["initial"], args.param)
+    final_template = _compile_template(doc["final"], args.param)
     rows = ["theta,min_eigenvalue,verdict,max_abs_mu,uniform_purity"]
     for theta in np.linspace(args.start, args.stop, args.steps):
         theta = float(theta)
-        initial = _template_state_set(doc["initial"], args.param, theta)
-        final = _template_state_set(doc["final"], args.param, theta)
+        initial = _template_state_set(initial_template, theta)
+        final = _template_state_set(final_template, theta)
         report = feasibility_check(initial, final, args.tol)
         m = build_ratio_matrix(initial, final, args.tol)
         offdiag = np.array(m.defined)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SizeMismatchError, UndefinedEntryError
-from .numerics import DEFAULT_TOL, psd_check
-from .states import StateSet, gram, linear_independence
+from .numerics import DEFAULT_TOL, hermitian_rank, psd_check
+from .states import StateSet, gram
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -76,6 +76,10 @@ class FeasibilityReport:
     is dependent, where positivity is not known to suffice.
     ``Undetermined`` marks instances whose ratio matrix has unconstrained
     entries; no positive completion is attempted.
+
+    ``violating_pairs`` holds only the flagged pairs of the
+    distinguishability audit, in (j, k) order with j < k; call
+    ``distinguishability_audit`` for every pair.
     """
 
     verdict: str
@@ -94,27 +98,9 @@ def build_ratio_matrix(
     Final overlaps with modulus <= ``tol`` leave the entry undefined; the
     diagonal is normalized to exactly 1 (both overlaps are 1 there).
     """
-    if initial.n != final.n:
-        raise SizeMismatchError(f"{initial.n} initial states vs {final.n} final states")
-    if initial.dimension != final.dimension:
-        raise DimensionMismatchError(
-            f"initial dimension {initial.dimension} != final dimension {final.dimension}"
-        )
-    g1 = gram(initial)
-    g2 = gram(final)
-    defined = np.abs(g2) > tol
-    np.fill_diagonal(defined, True)
-    entries = np.zeros_like(g1)
-    entries[defined] = g1[defined] / g2[defined]
-    np.fill_diagonal(entries, 1.0)
-    entries = (entries + entries.conj().T) / 2.0
-    nonzero, free = [], []
-    n = initial.n
-    for j in range(n):
-        for k in range(j + 1, n):
-            if not defined[j, k]:
-                (nonzero if np.abs(g1[j, k]) > tol else free).append((j, k))
-    return RatioMatrix(entries, defined, n, initial.dimension, tuple(nonzero), tuple(free))
+    _check_shapes(initial, final)
+    g1, g2 = gram(initial), gram(final)
+    return _ratio_matrix(g1, g2, np.abs(g1), np.abs(g2), initial.dimension, tol)
 
 
 def distinguishability_audit(
@@ -124,25 +110,57 @@ def distinguishability_audit(
 
     A deterministic channel can never make a pair of states more
     distinguishable, so a pair is flagged when its initial overlap modulus
-    exceeds the final one by more than ``tol``.
+    exceeds the final one by more than ``tol``.  Every pair j < k is
+    listed, in (j, k) order.
     """
     if initial.n != final.n:
         raise SizeMismatchError(f"{initial.n} initial states vs {final.n} final states")
-    g1 = np.abs(gram(initial))
-    g2 = np.abs(gram(final))
-    records = []
-    for j in range(initial.n):
-        for k in range(j + 1, initial.n):
-            records.append(
-                PairOverlap(
-                    j,
-                    k,
-                    float(g1[j, k]),
-                    float(g2[j, k]),
-                    bool(g1[j, k] > g2[j, k] + tol),
-                )
-            )
-    return tuple(records)
+    j, k = np.triu_indices(initial.n, 1)
+    return _pair_overlaps(np.abs(gram(initial)), np.abs(gram(final)), j, k, tol)
+
+
+def _check_shapes(initial: StateSet, final: StateSet) -> None:
+    if initial.n != final.n:
+        raise SizeMismatchError(f"{initial.n} initial states vs {final.n} final states")
+    if initial.dimension != final.dimension:
+        raise DimensionMismatchError(
+            f"initial dimension {initial.dimension} != final dimension {final.dimension}"
+        )
+
+
+def _ratio_matrix(g1, g2, abs1, abs2, dimension: int, tol: float) -> RatioMatrix:
+    # abs1, abs2 are the entrywise moduli of the Gram matrices g1, g2.
+    defined = abs2 > tol
+    np.fill_diagonal(defined, True)
+    entries = np.zeros_like(g1)
+    entries[defined] = g1[defined] / g2[defined]
+    np.fill_diagonal(entries, 1.0)
+    entries = (entries + entries.conj().T) / 2.0
+    # np.nonzero walks the strict upper triangle row by row: (j, k) order.
+    j, k = np.nonzero(np.triu(~defined, 1))
+    nonzero = abs1[j, k] > tol
+    return RatioMatrix(
+        entries,
+        defined,
+        len(g1),
+        dimension,
+        tuple(zip(j[nonzero].tolist(), k[nonzero].tolist())),
+        tuple(zip(j[~nonzero].tolist(), k[~nonzero].tolist())),
+    )
+
+
+def _pair_overlaps(abs1, abs2, j, k, tol: float) -> tuple[PairOverlap, ...]:
+    initial, final = abs1[j, k], abs2[j, k]
+    return tuple(
+        map(
+            PairOverlap,
+            j.tolist(),
+            k.tolist(),
+            initial.tolist(),
+            final.tolist(),
+            (initial > final + tol).tolist(),
+        )
+    )
 
 
 def witness_value(m: RatioMatrix, j: int, k: int) -> float:
@@ -167,10 +185,6 @@ def witness_value(m: RatioMatrix, j: int, k: int) -> float:
     return float(np.real(v.conj() @ m.entries @ v))
 
 
-def _grams_match(initial: StateSet, final: StateSet, tol: float) -> bool:
-    return float(np.max(np.abs(gram(initial) - gram(final)))) <= tol
-
-
 def feasibility_check(
     initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL
 ) -> FeasibilityReport:
@@ -186,30 +200,31 @@ def feasibility_check(
     cap the verdict at ``NecessaryOnly``; unconstrained entries without a
     unitary shortcut give ``Undetermined``.
     """
-    m = build_ratio_matrix(initial, final, tol)
-    ind1 = linear_independence(initial, tol)
-    ind2 = linear_independence(final, tol)
-    audit = distinguishability_audit(initial, final, tol)
-    violations = tuple(p for p in audit if p.violation)
+    _check_shapes(initial, final)
+    n = initial.n
+    g1, g2 = gram(initial), gram(final)
+    abs1, abs2 = np.abs(g1), np.abs(g2)
+    m = _ratio_matrix(g1, g2, abs1, abs2, initial.dimension, tol)
+    rank1, rank2 = hermitian_rank(g1, tol), hermitian_rank(g2, tol)
+    flagged = np.nonzero(np.triu(abs1 > abs2 + tol, 1))
+    violations = _pair_overlaps(abs1, abs2, *flagged, tol)
     notes: list[str] = []
-    if not ind1.independent:
-        notes.append(f"initial set is linearly dependent (rank {ind1.rank} of {initial.n})")
-    if not ind2.independent:
-        notes.append(f"final set is linearly dependent (rank {ind2.rank} of {final.n})")
+    if rank1 < n:
+        notes.append(f"initial set is linearly dependent (rank {rank1} of {n})")
+    if rank2 < n:
+        notes.append(f"final set is linearly dependent (rank {rank2} of {n})")
 
     def report(verdict, min_eig):
-        return FeasibilityReport(
-            verdict, min_eig, violations, ind1.independent, ind2.independent, tuple(notes)
-        )
+        return FeasibilityReport(verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes))
 
     if m.undefined_nonzero_pairs:
         pairs = ", ".join(f"({j}, {k})" for j, k in m.undefined_nonzero_pairs)
         notes.append(f"orthogonal final pairs with non-orthogonal initial counterparts: {pairs}")
         return report(INFEASIBLE, None)
 
-    if ind2.rank > ind1.rank:
+    if rank2 > rank1:
         notes.append(
-            f"final states span {ind2.rank} dimensions, initial states only {ind1.rank}; "
+            f"final states span {rank2} dimensions, initial states only {rank1}; "
             "a linear map cannot enlarge the span"
         )
         return report(INFEASIBLE, None)
@@ -219,7 +234,7 @@ def feasibility_check(
         if not ok:
             notes.append(f"ratio matrix has negative eigenvalue {min_eig:.6e}")
             return report(INFEASIBLE, min_eig)
-        if ind1.independent:
+        if rank1 == n:
             return report(FEASIBLE, min_eig)
         notes.append(
             "ratio matrix is PSD, which is necessary but not known sufficient "
@@ -228,14 +243,14 @@ def feasibility_check(
         return report(NECESSARY_ONLY, min_eig)
 
     # Entries with 0/0 overlaps are unconstrained.
-    if _grams_match(initial, final, tol):
+    if float(np.max(np.abs(g1 - g2))) <= tol:
         completed = np.where(m.defined, m.entries, 1.0)
         _, min_eig = psd_check(completed, tol)
         notes.append(
             "initial and final Gram matrices coincide: a unitary channel realizes "
             "the transformation (unconstrained entries completed with 1)"
         )
-        if ind1.independent:
+        if rank1 == n:
             return report(FEASIBLE, min_eig)
         notes.append("verdict capped at NecessaryOnly because the initial set is dependent")
         return report(NECESSARY_ONLY, min_eig)

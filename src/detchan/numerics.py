@@ -66,6 +66,23 @@ def hermitian_eig(h, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         Real eigenvalues in descending order and orthonormal eigenvector
         columns, so ``V @ diag(w) @ V.conj().T`` reconstructs ``h``.
     """
+    w, v = np.linalg.eigh(_hermitian_part(h, tol))
+    return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
+
+
+def hermitian_rank(h, tol: float = DEFAULT_TOL) -> int:
+    """Numerical rank of a Hermitian matrix from its eigenvalues alone.
+
+    Counts eigenvalues above ``tol * max(lambda_max, 1)``; the input is
+    checked exactly as in ``hermitian_eig``, but no eigenvectors are formed.
+    """
+    w = np.linalg.eigvalsh(_hermitian_part(h, tol))
+    return int(np.sum(w > tol * max(float(w[-1]), 1.0)))
+
+
+def _hermitian_part(h, tol: float) -> np.ndarray:
+    """Finite, square, Hermitian within ``tol * max(1, ||h||_F)``; returns
+    the exactly Hermitian part ``(h + h^dag) / 2``."""
     m = as_complex_matrix(h, name="h")
     if m.shape[0] != m.shape[1]:
         raise SizeMismatchError(f"expected a square matrix, got shape {m.shape}")
@@ -75,8 +92,7 @@ def hermitian_eig(h, tol: float = DEFAULT_TOL) -> EigenDecomposition:
         raise NotHermitianError(
             f"symmetry residual {sym_residual:.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
+    return (m + m.conj().T) / 2.0
 
 
 def psd_check(h, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

@@ -23,7 +23,6 @@ from .numerics import (
     DEFAULT_COND_CEILING,
     DEFAULT_TOL,
     hermitian_eig,
-    solve_linear,
 )
 
 #: States must be normalized this tightly at construction time.
@@ -161,7 +160,7 @@ def span_duals(
         raise IllConditionedError(
             f"Gram condition {cond:.3e} exceeds ceiling {cond_ceiling:.1e}"
         )
-    inv_overlap = solve_linear(overlap, np.eye(s.n, dtype=np.complex128), cond_ceiling)
+    inv_overlap = np.linalg.solve(overlap, np.eye(s.n, dtype=np.complex128))
     return (s.states.T @ inv_overlap).T
 
 

@@ -225,6 +225,36 @@ def test_sweep_bad_expression_exits_2(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "__import__('os')",
+        "().__class__",
+        "theta.real",
+        "lambda: 0",
+        "cos(theta, 1)",
+        "phi",
+        "9**9**9",
+    ],
+)
+def test_sweep_rejects_expressions_outside_the_grammar(capsys, tmp_path, expression):
+    # Templates are untrusted input: only arithmetic on numbers, the
+    # parameter, pi and the whitelisted one-argument functions is run, in
+    # float arithmetic, so even a huge power fails at once.
+    tpl = tmp_path / "tpl.json"
+    tpl.write_text(
+        ser.dumps(
+            {
+                "dimension": 2,
+                "initial": [[[1, 0], [0, 0]], [[expression, 0], [1, 0]]],
+                "final": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
+    assert code == 2 and out == "" and "template expression" in err
+
+
 def test_gen_invalid_dimensions_exit_2(capsys):
     code, _, _ = run(capsys, ["gen", "2", "3", "--mode", "independent", "--seed", "0"])
     assert code == 2

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import detchan.feasibility
 from detchan import (
     DimensionMismatchError,
     FEASIBLE,
     INFEASIBLE,
     NECESSARY_ONLY,
+    PairOverlap,
     SizeMismatchError,
     StateSet,
     UNDETERMINED,
@@ -13,6 +17,8 @@ from detchan import (
     build_ratio_matrix,
     distinguishability_audit,
     feasibility_check,
+    gram,
+    linear_independence,
     random_state_set,
     witness_value,
 )
@@ -278,3 +284,221 @@ def test_witness_undefined_entry_raises():
         witness_value(m, 0, 1)
     with pytest.raises(ValueError):
         witness_value(m, 1, 1)
+
+
+# ------------------------------------------------------ feasibility_check branches
+
+
+def unit_rows(vectors):
+    return StateSet.from_vectors(vectors, normalize=True)
+
+
+FREE_EQUAL_NOTE = (
+    "initial and final Gram matrices coincide: a unitary channel realizes the "
+    "transformation (unconstrained entries completed with 1)"
+)
+DEPENDENT_3 = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]
+
+# (initial, final, verdict, min_eigenvalue, notes, flagged pairs).  The
+# expected figures are exact, as in the CLI goldens: a change in any bit
+# is a change of behaviour.
+BRANCH_CASES = {
+    "undefined_nonzero_pairs": (
+        [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1]],
+        np.eye(4),
+        INFEASIBLE,
+        None,
+        ("orthogonal final pairs with non-orthogonal initial counterparts: (0, 2), (1, 3)",),
+        [(0, 2), (1, 3)],
+    ),
+    "final_span_larger": (
+        DEPENDENT_3,
+        [[1, 0, 0], [0, 1, 0], [0.5, 0.5, INV_SQRT2]],
+        INFEASIBLE,
+        None,
+        (
+            "initial set is linearly dependent (rank 2 of 3)",
+            "final states span 3 dimensions, initial states only 2; "
+            "a linear map cannot enlarge the span",
+        ),
+        [(0, 2), (1, 2)],
+    ),
+    "defined_psd": (
+        [[1, 0], [1, 1]],
+        [[1, 0], [0.9, np.sqrt(0.19)]],
+        FEASIBLE,
+        0.21432579868161394,
+        (),
+        [],
+    ),
+    "defined_not_psd": (
+        [[1, 0], [1, 1]],
+        [[1, 0], [0.5, np.sqrt(0.75)]],
+        INFEASIBLE,
+        -0.41421356237309465,
+        ("ratio matrix has negative eigenvalue -4.142136e-01",),
+        [(0, 1)],
+    ),
+    "defined_dependent": (
+        [[1, 0], [1, 1], [1, 1j]],
+        [[1j, 0], [-1, -1], [1, 1j]],
+        NECESSARY_ONLY,
+        -3.922544539841766e-16,
+        (
+            "initial set is linearly dependent (rank 2 of 3)",
+            "final set is linearly dependent (rank 2 of 3)",
+            "ratio matrix is PSD, which is necessary but not known sufficient "
+            "for a dependent initial set",
+        ),
+        [],
+    ),
+    "free_equal_grams_independent": (
+        np.eye(3),
+        [[0, 1, 0], [0, 0, 1j], [1, 0, 0]],
+        FEASIBLE,
+        -4.531559571436954e-16,
+        (FREE_EQUAL_NOTE,),
+        [],
+    ),
+    "free_equal_grams_dependent": (
+        DEPENDENT_3,
+        DEPENDENT_3,
+        NECESSARY_ONLY,
+        -4.531559571436954e-16,
+        (
+            "initial set is linearly dependent (rank 2 of 3)",
+            "final set is linearly dependent (rank 2 of 3)",
+            FREE_EQUAL_NOTE,
+            "verdict capped at NecessaryOnly because the initial set is dependent",
+        ),
+        [],
+    ),
+    "free_with_violation": (
+        [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
+        [[1, 0, 0], [0, 1, 0], [2, 1, 0]],
+        INFEASIBLE,
+        None,
+        (
+            "final set is linearly dependent (rank 2 of 3)",
+            "a final pair is more distinguishable than its initial counterpart",
+        ),
+        [(1, 2)],
+    ),
+    "free_undetermined": (
+        [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+        UNDETERMINED,
+        None,
+        (
+            "final set is linearly dependent (rank 2 of 3)",
+            "1 state pair(s) leave the ratio matrix underdetermined; "
+            "no positive completion attempted",
+        ),
+        [],
+    ),
+    "single_state": ([[0.6, 0.8j]], [[1, 0]], FEASIBLE, 1.0, (), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+def test_feasibility_check_branches(case):
+    initial, final, verdict, min_eig, notes, flagged = BRANCH_CASES[case]
+    a, b = unit_rows(initial), unit_rows(final)
+    report = feasibility_check(a, b)
+    assert report.verdict == verdict
+    assert report.notes == notes
+    assert report.min_eigenvalue == min_eig
+    assert [(p.j, p.k) for p in report.violating_pairs] == flagged
+    assert report.violating_pairs == tuple(p for p in distinguishability_audit(a, b) if p.violation)
+
+
+@st.composite
+def orthogonality_instances(draw):
+    """Pairs of state sets with exactly orthogonal pairs forced in.
+
+    Each state lives on a random nonempty set of basis directions, so
+    states with disjoint supports are orthogonal; the initial set may
+    repeat its first state, which makes it dependent.  The final set is
+    drawn the same way, or is a unitary image of the initial set (equal
+    Grams, same orthogonal pairs), or pulls each initial state towards one
+    common vector on its own support (same orthogonal pairs, larger
+    overlaps), or is the initial set of such a pulled pair.
+    """
+    d = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=d + 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def draw_rows():
+        masks = draw(st.lists(st.integers(min_value=1, max_value=2**d - 1), min_size=n, max_size=n))
+        on = (np.array(masks)[:, None] >> np.arange(d)) & 1
+        return on, gaussian(n, d) * on
+
+    on, rows = draw_rows()
+    if n > 1 and draw(st.booleans()):
+        on[-1], rows[-1] = on[0], 1j * rows[0]
+    initial = unit_rows(rows)
+    mode = draw(st.sampled_from(["drawn", "unitary", "pulled", "pushed"]))
+    if mode == "drawn":
+        return initial, unit_rows(draw_rows()[1])
+    if mode == "unitary":
+        u = np.linalg.qr(gaussian(d, d))[0]
+        return initial, StateSet(d, initial.states @ u.T)
+    pull = draw(st.sampled_from([0.5, 2.0, 8.0]))
+    pulled = unit_rows(initial.states + pull * gaussian(1, d) * on)
+    return (initial, pulled) if mode == "pulled" else (pulled, initial)
+
+
+def loop_reference(a, b, tol=1e-9):
+    """Audit records and undefined pairs, one pair at a time."""
+    g1, g2 = np.abs(gram(a)), np.abs(gram(b))
+    audit, nonzero, free = [], [], []
+    for j in range(a.n):
+        for k in range(j + 1, a.n):
+            m1, m2 = float(g1[j, k]), float(g2[j, k])
+            audit.append(PairOverlap(j, k, m1, m2, m1 > m2 + tol))
+            if m2 <= tol:
+                (nonzero if m1 > tol else free).append((j, k))
+    return tuple(audit), tuple(nonzero), tuple(free)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(orthogonality_instances())
+def test_feasibility_check_agrees_with_public_pieces(instance):
+    a, b = instance
+    report = feasibility_check(a, b)
+    audit, nonzero, free = loop_reference(a, b)
+    assert distinguishability_audit(a, b) == audit
+    assert report.violating_pairs == tuple(p for p in audit if p.violation)
+    assert report.initial_independent == linear_independence(a).independent
+    assert report.final_independent == linear_independence(b).independent
+    m = build_ratio_matrix(a, b)
+    assert (m.undefined_nonzero_pairs, m.free_pairs) == (nonzero, free)
+    if m.undefined_nonzero_pairs:
+        pairs = ", ".join(f"({j}, {k})" for j, k in m.undefined_nonzero_pairs)
+        assert report.verdict == INFEASIBLE and report.notes[-1].endswith(pairs)
+    if report.verdict == UNDETERMINED:
+        assert report.notes[-1].startswith(f"{len(m.free_pairs)} state pair(s)")
+
+
+def test_spectral_work_per_check(monkeypatch):
+    # One Gram product per set, one eigenvalues-only solve per set for the
+    # ranks and one full eigendecomposition of the ratio matrix.
+    initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
+    counts = {"gram": 0, "eigvalsh": 0, "eigh": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(detchan.feasibility, "gram", counting("gram", detchan.feasibility.gram))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    assert feasibility_check(initial, final).verdict == FEASIBLE
+    assert counts["gram"] == 2
+    assert counts["eigvalsh"] <= 2 and counts["eigh"] == 1
