@@ -5,8 +5,10 @@ from a unitary (up to per-state phases) or it decoheres every
 superposition that involves the whole set: purity of a single complete
 superposition output forces the unitary relation.  This module measures
 purity directly (probe), tests the structural criterion on the
-overlap-ratio matrix (rank one, flat-modulus top eigenvector), extracts
-the unitary and phases when they exist, and cross-checks the two routes.
+overlap-ratio matrix (mu_jk = e^{i(phi_j - phi_k)} on every defined pair,
+decided by phase synchronisation), extracts the unitary and phases when
+they exist, and cross-checks the two routes.  The structural test's
+tolerances are the module constants ``PHASE_TOL`` and ``UNITARY_TOL``.
 """
 
 from __future__ import annotations
@@ -22,33 +24,38 @@ from .errors import (
     SizeMismatchError,
     SupportTooSmallError,
 )
-from .numerics import DEFAULT_RANK_TOL, DEFAULT_TOL, frobenius, hermitian_eig
+from .numerics import (
+    DEFAULT_RANK_TOL,
+    DEFAULT_TOL,
+    frobenius,
+    hermitian_eig,
+    hermitian_rank,
+    phase_pin,
+)
 from .states import (
     StateSet,
     fingerprint,
     gram,
-    linear_independence,
     span_complement,
     span_duals,
     superpose,
 )
 from .synthesis import KrausSet, apply_channel, state_to_density, synthesize
-from .feasibility import build_ratio_matrix
+from .feasibility import _check_shapes, build_ratio_matrix
 
 UNITARY_RELATED = "UnitaryRelated"
 DECOHERING = "Decohering"
 
 #: A state counts as pure when 1 - Tr(rho^2) is at most this.
 DEFAULT_PURITY_TOL = 1e-9
-#: Relative size allowed for subdominant eigenvalues in the rank-one test.
-DEFAULT_RANK_GAP = 1e-6
-#: Allowed relative spread of top-eigenvector component moduli.
-DEFAULT_MODULUS_SPREAD = 1e-6
+#: Allowed deviation of a defined ratio entry from e^{i(phi_j - phi_k)},
+#: and of its modulus from 1, in the unitary-relation test.
+PHASE_TOL = 1e-6
 #: Residual allowed for U^dag U - I and the per-state projector match.
-DEFAULT_UNITARY_TOL = 1e-8
+UNITARY_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class CoherenceReport:
     """Outcome of a purity probe or a unitary-relation test.
 
@@ -58,14 +65,14 @@ class CoherenceReport:
     verdict and then satisfies ||U^dag U - I|| <= 1e-8.
     """
 
-    coefficients: np.ndarray | None
+    coefficients: np.ndarray | None = None
     support: tuple[int, ...]
-    output_purity: float | None
-    is_pure: bool | None
-    output_state: np.ndarray | None
-    output_coefficients: np.ndarray | None
-    extracted_unitary: np.ndarray | None
-    phases: np.ndarray | None
+    output_purity: float | None = None
+    is_pure: bool | None = None
+    output_state: np.ndarray | None = None
+    output_coefficients: np.ndarray | None = None
+    extracted_unitary: np.ndarray | None = None
+    phases: np.ndarray | None = None
     verdict: str
 
 
@@ -91,11 +98,8 @@ def purity(rho) -> float:
     return float(np.real(np.trace(r @ r)))
 
 
-def _pin_phase(vec: np.ndarray) -> np.ndarray:
-    pivot = vec[int(np.argmax(np.abs(vec)))]
-    if np.abs(pivot) > 0.0:
-        return vec * (np.abs(pivot) / pivot)
-    return vec
+def _independent(s: StateSet, tol: float) -> bool:
+    return hermitian_rank(gram(s), tol) == s.n
 
 
 def coherence_probe(
@@ -135,10 +139,11 @@ def coherence_probe(
     output_coefficients = None
     if is_pure:
         _, vecs = hermitian_eig(rho, tol=1e-6)
-        output_state = _pin_phase(vecs[:, 0])
+        top = vecs[:, 0]
+        output_state = top * phase_pin(top)
         if final is not None:
             sub = final.subset(support)
-            if linear_independence(sub, tol).independent:
+            if _independent(sub, tol):
                 r_support, *_ = np.linalg.lstsq(sub.states.T, output_state, rcond=None)
                 r = np.zeros(initial.n, dtype=np.complex128)
                 r[list(support)] = r_support
@@ -150,8 +155,6 @@ def coherence_probe(
         is_pure=is_pure,
         output_state=output_state,
         output_coefficients=output_coefficients,
-        extracted_unitary=None,
-        phases=None,
         verdict=UNITARY_RELATED if is_pure else DECOHERING,
     )
 
@@ -161,30 +164,25 @@ def unitary_relation_test(
     final: StateSet,
     support=None,
     tol: float = DEFAULT_TOL,
-    rank_gap: float = DEFAULT_RANK_GAP,
-    modulus_spread: float = DEFAULT_MODULUS_SPREAD,
-    unitary_tol: float = DEFAULT_UNITARY_TOL,
 ) -> CoherenceReport:
     """Decide whether the two sets are related by one unitary on the
     support, and extract it when they are.
 
-    Restricted to the support, the overlap-ratio matrix of a
-    unitary-related pair is rank one with top eigenvalue equal to the
-    support size and a top eigenvector of uniform component modulus; its
-    phases give the per-state gauge.  Both sets must be independent on
-    the support (a unitary cannot create a dependent image).  The
-    candidate unitary maps psi1_j to e^{i phi_j} psi2_j, extended over the
-    span and completed orthogonally off it; it is accepted only if
-    ||U^dag U - I|| and every projector mismatch stay within
-    ``unitary_tol``.  The global phase is pinned by making the
-    largest-modulus entry of the first column real positive.
+    Restricted to the support, a unitary-related pair has overlap ratios
+    mu_jk = e^{i(phi_j - phi_k)} on every defined pair; pairs orthogonal in
+    both sets (0/0 entries) leave the phases free.  The phases are found
+    by phase synchronisation over the graph of defined pairs: each
+    connected component starts from its lowest index at phase 0, every
+    newly reached state takes the phase the reaching entry implies, and
+    every defined entry must then match to within ``PHASE_TOL``.  Both
+    sets must be independent on the support (a unitary cannot create a
+    dependent image).  The candidate unitary maps psi1_j to
+    e^{i phi_j} psi2_j, extended over the span and completed orthogonally
+    off it; it is accepted only if ||U^dag U - I|| and every projector
+    mismatch stay within ``UNITARY_TOL``.  The global phase is pinned by
+    making the largest-modulus entry of the first column real positive.
     """
-    if initial.n != final.n:
-        raise SizeMismatchError(f"{initial.n} initial states vs {final.n} final states")
-    if initial.dimension != final.dimension:
-        raise DimensionMismatchError(
-            f"initial dimension {initial.dimension} != final dimension {final.dimension}"
-        )
+    _check_shapes(initial, final)
     n = initial.n
     support = tuple(range(n)) if support is None else tuple(sorted({int(i) for i in support}))
     if any(i < 0 or i >= n for i in support):
@@ -193,85 +191,34 @@ def unitary_relation_test(
         raise SupportTooSmallError("support must contain at least two states")
     sub1 = initial.subset(support)
     sub2 = final.subset(support)
-    if not linear_independence(sub1, tol).independent:
+    if not _independent(sub1, tol):
         raise NotIndependentError("initial states are dependent on the support")
-    if not linear_independence(sub2, tol).independent:
+    if not _independent(sub2, tol):
         raise NotIndependentError(
             "final states are dependent on the support; no unitary produces a dependent image"
         )
     m = build_ratio_matrix(sub1, sub2, tol)
-    s = len(support)
-
-    def decohering():
-        return CoherenceReport(
-            coefficients=None,
-            support=support,
-            output_purity=None,
-            is_pure=None,
-            output_state=None,
-            output_coefficients=None,
-            extracted_unitary=None,
-            phases=None,
-            verdict=DECOHERING,
-        )
-
-    if m.undefined_nonzero_pairs:
-        return decohering()
-    if m.fully_defined:
-        w, v = hermitian_eig(m.entries, tol)
-        lam1 = float(w[0])
-        subdominant = float(np.max(np.abs(w[1:]))) if s > 1 else 0.0
-        if lam1 <= 0.0 or subdominant > rank_gap * lam1 or abs(lam1 - s) > rank_gap * s:
-            return decohering()
-        a = v[:, 0]
-        moduli = np.abs(a)
-        if float(moduli.max() - moduli.min()) > modulus_spread * float(moduli.max()):
-            return decohering()
-        phases = np.angle(a) - np.angle(a[0])
-        phases[0] = 0.0
-    else:
-        phases = _phase_sync(m, rank_gap)
-        if phases is None:
-            return decohering()
-
-    u = _extend_unitary(sub1, sub2, phases, tol)
-    if frobenius(u.conj().T @ u - np.eye(initial.dimension)) > unitary_tol:
-        return decohering()
-    for j in range(s):
-        p1 = state_to_density(sub1.states[j])
-        p2 = state_to_density(sub2.states[j])
-        if frobenius(u @ p1 @ u.conj().T - p2) > unitary_tol:
-            return decohering()
-    u = u * _global_phase_pin(u)
+    phases = None if m.undefined_nonzero_pairs else _phase_sync(m)
+    u = None if phases is None else _extend_unitary(sub1, sub2, phases, tol)
+    if u is None:
+        return CoherenceReport(support=support, verdict=DECOHERING)
     return CoherenceReport(
-        coefficients=None,
         support=support,
-        output_purity=None,
-        is_pure=None,
-        output_state=None,
-        output_coefficients=None,
-        extracted_unitary=u,
+        extracted_unitary=u * phase_pin(u[:, 0]),
         phases=phases,
         verdict=UNITARY_RELATED,
     )
 
 
-def _global_phase_pin(u: np.ndarray) -> complex:
-    col = u[:, 0]
-    pivot = col[int(np.argmax(np.abs(col)))]
-    return np.abs(pivot) / pivot if np.abs(pivot) > 0.0 else 1.0
-
-
-def _phase_sync(m, rank_gap: float) -> np.ndarray | None:
-    # Fallback for ratio matrices with 0/0 entries (e.g. orthonormal
-    # bases): unconstrained pairs are consistent with any phases, so the
+def _phase_sync(m) -> np.ndarray | None:
+    # Unconstrained (0/0) pairs are consistent with any phases, so the
     # per-state phases are propagated over the graph of defined pairs and
     # verified on every defined entry, per connected component.
     s = m.n_states
     offdiag = np.array(m.defined)
     np.fill_diagonal(offdiag, False)
     # Moduli must be 1 on every defined off-diagonal entry.
-    if np.any(np.abs(np.abs(m.entries[offdiag]) - 1.0) > rank_gap):
+    if np.any(np.abs(np.abs(m.entries[offdiag]) - 1.0) > PHASE_TOL):
         return None
     phases = np.zeros(s)
     seen = np.zeros(s, dtype=bool)
@@ -279,31 +226,36 @@ def _phase_sync(m, rank_gap: float) -> np.ndarray | None:
         if seen[root]:
             continue
         seen[root] = True
-        queue = [root]
-        while queue:
-            j = queue.pop()
-            for k in range(s):
-                if not seen[k] and offdiag[j, k]:
-                    # mu_jk = e^{i(phi_j - phi_k)}
-                    phases[k] = phases[j] - float(np.angle(m.entries[j, k]))
-                    seen[k] = True
-                    queue.append(k)
-    for j in range(s):
-        for k in range(s):
-            if offdiag[j, k]:
-                expected = np.exp(1j * (phases[j] - phases[k]))
-                if abs(m.entries[j, k] - expected) > rank_gap:
-                    return None
+        stack = [root]
+        while stack:
+            j = stack.pop()
+            reached = np.flatnonzero(offdiag[j] & ~seen)
+            # mu_jk = e^{i(phi_j - phi_k)}
+            phases[reached] = phases[j] - np.angle(m.entries[j, reached])
+            seen[reached] = True
+            stack.extend(reached.tolist())
+    expected = np.exp(1j * (phases[:, None] - phases[None, :]))
+    if np.any(np.abs(m.entries - expected)[offdiag] > PHASE_TOL):
+        return None
     return phases
 
 
-def _extend_unitary(sub1: StateSet, sub2: StateSet, phases, tol: float) -> np.ndarray:
+def _extend_unitary(sub1: StateSet, sub2: StateSet, phases, tol: float) -> np.ndarray | None:
+    # Candidate U: psi1_j -> e^{i phi_j} psi2_j on the span, complement onto
+    # complement; None unless U is unitary and carries each initial
+    # projector onto its final one.
     duals1 = span_duals(sub1, tol)
     u = sub2.states.T @ (np.exp(1j * np.asarray(phases))[:, None] * duals1.conj())
     if sub1.n < sub1.dimension:
         b1 = span_complement(sub1, tol)
         b2 = span_complement(sub2, tol)
         u = u + b2 @ b1.conj().T
+    if frobenius(u.conj().T @ u - np.eye(sub1.dimension)) > UNITARY_TOL:
+        return None
+    # Row j of the images is U psi1_j, so U P1_j U^dag is its projector.
+    for image, psi2 in zip(sub1.states @ u.T, sub2.states):
+        if frobenius(state_to_density(image) - state_to_density(psi2)) > UNITARY_TOL:
+            return None
     return u
 
 
@@ -327,9 +279,9 @@ def coherence_roundtrip(
     output density matrix through an orthogonalizing map that sends the
     final states to an orthonormal basis (built from their duals).
     """
-    if not linear_independence(initial, tol).independent:
+    if not _independent(initial, tol):
         raise NotIndependentError("initial set must be linearly independent")
-    if not linear_independence(final, tol).independent:
+    if not _independent(final, tol):
         raise NotIndependentError("final set must be linearly independent")
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     ks = synthesize(initial, final, tol, rank_tol)

@@ -73,11 +73,15 @@ def hermitian_eig(h, tol: float = DEFAULT_TOL) -> EigenDecomposition:
 def hermitian_rank(h, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank of a Hermitian matrix from its eigenvalues alone.
 
-    Counts eigenvalues above ``tol * max(lambda_max, 1)``; the input is
-    checked exactly as in ``hermitian_eig``, but no eigenvectors are formed.
+    The input is checked exactly as in ``hermitian_eig``, but no
+    eigenvectors are formed.
     """
-    w = np.linalg.eigvalsh(_hermitian_part(h, tol))
-    return int(np.sum(w > tol * max(float(w[-1]), 1.0)))
+    return numerical_rank(np.linalg.eigvalsh(_hermitian_part(h, tol)), tol)
+
+
+def numerical_rank(w: np.ndarray, tol: float) -> int:
+    """Number of eigenvalues ``w`` above ``tol * max(lambda_max, 1)``."""
+    return int(np.sum(w > tol * max(float(np.max(w)), 1.0)))
 
 
 def _hermitian_part(h, tol: float) -> np.ndarray:
@@ -101,9 +105,12 @@ def psd_check(h, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     Returns ``(is_psd, min_eigenvalue)``.  The verdict tolerates
     eigenvalues down to ``-tol * max(1, spectral radius)``.
     """
-    eig = hermitian_eig(h, tol)
-    min_eig = float(eig.eigenvalues[-1])
-    radius = float(np.max(np.abs(eig.eigenvalues)))
+    return _psd_verdict(hermitian_eig(h, tol).eigenvalues, tol)
+
+
+def _psd_verdict(w: np.ndarray, tol: float) -> tuple[bool, float]:
+    min_eig = float(w[-1])
+    radius = float(np.max(np.abs(w)))
     return min_eig >= -tol * max(1.0, radius), min_eig
 
 
@@ -122,10 +129,10 @@ def psd_factor(
     the output deterministic; any ``C @ W`` with ``W`` unitary is an
     equally valid factor of the same matrix.
     """
-    ok, min_eig = psd_check(m, tol)
+    w, v = hermitian_eig(m, tol)
+    ok, min_eig = _psd_verdict(w, tol)
     if not ok:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {min_eig:.3e}")
-    w, v = hermitian_eig(m, tol)
     w = np.clip(w, 0.0, None)
     lam_max = float(w[0])
     keep = w > rank_tol * lam_max
@@ -137,11 +144,15 @@ def pin_column_phases(c) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive."""
     out = np.array(c, dtype=np.complex128)
     for k in range(out.shape[1]):
-        col = out[:, k]
-        pivot = col[int(np.argmax(np.abs(col)))]
-        if np.abs(pivot) > 0.0:
-            out[:, k] = col * (np.abs(pivot) / pivot)
+        out[:, k] *= phase_pin(out[:, k])
     return out
+
+
+def phase_pin(v: np.ndarray) -> complex:
+    """Unit factor that makes the largest-modulus entry of ``v`` real
+    positive (1 for a zero vector)."""
+    pivot = v[int(np.argmax(np.abs(v)))]
+    return np.abs(pivot) / pivot if np.abs(pivot) > 0.0 else 1.0
 
 
 def solve_linear(a, b, cond_ceiling: float = DEFAULT_COND_CEILING) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .coherence import CoherenceReport, CoherenceRoundTrip
+from .coherence import CoherenceRoundTrip
 from .errors import SchemaError
 from .feasibility import FeasibilityReport, PairOverlap
 from .states import StateSet
@@ -221,29 +221,6 @@ def feasibility_report_to_obj(report: FeasibilityReport) -> dict:
         "initial_independent": report.initial_independent,
         "final_independent": report.final_independent,
         "notes": list(report.notes),
-    }
-
-
-def coherence_report_to_obj(report: CoherenceReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "purity": report.output_purity,
-        "is_pure": report.is_pure,
-        "support": list(report.support),
-        "phases": [float(p) for p in report.phases] if report.phases is not None else None,
-        "unitary": (
-            matrix_to_pairs(report.extracted_unitary)
-            if report.extracted_unitary is not None
-            else None
-        ),
-        "output_state": (
-            vector_to_pairs(report.output_state) if report.output_state is not None else None
-        ),
-        "output_coefficients": (
-            vector_to_pairs(report.output_coefficients)
-            if report.output_coefficients is not None
-            else None
-        ),
     }
 
 

@@ -23,6 +23,7 @@ from .numerics import (
     DEFAULT_COND_CEILING,
     DEFAULT_TOL,
     hermitian_eig,
+    numerical_rank,
 )
 
 #: States must be normalized this tightly at construction time.
@@ -136,8 +137,7 @@ def linear_independence(s: StateSet, tol: float = DEFAULT_TOL) -> Independence:
     """
     overlap = gram(s).conj()  # entry (j, k) = <psi_j | psi_k>
     w, v = hermitian_eig(overlap, tol)
-    cutoff = tol * max(float(w[0]), 1.0)
-    rank = int(np.sum(w > cutoff))
+    rank = numerical_rank(w, tol)
     return Independence(rank == s.n, rank, v[:, rank:])
 
 
@@ -150,12 +150,20 @@ def span_duals(
 
     Row j satisfies <w_j|psi_k> = delta_jk and lies inside span(s); for a
     spanning set (N = D) these are the unique reciprocal states.
+
+    The rank and the condition number lambda_max / lambda_min both come
+    from one eigenvalue solve of the Gram matrix.  Unit-norm states have
+    lambda_max >= 1, so the rank cutoff ``tol * lambda_max`` already
+    refuses every condition number above 1 / tol (1e9 at the default
+    ``tol``) with ``NotIndependentError``; ``IllConditionedError`` fires
+    only for a ``cond_ceiling`` below 1 / tol.
     """
-    ind = linear_independence(s, tol)
-    if not ind.independent:
-        raise NotIndependentError(f"state set has rank {ind.rank} < N = {s.n}")
-    overlap = gram(s).conj()
-    cond = float(np.linalg.cond(overlap))
+    overlap = gram(s).conj()  # entry (j, k) = <psi_j | psi_k>
+    w = np.linalg.eigvalsh(overlap)  # ascending
+    rank = numerical_rank(w, tol)
+    if rank < s.n:
+        raise NotIndependentError(f"state set has rank {rank} < N = {s.n}")
+    cond = float(w[-1] / w[0])
     if not np.isfinite(cond) or cond > cond_ceiling:
         raise IllConditionedError(
             f"Gram condition {cond:.3e} exceeds ceiling {cond_ceiling:.1e}"

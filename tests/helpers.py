@@ -11,6 +11,8 @@ overlap-ratio matrix equals M up to roundoff.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from detchan import (
@@ -108,3 +110,17 @@ def subset_instance(seed: int = 101, theta: float = 0.7, beta: float = 0.3):
     g1 = (c @ c.conj().T) * g2
     initial = StateSet.from_vectors(psd_factor(g1), normalize=True)
     return initial, final
+
+
+def count_calls(monkeypatch, *targets) -> Counter:
+    """Wrap each ``(module, name)`` target in a call counter; the returned
+    Counter is keyed by name and updates live."""
+    counts = Counter()
+    for owner, name in targets:
+
+        def wrapper(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return counts

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from detchan import (
     DECOHERING,
@@ -21,6 +23,7 @@ from detchan import (
 from detchan.numerics import frobenius
 from helpers import (
     bounded_complete_coefficients,
+    count_calls,
     feasible_pair,
     sub_seed,
     subset_instance,
@@ -221,6 +224,74 @@ def test_unitary_relation_preserves_overlap_moduli():
         )
 
 
+@st.composite
+def unitary_images(draw):
+    """Independent initial sets, some with exactly orthogonal pairs forced
+    in (each state on a random set of basis directions), and their images
+    under a random unitary with random per-state phases."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=d))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    rows = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        masks = draw(st.lists(st.integers(min_value=1, max_value=2**d - 1), min_size=n, max_size=n))
+        rows = rows * ((np.array(masks)[:, None] >> np.arange(d)) & 1)
+    initial = StateSet.from_vectors(rows, normalize=True)
+    assume(np.linalg.eigvalsh(gram(initial))[0] >= 1e-3)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    phases = np.exp(2j * np.pi * rng.random(n))
+    return initial, StateSet(d, phases[:, None] * (initial.states @ u.T))
+
+
+def phase_sync_reference(mu, defined):
+    """Depth-first phase propagation, one neighbour at a time."""
+    s = len(mu)
+    phases, seen = np.zeros(s), [False] * s
+    for root in range(s):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            j = stack.pop()
+            for k in range(s):
+                if k != j and defined[j, k] and not seen[k]:
+                    phases[k] = phases[j] - float(np.angle(mu[j, k]))
+                    seen[k] = True
+                    stack.append(k)
+    return phases
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(unitary_images())
+def test_phase_sync_reproduces_every_defined_ratio(instance):
+    initial, final = instance
+    report = unitary_relation_test(initial, final)
+    assert report.verdict == UNITARY_RELATED
+    phi = report.phases
+    assert phi[0] == 0.0
+    m = build_ratio_matrix(initial, final)
+    reference = phase_sync_reference(m.entries, m.defined)
+    np.testing.assert_allclose(phi, reference, rtol=0, atol=1e-13)
+    g1 = initial.states @ initial.states.conj().T
+    g2 = final.states @ final.states.conj().T
+    defined = np.abs(g2) > 1e-9
+    expected = np.exp(1j * (phi[:, None] - phi[None, :]))
+    assert np.max(np.abs(g1[defined] / g2[defined] - expected[defined])) <= 1e-9
+    images = initial.states @ report.extracted_unitary.T
+    overlaps = np.abs(np.sum(final.states.conj() * images, axis=1))
+    np.testing.assert_allclose(overlaps, 1.0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
+def test_non_unitary_feasible_pairs_decohere(n, seed):
+    initial, final, _ = feasible_pair(np.random.default_rng(seed), n, min_subdominant=0.01)
+    report = unitary_relation_test(initial, final)
+    assert report.verdict == DECOHERING
+    assert report.phases is None and report.extracted_unitary is None
+
+
 # -------------------------------------------------------- coherence_roundtrip
 
 
@@ -284,3 +355,18 @@ def test_ratio_trace_is_support_size_on_subsets():
     for support in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
         m = build_ratio_matrix(initial.subset(support), final.subset(support))
         assert np.trace(m.entries).real == pytest.approx(len(support), abs=1e-12)
+
+
+def test_spectral_work_per_roundtrip(monkeypatch):
+    # At most the two eigh of synthesis and the probe's output-state eigh;
+    # every independence guard takes eigenvalues only.
+    rng = np.random.default_rng(89)
+    base = random_state_set(8, 8, sub_seed(rng), mode="independent")
+    image = random_state_set(8, 8, sub_seed(rng), mode="unitary_image", base=base)
+    initial, final, _ = feasible_pair(rng, 8, min_subdominant=0.01)
+    q = bounded_complete_coefficients(rng, 8)
+    counts = count_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "cond"))
+    for a, b, verdict in [(base, image, UNITARY_RELATED), (initial, final, DECOHERING)]:
+        counts.clear()
+        assert coherence_roundtrip(a, b, q).test.verdict == verdict
+        assert counts["eigh"] <= 3 and counts["cond"] == 0

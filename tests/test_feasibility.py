@@ -22,7 +22,7 @@ from detchan import (
     random_state_set,
     witness_value,
 )
-from helpers import feasible_pair, sub_seed
+from helpers import count_calls, feasible_pair, sub_seed
 
 INV_SQRT2 = 2**-0.5
 
@@ -487,18 +487,9 @@ def test_spectral_work_per_check(monkeypatch):
     # One Gram product per set, one eigenvalues-only solve per set for the
     # ranks and one full eigendecomposition of the ratio matrix.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
-    counts = {"gram": 0, "eigvalsh": 0, "eigh": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(detchan.feasibility, "gram", counting("gram", detchan.feasibility.gram))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    counts = count_calls(
+        monkeypatch, (detchan.feasibility, "gram"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")
+    )
     assert feasibility_check(initial, final).verdict == FEASIBLE
     assert counts["gram"] == 2
     assert counts["eigvalsh"] <= 2 and counts["eigh"] == 1

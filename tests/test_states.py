@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import detchan.states
 from detchan import (
+    IllConditionedError,
     InvalidDimensionsError,
     NotIndependentError,
     NotNormalizedError,
@@ -19,6 +21,7 @@ from detchan import (
     span_duals,
     superpose,
 )
+from helpers import count_calls
 
 INV_SQRT2 = 2**-0.5
 
@@ -182,6 +185,55 @@ def test_span_duals_non_spanning():
     comp = span_complement(s)
     assert comp.shape == (3, 1)
     np.testing.assert_allclose(np.abs(comp[:, 0]), [0, 0, 1], atol=1e-12)
+
+
+def tilted_pair(theta):
+    # Gram [[1, cos theta], [cos theta, 1]]: condition (1 + cos) / (1 - cos).
+    return StateSet.from_vectors([[1, 0], [np.cos(theta), np.sin(theta)]])
+
+
+def gram_condition(s):
+    w = np.linalg.eigvalsh(gram(s))
+    return w[-1] / w[0]
+
+
+def test_span_duals_refuses_condition_above_a_lowered_ceiling():
+    s = tilted_pair(0.1)
+    assert 300 < gram_condition(s) < 500
+    w = span_duals(s)
+    np.testing.assert_allclose(w.conj() @ s.states.T, np.eye(2), atol=1e-12)
+    with pytest.raises(IllConditionedError):
+        span_duals(s, cond_ceiling=100.0)
+    with pytest.raises(IllConditionedError):
+        dual_states(s, cond_ceiling=100.0)
+
+
+def test_rank_cutoff_fires_before_the_default_ceiling():
+    # Condition ~1e10 is below the 1e12 ceiling, but lambda_min is below
+    # tol * lambda_max at tol = 1e-9, so the set counts as dependent.
+    s = tilted_pair(2e-5)
+    assert 5e9 < gram_condition(s) < 2e10
+    with pytest.raises(NotIndependentError):
+        span_duals(s)
+    # With a smaller tol the rank passes and the condition is admissible.
+    w = span_duals(s, tol=1e-12)
+    np.testing.assert_allclose(w.conj() @ s.states.T, np.eye(2), atol=1e-5)
+    # Past the default ceiling only a smaller tol lets the ceiling decide.
+    worse = tilted_pair(6e-7)
+    assert 5e12 < gram_condition(worse) < 2e13
+    with pytest.raises(NotIndependentError):
+        span_duals(worse)
+    with pytest.raises(IllConditionedError):
+        span_duals(worse, tol=1e-15)
+
+
+def test_span_duals_takes_one_gram_and_no_eigh(monkeypatch):
+    s = random_state_set(16, 16, 5, mode="independent")
+    counts = count_calls(
+        monkeypatch, (detchan.states, "gram"), (np.linalg, "eigh"), (np.linalg, "cond")
+    )
+    span_duals(s)
+    assert (counts["gram"], counts["eigh"], counts["cond"]) == (1, 0, 0)
 
 
 # ---------------------------------------------------------------- superpose

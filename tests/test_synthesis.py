@@ -3,6 +3,7 @@ import pytest
 
 from detchan import (
     DimensionMismatchError,
+    IllConditionedError,
     KrausSet,
     NotFeasibleError,
     StateSet,
@@ -18,7 +19,7 @@ from detchan import (
     verify_completeness,
 )
 from detchan.numerics import frobenius
-from helpers import feasible_pair
+from helpers import count_calls, feasible_pair
 
 INV_SQRT2 = 2**-0.5
 
@@ -89,6 +90,26 @@ def test_synthesize_refuses_infeasible():
         synthesize(initial, final)
     assert err.value.report is not None
     assert err.value.report.verdict == "Infeasible"
+
+
+def test_synthesize_refuses_condition_above_a_lowered_ceiling():
+    # Gram condition of this pair is about 400.
+    s = StateSet.from_vectors([[1, 0], [np.cos(0.1), np.sin(0.1)]])
+    assert synthesize(s, s).kraus_count == 1
+    with pytest.raises(IllConditionedError):
+        synthesize(s, s, cond_ceiling=100.0)
+
+
+def test_spectral_work_per_synthesize(monkeypatch):
+    # The feasibility check's ratio-matrix eigh and the PSD factor's eigh;
+    # the duals take eigenvalues only, and no SVD-based condition number.
+    initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
+    counts = count_calls(
+        monkeypatch, (np.linalg, "eigh"), (np.linalg, "cond"), (np.linalg, "svd")
+    )
+    synthesize(initial, final)
+    assert counts["eigh"] <= 2
+    assert (counts["cond"], counts["svd"]) == (0, 0)
 
 
 def test_per_state_action_matches_factor():
