@@ -24,7 +24,7 @@ import numpy as np
 from . import serialize
 from .coherence import UNITARY_RELATED, coherence_roundtrip
 from .errors import DetchanError, NotFeasibleError, SchemaError
-from .feasibility import FEASIBLE, INFEASIBLE, build_ratio_matrix, feasibility_check
+from .feasibility import FEASIBLE, INFEASIBLE, feasibility_check
 from .numerics import DEFAULT_RANK_TOL, DEFAULT_TOL
 from .states import StateSet, random_state_set, superpose
 from .synthesis import (
@@ -302,7 +302,7 @@ def _cmd_sweep(args) -> int:
         initial = _template_state_set(initial_template, theta)
         final = _template_state_set(final_template, theta)
         report = feasibility_check(initial, final, args.tol)
-        m = build_ratio_matrix(initial, final, args.tol)
+        m = report.ratio_matrix
         offdiag = np.array(m.defined)
         np.fill_diagonal(offdiag, False)
         max_mu = float(np.max(np.abs(m.entries[offdiag]))) if np.any(offdiag) else None

@@ -40,7 +40,7 @@ from .states import (
     span_duals,
     superpose,
 )
-from .synthesis import KrausSet, apply_channel, state_to_density, synthesize
+from .synthesis import KrausSet, _kraus_stack, apply_channel, state_to_density, synthesize
 from .feasibility import _check_shapes, build_ratio_matrix
 
 UNITARY_RELATED = "UnitaryRelated"
@@ -67,6 +67,8 @@ class CoherenceReport:
 
     coefficients: np.ndarray | None = None
     support: tuple[int, ...]
+    #: Channel output for the normalized superposition (not serialized).
+    output_density: np.ndarray | None = None
     output_purity: float | None = None
     is_pure: bool | None = None
     output_state: np.ndarray | None = None
@@ -151,6 +153,7 @@ def coherence_probe(
     return CoherenceReport(
         coefficients=q,
         support=support,
+        output_density=rho,
         output_purity=p,
         is_pure=is_pure,
         output_state=output_state,
@@ -241,11 +244,12 @@ def _phase_sync(m) -> np.ndarray | None:
 
 
 def _extend_unitary(sub1: StateSet, sub2: StateSet, phases, tol: float) -> np.ndarray | None:
-    # Candidate U: psi1_j -> e^{i phi_j} psi2_j on the span, complement onto
-    # complement; None unless U is unitary and carries each initial
-    # projector onto its final one.
+    # Candidate U: psi1_j -> e^{i phi_j} psi2_j on the span (the single
+    # Kraus operator of the synthesis construction with C_j = e^{i phi_j}),
+    # complement onto complement; None unless U is unitary and carries each
+    # initial projector onto its final one.
     duals1 = span_duals(sub1, tol)
-    u = sub2.states.T @ (np.exp(1j * np.asarray(phases))[:, None] * duals1.conj())
+    u = _kraus_stack(sub2.states.T, np.exp(1j * np.asarray(phases))[:, None], duals1.conj())[0]
     if sub1.n < sub1.dimension:
         b1 = span_complement(sub1, tol)
         b2 = span_complement(sub2, tol)
@@ -302,9 +306,7 @@ def coherence_roundtrip(
         analytic = (qs[:, None] * qs.conj()[None, :]) * mu
         rs = probe.output_coefficients[support]
         law_residual = float(np.max(np.abs(np.outer(rs, rs.conj()) - analytic)))
-        vec, _ = superpose(initial, q, tol)
-        rho = apply_channel(ks, state_to_density(vec))
         ortho_map = span_duals(sub2, tol).conj()
-        device = ortho_map @ rho @ ortho_map.conj().T
+        device = ortho_map @ probe.output_density @ ortho_map.conj().T
         device_residual = float(np.max(np.abs(device - analytic)))
     return CoherenceRoundTrip(probe, test, agree, law_residual, device_residual)

@@ -17,10 +17,6 @@ class NotPSDError(DetchanError):
     """Matrix has a negative eigenvalue beyond tolerance."""
 
 
-class SingularMatrixError(DetchanError):
-    """Linear system is singular or its condition number exceeds the ceiling."""
-
-
 class SizeMismatchError(DetchanError):
     """Operands have incompatible shapes or lengths."""
 

@@ -79,7 +79,8 @@ class FeasibilityReport:
 
     ``violating_pairs`` holds only the flagged pairs of the
     distinguishability audit, in (j, k) order with j < k; call
-    ``distinguishability_audit`` for every pair.
+    ``distinguishability_audit`` for every pair.  ``ratio_matrix`` is the
+    overlap-ratio matrix the verdict was read from (not serialized).
     """
 
     verdict: str
@@ -88,6 +89,7 @@ class FeasibilityReport:
     initial_independent: bool
     final_independent: bool
     notes: tuple[str, ...]
+    ratio_matrix: RatioMatrix
 
 
 def build_ratio_matrix(
@@ -215,7 +217,9 @@ def feasibility_check(
         notes.append(f"final set is linearly dependent (rank {rank2} of {n})")
 
     def report(verdict, min_eig):
-        return FeasibilityReport(verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes))
+        return FeasibilityReport(
+            verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m
+        )
 
     if m.undefined_nonzero_pairs:
         pairs = ", ".join(f"({j}, {k})" for j, k in m.undefined_nonzero_pairs)

@@ -1,5 +1,5 @@
 """Dense complex-matrix kernels: Hermitian eigendecomposition, positivity
-tests, rank-revealing PSD factorization and guarded linear solves.
+tests and rank-revealing PSD factorization.
 
 All decisions (Hermiticity, positivity, rank) are made relative to the
 spectral scale of the input; nothing here assumes exact arithmetic.
@@ -17,7 +17,6 @@ from .errors import (
     NotFiniteError,
     NotHermitianError,
     NotPSDError,
-    SingularMatrixError,
     SizeMismatchError,
 )
 
@@ -25,7 +24,7 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 #: Relative eigenvalue cutoff used when revealing numerical rank.
 DEFAULT_RANK_TOL = 1e-10
-#: Linear solves refuse condition numbers above this ceiling.
+#: Reciprocal-state construction refuses Gram condition numbers above this ceiling.
 DEFAULT_COND_CEILING = 1e12
 
 
@@ -154,26 +153,3 @@ def phase_pin(v: np.ndarray) -> complex:
     pivot = v[int(np.argmax(np.abs(v)))]
     return np.abs(pivot) / pivot if np.abs(pivot) > 0.0 else 1.0
 
-
-def solve_linear(a, b, cond_ceiling: float = DEFAULT_COND_CEILING) -> np.ndarray:
-    """Solve ``a @ x = b``, refusing ill-conditioned systems.
-
-    Raises ``SingularMatrixError`` when the 2-norm condition estimate of
-    ``a`` exceeds ``cond_ceiling`` (or is not finite).
-    """
-    am = as_complex_matrix(a, name="a")
-    bm = np.asarray(b, dtype=np.complex128)
-    if am.shape[0] != am.shape[1]:
-        raise SizeMismatchError(f"coefficient matrix must be square, got {am.shape}")
-    if bm.shape[0] != am.shape[0]:
-        raise SizeMismatchError(
-            f"right-hand side has leading dimension {bm.shape[0]}, expected {am.shape[0]}"
-        )
-    if not np.all(np.isfinite(bm)):
-        raise NotFiniteError("right-hand side contains NaN or Inf entries")
-    cond = float(np.linalg.cond(am))
-    if not np.isfinite(cond) or cond > cond_ceiling:
-        raise SingularMatrixError(
-            f"condition number {cond:.3e} exceeds ceiling {cond_ceiling:.1e}"
-        )
-    return np.linalg.solve(am, bm)

@@ -175,16 +175,19 @@ def kraus_set_from_obj(obj) -> KrausSet:
     ops = obj["operators"]
     if not isinstance(ops, list) or not ops:
         raise SchemaError("'operators' must be a non-empty list")
-    operators = tuple(pairs_to_matrix(op) for op in ops)
-    dimension = obj.get("dimension", operators[0].shape[0])
     c_factor = obj.get("c_factor")
-    return KrausSet(
-        dimension=dimension,
-        operators=operators,
+    ks = KrausSet(
+        operators=[pairs_to_matrix(op) for op in ops],
         c_factor=pairs_to_matrix(c_factor) if c_factor is not None else None,
         initial_fingerprint=obj.get("initial_fingerprint", ""),
         final_fingerprint=obj.get("final_fingerprint", ""),
     )
+    if obj.get("dimension", ks.dimension) != ks.dimension:
+        raise SchemaError(
+            f"'dimension' {obj['dimension']!r} does not match operators of shape "
+            f"{ks.operators.shape[1:]}"
+        )
+    return ks
 
 
 def density_to_obj(rho) -> dict:

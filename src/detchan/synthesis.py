@@ -16,7 +16,7 @@ from .errors import (
     NotFeasibleError,
     SizeMismatchError,
 )
-from .feasibility import FEASIBLE, build_ratio_matrix, feasibility_check
+from .feasibility import FEASIBLE, feasibility_check
 from .numerics import (
     DEFAULT_COND_CEILING,
     DEFAULT_RANK_TOL,
@@ -33,55 +33,74 @@ from .states import StateSet, fingerprint, span_complement, span_duals
 class KrausSet:
     """Operator-sum representation of a channel.
 
-    ``operators`` holds K matrices of shape (D, D) satisfying the
-    completeness relation ``sum_k A_k^dag A_k = I``.  ``c_factor`` is the
-    rank-revealing factor of the overlap-ratio matrix the operators were
-    built from (None for hand-assembled sets); the fingerprints identify
-    the state sets used during synthesis.  Instances are immutable.
+    ``operators`` is one read-only, C-contiguous complex128 array of shape
+    (K, D, D): ``operators[k]`` is the Kraus operator A_k, and the set
+    satisfies the completeness relation ``sum_k A_k^dag A_k = I``.  The
+    constructor accepts any (K, D, D) array or sequence of K (D, D)
+    matrices and copies it once, so the caller's input is never aliased.
+    ``dimension`` (D) and ``kraus_count`` (K) are read off the array.
+    ``c_factor`` is the rank-revealing factor of the overlap-ratio matrix
+    the operators were built from (None for hand-assembled sets); the
+    fingerprints identify the state sets used during synthesis.
+    Instances are immutable.
     """
 
-    dimension: int
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     c_factor: np.ndarray | None = None
     initial_fingerprint: str = ""
     final_fingerprint: str = ""
 
     def __post_init__(self):
-        if not self.operators:
-            raise SizeMismatchError("a Kraus set needs at least one operator")
-        ops = []
-        for op in self.operators:
-            arr = as_complex_matrix(op, name="Kraus operator")
-            if arr.shape != (self.dimension, self.dimension):
-                raise SizeMismatchError(
-                    f"operator shape {arr.shape} != ({self.dimension}, {self.dimension})"
-                )
-            arr = arr.copy()
-            arr.setflags(write=False)
-            ops.append(arr)
-        object.__setattr__(self, "operators", tuple(ops))
+        try:
+            ops = np.array(self.operators, dtype=np.complex128, order="C")
+        except ValueError as exc:
+            # numpy refuses ragged input (operators of different shapes).
+            raise SizeMismatchError(f"Kraus operators do not form a (K, D, D) array: {exc}") from exc
+        if ops.ndim != 3 or ops.shape[0] < 1 or ops.shape[1] != ops.shape[2]:
+            raise SizeMismatchError(
+                f"Kraus operators must form a (K, D, D) array with K >= 1, got shape {ops.shape}"
+            )
+        if not np.all(np.isfinite(ops)):
+            raise NotFiniteError("Kraus operators contain NaN or Inf entries")
+        ops.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
         if self.c_factor is not None:
             c = np.array(self.c_factor, dtype=np.complex128)
             c.setflags(write=False)
             object.__setattr__(self, "c_factor", c)
 
     @property
+    def dimension(self) -> int:
+        return self.operators.shape[1]
+
+    @property
     def kraus_count(self) -> int:
-        return len(self.operators)
+        return self.operators.shape[0]
 
     @classmethod
     def from_operators(cls, operators, initial: StateSet | None = None,
                        final: StateSet | None = None) -> "KrausSet":
         """Wrap explicit operators; fingerprints filled in when the source
         state sets are supplied."""
-        first = as_complex_matrix(operators[0], name="Kraus operator")
         return cls(
-            dimension=first.shape[0],
-            operators=tuple(operators),
+            operators=operators,
             c_factor=None,
             initial_fingerprint=fingerprint(initial) if initial is not None else "",
             final_fingerprint=fingerprint(final) if final is not None else "",
         )
+
+
+def _kraus_stack(targets, c, bras) -> np.ndarray:
+    """Operators ``A_k = targets @ diag(c[:, k]) @ bras`` as a (K, D, D) stack.
+
+    ``targets`` is (D, N) with the image states as columns, ``c`` is (N, K)
+    and ``bras`` is (N, D), so ``A_k = sum_j c_jk |target_j><bra_j|``.  All
+    K operators come from one (D, N) @ (N, K * D) product.
+    """
+    n, k = c.shape
+    d = bras.shape[1]
+    scaled = (c[:, :, None] * bras[:, None, :]).reshape(n, k * d)
+    return (targets @ scaled).reshape(targets.shape[0], k, d).transpose(1, 0, 2)
 
 
 def synthesize(
@@ -99,7 +118,9 @@ def synthesize(
     operator count equals the numerical rank of the ratio matrix.  When
     the independent initial set spans only an N < D subspace, D - N extra
     operators funnel the orthogonal complement onto the first final state
-    to complete the identity resolution (total count still <= D).
+    to complete the identity resolution (total count still <= D); they are
+    the same construction with C = I, the complement basis as bras and the
+    first final state as every target.
 
     Raises ``NotFeasibleError`` (carrying the report) unless the
     feasibility verdict is Feasible.
@@ -110,22 +131,20 @@ def synthesize(
             f"feasibility verdict is {report.verdict}; synthesis needs Feasible",
             report=report,
         )
-    m = build_ratio_matrix(initial, final, tol)
+    m = report.ratio_matrix
     # A Feasible verdict with unconstrained entries implies equal Grams,
     # where completing with 1 reproduces the unitary channel.
     entries = m.entries if m.fully_defined else np.where(m.defined, m.entries, 1.0)
     c = psd_factor(entries, rank_tol=rank_tol, tol=tol)
     duals = span_duals(initial, tol, cond_ceiling)
-    bras = duals.conj()
-    targets = final.states.T
-    ops = [targets @ (c[:, k][:, None] * bras) for k in range(c.shape[1])]
+    ops = _kraus_stack(final.states.T, c, duals.conj())
     if initial.n < initial.dimension:
-        sink = final.states[0]
-        for col in span_complement(initial, tol).T:
-            ops.append(np.outer(sink, col.conj()))
+        complement = span_complement(initial, tol)
+        count = complement.shape[1]
+        sink = np.repeat(final.states[:1].T, count, axis=1)
+        ops = np.concatenate([ops, _kraus_stack(sink, np.eye(count), complement.conj().T)])
     ks = KrausSet(
-        dimension=initial.dimension,
-        operators=tuple(ops),
+        operators=ops,
         c_factor=c,
         initial_fingerprint=fingerprint(initial),
         final_fingerprint=fingerprint(final),
@@ -235,7 +254,7 @@ def transform_report(
         psi1 = initial.states[j]
         psi2 = final.states[j]
         out = apply_channel(ks, state_to_density(psi1))
-        coeffs = np.array([psi2.conj() @ (op @ psi1) for op in ks.operators])
+        coeffs = (ks.operators @ psi1) @ psi2.conj()
         records.append(
             TransformRecord(
                 index=j,
@@ -255,12 +274,9 @@ def kraus_to_choi(ks: KrausSet) -> np.ndarray:
     equality should always be tested on Choi matrices: Kraus lists are
     gauge-redundant.
     """
-    d = ks.dimension
-    choi = np.zeros((d * d, d * d), dtype=np.complex128)
-    for op in ks.operators:
-        w = op.T.reshape(-1)  # w[i*d + m] = A[m, i]
-        choi += np.outer(w, w.conj())
-    return choi
+    # Row k of w is A_k^T flattened: w[k, i*d + m] = A_k[m, i].
+    w = ks.operators.transpose(0, 2, 1).reshape(ks.kraus_count, -1)
+    return w.T @ w.conj()
 
 
 def choi_output_trace(choi, dimension: int) -> np.ndarray:

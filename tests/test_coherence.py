@@ -20,6 +20,7 @@ from detchan import (
     synthesize,
     unitary_relation_test,
 )
+from detchan import coherence
 from detchan.numerics import frobenius
 from helpers import (
     bounded_complete_coefficients,
@@ -359,14 +360,20 @@ def test_ratio_trace_is_support_size_on_subsets():
 
 def test_spectral_work_per_roundtrip(monkeypatch):
     # At most the two eigh of synthesis and the probe's output-state eigh;
-    # every independence guard takes eigenvalues only.
+    # every independence guard takes eigenvalues only.  The channel runs
+    # once: the device residual reads the probe's output density.
     rng = np.random.default_rng(89)
     base = random_state_set(8, 8, sub_seed(rng), mode="independent")
     image = random_state_set(8, 8, sub_seed(rng), mode="unitary_image", base=base)
     initial, final, _ = feasible_pair(rng, 8, min_subdominant=0.01)
     q = bounded_complete_coefficients(rng, 8)
-    counts = count_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "cond"))
+    counts = count_calls(
+        monkeypatch, (np.linalg, "eigh"), (np.linalg, "cond"), (coherence, "apply_channel")
+    )
     for a, b, verdict in [(base, image, UNITARY_RELATED), (initial, final, DECOHERING)]:
         counts.clear()
-        assert coherence_roundtrip(a, b, q).test.verdict == verdict
+        rec = coherence_roundtrip(a, b, q)
+        assert rec.test.verdict == verdict
         assert counts["eigh"] <= 3 and counts["cond"] == 0
+        assert counts["apply_channel"] == 1
+        assert (rec.device_residual is not None) == (verdict == UNITARY_RELATED)

@@ -7,11 +7,9 @@ from detchan import (
     NotFiniteError,
     NotHermitianError,
     NotPSDError,
-    SingularMatrixError,
     hermitian_eig,
     psd_check,
     psd_factor,
-    solve_linear,
 )
 from detchan.numerics import frobenius, pin_column_phases
 
@@ -198,27 +196,3 @@ def test_pin_column_phases_gauges_only():
         assert pivot.imag == pytest.approx(0.0, abs=1e-14)
         assert pivot.real > 0
 
-
-# ---------------------------------------------------------------- solve_linear
-
-
-def test_solve_identity_returns_rhs():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(solve_linear(np.eye(2), b), b)
-
-
-def test_solve_scaled_identity():
-    np.testing.assert_allclose(solve_linear(2.0 * np.eye(3), np.eye(3)), np.eye(3) / 2.0)
-
-
-def test_solve_residual_well_conditioned():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 6 * np.eye(6)
-    b = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-    x = solve_linear(a, b)
-    assert frobenius(a @ x - b) <= 1e-10 * frobenius(b)
-
-
-def test_solve_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        solve_linear([[1.0, 1.0], [1.0, 1.0]], np.eye(2))

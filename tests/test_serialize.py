@@ -79,6 +79,8 @@ def test_schema_errors_on_malformed_documents():
     with pytest.raises(SchemaError):
         ser.kraus_set_from_obj({"operators": []})
     with pytest.raises(SchemaError):
+        ser.kraus_set_from_obj({"dimension": 3, "operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]})
+    with pytest.raises(SchemaError):
         ser.pairs_to_matrix([[[1, 0]], [[1, 0], [0, 0]]])
 
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detchan import (
     DimensionMismatchError,
     IllConditionedError,
     KrausSet,
     NotFeasibleError,
+    NotFiniteError,
+    SizeMismatchError,
     StateSet,
     apply_channel,
     build_ratio_matrix,
@@ -18,6 +22,7 @@ from detchan import (
     validate_density,
     verify_completeness,
 )
+from detchan import feasibility, states, synthesis
 from detchan.numerics import frobenius
 from helpers import count_calls, feasible_pair
 
@@ -46,6 +51,88 @@ def reorder_gauge(ks, w):
         for m in range(w.shape[1])
     ]
     return KrausSet.from_operators(ops)
+
+
+# ---------------------------------------------------------------- KrausSet
+
+
+def test_kraus_set_holds_one_read_only_copy():
+    source = np.stack([np.eye(2), np.diag([0.0, 1.0])]).astype(complex)
+    ks = KrausSet.from_operators(source)
+    assert ks.operators.shape == (2, 2, 2)
+    assert ks.operators.dtype == np.complex128 and ks.operators.flags.c_contiguous
+    assert (ks.dimension, ks.kraus_count) == (2, 2)
+    with pytest.raises(ValueError):
+        ks.operators[0, 0, 0] = 5.0
+    source[0, 0, 0] = 7.0
+    assert ks.operators[0, 0, 0] == 1.0
+    # The dimension is read off the operators, never passed in.
+    with pytest.raises(TypeError):
+        KrausSet(dimension=2, operators=source)
+
+
+@pytest.mark.parametrize(
+    "operators",
+    [[], np.zeros((0, 2, 2)), [np.eye(2), np.eye(3)], [np.ones((2, 3))], np.eye(2)],
+    ids=["empty-list", "empty-array", "mixed-shapes", "non-square", "single-matrix"],
+)
+def test_kraus_set_rejects_malformed_shapes(operators):
+    with pytest.raises(SizeMismatchError):
+        KrausSet.from_operators(operators)
+
+
+def test_kraus_set_rejects_non_finite_entries():
+    op = np.eye(2, dtype=complex)
+    op[0, 1] = np.nan
+    with pytest.raises(NotFiniteError):
+        KrausSet.from_operators([np.eye(2), op])
+
+
+def per_operator_reference(ops, initial, final, rho):
+    """Per-operator loops for the completeness residual, the channel
+    output, the Choi matrix and the transform coefficients c_jk."""
+    d = ops[0].shape[0]
+    completeness = np.zeros((d, d), dtype=complex)
+    out = np.zeros((d, d), dtype=complex)
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for op in ops:
+        completeness += op.conj().T @ op
+        out += op @ rho @ op.conj().T
+        w = op.T.reshape(-1)
+        choi += np.outer(w, w.conj())
+    coefficients = np.array(
+        [[psi2.conj() @ (op @ psi1) for op in ops] for psi1, psi2 in zip(initial.states, final.states)]
+    )
+    return frobenius(completeness - np.eye(d)), (out + out.conj().T) / 2.0, choi, coefficients
+
+
+def random_rows(rng, n, d):
+    return rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, 2 * d))),
+    st.integers(0, 2**32 - 1),
+)
+def test_tensor_kernels_match_per_operator_loops(shape, seed):
+    # K blocks of a (K D, D) isometry form a complete Kraus set.
+    d, k = shape
+    rng = np.random.default_rng(seed)
+    isometry, _ = np.linalg.qr(random_rows(rng, k * d, d))
+    ks = KrausSet.from_operators(isometry.reshape(k, d, d))
+    initial = StateSet.from_vectors(random_rows(rng, 3, d), normalize=True)
+    final = StateSet.from_vectors(random_rows(rng, 3, d), normalize=True)
+    psi = random_rows(rng, 1, d)[0]
+    rho = state_to_density(psi / np.linalg.norm(psi))
+    completeness, out, choi, coefficients = per_operator_reference(
+        list(ks.operators), initial, final, rho
+    )
+    assert abs(verify_completeness(ks) - completeness) <= 1e-12
+    np.testing.assert_allclose(apply_channel(ks, rho), out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(kraus_to_choi(ks), choi, rtol=0, atol=1e-12)
+    recovered = np.array([rec.coefficients for rec in transform_report(ks, initial, final)])
+    np.testing.assert_allclose(recovered, coefficients, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- synthesize
@@ -103,13 +190,26 @@ def test_synthesize_refuses_condition_above_a_lowered_ceiling():
 def test_spectral_work_per_synthesize(monkeypatch):
     # The feasibility check's ratio-matrix eigh and the PSD factor's eigh;
     # the duals take eigenvalues only, and no SVD-based condition number.
+    # The check's two Grams and the duals' one are the only Grams: the
+    # ratio matrix is read off the report, never rebuilt.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
     counts = count_calls(
-        monkeypatch, (np.linalg, "eigh"), (np.linalg, "cond"), (np.linalg, "svd")
+        monkeypatch,
+        (np.linalg, "eigh"),
+        (np.linalg, "cond"),
+        (np.linalg, "svd"),
+        *[
+            (module, name)
+            for module in (feasibility, states, synthesis)
+            for name in ("gram", "build_ratio_matrix")
+            if hasattr(module, name)
+        ],
     )
     synthesize(initial, final)
     assert counts["eigh"] <= 2
     assert (counts["cond"], counts["svd"]) == (0, 0)
+    assert counts["gram"] <= 3
+    assert counts["build_ratio_matrix"] == 0
 
 
 def test_per_state_action_matches_factor():
