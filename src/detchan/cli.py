@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .coherence import UNITARY_RELATED, coherence_roundtrip
+from .coherence import DEFAULT_PURITY_TOL, UNITARY_RELATED, coherence_roundtrip
 from .errors import DetchanError, NotFeasibleError, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, feasibility_check
 from .numerics import DEFAULT_RANK_TOL, DEFAULT_TOL
@@ -64,19 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="feasibility verdict for a state-set pair")
     p.add_argument("initial", help="initial state-set JSON file")
     p.add_argument("final", help="final state-set JSON file")
-    _add_common_flags(p)
+    _add_flags(p, "tol")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("synth", help="synthesize Kraus operators for a feasible pair")
     p.add_argument("initial")
     p.add_argument("final")
-    _add_common_flags(p)
+    _add_flags(p, "tol", "rank-tol")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("apply", help="apply a Kraus channel to a state or density matrix")
     p.add_argument("kraus", help="Kraus-set JSON file")
     p.add_argument("state", help="single-state StateSet JSON or density-matrix JSON")
-    _add_common_flags(p)
+    _add_flags(p)
     p.set_defaults(func=_cmd_apply)
 
     p = sub.add_parser("coherence", help="purity probe plus unitary-relation test")
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated superposition coefficients (python complex "
         "literals, e.g. '1,1' or '0.5+0.5j,1'); at least two nonzero",
     )
-    _add_common_flags(p)
+    _add_flags(p, "tol", "rank-tol", "purity-tol")
     p.set_defaults(func=_cmd_coherence)
 
     p = sub.add_parser("sweep", help="one-parameter family of instances to CSV")
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="grid size (>= 2)")
-    _add_common_flags(p)
+    _add_flags(p, "tol", "rank-tol")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gen", help="seeded random state set")
@@ -105,16 +105,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n_states", type=int)
     p.add_argument("--mode", default="generic", choices=["generic", "independent", "unitary_image"])
     p.add_argument("--base", help="base state-set JSON (unitary_image mode)")
-    _add_common_flags(p)
+    _add_flags(p, "seed")
     p.set_defaults(func=_cmd_gen)
     return parser
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
-    p.add_argument("--purity-tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+#: Optional flags by name; each subcommand takes only those it reads.
+_FLAGS = {
+    "tol": dict(type=float, default=DEFAULT_TOL),
+    "rank-tol": dict(type=float, default=DEFAULT_RANK_TOL),
+    "purity-tol": dict(type=float, default=DEFAULT_PURITY_TOL),
+    "seed": dict(type=int, default=0),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 

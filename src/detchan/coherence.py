@@ -27,7 +27,6 @@ from .errors import (
 from .numerics import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
-    frobenius,
     hermitian_eig,
     hermitian_rank,
     phase_pin,
@@ -36,12 +35,11 @@ from .states import (
     StateSet,
     fingerprint,
     gram,
-    span_complement,
     span_duals,
     superpose,
 )
-from .synthesis import KrausSet, _kraus_stack, apply_channel, state_to_density, synthesize
-from .feasibility import _check_shapes, build_ratio_matrix
+from .synthesis import KrausSet, apply_channel, state_to_density, synthesize
+from .feasibility import RatioMatrix, _check_shapes, build_ratio_matrix
 
 UNITARY_RELATED = "UnitaryRelated"
 DECOHERING = "Decohering"
@@ -51,7 +49,8 @@ DEFAULT_PURITY_TOL = 1e-9
 #: Allowed deviation of a defined ratio entry from e^{i(phi_j - phi_k)},
 #: and of its modulus from 1, in the unitary-relation test.
 PHASE_TOL = 1e-6
-#: Residual allowed for U^dag U - I and the per-state projector match.
+#: Largest per-state mapping residual ||U psi1_j - e^{i phi_j} psi2_j||
+#: accepted for the Procrustes unitary U of the unitary-relation test.
 UNITARY_TOL = 1e-8
 
 
@@ -62,7 +61,8 @@ class CoherenceReport:
     Fields that do not apply to the producing operation are None: the
     probe fills the purity side, the structural test fills the unitary
     side.  ``extracted_unitary`` is present only with a UnitaryRelated
-    verdict and then satisfies ||U^dag U - I|| <= 1e-8.
+    verdict; it is unitary by construction and maps every initial state
+    of the support onto its final state within ``UNITARY_TOL``.
     """
 
     coefficients: np.ndarray | None = None
@@ -75,6 +75,8 @@ class CoherenceReport:
     output_coefficients: np.ndarray | None = None
     extracted_unitary: np.ndarray | None = None
     phases: np.ndarray | None = None
+    #: Overlap-ratio matrix of the support the test decided on (not serialized).
+    ratio_matrix: RatioMatrix | None = None
     verdict: str
 
 
@@ -179,11 +181,13 @@ def unitary_relation_test(
     newly reached state takes the phase the reaching entry implies, and
     every defined entry must then match to within ``PHASE_TOL``.  Both
     sets must be independent on the support (a unitary cannot create a
-    dependent image).  The candidate unitary maps psi1_j to
-    e^{i phi_j} psi2_j, extended over the span and completed orthogonally
-    off it; it is accepted only if ||U^dag U - I|| and every projector
-    mismatch stay within ``UNITARY_TOL``.  The global phase is pinned by
-    making the largest-modulus entry of the first column real positive.
+    dependent image).  The candidate unitary is the one closest to mapping
+    every psi1_j onto e^{i phi_j} psi2_j, the polar factor of Y X^dag with
+    X the initial and Y the phased final states as columns (orthogonal
+    Procrustes, Schoenemann 1966); it is unitary by construction and is
+    accepted only if every per-state residual ||U psi1_j - e^{i phi_j} psi2_j||
+    stays within ``UNITARY_TOL``.  The global phase is pinned by making
+    the largest-modulus entry of the first column real positive.
     """
     _check_shapes(initial, final)
     n = initial.n
@@ -202,13 +206,14 @@ def unitary_relation_test(
         )
     m = build_ratio_matrix(sub1, sub2, tol)
     phases = None if m.undefined_nonzero_pairs else _phase_sync(m)
-    u = None if phases is None else _extend_unitary(sub1, sub2, phases, tol)
+    u = None if phases is None else _procrustes_unitary(sub1, sub2, phases)
     if u is None:
-        return CoherenceReport(support=support, verdict=DECOHERING)
+        return CoherenceReport(support=support, ratio_matrix=m, verdict=DECOHERING)
     return CoherenceReport(
         support=support,
         extracted_unitary=u * phase_pin(u[:, 0]),
         phases=phases,
+        ratio_matrix=m,
         verdict=UNITARY_RELATED,
     )
 
@@ -243,23 +248,16 @@ def _phase_sync(m) -> np.ndarray | None:
     return phases
 
 
-def _extend_unitary(sub1: StateSet, sub2: StateSet, phases, tol: float) -> np.ndarray | None:
-    # Candidate U: psi1_j -> e^{i phi_j} psi2_j on the span (the single
-    # Kraus operator of the synthesis construction with C_j = e^{i phi_j}),
-    # complement onto complement; None unless U is unitary and carries each
-    # initial projector onto its final one.
-    duals1 = span_duals(sub1, tol)
-    u = _kraus_stack(sub2.states.T, np.exp(1j * np.asarray(phases))[:, None], duals1.conj())[0]
-    if sub1.n < sub1.dimension:
-        b1 = span_complement(sub1, tol)
-        b2 = span_complement(sub2, tol)
-        u = u + b2 @ b1.conj().T
-    if frobenius(u.conj().T @ u - np.eye(sub1.dimension)) > UNITARY_TOL:
+def _procrustes_unitary(sub1: StateSet, sub2: StateSet, phases) -> np.ndarray | None:
+    # The unitary minimising ||U X - Y|| is w @ zh from the SVD of Y X^dag.
+    # For N < D it is unique on span(X) only; off the span any unitary
+    # completion serves.  None unless it maps every state within UNITARY_TOL.
+    x = sub1.states.T
+    y = sub2.states.T * np.exp(1j * np.asarray(phases))
+    w, _, zh = np.linalg.svd(y @ x.conj().T)
+    u = w @ zh
+    if np.max(np.linalg.norm(u @ x - y, axis=0)) > UNITARY_TOL:
         return None
-    # Row j of the images is U psi1_j, so U P1_j U^dag is its projector.
-    for image, psi2 in zip(sub1.states @ u.T, sub2.states):
-        if frobenius(state_to_density(image) - state_to_density(psi2)) > UNITARY_TOL:
-            return None
     return u
 
 
@@ -296,9 +294,8 @@ def coherence_roundtrip(
     device_residual = None
     if probe.is_pure and probe.output_coefficients is not None:
         support = list(probe.support)
-        sub1 = initial.subset(support)
         sub2 = final.subset(support)
-        m = build_ratio_matrix(sub1, sub2, tol)
+        m = test.ratio_matrix
         mu = np.where(m.defined, m.entries, 1.0)
         # Effective coefficients of the normalized input superposition.
         q_eff = q / float(np.linalg.norm(q @ initial.states))

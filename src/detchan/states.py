@@ -189,17 +189,6 @@ def dual_states(
     return DualSet(s.dimension, span_duals(s, tol, cond_ceiling))
 
 
-def span_complement(s: StateSet, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement of span(s).
-
-    Empty (D x 0) for a spanning set; requires independence.
-    """
-    duals = span_duals(s, tol)
-    projector = s.states.T @ duals.conj()
-    w, v = hermitian_eig(np.eye(s.dimension) - projector, tol)
-    return v[:, w > 0.5]
-
-
 def superpose(s: StateSet, coefficients, tol: float = DEFAULT_TOL) -> Superposition:
     """Normalized ``sum_j q_j |psi_j>`` plus the support {j : q_j != 0}."""
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)

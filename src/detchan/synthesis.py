@@ -26,7 +26,7 @@ from .numerics import (
     psd_check,
     psd_factor,
 )
-from .states import StateSet, fingerprint, span_complement, span_duals
+from .states import StateSet, fingerprint, span_duals
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,12 +115,12 @@ def synthesize(
     Writes the ratio matrix as ``C @ C^dag`` with C of minimal column
     count and sets ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the reciprocal
     vectors of the initial set, so ``A_k |psi1_j> = C_jk |psi2_j>`` and the
-    operator count equals the numerical rank of the ratio matrix.  When
-    the independent initial set spans only an N < D subspace, D - N extra
-    operators funnel the orthogonal complement onto the first final state
-    to complete the identity resolution (total count still <= D); they are
-    the same construction with C = I, the complement basis as bras and the
-    first final state as every target.
+    operator count equals the numerical rank of the ratio matrix.  These
+    operators give ``sum_k A_k^dag A_k = P``, the projector onto the span
+    of the initial set.  When that span is an N < D subspace, one more
+    operator, ``I - P``, completes the identity resolution: it annihilates
+    the span and is itself a projector, so it adds ``I - P`` to the sum.
+    The count is then rank(C) + 1 <= D.
 
     Raises ``NotFeasibleError`` (carrying the report) unless the
     feasibility verdict is Feasible.
@@ -139,10 +139,8 @@ def synthesize(
     duals = span_duals(initial, tol, cond_ceiling)
     ops = _kraus_stack(final.states.T, c, duals.conj())
     if initial.n < initial.dimension:
-        complement = span_complement(initial, tol)
-        count = complement.shape[1]
-        sink = np.repeat(final.states[:1].T, count, axis=1)
-        ops = np.concatenate([ops, _kraus_stack(sink, np.eye(count), complement.conj().T)])
+        sink = np.eye(initial.dimension) - initial.states.T @ duals.conj()
+        ops = np.concatenate([ops, sink[None]])
     ks = KrausSet(
         operators=ops,
         c_factor=c,

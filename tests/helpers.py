@@ -80,6 +80,32 @@ def feasible_pair(
         return initial, final, m
 
 
+def embedded(s: StateSet, rng: np.random.Generator, d: int) -> StateSet:
+    """The set carried into C^d (d >= its dimension) by a random isometry;
+    its Gram matrix, and so every verdict, is unchanged."""
+    z = rng.standard_normal((d, s.dimension)) + 1j * rng.standard_normal((d, s.dimension))
+    isometry, _ = np.linalg.qr(z)
+    return StateSet.from_vectors(s.states @ isometry.T, normalize=True)
+
+
+def near_parallel_pair() -> StateSet:
+    """Two independent states in C^4 with Gram condition about 1.8e8,
+    below the 1e9 rank cutoff.  I - P on their span is not Hermitian to
+    ``hermitian_eig``'s tolerance, so no path may eigensolve it."""
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    a = a / np.linalg.norm(a)
+    b = a + 1e-4 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    return StateSet.from_vectors([a, b / np.linalg.norm(b)])
+
+
+def perturbed(s: StateSet, rng: np.random.Generator, eps: float) -> StateSet:
+    """Every state moved by ``eps`` in a random direction, then renormalized."""
+    z = rng.standard_normal(s.states.shape) + 1j * rng.standard_normal(s.states.shape)
+    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    return StateSet.from_vectors(s.states + eps * z, normalize=True)
+
+
 def bounded_complete_coefficients(rng: np.random.Generator, n: int) -> np.ndarray:
     """Complete coefficient vectors with moduli bounded away from zero.
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detchan import cli
+from detchan import DEFAULT_PURITY_TOL, cli
 from detchan import serialize as ser
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -114,6 +114,55 @@ def test_synth_output_applies_back(capsys, tmp_path):
     rho = ser.pairs_to_matrix(doc["matrix"])
     assert doc["purity"] >= 1.0 - 1e-9
     assert abs(rho[0, 0] - 1.0) <= 1e-9
+
+
+# ---------------------------------------------------------------- flags
+
+SUBCOMMAND_ARGV = {
+    "check": ["check", fx("plus_pair.json"), fx("target_09.json")],
+    "synth": ["synth", fx("basis2.json"), fx("target_09.json")],
+    "apply": ["apply", fx("kraus_measure2.json"), fx("plus_state.json")],
+    "coherence": ["coherence", fx("basis2.json"), fx("swapped_basis.json"), "--coeffs", "1,1"],
+    "sweep": ["sweep", fx("sweep_template.json"), "--start", "0", "--stop", "1", "--steps", "2"],
+    "gen": ["gen", "2", "2"],
+}
+#: The optional flags the README documents for each subcommand.
+DOCUMENTED_FLAGS = {
+    "check": {"--tol", "--out"},
+    "synth": {"--tol", "--rank-tol", "--out"},
+    "apply": {"--out"},
+    "coherence": {"--tol", "--rank-tol", "--purity-tol", "--out"},
+    "sweep": {"--tol", "--rank-tol", "--out"},
+    "gen": {"--seed", "--out"},
+}
+FLAG_VALUES = {
+    "--tol": ("1e-6", 1e-6),
+    "--rank-tol": ("1e-7", 1e-7),
+    "--purity-tol": ("1e-5", 1e-5),
+    "--seed": ("3", 3),
+    "--out": ("result.json", "result.json"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag):
+    # A flag a subcommand would ignore is a usage error, never silently accepted.
+    text, value = FLAG_VALUES[flag]
+    argv = SUBCOMMAND_ARGV[command] + [flag, text]
+    if flag in DOCUMENTED_FLAGS[command]:
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_purity_tol_default_is_the_library_default():
+    args = cli._build_parser().parse_args(SUBCOMMAND_ARGV["coherence"])
+    assert args.purity_tol == DEFAULT_PURITY_TOL
 
 
 # ---------------------------------------------------------------- error paths

@@ -20,12 +20,15 @@ from detchan import (
     synthesize,
     unitary_relation_test,
 )
-from detchan import coherence
+from detchan import coherence, feasibility, synthesis
 from detchan.numerics import frobenius
 from helpers import (
     bounded_complete_coefficients,
     count_calls,
+    embedded,
     feasible_pair,
+    near_parallel_pair,
+    perturbed,
     sub_seed,
     subset_instance,
 )
@@ -194,6 +197,34 @@ def test_unitary_image_pairs_pass_with_tight_unitarity():
             assert frobenius(u @ p1 @ u.conj().T - p2) <= 1e-8
 
 
+def test_near_parallel_pair_is_unitary_related():
+    # Gram condition 1.8e8 lies below the 1e9 rank cutoff, so the test decides.
+    s = near_parallel_pair()
+    report = unitary_relation_test(s, s)
+    assert report.verdict == UNITARY_RELATED
+    # The extracted unitary carries a pinned global phase.
+    images = s.states @ report.extracted_unitary.T
+    overlaps = np.sum(s.states.conj() * images, axis=1)
+    residual = np.linalg.norm(images - overlaps[:, None] * s.states, axis=1)
+    assert np.max(residual) <= coherence.UNITARY_TOL
+
+
+@pytest.mark.parametrize("n, d", [(4, 4), (3, 6)])
+def test_acceptance_boundary_of_the_unitary_test(n, d):
+    # Far on either side of UNITARY_TOL = 1e-8: a unitary image moved by
+    # 1e-12 stays UnitaryRelated, one moved by 1e-6 is Decohering.
+    rng = np.random.default_rng(101)
+    for _ in range(5):
+        base = random_state_set(d, n, sub_seed(rng), mode="independent")
+        image = random_state_set(d, n, sub_seed(rng), mode="unitary_image", base=base)
+        near = unitary_relation_test(base, perturbed(image, rng, 1e-12))
+        assert near.verdict == UNITARY_RELATED
+        u = near.extracted_unitary
+        assert frobenius(u.conj().T @ u - np.eye(d)) <= 1e-12
+        far = unitary_relation_test(base, perturbed(image, rng, 1e-6))
+        assert far.verdict == DECOHERING and far.extracted_unitary is None
+
+
 def test_phase_gauge_never_changes_verdict():
     rng = np.random.default_rng(71)
     for _ in range(10):
@@ -360,20 +391,37 @@ def test_ratio_trace_is_support_size_on_subsets():
 
 def test_spectral_work_per_roundtrip(monkeypatch):
     # At most the two eigh of synthesis and the probe's output-state eigh;
-    # every independence guard takes eigenvalues only.  The channel runs
-    # once: the device residual reads the probe's output density.
+    # every independence guard takes eigenvalues only, and the unitary test
+    # takes one SVD (the Procrustes polar factor) and no eigh, for N = D
+    # and N < D alike.  The channel runs once: the device residual reads
+    # the probe's output density.  The support ratio matrix is built once,
+    # by the test, and the final set's duals once, for the device residual.
     rng = np.random.default_rng(89)
-    base = random_state_set(8, 8, sub_seed(rng), mode="independent")
-    image = random_state_set(8, 8, sub_seed(rng), mode="unitary_image", base=base)
-    initial, final, _ = feasible_pair(rng, 8, min_subdominant=0.01)
-    q = bounded_complete_coefficients(rng, 8)
+    cases = []
+    for n, d in [(8, 8), (6, 8)]:
+        base = random_state_set(d, n, sub_seed(rng), mode="independent")
+        image = random_state_set(d, n, sub_seed(rng), mode="unitary_image", base=base)
+        initial, final, _ = feasible_pair(rng, n, min_subdominant=0.01)
+        initial, final = embedded(initial, rng, d), embedded(final, rng, d)
+        q = bounded_complete_coefficients(rng, n)
+        cases += [(base, image, q, UNITARY_RELATED), (initial, final, q, DECOHERING)]
     counts = count_calls(
-        monkeypatch, (np.linalg, "eigh"), (np.linalg, "cond"), (coherence, "apply_channel")
+        monkeypatch,
+        (np.linalg, "eigh"),
+        (np.linalg, "cond"),
+        (np.linalg, "svd"),
+        (coherence, "apply_channel"),
+        (coherence, "build_ratio_matrix"),
+        (feasibility, "build_ratio_matrix"),
+        (coherence, "span_duals"),
+        (synthesis, "span_duals"),
     )
-    for a, b, verdict in [(base, image, UNITARY_RELATED), (initial, final, DECOHERING)]:
+    for a, b, q, verdict in cases:
         counts.clear()
         rec = coherence_roundtrip(a, b, q)
         assert rec.test.verdict == verdict
-        assert counts["eigh"] <= 3 and counts["cond"] == 0
+        assert counts["eigh"] <= 3 and counts["cond"] == 0 and counts["svd"] <= 1
         assert counts["apply_channel"] == 1
+        assert counts["build_ratio_matrix"] == 1
+        assert counts["span_duals"] == (2 if verdict == UNITARY_RELATED else 1)
         assert (rec.device_residual is not None) == (verdict == UNITARY_RELATED)

@@ -17,7 +17,6 @@ from detchan import (
     linear_independence,
     random_state_set,
     random_unitary,
-    span_complement,
     span_duals,
     superpose,
 )
@@ -182,9 +181,6 @@ def test_span_duals_non_spanning():
     s = StateSet.from_vectors([[1, 0, 0], [INV_SQRT2, INV_SQRT2, 0]])
     w = span_duals(s)
     np.testing.assert_allclose(w.conj() @ s.states.T, np.eye(2), atol=1e-12)
-    comp = span_complement(s)
-    assert comp.shape == (3, 1)
-    np.testing.assert_allclose(np.abs(comp[:, 0]), [0, 0, 1], atol=1e-12)
 
 
 def tilted_pair(theta):

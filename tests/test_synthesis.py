@@ -24,7 +24,14 @@ from detchan import (
 )
 from detchan import feasibility, states, synthesis
 from detchan.numerics import frobenius
-from helpers import count_calls, feasible_pair
+from helpers import (
+    count_calls,
+    embedded,
+    feasible_pair,
+    near_parallel_pair,
+    sub_seed,
+    well_conditioned_set,
+)
 
 INV_SQRT2 = 2**-0.5
 
@@ -255,6 +262,49 @@ def test_non_spanning_synthesis_completes_identity():
     assert verify_completeness(ks) <= 1e-9
     for rec in transform_report(ks, initial, final):
         assert rec.fidelity >= 1.0 - 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 8).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d))),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_non_spanning_synthesis_is_complete(shape, unitary, seed):
+    # The final states leave span(psi1): either a feasible pair whose two
+    # sets are embedded by different isometries, or a Haar unitary image.
+    # The rank(C) span operators give sum A^dag A = P and the single sink
+    # I - P completes it, so any operator mixing the two breaks completeness.
+    n, d = shape
+    rng = np.random.default_rng(seed)
+    if unitary:
+        initial = well_conditioned_set(rng, n, d)
+        final = StateSet(d, initial.states @ random_unitary(d, sub_seed(rng)).T)
+    else:
+        initial, final, _ = feasible_pair(rng, n, int(rng.integers(1, n + 1)))
+        initial, final = embedded(initial, rng, d), embedded(final, rng, d)
+    ks = synthesize(initial, final)
+    assert verify_completeness(ks) <= 1e-9
+    for rec in transform_report(ks, initial, final):
+        assert rec.fidelity >= 1.0 - 1e-9
+    trace = choi_output_trace(kraus_to_choi(ks), d)
+    assert frobenius(trace - np.eye(d)) <= 1e-9
+    w = np.linalg.eigvalsh(build_ratio_matrix(initial, final).entries)
+    rank = int(np.sum(w > 1e-10 * w[-1]))
+    assert ks.kraus_count == rank + 1 <= d
+
+
+def test_near_parallel_pair_synthesizes():
+    # Gram condition 1.8e8 lies below the 1e9 rank cutoff, so the identity
+    # on this pair must synthesize and pass its own verification.
+    # Roundoff grows with the condition, so the
+    # residuals are held to that verification bound, 1e3 * tol.
+    s = near_parallel_pair()
+    ks = synthesize(s, s)
+    assert ks.kraus_count == 2
+    assert verify_completeness(ks) <= 1e-6
+    for rec in transform_report(ks, s, s):
+        assert rec.fidelity >= 1.0 - 1e-6
 
 
 # ---------------------------------------------------------- verify_completeness
