@@ -316,7 +316,7 @@ def _cmd_sweep(args) -> int:
         uniform_purity = None
         if report.verdict == FEASIBLE:
             ks = synthesize(initial, final, args.tol, args.rank_tol)
-            vec, _ = superpose(initial, np.ones(initial.n))
+            vec, _ = superpose(initial, np.ones(initial.n), args.tol)
             uniform_purity = purity(apply_channel(ks, state_to_density(vec)))
         rows.append(
             ",".join(

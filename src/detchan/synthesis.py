@@ -4,6 +4,7 @@ channel application, per-state verification and Choi-matrix utilities."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,22 @@ from .numerics import (
 from .states import StateSet, fingerprint, span_duals
 
 
-@dataclass(frozen=True, eq=False)
+class _Factor(NamedTuple):
+    """The synthesized operators in factored form.
+
+    ``A_k = targets @ diag(c[:, k]) @ bras`` for k < K, then ``sink`` when
+    it is not None: ``targets`` is (D, N) with the final states as columns
+    (Phi), ``c`` is the (N, K) factor of the ratio matrix M = C C^dag,
+    ``bras`` is (N, D) with the conjugated reciprocal states of the initial
+    set as rows (Psi^+), and ``sink`` is I - P for an N < D initial set.
+    """
+
+    targets: np.ndarray
+    c: np.ndarray
+    bras: np.ndarray
+    sink: np.ndarray | None
+
+
 class KrausSet:
     """Operator-sum representation of a channel.
 
@@ -38,44 +54,88 @@ class KrausSet:
     satisfies the completeness relation ``sum_k A_k^dag A_k = I``.  The
     constructor accepts any (K, D, D) array or sequence of K (D, D)
     matrices and copies it once, so the caller's input is never aliased.
-    ``dimension`` (D) and ``kraus_count`` (K) are read off the array.
     ``c_factor`` is the rank-revealing factor of the overlap-ratio matrix
     the operators were built from (None for hand-assembled sets); the
     fingerprints identify the state sets used during synthesis.
-    Instances are immutable.
+
+    A set returned by ``synthesize`` is held in factored form instead:
+    ``A_k = Phi diag(C[:, k]) Psi^+`` plus the sink ``I - P`` when the
+    initial set spans an N < D subspace, with Phi the final states as
+    columns, C = ``c_factor`` and Psi^+ the conjugated reciprocal states of
+    the initial set.  Its (K, D, D) ``operators`` array is built from the
+    factor on first read, checked like a constructor argument and kept;
+    ``apply_channel`` and the synthesis guard never read it.  ``dimension``
+    (D) and ``kraus_count`` (K) come from the factor or the array and never
+    build it.
+
+    Instances are immutable and safe to share across threads: the lazy
+    build is a pure function of the factor and is stored once, so
+    concurrent first reads may both compute it but all of them return the
+    same array.
     """
 
-    operators: np.ndarray
-    c_factor: np.ndarray | None = None
-    initial_fingerprint: str = ""
-    final_fingerprint: str = ""
+    def __init__(
+        self,
+        operators=None,
+        c_factor=None,
+        initial_fingerprint: str = "",
+        final_fingerprint: str = "",
+        *,
+        _factor: _Factor | None = None,
+    ):
+        if (operators is None) == (_factor is None):
+            raise TypeError("KrausSet takes either operators or a synthesis factor")
+        fields = self.__dict__
+        if _factor is None:
+            try:
+                ops = np.array(operators, dtype=np.complex128, order="C")
+            except ValueError as exc:
+                # numpy refuses ragged input (operators of different shapes).
+                raise SizeMismatchError(
+                    f"Kraus operators do not form a (K, D, D) array: {exc}"
+                ) from exc
+            fields["_operators"] = _checked_operators(ops)
+            fields["_factor"] = None
+            fields["dimension"], fields["kraus_count"] = ops.shape[1], ops.shape[0]
+            if c_factor is not None:
+                c_factor = np.array(c_factor, dtype=np.complex128)
+                c_factor.setflags(write=False)
+        else:
+            for part in _factor:
+                if part is not None:
+                    if not np.all(np.isfinite(part)):
+                        raise NotFiniteError("Kraus factor contains NaN or Inf entries")
+                    part.setflags(write=False)
+            fields["_factor"] = _factor
+            fields["dimension"] = _factor.bras.shape[1]
+            fields["kraus_count"] = _factor.c.shape[1] + (_factor.sink is not None)
+            c_factor = _factor.c
+        fields["c_factor"] = c_factor
+        fields["initial_fingerprint"] = initial_fingerprint
+        fields["final_fingerprint"] = final_fingerprint
 
-    def __post_init__(self):
-        try:
-            ops = np.array(self.operators, dtype=np.complex128, order="C")
-        except ValueError as exc:
-            # numpy refuses ragged input (operators of different shapes).
-            raise SizeMismatchError(f"Kraus operators do not form a (K, D, D) array: {exc}") from exc
-        if ops.ndim != 3 or ops.shape[0] < 1 or ops.shape[1] != ops.shape[2]:
-            raise SizeMismatchError(
-                f"Kraus operators must form a (K, D, D) array with K >= 1, got shape {ops.shape}"
-            )
-        if not np.all(np.isfinite(ops)):
-            raise NotFiniteError("Kraus operators contain NaN or Inf entries")
-        ops.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-        if self.c_factor is not None:
-            c = np.array(self.c_factor, dtype=np.complex128)
-            c.setflags(write=False)
-            object.__setattr__(self, "c_factor", c)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"KrausSet is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"KrausSet is immutable; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"KrausSet(dimension={self.dimension}, kraus_count={self.kraus_count})"
 
     @property
-    def dimension(self) -> int:
-        return self.operators.shape[1]
-
-    @property
-    def kraus_count(self) -> int:
-        return self.operators.shape[0]
+    def operators(self) -> np.ndarray:
+        ops = self.__dict__.get("_operators")
+        if ops is None:
+            f = self._factor
+            built = np.empty((self.kraus_count, self.dimension, self.dimension), np.complex128)
+            built[: f.c.shape[1]] = _kraus_stack(f.targets, f.c, f.bras)
+            if f.sink is not None:
+                built[-1] = f.sink
+            # setdefault is atomic: the first stored array is the one every
+            # reader gets, however many threads raced to build it.
+            ops = self.__dict__.setdefault("_operators", _checked_operators(built))
+        return ops
 
     @classmethod
     def from_operators(cls, operators, initial: StateSet | None = None,
@@ -88,6 +148,18 @@ class KrausSet:
             initial_fingerprint=fingerprint(initial) if initial is not None else "",
             final_fingerprint=fingerprint(final) if final is not None else "",
         )
+
+
+def _checked_operators(ops: np.ndarray) -> np.ndarray:
+    """``ops`` made read-only once it is a finite (K, D, D) stack with K >= 1."""
+    if ops.ndim != 3 or ops.shape[0] < 1 or ops.shape[1] != ops.shape[2]:
+        raise SizeMismatchError(
+            f"Kraus operators must form a (K, D, D) array with K >= 1, got shape {ops.shape}"
+        )
+    if not np.all(np.isfinite(ops)):
+        raise NotFiniteError("Kraus operators contain NaN or Inf entries")
+    ops.setflags(write=False)
+    return ops
 
 
 def _kraus_stack(targets, c, bras) -> np.ndarray:
@@ -110,7 +182,7 @@ def synthesize(
     rank_tol: float = DEFAULT_RANK_TOL,
     cond_ceiling: float = DEFAULT_COND_CEILING,
 ) -> KrausSet:
-    """Explicit Kraus operators realizing a Feasible transformation.
+    """Kraus operators realizing a Feasible transformation, in factored form.
 
     Writes the ratio matrix as ``C @ C^dag`` with C of minimal column
     count and sets ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the reciprocal
@@ -122,8 +194,14 @@ def synthesize(
     the span and is itself a projector, so it adds ``I - P`` to the sum.
     The count is then rank(C) + 1 <= D.
 
+    The returned set keeps the factor (final states, C, reciprocal states,
+    sink) and builds its (K, D, D) ``operators`` only when they are first
+    read; its completeness and per-state residuals are checked on the
+    factor in O(N^2 D + N D^2 + D^3), whatever K is.
+
     Raises ``NotFeasibleError`` (carrying the report) unless the
-    feasibility verdict is Feasible.
+    feasibility verdict is Feasible, and ``IllConditionedError`` when the
+    residuals exceed ``1e3 * tol``.
     """
     report = feasibility_check(initial, final, tol)
     if report.verdict != FEASIBLE:
@@ -136,40 +214,53 @@ def synthesize(
     # where completing with 1 reproduces the unitary channel.
     entries = m.entries if m.fully_defined else np.where(m.defined, m.entries, 1.0)
     c = psd_factor(entries, rank_tol=rank_tol, tol=tol)
-    duals = span_duals(initial, tol, cond_ceiling)
-    ops = _kraus_stack(final.states.T, c, duals.conj())
+    bras = span_duals(initial, tol, cond_ceiling).conj()
+    sink = None
     if initial.n < initial.dimension:
-        sink = np.eye(initial.dimension) - initial.states.T @ duals.conj()
-        ops = np.concatenate([ops, sink[None]])
+        sink = np.eye(initial.dimension) - initial.states.T @ bras
     ks = KrausSet(
-        operators=ops,
-        c_factor=c,
         initial_fingerprint=fingerprint(initial),
         final_fingerprint=fingerprint(final),
+        _factor=_Factor(final.states.T, c, bras, sink),
     )
-    _verify_synthesis(ks, initial, final, c, tol)
+    _verify_synthesis(ks._factor, initial, tol)
     return ks
 
 
-def _verify_synthesis(ks, initial, final, c, tol):
-    # Construction guard: residuals stay near machine precision for
-    # admissible conditions, so anything above 1e3 * tol means the Gram
-    # matrices were too ill-conditioned to trust the result.
-    worst = 0.0
-    for k in range(c.shape[1]):
-        images = initial.states @ ks.operators[k].T
-        expected = c[:, k][:, None] * final.states
-        worst = max(worst, float(np.max(np.linalg.norm(images - expected, axis=1))))
-    completeness = verify_completeness(ks)
-    if worst > 1e3 * tol or completeness > 1e3 * tol:
+def _verify_synthesis(f: _Factor, initial: StateSet, tol: float) -> tuple[float, float]:
+    """Construction guard: the worst per-state residual and the
+    completeness residual of the factored set, or ``IllConditionedError``.
+
+    Residuals stay near machine precision for admissible conditions, so
+    anything above 1e3 * tol means the Gram matrices were too
+    ill-conditioned to trust the result.
+    """
+    # Both residuals are read off the factor.  With G2 = Phi^dag Phi and
+    # mid = (conj(C) C^T) o G2 (N x N), sum_k A_k^dag A_k over the span
+    # operators is (Psi^+)^dag mid Psi^+.  With E = Psi^+ Psi - I, the
+    # mapping error A_k psi1_j - C_jk psi2_j is Phi diag(C[:, k]) E[:, j],
+    # whose squared norm summed over k is E[:, j]^dag mid E[:, j]: the
+    # per-state residual below is never below the worst single operator's.
+    mid = (f.c.conj() @ f.c.T) * (f.targets.conj().T @ f.targets)
+    acc = f.bras.conj().T @ mid @ f.bras
+    if f.sink is not None:
+        acc += f.sink.conj().T @ f.sink
+    completeness = frobenius(acc - np.eye(acc.shape[0]))
+    e = f.bras @ initial.states.T - np.eye(initial.n)
+    per_state = np.real(np.sum(e.conj() * (mid @ e), axis=0))
+    worst = float(np.sqrt(max(float(np.max(per_state)), 0.0)))
+    # Written so that a NaN residual fails the guard too.
+    if not (worst <= 1e3 * tol and completeness <= 1e3 * tol):
         raise IllConditionedError(
             f"synthesis residuals too large (per-state {worst:.3e}, "
             f"completeness {completeness:.3e}); Gram matrix too ill-conditioned"
         )
+    return worst, completeness
 
 
 def verify_completeness(ks: KrausSet) -> float:
-    """Frobenius norm of ``sum_k A_k^dag A_k - I``."""
+    """Frobenius norm of ``sum_k A_k^dag A_k - I``, summed operator by
+    operator over ``ks.operators`` (so a factored set builds them)."""
     acc = np.zeros((ks.dimension, ks.dimension), dtype=np.complex128)
     for op in ks.operators:
         acc += op.conj().T @ op
@@ -179,7 +270,11 @@ def verify_completeness(ks: KrausSet) -> float:
 def apply_channel(ks: KrausSet, rho) -> np.ndarray:
     """Operator-sum action ``sum_k A_k rho A_k^dag``.
 
-    The output is re-Hermitized as (X + X^dag)/2 to suppress floating-point
+    A set from ``synthesize`` is applied through its factor, as the Schur
+    multiplier ``Phi ((C C^dag) o (Psi^+ rho (Psi^+)^dag)) Phi^dag`` plus
+    ``S rho S^dag`` for the sink S, in O(D^3) for any K and without
+    building ``operators``; other sets run the per-operator sum.  The
+    output is re-Hermitized as (X + X^dag)/2 to suppress floating-point
     asymmetry, keeping density-matrix invariants checkable at tight
     tolerances.
     """
@@ -190,9 +285,16 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
         )
     if not np.all(np.isfinite(r)):
         raise NotFiniteError("density matrix contains NaN or Inf")
-    out = np.zeros_like(r)
-    for op in ks.operators:
-        out += op @ r @ op.conj().T
+    f = ks._factor
+    if f is None:
+        out = np.zeros_like(r)
+        for op in ks.operators:
+            out += op @ r @ op.conj().T
+    else:
+        inner = (f.c @ f.c.conj().T) * (f.bras @ r @ f.bras.conj().T)
+        out = f.targets @ inner @ f.targets.conj().T
+        if f.sink is not None:
+            out += f.sink @ r @ f.sink.conj().T
     return (out + out.conj().T) / 2.0
 
 

@@ -77,6 +77,35 @@ def test_golden_outputs_and_exit_codes(capsys, argv, expect_code, golden):
     assert code2 == code and out2 == out
 
 
+#: uniform_purity column of sweep_cos.csv as the per-operator channel sum
+#: computed it, before the channel was applied through its Schur-multiplier
+#: factor; None where the verdict is Infeasible.
+PER_OPERATOR_UNIFORM_PURITY = [
+    0.99996570372764104, 0.9997756887981798, 0.99942213149104475, 0.9989106492420925,
+    0.99824953103628755, 0.99744979313609794, 0.99652525596245334, 0.99549264512885172,
+    0.99437172060102097, 0.99318543910969748, 0.9919601563438698, 0.99072587717495053,
+    0.9895165643111643, 0.98837051849119573, 0.98733084677714211, 0.98644603994154234,
+    0.98577068569141302, 0.98536635198582911, 0.98530268460766635, 0.98565877631823118,
+    0.98652488258742954, 0.98800458280783499, 0.9902175185987846, 0.99330288597557992,
+    0.99742392124450352,
+] + [None] * 25
+
+
+def test_sweep_purity_matches_the_per_operator_sum(capsys):
+    # The factored and per-operator sums differ only in summation order,
+    # so every cell agrees to a few ulp.
+    argv = ["sweep", fx("sweep_template.json"), "--start", "0.02", "--stop", "1.55", "--steps", "50"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    cells = [line.split(",")[4] for line in out.strip().split("\n")[1:]]
+    assert len(cells) == len(PER_OPERATOR_UNIFORM_PURITY)
+    for cell, expected in zip(cells, PER_OPERATOR_UNIFORM_PURITY):
+        if expected is None:
+            assert cell == ""
+        else:
+            assert abs(float(cell) - expected) <= 1e-14
+
+
 # ---------------------------------------------------------------- --out files
 
 
@@ -249,6 +278,21 @@ def test_sweep_identity_family_has_zero_min_eigenvalue(capsys, tmp_path):
         assert abs(float(min_eig)) <= 1e-12
         assert float(max_mu) == pytest.approx(1.0, abs=1e-12)
         assert float(uniform_purity) >= 1.0 - 1e-9
+
+
+def test_sweep_passes_tol_to_superpose(capsys, monkeypatch):
+    original = cli.superpose
+    seen = []
+
+    def spy(s, coefficients, tol=None):
+        seen.append(tol)
+        return original(s, coefficients, tol)
+
+    monkeypatch.setattr(cli, "superpose", spy)
+    argv = SUBCOMMAND_ARGV["sweep"] + ["--tol", "1e-6"]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert seen and all(tol == 1e-6 for tol in seen)
 
 
 def test_sweep_rejects_single_step(capsys):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from detchan import (
     apply_channel,
     build_ratio_matrix,
     choi_output_trace,
+    coherence_roundtrip,
     kraus_to_choi,
     random_unitary,
     state_to_density,
@@ -25,6 +29,7 @@ from detchan import (
 from detchan import feasibility, states, synthesis
 from detchan.numerics import frobenius
 from helpers import (
+    bounded_complete_coefficients,
     count_calls,
     embedded,
     feasible_pair,
@@ -140,6 +145,142 @@ def test_tensor_kernels_match_per_operator_loops(shape, seed):
     np.testing.assert_allclose(kraus_to_choi(ks), choi, rtol=0, atol=1e-12)
     recovered = np.array([rec.coefficients for rec in transform_report(ks, initial, final)])
     np.testing.assert_allclose(recovered, coefficients, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- factored sets
+
+
+def test_factored_set_builds_its_operators_once_on_first_read(monkeypatch):
+    rng = np.random.default_rng(5)
+    initial, final, _ = feasible_pair(rng, 4)
+    initial, final = embedded(initial, rng, 6), embedded(final, rng, 6)
+    counts = count_calls(monkeypatch, (synthesis, "_kraus_stack"))
+    ks = synthesize(initial, final)
+    assert (ks.dimension, ks.kraus_count) == (6, ks.c_factor.shape[1] + 1)
+    assert counts["_kraus_stack"] == 0
+    ops = ks.operators
+    assert counts["_kraus_stack"] == 1
+    assert ops.shape == (ks.kraus_count, 6, 6)
+    assert ops.dtype == np.complex128 and ops.flags.c_contiguous
+    assert ks.operators is ops and counts["_kraus_stack"] == 1
+    with pytest.raises(ValueError):
+        ops[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ks.c_factor[0, 0] = 5.0
+    np.testing.assert_array_equal(ops[-1], ks._factor.sink)
+
+
+def test_kraus_set_is_immutable_and_takes_one_source():
+    ks = synthesize(zero_plus(), cos09_final())
+    with pytest.raises(AttributeError):
+        ks.c_factor = None
+    with pytest.raises(AttributeError):
+        ks.operators = np.eye(2)[None]
+    with pytest.raises(TypeError):
+        KrausSet()
+    with pytest.raises(TypeError):
+        KrausSet(operators=[np.eye(2)], _factor=ks._factor)
+    assert repr(ks) == "KrausSet(dimension=2, kraus_count=2)"
+
+
+def test_kraus_set_rejects_a_non_finite_factor():
+    f = synthesize(zero_plus(), cos09_final())._factor
+    bras = np.array(f.bras)
+    bras[0, 0] = np.inf
+    with pytest.raises(NotFiniteError):
+        KrausSet(_factor=f._replace(bras=bras))
+
+
+def test_concurrent_first_reads_share_one_array():
+    # The lazy build may run in several threads at once; every reader must
+    # still get the one stored array.
+    rng = np.random.default_rng(9)
+    initial, final, _ = feasible_pair(rng, 8)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ks = synthesize(initial, final)
+            barrier = threading.Barrier(8)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(ks.operators)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8 and all(ops is ks.operators for ops in seen)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 8).flatmap(lambda d: st.tuples(st.integers(1, d), st.just(d))),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_factor_matches_per_operator_loops(shape, unitary, seed):
+    # Feasible pairs (N = D), the same pairs embedded by different
+    # isometries (N < D), and unitary images: the factored channel, its
+    # completeness and its guard against the materialised operators.
+    n, d = shape
+    rng = np.random.default_rng(seed)
+    if unitary:
+        initial = well_conditioned_set(rng, n, d)
+        final = StateSet(d, initial.states @ random_unitary(d, sub_seed(rng)).T)
+    else:
+        initial, final, _ = feasible_pair(rng, n, int(rng.integers(1, n + 1)))
+        if n < d:
+            initial, final = embedded(initial, rng, d), embedded(final, rng, d)
+    ks = synthesize(initial, final)
+    f = ks._factor
+    psi = random_rows(rng, 1, d)[0]
+    rho = state_to_density(psi / np.linalg.norm(psi))
+    reference = KrausSet.from_operators(ks.operators)
+    assert ks.kraus_count == reference.kraus_count == len(ks.operators)
+    np.testing.assert_allclose(
+        apply_channel(ks, rho), apply_channel(reference, rho), rtol=0, atol=1e-13
+    )
+    _, completeness = synthesis._verify_synthesis(f, initial, 1e-9)
+    assert abs(completeness - verify_completeness(ks)) <= 1e-13
+    # A 1e-5 error in the reciprocal states trips the factored guard, whose
+    # per-state residual is the root of the sum over operators of the
+    # per-operator residuals, never below their maximum.
+    bad = f._replace(bras=f.bras + 1e-5 * random_rows(rng, n, d))
+    with pytest.raises(IllConditionedError):
+        synthesis._verify_synthesis(bad, initial, 1e-9)
+    worst, completeness = synthesis._verify_synthesis(bad, initial, 1.0)
+    bad_set = KrausSet(_factor=bad)
+    per_operator = 0.0
+    for k in range(bad.c.shape[1]):
+        images = initial.states @ bad_set.operators[k].T
+        expected = bad.c[:, k, None] * final.states
+        per_operator = max(per_operator, float(np.max(np.linalg.norm(images - expected, axis=1))))
+    assert worst >= per_operator * (1 - 1e-9)
+    assert abs(completeness - verify_completeness(bad_set)) <= 1e-12
+
+
+def test_roundtrips_and_channel_use_the_factor(monkeypatch):
+    # Decohering roundtrips (N = D = 8 and N = 6 < D = 8) and synthesize
+    # followed by apply_channel never build the (K, D, D) stack.
+    rng = np.random.default_rng(31)
+    counts = count_calls(monkeypatch, (synthesis, "_kraus_stack"))
+    spanning = feasible_pair(rng, 8, min_subdominant=0.2)[:2]
+    pair = feasible_pair(rng, 6, min_subdominant=0.2)[:2]
+    for initial, final in (spanning, (embedded(pair[0], rng, 8), embedded(pair[1], rng, 8))):
+        q = bounded_complete_coefficients(rng, initial.n)
+        rec = coherence_roundtrip(initial, final, q)
+        assert rec.probe.verdict == rec.test.verdict == "Decohering"
+        ks = synthesize(initial, final)
+        apply_channel(ks, state_to_density(initial.states[0]))
+        assert (ks.dimension, ks.kraus_count) == (8, ks.c_factor.shape[1] + (initial.n < 8))
+    assert counts["_kraus_stack"] == 0
 
 
 # ---------------------------------------------------------------- synthesize
