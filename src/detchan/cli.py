@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .coherence import DEFAULT_PURITY_TOL, UNITARY_RELATED, coherence_roundtrip
+from .coherence import DEFAULT_PURITY_TOL, UNITARY_RELATED, coherence_roundtrip, purity
 from .errors import DetchanError, NotFeasibleError, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, feasibility_check
 from .numerics import DEFAULT_RANK_TOL, DEFAULT_TOL
@@ -35,7 +35,6 @@ from .synthesis import (
     validate_density,
     verify_completeness,
 )
-from .coherence import purity
 
 _EXIT_BY_VERDICT = {FEASIBLE: 0, INFEASIBLE: 1}
 

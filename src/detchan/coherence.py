@@ -28,18 +28,17 @@ from .numerics import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
     hermitian_eig,
-    hermitian_rank,
     phase_pin,
 )
 from .states import (
     StateSet,
     fingerprint,
-    gram,
+    linear_independence,
     span_duals,
     superpose,
 )
-from .synthesis import KrausSet, apply_channel, state_to_density, synthesize
-from .feasibility import RatioMatrix, _check_shapes, build_ratio_matrix
+from .synthesis import KrausSet, _synthesize_from, apply_channel, state_to_density
+from .feasibility import RatioMatrix, _check_shapes, build_ratio_matrix, feasibility_check
 
 UNITARY_RELATED = "UnitaryRelated"
 DECOHERING = "Decohering"
@@ -102,10 +101,6 @@ def purity(rho) -> float:
     return float(np.real(np.trace(r @ r)))
 
 
-def _independent(s: StateSet, tol: float) -> bool:
-    return hermitian_rank(gram(s), tol) == s.n
-
-
 def coherence_probe(
     ks: KrausSet,
     initial: StateSet,
@@ -147,7 +142,7 @@ def coherence_probe(
         output_state = top * phase_pin(top)
         if final is not None:
             sub = final.subset(support)
-            if _independent(sub, tol):
+            if linear_independence(sub, tol):
                 r_support, *_ = np.linalg.lstsq(sub.states.T, output_state, rcond=None)
                 r = np.zeros(initial.n, dtype=np.complex128)
                 r[list(support)] = r_support
@@ -198,9 +193,9 @@ def unitary_relation_test(
         raise SupportTooSmallError("support must contain at least two states")
     sub1 = initial.subset(support)
     sub2 = final.subset(support)
-    if not _independent(sub1, tol):
+    if not linear_independence(sub1, tol):
         raise NotIndependentError("initial states are dependent on the support")
-    if not _independent(sub2, tol):
+    if not linear_independence(sub2, tol):
         raise NotIndependentError(
             "final states are dependent on the support; no unitary produces a dependent image"
         )
@@ -272,21 +267,24 @@ def coherence_roundtrip(
     """Run the purity probe and the structural test on one instance and
     cross-check them.
 
-    Synthesizes the channel (the instance must be Feasible), probes the
-    superposition given by ``coefficients`` (restricting to its support,
-    which must contain at least two states) and runs the structural test
-    on the same support; the two verdicts must agree.  For pure outputs
+    Runs ``feasibility_check`` once; its independence flags guard the
+    input and the channel is synthesized from its Feasible spectrum (the
+    instance must be Feasible).  Probes the superposition given by
+    ``coefficients`` (restricting to its support, which must contain at
+    least two states) and runs the structural test on the same support;
+    the two verdicts must agree.  For pure outputs
     the coefficient law r_j r_k^* = q_j q_k^* mu_jk is verified twice:
     once from the recovered expansion coefficients and once by reading the
     output density matrix through an orthogonalizing map that sends the
     final states to an orthonormal basis (built from their duals).
     """
-    if not _independent(initial, tol):
+    report = feasibility_check(initial, final, tol)
+    if not report.initial_independent:
         raise NotIndependentError("initial set must be linearly independent")
-    if not _independent(final, tol):
+    if not report.final_independent:
         raise NotIndependentError("final set must be linearly independent")
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
-    ks = synthesize(initial, final, tol, rank_tol)
+    ks = _synthesize_from(report, initial, final, tol, rank_tol)
     probe = coherence_probe(ks, initial, q, purity_tol, final=final, tol=tol)
     test = unitary_relation_test(initial, final, probe.support, tol)
     agree = bool(probe.is_pure) == (test.verdict == UNITARY_RELATED)

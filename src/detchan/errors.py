@@ -38,10 +38,6 @@ class NotIndependentError(DetchanError):
     """State set is linearly dependent where independence is required."""
 
 
-class NotSpanningError(DetchanError):
-    """State set does not span the ambient space (N != D)."""
-
-
 class IllConditionedError(DetchanError):
     """Gram matrix condition number exceeds the configured ceiling."""
 

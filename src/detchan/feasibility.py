@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SizeMismatchError, UndefinedEntryError
-from .numerics import DEFAULT_TOL, hermitian_rank, psd_check
+from .numerics import DEFAULT_TOL, _psd_verdict, hermitian_eig, hermitian_rank
 from .states import StateSet, gram
 
 FEASIBLE = "Feasible"
@@ -81,6 +81,10 @@ class FeasibilityReport:
     distinguishability audit, in (j, k) order with j < k; call
     ``distinguishability_audit`` for every pair.  ``ratio_matrix`` is the
     overlap-ratio matrix the verdict was read from (not serialized).
+    ``spectrum`` is ``hermitian_eig`` of the matrix that certified a
+    Feasible verdict: the ratio matrix, or its completion with 1 when the
+    Gram matrices coincide.  ``synthesize`` factors it, so no eigensolve
+    is repeated.  It is None for every other verdict (not serialized).
     """
 
     verdict: str
@@ -90,6 +94,7 @@ class FeasibilityReport:
     final_independent: bool
     notes: tuple[str, ...]
     ratio_matrix: RatioMatrix
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def build_ratio_matrix(
@@ -216,9 +221,11 @@ def feasibility_check(
     if rank2 < n:
         notes.append(f"final set is linearly dependent (rank {rank2} of {n})")
 
-    def report(verdict, min_eig):
+    def report(verdict, min_eig, spectrum=None):
+        for part in spectrum or ():
+            part.setflags(write=False)
         return FeasibilityReport(
-            verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m
+            verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m, spectrum
         )
 
     if m.undefined_nonzero_pairs:
@@ -233,30 +240,29 @@ def feasibility_check(
         )
         return report(INFEASIBLE, None)
 
-    if m.fully_defined:
-        ok, min_eig = psd_check(m.entries, tol)
-        if not ok:
+    # Entries with 0/0 overlaps are unconstrained.  When the Gram matrices
+    # coincide, completing them with 1 reproduces the unitary channel.
+    equal_grams = not m.fully_defined and float(np.max(np.abs(g1 - g2))) <= tol
+    if m.fully_defined or equal_grams:
+        spectrum = hermitian_eig(np.where(m.defined, m.entries, 1.0), tol)
+        ok, min_eig = _psd_verdict(spectrum[0], tol)
+        if equal_grams:
+            notes.append(
+                "initial and final Gram matrices coincide: a unitary channel realizes "
+                "the transformation (unconstrained entries completed with 1)"
+            )
+        elif not ok:
             notes.append(f"ratio matrix has negative eigenvalue {min_eig:.6e}")
             return report(INFEASIBLE, min_eig)
         if rank1 == n:
-            return report(FEASIBLE, min_eig)
-        notes.append(
-            "ratio matrix is PSD, which is necessary but not known sufficient "
-            "for a dependent initial set"
-        )
-        return report(NECESSARY_ONLY, min_eig)
-
-    # Entries with 0/0 overlaps are unconstrained.
-    if float(np.max(np.abs(g1 - g2))) <= tol:
-        completed = np.where(m.defined, m.entries, 1.0)
-        _, min_eig = psd_check(completed, tol)
-        notes.append(
-            "initial and final Gram matrices coincide: a unitary channel realizes "
-            "the transformation (unconstrained entries completed with 1)"
-        )
-        if rank1 == n:
-            return report(FEASIBLE, min_eig)
-        notes.append("verdict capped at NecessaryOnly because the initial set is dependent")
+            return report(FEASIBLE, min_eig, spectrum)
+        if equal_grams:
+            notes.append("verdict capped at NecessaryOnly because the initial set is dependent")
+        else:
+            notes.append(
+                "ratio matrix is PSD, which is necessary but not known sufficient "
+                "for a dependent initial set"
+            )
         return report(NECESSARY_ONLY, min_eig)
     if violations:
         notes.append("a final pair is more distinguishable than its initial counterpart")

@@ -9,8 +9,6 @@ Every function is pure, so concurrent use needs no locking.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (
@@ -24,15 +22,6 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 #: Relative eigenvalue cutoff used when revealing numerical rank.
 DEFAULT_RANK_TOL = 1e-10
-#: Reciprocal-state construction refuses Gram condition numbers above this ceiling.
-DEFAULT_COND_CEILING = 1e12
-
-
-class EigenDecomposition(NamedTuple):
-    """Hermitian eigendecomposition with eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -49,7 +38,7 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
-def hermitian_eig(h, tol: float = DEFAULT_TOL) -> EigenDecomposition:
+def hermitian_eig(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
@@ -61,12 +50,12 @@ def hermitian_eig(h, tol: float = DEFAULT_TOL) -> EigenDecomposition:
 
     Returns
     -------
-    EigenDecomposition
+    (w, v)
         Real eigenvalues in descending order and orthonormal eigenvector
-        columns, so ``V @ diag(w) @ V.conj().T`` reconstructs ``h``.
+        columns, so ``v @ diag(w) @ v.conj().T`` reconstructs ``h``.
     """
     w, v = np.linalg.eigh(_hermitian_part(h, tol))
-    return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def hermitian_rank(h, tol: float = DEFAULT_TOL) -> int:
@@ -104,7 +93,7 @@ def psd_check(h, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     Returns ``(is_psd, min_eigenvalue)``.  The verdict tolerates
     eigenvalues down to ``-tol * max(1, spectral radius)``.
     """
-    return _psd_verdict(hermitian_eig(h, tol).eigenvalues, tol)
+    return _psd_verdict(hermitian_eig(h, tol)[0], tol)
 
 
 def _psd_verdict(w: np.ndarray, tol: float) -> tuple[bool, float]:
@@ -126,9 +115,14 @@ def psd_factor(
 
     Column phases are pinned (largest-modulus entry real positive) to make
     the output deterministic; any ``C @ W`` with ``W`` unitary is an
-    equally valid factor of the same matrix.
+    equally valid factor of the same matrix.  Synthesis runs the same
+    steps (``_spectral_factor``) on the spectrum a Feasible report holds.
     """
-    w, v = hermitian_eig(m, tol)
+    return _spectral_factor(*hermitian_eig(m, tol), rank_tol, tol)
+
+
+def _spectral_factor(w: np.ndarray, v: np.ndarray, rank_tol: float, tol: float) -> np.ndarray:
+    """``psd_factor`` of the matrix whose descending spectrum is ``(w, v)``."""
     ok, min_eig = _psd_verdict(w, tol)
     if not ok:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {min_eig:.3e}")

@@ -110,10 +110,10 @@ def matrix_to_pairs(m) -> list:
 def _pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise SchemaError(f"expected an [re, im] pair, got {pair!r}")
-    re, im = pair
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    # JSON true/false load as bool, a subclass of int; they are not numbers.
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
         raise SchemaError(f"non-numeric [re, im] pair {pair!r}")
-    return complex(re, im)
+    return complex(*pair)
 
 
 def pairs_to_vector(pairs) -> np.ndarray:
@@ -147,9 +147,9 @@ def state_set_from_obj(obj) -> StateSet:
     states = obj["states"]
     if not isinstance(states, list) or not states:
         raise SchemaError("'states' must be a non-empty list")
-    arr = np.vstack([pairs_to_vector(vec) for vec in states])
+    arr = pairs_to_matrix(states)
     dimension = obj.get("dimension", arr.shape[1])
-    if not isinstance(dimension, int):
+    if isinstance(dimension, bool) or not isinstance(dimension, int):
         raise SchemaError(f"'dimension' must be an integer, got {dimension!r}")
     labels = obj.get("labels")
     if labels is not None and (
@@ -182,9 +182,10 @@ def kraus_set_from_obj(obj) -> KrausSet:
         initial_fingerprint=obj.get("initial_fingerprint", ""),
         final_fingerprint=obj.get("final_fingerprint", ""),
     )
-    if obj.get("dimension", ks.dimension) != ks.dimension:
+    dimension = obj.get("dimension", ks.dimension)
+    if isinstance(dimension, bool) or dimension != ks.dimension:
         raise SchemaError(
-            f"'dimension' {obj['dimension']!r} does not match operators of shape "
+            f"'dimension' {dimension!r} does not match operators of shape "
             f"{ks.operators.shape[1:]}"
         )
     return ks

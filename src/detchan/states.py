@@ -15,19 +15,19 @@ from .errors import (
     NotFiniteError,
     NotIndependentError,
     NotNormalizedError,
-    NotSpanningError,
     SizeMismatchError,
     ZeroVectorError,
 )
 from .numerics import (
-    DEFAULT_COND_CEILING,
     DEFAULT_TOL,
-    hermitian_eig,
+    hermitian_rank,
     numerical_rank,
 )
 
 #: States must be normalized this tightly at construction time.
 UNIT_NORM_TOL = 1e-12
+#: ``span_duals`` refuses Gram condition numbers above this ceiling.
+_COND_CEILING = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,26 +94,6 @@ class StateSet:
         return StateSet(self.dimension, self.states[idx, :], labels)
 
 
-@dataclass(frozen=True, eq=False)
-class DualSet:
-    """Reciprocal vectors w_j with <w_j|psi_k> = delta_jk (unnormalized)."""
-
-    dimension: int
-    duals: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.duals, dtype=np.complex128)
-        arr.setflags(write=False)
-        object.__setattr__(self, "duals", arr)
-
-
-class Independence(NamedTuple):
-    independent: bool
-    rank: int
-    #: Columns are coefficient dependencies: sum_j c_j |psi_j> = 0.
-    null_vectors: np.ndarray
-
-
 class Superposition(NamedTuple):
     vector: np.ndarray
     support: tuple[int, ...]
@@ -128,35 +108,26 @@ def gram(s: StateSet) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def linear_independence(s: StateSet, tol: float = DEFAULT_TOL) -> Independence:
-    """Numerical rank of a state set plus its coefficient dependencies.
-
-    The rank is the number of Gram eigenvalues above ``tol`` relative to
-    the largest; the remaining eigenvectors are returned as columns c that
-    satisfy ``sum_j c_j |psi_j> = 0`` (numerically).
-    """
-    overlap = gram(s).conj()  # entry (j, k) = <psi_j | psi_k>
-    w, v = hermitian_eig(overlap, tol)
-    rank = numerical_rank(w, tol)
-    return Independence(rank == s.n, rank, v[:, rank:])
+def linear_independence(s: StateSet, tol: float = DEFAULT_TOL) -> bool:
+    """True when the Gram matrix has full numerical rank N: N eigenvalues
+    above ``tol`` relative to the largest, from eigenvalues alone."""
+    return hermitian_rank(gram(s), tol) == s.n
 
 
-def span_duals(
-    s: StateSet,
-    tol: float = DEFAULT_TOL,
-    cond_ceiling: float = DEFAULT_COND_CEILING,
-) -> np.ndarray:
+def span_duals(s: StateSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """In-span reciprocal vectors of an independent set, one per row.
 
-    Row j satisfies <w_j|psi_k> = delta_jk and lies inside span(s); for a
-    spanning set (N = D) these are the unique reciprocal states.
+    Row j satisfies <w_j|psi_k> = delta_jk and lies inside span(s), so
+    ``sum_j |psi_j><w_j|`` is the projector onto span(s); for a spanning
+    set (N = D) these are the unique reciprocal states and that sum is the
+    identity.  This is the package's one dual constructor.
 
     The rank and the condition number lambda_max / lambda_min both come
     from one eigenvalue solve of the Gram matrix.  Unit-norm states have
     lambda_max >= 1, so the rank cutoff ``tol * lambda_max`` already
     refuses every condition number above 1 / tol (1e9 at the default
-    ``tol``) with ``NotIndependentError``; ``IllConditionedError`` fires
-    only for a ``cond_ceiling`` below 1 / tol.
+    ``tol``) with ``NotIndependentError``; the fixed 1e12 ceiling raises
+    ``IllConditionedError`` only for ``tol`` below 1e-12.
     """
     overlap = gram(s).conj()  # entry (j, k) = <psi_j | psi_k>
     w = np.linalg.eigvalsh(overlap)  # ascending
@@ -164,29 +135,12 @@ def span_duals(
     if rank < s.n:
         raise NotIndependentError(f"state set has rank {rank} < N = {s.n}")
     cond = float(w[-1] / w[0])
-    if not np.isfinite(cond) or cond > cond_ceiling:
+    if not np.isfinite(cond) or cond > _COND_CEILING:
         raise IllConditionedError(
-            f"Gram condition {cond:.3e} exceeds ceiling {cond_ceiling:.1e}"
+            f"Gram condition {cond:.3e} exceeds ceiling {_COND_CEILING:.1e}"
         )
     inv_overlap = np.linalg.solve(overlap, np.eye(s.n, dtype=np.complex128))
     return (s.states.T @ inv_overlap).T
-
-
-def dual_states(
-    s: StateSet,
-    tol: float = DEFAULT_TOL,
-    cond_ceiling: float = DEFAULT_COND_CEILING,
-) -> DualSet:
-    """Biorthogonal duals of an independent spanning set (N = D).
-
-    The normalization fixes <w_j|psi_j> = 1 exactly, which makes
-    ``sum_j |psi_j><w_j|`` a resolution of the identity.
-    """
-    if s.n != s.dimension:
-        raise NotSpanningError(
-            f"duals need a spanning set with N = D, got N={s.n}, D={s.dimension}"
-        )
-    return DualSet(s.dimension, span_duals(s, tol, cond_ceiling))
 
 
 def superpose(s: StateSet, coefficients, tol: float = DEFAULT_TOL) -> Superposition:
@@ -266,7 +220,7 @@ def random_state_set(
             )
         for _ in range(max_attempts):
             candidate = StateSet.from_vectors(_sphere_points(rng, n_states, dimension))
-            if linear_independence(candidate, tol).independent:
+            if linear_independence(candidate, tol):
                 return candidate
         raise NotIndependentError(
             f"no independent set of {n_states} states in dimension {dimension} "

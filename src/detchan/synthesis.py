@@ -17,15 +17,14 @@ from .errors import (
     NotFeasibleError,
     SizeMismatchError,
 )
-from .feasibility import FEASIBLE, feasibility_check
+from .feasibility import FEASIBLE, FeasibilityReport, feasibility_check
 from .numerics import (
-    DEFAULT_COND_CEILING,
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _spectral_factor,
     as_complex_matrix,
     frobenius,
     psd_check,
-    psd_factor,
 )
 from .states import StateSet, fingerprint, span_duals
 
@@ -180,14 +179,16 @@ def synthesize(
     final: StateSet,
     tol: float = DEFAULT_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
-    cond_ceiling: float = DEFAULT_COND_CEILING,
 ) -> KrausSet:
     """Kraus operators realizing a Feasible transformation, in factored form.
 
-    Writes the ratio matrix as ``C @ C^dag`` with C of minimal column
-    count and sets ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the reciprocal
-    vectors of the initial set, so ``A_k |psi1_j> = C_jk |psi2_j>`` and the
-    operator count equals the numerical rank of the ratio matrix.  These
+    Runs ``feasibility_check`` and factors the spectrum that certified its
+    Feasible verdict (``FeasibilityReport.spectrum``), so the ratio matrix
+    is eigensolved once: it is written as ``C @ C^dag`` with C of minimal
+    column count (``rank_tol`` cuts the rank), and ``A_k = sum_j C_jk
+    |psi2_j><w_j|`` with w the reciprocal vectors of the initial set, so
+    ``A_k |psi1_j> = C_jk |psi2_j>`` and the operator count equals the
+    numerical rank of the ratio matrix.  These
     operators give ``sum_k A_k^dag A_k = P``, the projector onto the span
     of the initial set.  When that span is an N < D subspace, one more
     operator, ``I - P``, completes the identity resolution: it annihilates
@@ -204,17 +205,20 @@ def synthesize(
     residuals exceed ``1e3 * tol``.
     """
     report = feasibility_check(initial, final, tol)
+    return _synthesize_from(report, initial, final, tol, rank_tol)
+
+
+def _synthesize_from(
+    report: FeasibilityReport, initial: StateSet, final: StateSet, tol: float, rank_tol: float
+) -> KrausSet:
+    """``synthesize`` from the pair's ``feasibility_check`` report."""
     if report.verdict != FEASIBLE:
         raise NotFeasibleError(
             f"feasibility verdict is {report.verdict}; synthesis needs Feasible",
             report=report,
         )
-    m = report.ratio_matrix
-    # A Feasible verdict with unconstrained entries implies equal Grams,
-    # where completing with 1 reproduces the unitary channel.
-    entries = m.entries if m.fully_defined else np.where(m.defined, m.entries, 1.0)
-    c = psd_factor(entries, rank_tol=rank_tol, tol=tol)
-    bras = span_duals(initial, tol, cond_ceiling).conj()
+    c = _spectral_factor(*report.spectrum, rank_tol, tol)
+    bras = span_duals(initial, tol).conj()
     sink = None
     if initial.n < initial.dimension:
         sink = np.eye(initial.dimension) - initial.states.T @ bras

@@ -16,13 +16,13 @@ from detchan import (
     build_ratio_matrix,
     coherence_probe,
     distinguishability_audit,
-    dual_states,
     feasibility_check,
     gram,
     hermitian_eig,
     kraus_to_choi,
     random_state_set,
     random_unitary,
+    span_duals,
     state_to_density,
     synthesize,
     transform_report,
@@ -278,8 +278,7 @@ def test_criterion_09_dual_identity_resolution():
     for i in range(N_TRIALS):
         n = 2 + i % 7
         s = well_conditioned_set(rng, n, n)
-        ds = dual_states(s)
-        resolution = s.states.T @ ds.duals.conj()
+        resolution = s.states.T @ span_duals(s).conj()
         worst = max(worst, frobenius(resolution - np.eye(n)))
     record(9, "reciprocal-state identity resolution", worst <= 1e-9, f"max residual {worst:.3e}")
 

@@ -20,7 +20,7 @@ from detchan import (
     synthesize,
     unitary_relation_test,
 )
-from detchan import coherence, feasibility, synthesis
+from detchan import coherence, feasibility, states, synthesis
 from detchan.numerics import frobenius
 from helpers import (
     bounded_complete_coefficients,
@@ -390,12 +390,17 @@ def test_ratio_trace_is_support_size_on_subsets():
 
 
 def test_spectral_work_per_roundtrip(monkeypatch):
-    # At most the two eigh of synthesis and the probe's output-state eigh;
-    # every independence guard takes eigenvalues only, and the unitary test
-    # takes one SVD (the Procrustes polar factor) and no eigh, for N = D
-    # and N < D alike.  The channel runs once: the device residual reads
-    # the probe's output density.  The support ratio matrix is built once,
-    # by the test, and the final set's duals once, for the device residual.
+    # One feasibility check answers independence and supplies the ratio
+    # spectrum synthesis factors: one eigh, plus the probe's output-state
+    # eigh for a pure output.  Eigenvalues only: the check's two ranks, the
+    # initial duals and the unitary test's two support guards, plus the
+    # probe's expansion guard and the final duals for a pure output.  Grams:
+    # one per eigenvalue solve and two for the support ratio matrix.  The
+    # unitary test takes one SVD (the Procrustes polar factor) and no eigh,
+    # for N = D and N < D alike.  The channel runs once: the device residual
+    # reads the probe's output density.  The support ratio matrix is built
+    # once, by the test, and the final set's duals once, for the device
+    # residual.
     rng = np.random.default_rng(89)
     cases = []
     for n, d in [(8, 8), (6, 8)]:
@@ -408,8 +413,11 @@ def test_spectral_work_per_roundtrip(monkeypatch):
     counts = count_calls(
         monkeypatch,
         (np.linalg, "eigh"),
+        (np.linalg, "eigvalsh"),
         (np.linalg, "cond"),
         (np.linalg, "svd"),
+        (states, "gram"),
+        (feasibility, "gram"),
         (coherence, "apply_channel"),
         (coherence, "build_ratio_matrix"),
         (feasibility, "build_ratio_matrix"),
@@ -420,7 +428,11 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         counts.clear()
         rec = coherence_roundtrip(a, b, q)
         assert rec.test.verdict == verdict
-        assert counts["eigh"] <= 3 and counts["cond"] == 0 and counts["svd"] <= 1
+        # Every case is at full support: the coefficients are complete.
+        limits = (2, 7, 9) if verdict == UNITARY_RELATED else (1, 5, 7)
+        work = (counts["eigh"], counts["eigvalsh"], counts["gram"])
+        assert all(used <= limit for used, limit in zip(work, limits)), work
+        assert counts["cond"] == 0 and counts["svd"] <= 1
         assert counts["apply_channel"] == 1
         assert counts["build_ratio_matrix"] == 1
         assert counts["span_duals"] == (2 if verdict == UNITARY_RELATED else 1)

@@ -19,7 +19,9 @@ from detchan import (
     feasibility_check,
     gram,
     linear_independence,
+    psd_factor,
     random_state_set,
+    synthesize,
     witness_value,
 )
 from helpers import count_calls, feasible_pair, sub_seed
@@ -412,6 +414,39 @@ def test_feasibility_check_branches(case):
     assert report.violating_pairs == tuple(p for p in distinguishability_audit(a, b) if p.violation)
 
 
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+def test_only_feasible_reports_keep_the_certifying_spectrum(case):
+    # The spectrum reconstructs the matrix the verdict was read from: the
+    # ratio matrix, or its completion with 1 when the Grams coincide (the
+    # free_equal_grams_independent case, whose 0/0 pairs are completed).
+    # Synthesis factors exactly that spectrum.
+    a, b = unit_rows(BRANCH_CASES[case][0]), unit_rows(BRANCH_CASES[case][1])
+    report = feasibility_check(a, b)
+    if report.verdict != FEASIBLE:
+        assert report.spectrum is None
+        return
+    m = report.ratio_matrix
+    assert bool(m.free_pairs) == (case == "free_equal_grams_independent")
+    certified = np.where(m.defined, m.entries, 1.0)
+    w, v = report.spectrum
+    assert np.all(np.diff(w) <= 0) and report.min_eigenvalue == w[-1]
+    assert not w.flags.writeable and not v.flags.writeable
+    np.testing.assert_allclose((v * w) @ v.conj().T, certified, atol=1e-12)
+    np.testing.assert_array_equal(synthesize(a, b).c_factor, psd_factor(certified))
+
+
+def test_feasible_spectrum_reconstructs_random_ratio_matrices():
+    rng = np.random.default_rng(23)
+    for n in range(2, 9):
+        initial, final, _ = feasible_pair(rng, n)
+        report = feasibility_check(initial, final)
+        assert report.verdict == FEASIBLE
+        w, v = report.spectrum
+        np.testing.assert_allclose(
+            (v * w) @ v.conj().T, report.ratio_matrix.entries, atol=1e-12
+        )
+
+
 @st.composite
 def orthogonality_instances(draw):
     """Pairs of state sets with exactly orthogonal pairs forced in.
@@ -472,8 +507,8 @@ def test_feasibility_check_agrees_with_public_pieces(instance):
     audit, nonzero, free = loop_reference(a, b)
     assert distinguishability_audit(a, b) == audit
     assert report.violating_pairs == tuple(p for p in audit if p.violation)
-    assert report.initial_independent == linear_independence(a).independent
-    assert report.final_independent == linear_independence(b).independent
+    assert report.initial_independent == linear_independence(a)
+    assert report.final_independent == linear_independence(b)
     m = build_ratio_matrix(a, b)
     assert (m.undefined_nonzero_pairs, m.free_pairs) == (nonzero, free)
     if m.undefined_nonzero_pairs:

@@ -82,6 +82,17 @@ def test_schema_errors_on_malformed_documents():
         ser.kraus_set_from_obj({"dimension": 3, "operators": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]})
     with pytest.raises(SchemaError):
         ser.pairs_to_matrix([[[1, 0]], [[1, 0], [0, 0]]])
+    # JSON booleans are not numbers, and ragged state rows are a schema error.
+    with pytest.raises(SchemaError):
+        ser.state_set_from_obj({"dimension": True, "states": [[[True, False]]]})
+    with pytest.raises(SchemaError):
+        ser.state_set_from_obj({"dimension": True, "states": [[[1, 0]]]})
+    with pytest.raises(SchemaError):
+        ser.state_set_from_obj({"states": [[[1, False]]]})
+    with pytest.raises(SchemaError):
+        ser.state_set_from_obj({"states": [[[1, 0]], [[1, 0], [0, 0]]]})
+    with pytest.raises(SchemaError):
+        ser.kraus_set_from_obj({"dimension": True, "operators": [[[[1, 0]]]]})
 
 
 def test_dumps_rejects_non_finite():

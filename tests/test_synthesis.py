@@ -327,17 +327,21 @@ def test_synthesize_refuses_infeasible():
     assert err.value.report.verdict == "Infeasible"
 
 
-def test_synthesize_refuses_condition_above_a_lowered_ceiling():
+def test_synthesize_refuses_condition_above_the_ceiling():
     # Gram condition of this pair is about 400.
     s = StateSet.from_vectors([[1, 0], [np.cos(0.1), np.sin(0.1)]])
     assert synthesize(s, s).kraus_count == 1
+    # Condition about 1e13 passes the rank cutoff at tol = 1e-15, but not
+    # the fixed 1e12 ceiling of the reciprocal states.
+    worse = StateSet.from_vectors([[1, 0], [np.cos(6e-7), np.sin(6e-7)]])
     with pytest.raises(IllConditionedError):
-        synthesize(s, s, cond_ceiling=100.0)
+        synthesize(worse, worse, tol=1e-15)
 
 
 def test_spectral_work_per_synthesize(monkeypatch):
-    # The feasibility check's ratio-matrix eigh and the PSD factor's eigh;
-    # the duals take eigenvalues only, and no SVD-based condition number.
+    # One eigh: the feasibility check's, of the ratio matrix, whose
+    # spectrum the report keeps and synthesis factors.  The duals take
+    # eigenvalues only, and no SVD-based condition number.
     # The check's two Grams and the duals' one are the only Grams: the
     # ratio matrix is read off the report, never rebuilt.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
@@ -354,7 +358,7 @@ def test_spectral_work_per_synthesize(monkeypatch):
         ],
     )
     synthesize(initial, final)
-    assert counts["eigh"] <= 2
+    assert counts["eigh"] == 1
     assert (counts["cond"], counts["svd"]) == (0, 0)
     assert counts["gram"] <= 3
     assert counts["build_ratio_matrix"] == 0
