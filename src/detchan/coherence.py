@@ -183,6 +183,7 @@ def unitary_relation_test(
     accepted only if every per-state residual ||U psi1_j - e^{i phi_j} psi2_j||
     stays within ``UNITARY_TOL``.  The global phase is pinned by making
     the largest-modulus entry of the first column real positive.
+    At full support ``coherence_roundtrip`` reuses its check's guards and ratio matrix.
     """
     _check_shapes(initial, final)
     n = initial.n
@@ -199,7 +200,11 @@ def unitary_relation_test(
         raise NotIndependentError(
             "final states are dependent on the support; no unitary produces a dependent image"
         )
-    m = build_ratio_matrix(sub1, sub2, tol)
+    return _unitary_relation(sub1, sub2, support, build_ratio_matrix(sub1, sub2, tol))
+
+
+def _unitary_relation(sub1: StateSet, sub2: StateSet, support, m) -> CoherenceReport:
+    """``unitary_relation_test`` on guarded support sets with ratio matrix m."""
     phases = None if m.undefined_nonzero_pairs else _phase_sync(m)
     u = None if phases is None else _procrustes_unitary(sub1, sub2, phases)
     if u is None:
@@ -272,7 +277,8 @@ def coherence_roundtrip(
     instance must be Feasible).  Probes the superposition given by
     ``coefficients`` (restricting to its support, which must contain at
     least two states) and runs the structural test on the same support;
-    the two verdicts must agree.  For pure outputs
+    the two verdicts must agree; at full support the test reads the
+    report's ratio matrix and flags.  For pure outputs
     the coefficient law r_j r_k^* = q_j q_k^* mu_jk is verified twice:
     once from the recovered expansion coefficients and once by reading the
     output density matrix through an orthogonalizing map that sends the
@@ -286,7 +292,11 @@ def coherence_roundtrip(
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     ks = _synthesize_from(report, initial, final, tol, rank_tol)
     probe = coherence_probe(ks, initial, q, purity_tol, final=final, tol=tol)
-    test = unitary_relation_test(initial, final, probe.support, tol)
+    if len(probe.support) == initial.n:
+        # The report's flags and ratio matrix cover exactly this support.
+        test = _unitary_relation(initial, final, probe.support, report.ratio_matrix)
+    else:
+        test = unitary_relation_test(initial, final, probe.support, tol)
     agree = bool(probe.is_pure) == (test.verdict == UNITARY_RELATED)
     law_residual = None
     device_residual = None

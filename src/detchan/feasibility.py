@@ -200,8 +200,8 @@ def feasibility_check(
 
     The verdict is ``Feasible`` iff the initial set is independent and the
     (fully defined) ratio matrix is PSD -- or the two Gram matrices agree
-    entrywise, in which case an explicit unitary channel exists and any
-    unconstrained entries are completed with 1.  Failures of positivity,
+    entrywise and the ratio matrix with its unconstrained entries completed
+    with 1 is PSD, in which case a unitary channel exists.  Failures of positivity,
     pairs made strictly more distinguishable, or a final span exceeding
     the initial span each yield ``Infeasible``.  Dependent initial sets
     cap the verdict at ``NecessaryOnly``; unconstrained entries without a
@@ -241,19 +241,22 @@ def feasibility_check(
         return report(INFEASIBLE, None)
 
     # Entries with 0/0 overlaps are unconstrained.  When the Gram matrices
-    # coincide, completing them with 1 reproduces the unitary channel.
+    # coincide, completing them with 1 reproduces the unitary channel if the
+    # completion is PSD; Grams equal within tol can hold ratios far from 1
+    # between tiny overlaps, and then the audit below decides.
     equal_grams = not m.fully_defined and float(np.max(np.abs(g1 - g2))) <= tol
     if m.fully_defined or equal_grams:
         spectrum = hermitian_eig(np.where(m.defined, m.entries, 1.0), tol)
         ok, min_eig = _psd_verdict(spectrum[0], tol)
+    if m.fully_defined and not ok:
+        notes.append(f"ratio matrix has negative eigenvalue {min_eig:.6e}")
+        return report(INFEASIBLE, min_eig)
+    if m.fully_defined or (equal_grams and ok):
         if equal_grams:
             notes.append(
                 "initial and final Gram matrices coincide: a unitary channel realizes "
                 "the transformation (unconstrained entries completed with 1)"
             )
-        elif not ok:
-            notes.append(f"ratio matrix has negative eigenvalue {min_eig:.6e}")
-            return report(INFEASIBLE, min_eig)
         if rank1 == n:
             return report(FEASIBLE, min_eig, spectrum)
         if equal_grams:

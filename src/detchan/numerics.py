@@ -59,17 +59,41 @@ def hermitian_eig(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_rank(h, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank of a Hermitian matrix from its eigenvalues alone.
-
-    The input is checked exactly as in ``hermitian_eig``, but no
-    eigenvectors are formed.
-    """
-    return numerical_rank(np.linalg.eigvalsh(_hermitian_part(h, tol)), tol)
+    """Numerical rank of a Hermitian matrix (checked as in ``hermitian_eig``):
+    n when one shifted Cholesky proves it (``_certifies_full_rank``), else
+    ``numerical_rank`` of its eigenvalues."""
+    m = _hermitian_part(h, tol)
+    if _certifies_full_rank(m, tol):
+        return len(m)
+    return numerical_rank(np.linalg.eigvalsh(m), tol)
 
 
 def numerical_rank(w: np.ndarray, tol: float) -> int:
     """Number of eigenvalues ``w`` above ``tol * max(lambda_max, 1)``."""
     return int(np.sum(w > tol * max(float(np.max(w)), 1.0)))
+
+
+def _certifies_full_rank(m: np.ndarray, tol: float) -> bool:
+    """True only if ``numerical_rank(eigvalsh(m), tol)`` is n, proved by one
+    Cholesky factorization of the exactly Hermitian m shifted down by
+    (tol (1 + 1e-6) + 4 n (n + 1) eps) max(trace(m), 1).
+
+    A factorization that completes has backward error at most about
+    (n + 1) eps trace(m) in norm (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3).  So m is positive definite,
+    trace(m) >= lambda_max, and every eigenvalue clears the cutoff
+    tol max(lambda_max, 1) by 3 n (n + 1) eps max(trace(m), 1), more than
+    the rounding of ``eigvalsh`` and of the shift; the factor 1 + 1e-6
+    covers its computed lambda_max.  A failed factorization proves nothing.
+    """
+    n = len(m)
+    scale = max(float(np.trace(m).real), 1.0)
+    shift = (tol * (1.0 + 1e-6) + 4.0 * n * (n + 1) * np.finfo(float).eps) * scale
+    try:
+        np.linalg.cholesky(m - shift * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _hermitian_part(h, tol: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_TOL,
+    _certifies_full_rank,
     hermitian_rank,
     numerical_rank,
 )
@@ -109,8 +110,8 @@ def gram(s: StateSet) -> np.ndarray:
 
 
 def linear_independence(s: StateSet, tol: float = DEFAULT_TOL) -> bool:
-    """True when the Gram matrix has full numerical rank N: N eigenvalues
-    above ``tol`` relative to the largest, from eigenvalues alone."""
+    """True when the Gram matrix has full numerical rank N
+    (``hermitian_rank``: one shifted Cholesky for a well-conditioned set)."""
     return hermitian_rank(gram(s), tol) == s.n
 
 
@@ -122,23 +123,24 @@ def span_duals(s: StateSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     set (N = D) these are the unique reciprocal states and that sum is the
     identity.  This is the package's one dual constructor.
 
-    The rank and the condition number lambda_max / lambda_min both come
-    from one eigenvalue solve of the Gram matrix.  Unit-norm states have
-    lambda_max >= 1, so the rank cutoff ``tol * lambda_max`` already
-    refuses every condition number above 1 / tol (1e9 at the default
-    ``tol``) with ``NotIndependentError``; the fixed 1e12 ceiling raises
-    ``IllConditionedError`` only for ``tol`` below 1e-12.
+    Unit-norm states have lambda_max >= 1, so the rank cutoff
+    ``tol * lambda_max`` refuses every condition number above 1 / tol (1e9
+    at the default ``tol``) with ``NotIndependentError``; the fixed 1e12
+    ceiling raises ``IllConditionedError`` only for ``tol`` below 1e-12.
+    One shifted Cholesky proves both bounds at the cutoff max(tol, 1e-12);
+    the Gram eigenvalues are computed, and raise, only when it fails.
     """
     overlap = gram(s).conj()  # entry (j, k) = <psi_j | psi_k>
-    w = np.linalg.eigvalsh(overlap)  # ascending
-    rank = numerical_rank(w, tol)
-    if rank < s.n:
-        raise NotIndependentError(f"state set has rank {rank} < N = {s.n}")
-    cond = float(w[-1] / w[0])
-    if not np.isfinite(cond) or cond > _COND_CEILING:
-        raise IllConditionedError(
-            f"Gram condition {cond:.3e} exceeds ceiling {_COND_CEILING:.1e}"
-        )
+    if not _certifies_full_rank(overlap, max(tol, 1.0 / _COND_CEILING)):
+        w = np.linalg.eigvalsh(overlap)  # ascending
+        rank = numerical_rank(w, tol)
+        if rank < s.n:
+            raise NotIndependentError(f"state set has rank {rank} < N = {s.n}")
+        cond = float(w[-1] / w[0])
+        if not np.isfinite(cond) or cond > _COND_CEILING:
+            raise IllConditionedError(
+                f"Gram condition {cond:.3e} exceeds ceiling {_COND_CEILING:.1e}"
+            )
     inv_overlap = np.linalg.solve(overlap, np.eye(s.n, dtype=np.complex128))
     return (s.states.T @ inv_overlap).T
 

@@ -392,15 +392,15 @@ def test_ratio_trace_is_support_size_on_subsets():
 def test_spectral_work_per_roundtrip(monkeypatch):
     # One feasibility check answers independence and supplies the ratio
     # spectrum synthesis factors: one eigh, plus the probe's output-state
-    # eigh for a pure output.  Eigenvalues only: the check's two ranks, the
-    # initial duals and the unitary test's two support guards, plus the
-    # probe's expansion guard and the final duals for a pure output.  Grams:
-    # one per eigenvalue solve and two for the support ratio matrix.  The
-    # unitary test takes one SVD (the Procrustes polar factor) and no eigh,
-    # for N = D and N < D alike.  The channel runs once: the device residual
-    # reads the probe's output density.  The support ratio matrix is built
-    # once, by the test, and the final set's duals once, for the device
-    # residual.
+    # eigh for a pure output.  Every full-rank question is settled by one
+    # shifted Cholesky of one Gram matrix, with no eigenvalue solve: the
+    # check's two ranks and the initial duals, plus the probe's expansion
+    # guard and the final duals for a pure output.  At full support the
+    # unitary test reads the check's ratio matrix and independence flags,
+    # so it builds no ratio matrix and no Gram.  It takes one SVD (the
+    # Procrustes polar factor) and no eigh, for N = D and N < D alike.  The
+    # channel runs once: the device residual reads the probe's output
+    # density.  The final set's duals are taken once, for that residual.
     rng = np.random.default_rng(89)
     cases = []
     for n, d in [(8, 8), (6, 8)]:
@@ -414,6 +414,7 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         monkeypatch,
         (np.linalg, "eigh"),
         (np.linalg, "eigvalsh"),
+        (np.linalg, "cholesky"),
         (np.linalg, "cond"),
         (np.linalg, "svd"),
         (states, "gram"),
@@ -429,11 +430,36 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         rec = coherence_roundtrip(a, b, q)
         assert rec.test.verdict == verdict
         # Every case is at full support: the coefficients are complete.
-        limits = (2, 7, 9) if verdict == UNITARY_RELATED else (1, 5, 7)
-        work = (counts["eigh"], counts["eigvalsh"], counts["gram"])
-        assert all(used <= limit for used, limit in zip(work, limits)), work
+        expected = (2, 0, 5, 5) if verdict == UNITARY_RELATED else (1, 0, 3, 3)
+        work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
+        assert work == expected
         assert counts["cond"] == 0 and counts["svd"] <= 1
         assert counts["apply_channel"] == 1
-        assert counts["build_ratio_matrix"] == 1
+        assert counts["build_ratio_matrix"] == 0
         assert counts["span_duals"] == (2 if verdict == UNITARY_RELATED else 1)
         assert (rec.device_residual is not None) == (verdict == UNITARY_RELATED)
+
+
+def test_roundtrip_on_a_partial_support_runs_the_full_test(monkeypatch):
+    # A zero coefficient leaves a smaller support; the check's ratio matrix
+    # and flags cover every state, so the test on the support is run in
+    # full and must equal the public unitary_relation_test there.
+    rng = np.random.default_rng(90)
+    base = random_state_set(6, 5, sub_seed(rng), mode="independent")
+    image = random_state_set(6, 5, sub_seed(rng), mode="unitary_image", base=base)
+    initial, final, _ = feasible_pair(rng, 5, min_subdominant=0.01)
+    counts = count_calls(monkeypatch, (coherence, "build_ratio_matrix"))
+    for a, b in [(base, image), (initial, final)]:
+        q = bounded_complete_coefficients(rng, 5)
+        q[2] = 0.0
+        counts.clear()
+        rec = coherence_roundtrip(a, b, q)
+        assert counts["build_ratio_matrix"] == 1
+        ref = unitary_relation_test(a, b, support=(0, 1, 3, 4))
+        assert rec.test.support == ref.support == (0, 1, 3, 4)
+        assert rec.test.verdict == ref.verdict
+        np.testing.assert_array_equal(rec.test.ratio_matrix.entries, ref.ratio_matrix.entries)
+        if ref.verdict == UNITARY_RELATED:
+            np.testing.assert_array_equal(rec.test.phases, ref.phases)
+            np.testing.assert_array_equal(rec.test.extracted_unitary, ref.extracted_unitary)
+        assert rec.agree

@@ -399,6 +399,21 @@ BRANCH_CASES = {
         [],
     ),
     "single_state": ([[0.6, 0.8j]], [[1, 0]], FEASIBLE, 1.0, (), []),
+    # The Grams agree within tol, but the (0, 1) ratio is 0.4, so the
+    # completion with 1 of the free (0, 2) pair is not PSD (min eigenvalue
+    # -0.228): no Kraus set realizes it, and the verdict may not be
+    # Feasible.  x = 0.4 completes it PSD, so Infeasible would be wrong too.
+    "free_equal_grams_not_psd": (
+        [[1, 0, 0], [0.6e-9, 0.5, np.sqrt(0.75)], [0, 1, 0]],
+        [[1, 0, 0], [1.5e-9, 0.5, np.sqrt(0.75)], [0, 1, 0]],
+        UNDETERMINED,
+        None,
+        (
+            "1 state pair(s) leave the ratio matrix underdetermined; "
+            "no positive completion attempted",
+        ),
+        [],
+    ),
 }
 
 
@@ -519,12 +534,21 @@ def test_feasibility_check_agrees_with_public_pieces(instance):
 
 
 def test_spectral_work_per_check(monkeypatch):
-    # One Gram product per set, one eigenvalues-only solve per set for the
-    # ranks and one full eigendecomposition of the ratio matrix.
+    # One Gram product per set, one shifted Cholesky per set certifying its
+    # full rank and one full eigendecomposition of the ratio matrix.  Only a
+    # dependent set, which no Cholesky can certify, takes an eigenvalues-only
+    # solve for its rank.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
+    dependent = unit_rows(DEPENDENT_3)
     counts = count_calls(
-        monkeypatch, (detchan.feasibility, "gram"), (np.linalg, "eigvalsh"), (np.linalg, "eigh")
+        monkeypatch,
+        (detchan.feasibility, "gram"),
+        (np.linalg, "eigvalsh"),
+        (np.linalg, "eigh"),
+        (np.linalg, "cholesky"),
     )
     assert feasibility_check(initial, final).verdict == FEASIBLE
-    assert counts["gram"] == 2
-    assert counts["eigvalsh"] <= 2 and counts["eigh"] == 1
+    assert (counts["gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"]) == (2, 2, 0, 1)
+    counts.clear()
+    assert feasibility_check(dependent, dependent).verdict == NECESSARY_ONLY
+    assert (counts["gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"]) == (2, 2, 2, 1)

@@ -10,8 +10,16 @@ from detchan import (
     hermitian_eig,
     psd_check,
     psd_factor,
+    random_unitary,
 )
-from detchan.numerics import frobenius, pin_column_phases
+from detchan.numerics import (
+    _certifies_full_rank,
+    _hermitian_part,
+    frobenius,
+    hermitian_rank,
+    numerical_rank,
+    pin_column_phases,
+)
 
 
 def rand_hermitian(rng, n, scale=1.0):
@@ -196,3 +204,39 @@ def test_pin_column_phases_gauges_only():
         assert pivot.imag == pytest.approx(0.0, abs=1e-14)
         assert pivot.real > 0
 
+
+# ------------------------------------------------------------ hermitian_rank
+
+
+def rank_grid_spectra(rng, n):
+    """Spectra around the rank cutoff: one eigenvalue swept over 1e-13 ...
+    1e-1 of max(lambda_max, 1) above a bulk whose trace is below 1 or far
+    above it, plus indefinite and negative-definite spectra."""
+    for bulk_scale in (0.5 / n, 1e3):
+        bulk = bulk_scale * rng.uniform(0.5, 1.0, n)
+        for sweep in np.logspace(-13, -1, 13):
+            w = bulk.copy()
+            w[0] = sweep * max(float(np.max(bulk)), 1.0)
+            yield w
+        yield np.where(np.arange(n) == 0, -bulk, bulk)
+        yield -bulk
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-15])
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64, 128, 256])
+def test_hermitian_rank_equals_the_eigenvalue_rule(n, tol):
+    # The Cholesky certificate may only ever answer what the eigenvalue rule
+    # answers; on the sweep it decides the clearly full-rank half.
+    seed = 100 * n + int(-np.log10(tol))
+    rng = np.random.default_rng(seed)
+    v = random_unitary(n, seed)
+    certified = 0
+    for w in rank_grid_spectra(rng, n):
+        h = (v * w) @ v.conj().T
+        m = _hermitian_part(h, tol)
+        expected = numerical_rank(np.linalg.eigvalsh(m), tol)
+        assert hermitian_rank(h, tol) == expected
+        if _certifies_full_rank(m, tol):
+            assert expected == n
+            certified += 1
+    assert certified > 0

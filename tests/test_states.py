@@ -132,11 +132,19 @@ def test_more_states_than_dimensions_are_dependent():
         assert hermitian_rank(gram(s)) <= d
 
 
-def test_linear_independence_takes_eigenvalues_only(monkeypatch):
+def test_linear_independence_takes_one_cholesky_unless_dependent(monkeypatch):
+    # A well-conditioned set is certified by the shifted Cholesky alone; a
+    # dependent one fails it and is decided by one eigenvalues-only solve.
     s = random_state_set(16, 16, 5, mode="independent")
-    counts = count_calls(monkeypatch, (np.linalg, "eigvalsh"), (np.linalg, "eigh"))
+    dependent = random_state_set(4, 6, 5)
+    counts = count_calls(
+        monkeypatch, (np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "cholesky")
+    )
     assert linear_independence(s) is True
-    assert (counts["eigvalsh"], counts["eigh"]) == (1, 0)
+    assert (counts["eigvalsh"], counts["eigh"], counts["cholesky"]) == (0, 0, 1)
+    counts.clear()
+    assert linear_independence(dependent) is False
+    assert (counts["eigvalsh"], counts["eigh"], counts["cholesky"]) == (1, 0, 1)
 
 
 # ---------------------------------------------------------------- duals
@@ -209,10 +217,17 @@ def test_rank_cutoff_fires_before_the_default_ceiling():
 def test_span_duals_takes_one_gram_and_no_eigh(monkeypatch):
     s = random_state_set(16, 16, 5, mode="independent")
     counts = count_calls(
-        monkeypatch, (detchan.states, "gram"), (np.linalg, "eigh"), (np.linalg, "cond")
+        monkeypatch,
+        (detchan.states, "gram"),
+        (np.linalg, "eigh"),
+        (np.linalg, "cond"),
+        (np.linalg, "eigvalsh"),
+        (np.linalg, "cholesky"),
     )
     span_duals(s)
     assert (counts["gram"], counts["eigh"], counts["cond"]) == (1, 0, 0)
+    # One Cholesky proves rank and condition; no eigenvalue is computed.
+    assert (counts["cholesky"], counts["eigvalsh"]) == (1, 0)
 
 
 # ---------------------------------------------------------------- superpose
