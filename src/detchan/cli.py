@@ -6,8 +6,8 @@ test), ``sweep`` (one-parameter family to CSV) and ``gen`` (seeded random
 state sets).  All structured output is deterministic JSON (17-significant-
 digit floats); sweeps emit CSV.  Exit codes: 0 positive outcome, 1
 negative outcome (infeasible / decohering), 2 input or usage error,
-3 qualified verdicts (NecessaryOnly, Undetermined).  Configuration is
-explicit: flags only, no environment variables.
+3 an ``Undetermined`` check.  Configuration is explicit: flags only, no
+environment variables.
 """
 
 from __future__ import annotations
@@ -44,10 +44,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DetchanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (DetchanError, OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -317,23 +314,16 @@ def _cmd_sweep(args) -> int:
             ks = synthesize(initial, final, args.tol, args.rank_tol)
             vec, _ = superpose(initial, np.ones(initial.n), args.tol)
             uniform_purity = purity(apply_channel(ks, state_to_density(vec)))
-        rows.append(
-            ",".join(
-                [
-                    serialize.format_float(theta),
-                    serialize.format_float(report.min_eigenvalue)
-                    if report.min_eigenvalue is not None
-                    else "",
-                    report.verdict,
-                    serialize.format_float(max_mu) if max_mu is not None else "",
-                    serialize.format_float(uniform_purity)
-                    if uniform_purity is not None
-                    else "",
-                ]
-            )
-        )
+        cells = [_csv_float(theta), _csv_float(report.min_eigenvalue), report.verdict]
+        cells += [_csv_float(max_mu), _csv_float(uniform_purity)]
+        rows.append(",".join(cells))
     _write("\n".join(rows) + "\n", args.out)
     return 0
+
+
+def _csv_float(x) -> str:
+    """A CSV cell: the float with 17 significant digits, empty for None."""
+    return "" if x is None else serialize.format_float(x)
 
 
 def _cmd_gen(args) -> int:

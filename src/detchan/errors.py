@@ -39,15 +39,11 @@ class NotIndependentError(DetchanError):
 
 
 class IllConditionedError(DetchanError):
-    """Gram matrix condition number exceeds the configured ceiling."""
+    """Gram condition above the ceiling, or a built channel missing its guard."""
 
 
 class ZeroVectorError(DetchanError):
     """Superposition coefficients cancel to (numerically) zero."""
-
-
-class UndefinedEntryError(DetchanError):
-    """Requested ratio-matrix entry has a vanishing denominator."""
 
 
 class NotFeasibleError(DetchanError):

@@ -2,9 +2,10 @@
 
 The central object is the overlap-ratio matrix: entry (j, k) divides the
 initial overlap <psi1_k|psi1_j> by the final overlap <psi2_k|psi2_j>.
-Positive semidefiniteness of that matrix is necessary for a deterministic
-channel mapping each initial state onto its target, and sufficient when
-the initial states are linearly independent.  Ratios with vanishing
+A deterministic channel mapping each initial state onto its target exists
+iff G1 = M o G2 for some PSD, unit-diagonal M, whatever the rank of either
+set (Chefles, Jozsa & Winter, quant-ph/0307227): M must agree with the
+ratio matrix wherever the final overlap is nonzero.  Ratios with vanishing
 denominator are tracked explicitly rather than guessed.
 """
 
@@ -14,13 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SizeMismatchError, UndefinedEntryError
-from .numerics import DEFAULT_TOL, _psd_verdict, hermitian_eig, hermitian_rank
+from .errors import DimensionMismatchError, SizeMismatchError
+from .numerics import (
+    DEFAULT_RANK_TOL,
+    DEFAULT_TOL,
+    _certifies_full_rank,
+    _psd_verdict,
+    _spectral_factor,
+    frobenius,
+    hermitian_eig,
+    numerical_rank,
+)
 from .states import StateSet, gram
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
-NECESSARY_ONLY = "NecessaryOnly"
 UNDETERMINED = "Undetermined"
 
 
@@ -70,21 +79,18 @@ class PairOverlap:
 class FeasibilityReport:
     """Verdict on deterministic transformability plus diagnostics.
 
-    ``Feasible`` requires an independent initial set, fully defined ratio
-    entries (or a unitary shortcut, see notes) and a PSD ratio matrix.
-    ``NecessaryOnly`` means the positivity test passed but the initial set
-    is dependent, where positivity is not known to suffice.
-    ``Undetermined`` marks instances whose ratio matrix has unconstrained
-    entries; no positive completion is attempted.
+    ``verdict`` is decided as ``feasibility_check`` describes: a
+    ``Feasible`` pair is one ``synthesize`` builds (at the default
+    ``rank_tol``), and ``Infeasible`` comes with a named witness in the notes.
 
     ``violating_pairs`` holds only the flagged pairs of the
     distinguishability audit, in (j, k) order with j < k; call
     ``distinguishability_audit`` for every pair.  ``ratio_matrix`` is the
     overlap-ratio matrix the verdict was read from (not serialized).
     ``spectrum`` is ``hermitian_eig`` of the matrix that certified a
-    Feasible verdict: the ratio matrix, or its completion with 1 when the
-    Gram matrices coincide.  ``synthesize`` factors it, so no eigensolve
-    is repeated.  It is None for every other verdict (not serialized).
+    Feasible verdict: the ratio matrix with its unconstrained entries
+    completed with 1.  ``synthesize`` factors it, so no eigensolve is
+    repeated.  It is None for every other verdict (not serialized).
     """
 
     verdict: str
@@ -170,56 +176,40 @@ def _pair_overlaps(abs1, abs2, j, k, tol: float) -> tuple[PairOverlap, ...]:
     )
 
 
-def witness_value(m: RatioMatrix, j: int, k: int) -> float:
-    """Quadratic form <v, M v> for the phase-aligned two-index probe.
-
-    The probe vector has components (delta_j - e^{-i theta} delta_k)/sqrt(2)
-    with theta the argument of entry (j, k); for a unit-diagonal ratio
-    matrix the value equals 1 - |mu_jk|, so a negative result certifies
-    that no deterministic channel exists.
-    """
-    if j == k:
-        raise ValueError("witness requires two distinct indices")
-    n = m.n_states
-    if not (0 <= j < n and 0 <= k < n):
-        raise IndexError(f"indices ({j}, {k}) out of range for {n} states")
-    if not m.defined[j, k]:
-        raise UndefinedEntryError(f"entry ({j}, {k}) has a vanishing final overlap")
-    theta = float(np.angle(m.entries[j, k]))
-    v = np.zeros(n, dtype=np.complex128)
-    v[j] = 1.0 / np.sqrt(2.0)
-    v[k] = -np.exp(-1j * theta) / np.sqrt(2.0)
-    return float(np.real(v.conj() @ m.entries @ v))
-
-
 def feasibility_check(
     initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL
 ) -> FeasibilityReport:
     """Decide whether a deterministic channel can map each initial state
     onto its final counterpart.
 
-    The verdict is ``Feasible`` iff the initial set is independent and the
-    (fully defined) ratio matrix is PSD -- or the two Gram matrices agree
-    entrywise and the ratio matrix with its unconstrained entries completed
-    with 1 is PSD, in which case a unitary channel exists.  Failures of positivity,
-    pairs made strictly more distinguishable, or a final span exceeding
-    the initial span each yield ``Infeasible``.  Dependent initial sets
-    cap the verdict at ``NecessaryOnly``; unconstrained entries without a
-    unitary shortcut give ``Undetermined``.
+    One criterion serves every rank: the ratio matrix with its
+    unconstrained (0/0) entries completed with 1 must be PSD.  Before that
+    test, a final pair orthogonal while its initial pair is not, or a
+    final span exceeding the initial span, yields ``Infeasible``.  A
+    completion that is not PSD yields ``Infeasible`` when the ratio matrix
+    is fully defined or a pair is made strictly more distinguishable, and
+    ``Undetermined`` otherwise.  A PSD one yields ``Feasible``, except that
+    a dependent initial set or a free pair, whose slack at ``tol`` can
+    reach the built channel as a residual near sqrt(tol), needs
+    ``_guard_bounds`` within half the synthesis guard, else ``Undetermined``.
     """
     _check_shapes(initial, final)
     n = initial.n
     g1, g2 = gram(initial), gram(final)
     abs1, abs2 = np.abs(g1), np.abs(g2)
     m = _ratio_matrix(g1, g2, abs1, abs2, initial.dimension, tol)
-    rank1, rank2 = hermitian_rank(g1, tol), hermitian_rank(g2, tol)
+    # gram() is exactly Hermitian, so no hermitian_rank check.  A dependent
+    # initial set, or one with a free pair, keeps G1's eigenpairs for bounds.
+    certified = not m.free_pairs and _certifies_full_rank(g1, tol)
+    eig1 = None if certified else np.linalg.eigh(g1)
+    rank1 = n if eig1 is None else numerical_rank(eig1[0], tol)
+    rank2 = n if _certifies_full_rank(g2, tol) else numerical_rank(np.linalg.eigvalsh(g2), tol)
     flagged = np.nonzero(np.triu(abs1 > abs2 + tol, 1))
     violations = _pair_overlaps(abs1, abs2, *flagged, tol)
     notes: list[str] = []
-    if rank1 < n:
-        notes.append(f"initial set is linearly dependent (rank {rank1} of {n})")
-    if rank2 < n:
-        notes.append(f"final set is linearly dependent (rank {rank2} of {n})")
+    for name, rank in (("initial", rank1), ("final", rank2)):
+        if rank < n:
+            notes.append(f"{name} set is linearly dependent (rank {rank} of {n})")
 
     def report(verdict, min_eig, spectrum=None):
         for part in spectrum or ():
@@ -240,38 +230,55 @@ def feasibility_check(
         )
         return report(INFEASIBLE, None)
 
-    # Entries with 0/0 overlaps are unconstrained.  When the Gram matrices
-    # coincide, completing them with 1 reproduces the unitary channel if the
-    # completion is PSD; Grams equal within tol can hold ratios far from 1
-    # between tiny overlaps, and then the audit below decides.
-    equal_grams = not m.fully_defined and float(np.max(np.abs(g1 - g2))) <= tol
-    if m.fully_defined or equal_grams:
-        spectrum = hermitian_eig(np.where(m.defined, m.entries, 1.0), tol)
-        ok, min_eig = _psd_verdict(spectrum[0], tol)
-    if m.fully_defined and not ok:
+    # A channel exists iff G1 = M o G2 for a PSD, unit-diagonal M.  Entries
+    # with 0/0 overlaps leave M free; completing them with 1 keeps the
+    # unitary channel of equal Gram matrices.
+    spectrum = hermitian_eig(np.where(m.defined, m.entries, 1.0), tol)
+    ok, min_eig = _psd_verdict(spectrum[0], tol)
+    if ok:
+        if m.free_pairs:
+            notes.append(
+                f"{len(m.free_pairs)} state pair(s) orthogonal in both sets leave "
+                "their ratio free; completed with 1"
+            )
+        if eig1 is None:
+            return report(FEASIBLE, min_eig, spectrum)
+        bounds = _guard_bounds(eig1, rank1, spectrum, g1, g2, tol)
+        if all(bound <= 0.5e3 * tol for bound in bounds):  # NaN fails too
+            return report(FEASIBLE, min_eig, spectrum)
+        notes.append(
+            "the completion with 1 is PSD only to within tol: its channel's residual "
+            "bounds (per-state {:.3e}, completeness {:.3e}) exceed half the guard".format(*bounds)
+        )
+        return report(UNDETERMINED, min_eig)
+    if m.fully_defined:
         notes.append(f"ratio matrix has negative eigenvalue {min_eig:.6e}")
         return report(INFEASIBLE, min_eig)
-    if m.fully_defined or (equal_grams and ok):
-        if equal_grams:
-            notes.append(
-                "initial and final Gram matrices coincide: a unitary channel realizes "
-                "the transformation (unconstrained entries completed with 1)"
-            )
-        if rank1 == n:
-            return report(FEASIBLE, min_eig, spectrum)
-        if equal_grams:
-            notes.append("verdict capped at NecessaryOnly because the initial set is dependent")
-        else:
-            notes.append(
-                "ratio matrix is PSD, which is necessary but not known sufficient "
-                "for a dependent initial set"
-            )
-        return report(NECESSARY_ONLY, min_eig)
     if violations:
         notes.append("a final pair is more distinguishable than its initial counterpart")
         return report(INFEASIBLE, None)
     notes.append(
         f"{len(m.free_pairs)} state pair(s) leave the ratio matrix underdetermined; "
-        "no positive completion attempted"
+        "their completion with 1 is not PSD and no other completion is searched"
     )
     return report(UNDETERMINED, None)
+
+
+def _guard_bounds(eig1, rank1: int, spectrum, g1, g2, tol: float) -> tuple[float, float]:
+    """Bounds on the per-state and completeness residuals the synthesis
+    guard reads off the channel ``synthesize`` builds (default ``rank_tol``),
+    from the ascending eigenpairs ``eig1`` of G1.  With V_d the dropped
+    eigenvectors (eigenvalues w_d), w_r the kept eigenvalues and T = M_c o G2
+    for the factored ratio matrix M_c, state j's squared residual is
+    y^dag (V_d^dag T V_d + diag(w_d)) y with y = V_d^dag e_j, |y| <= 1 (w_d
+    is the sink's share).  Completeness is at most ||T - G1||_F / min(w_r)
+    plus the guard's own rounding, charged as 1e3 eps N ||M_c|| / min(w_r).
+    """
+    w, v = eig1
+    k = len(w) - rank1
+    c = _spectral_factor(*spectrum, DEFAULT_RANK_TOL, tol)
+    t = (c @ c.conj().T) * g2
+    vd = v[:, :k]
+    per_state = np.sqrt(frobenius(vd.conj().T @ t @ vd + np.diag(w[:k])))
+    rounding = 1e3 * np.finfo(float).eps * len(w) * max(float(spectrum[0][0]), 1.0)
+    return float(per_state), (frobenius(t - g1) + rounding) / float(w[k])

@@ -39,21 +39,11 @@ def frobenius(a) -> float:
 
 
 def hermitian_eig(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    h : array_like
-        Square matrix, Hermitian within ``tol * max(1, ||h||_F)``.
-    tol : float
-        Relative symmetry tolerance.
-
-    Returns
-    -------
-    (w, v)
-        Real eigenvalues in descending order and orthonormal eigenvector
-        columns, so ``v @ diag(w) @ v.conj().T`` reconstructs ``h``.
-    """
+    """Eigendecomposition ``(w, v)`` of a square matrix ``h`` that is
+    Hermitian within ``tol * max(1, ||h||_F)`` (``tol`` is the relative
+    symmetry tolerance): real eigenvalues w in descending order and
+    orthonormal eigenvector columns v, so ``v @ diag(w) @ v.conj().T``
+    reconstructs ``h``."""
     w, v = np.linalg.eigh(_hermitian_part(h, tol))
     return w[::-1].copy(), v[:, ::-1].copy()
 

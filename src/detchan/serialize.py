@@ -41,34 +41,24 @@ def _depth(obj) -> int:
 def _emit(obj, out: list[str], level: int, indent: int) -> None:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
-            _emit(value, out, level + 1, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        if _depth(obj) <= 2:
-            out.append("[")
-            for i, value in enumerate(obj):
-                _emit(value, out, level, indent)
-                if i < len(obj) - 1:
-                    out.append(", ")
-            out.append("]")
-            return
-        out.append("[\n")
+    keyed = isinstance(obj, dict)
+    if (keyed or isinstance(obj, (list, tuple))) and not obj:
+        out.append("{}" if keyed else "[]")
+    elif isinstance(obj, (list, tuple)) and _depth(obj) <= 2:
+        out.append("[")
         for i, value in enumerate(obj):
-            out.append(inner)
+            _emit(value, out, level, indent)
+            if i < len(obj) - 1:
+                out.append(", ")
+        out.append("]")
+    elif keyed or isinstance(obj, (list, tuple)):
+        # One item per line; a dict's items are prefixed with their keys.
+        out.append("{\n" if keyed else "[\n")
+        for i, (key, value) in enumerate(obj.items() if keyed else enumerate(obj)):
+            out.append(inner + (f"{json.dumps(str(key))}: " if keyed else ""))
             _emit(value, out, level + 1, indent)
             out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        out.append(pad + ("}" if keyed else "]"))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, (bool, np.bool_)):
@@ -120,6 +110,11 @@ def pairs_to_vector(pairs) -> np.ndarray:
     return np.array([_pair_to_complex(p) for p in pairs], dtype=np.complex128)
 
 
+def _optional(convert, value):
+    """``convert(value)``, or None for a None value (JSON null)."""
+    return None if value is None else convert(value)
+
+
 def pairs_to_matrix(pairs) -> np.ndarray:
     if not isinstance(pairs, list) or not pairs:
         raise SchemaError("expected a non-empty list of rows")
@@ -137,7 +132,7 @@ def state_set_to_obj(s: StateSet) -> dict:
     return {
         "dimension": s.dimension,
         "states": [vector_to_pairs(row) for row in s.states],
-        "labels": list(s.labels) if s.labels is not None else None,
+        "labels": _optional(list, s.labels),
     }
 
 
@@ -148,22 +143,28 @@ def state_set_from_obj(obj) -> StateSet:
     if not isinstance(states, list) or not states:
         raise SchemaError("'states' must be a non-empty list")
     arr = pairs_to_matrix(states)
-    dimension = obj.get("dimension", arr.shape[1])
-    if isinstance(dimension, bool) or not isinstance(dimension, int):
-        raise SchemaError(f"'dimension' must be an integer, got {dimension!r}")
+    dimension = _dimension(obj, arr.shape[1])
     labels = obj.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
     ):
         raise SchemaError("'labels' must be a list of strings or null")
-    return StateSet(dimension=dimension, states=arr, labels=tuple(labels) if labels else None)
+    return StateSet(dimension=dimension, states=arr, labels=labels)
+
+
+def _dimension(obj: dict, default: int) -> int:
+    """The document's ``dimension`` (``default`` when absent): a JSON integer."""
+    dimension = obj.get("dimension", default)
+    if isinstance(dimension, bool) or not isinstance(dimension, int):
+        raise SchemaError(f"'dimension' must be an integer, got {dimension!r}")
+    return dimension
 
 
 def kraus_set_to_obj(ks: KrausSet) -> dict:
     return {
         "dimension": ks.dimension,
         "operators": [matrix_to_pairs(op) for op in ks.operators],
-        "c_factor": matrix_to_pairs(ks.c_factor) if ks.c_factor is not None else None,
+        "c_factor": _optional(matrix_to_pairs, ks.c_factor),
         "initial_fingerprint": ks.initial_fingerprint,
         "final_fingerprint": ks.final_fingerprint,
     }
@@ -176,14 +177,17 @@ def kraus_set_from_obj(obj) -> KrausSet:
     if not isinstance(ops, list) or not ops:
         raise SchemaError("'operators' must be a non-empty list")
     c_factor = obj.get("c_factor")
+    fingerprints = [obj.get(key, "") for key in ("initial_fingerprint", "final_fingerprint")]
+    if not all(isinstance(f, str) for f in fingerprints):
+        raise SchemaError(f"fingerprints must be strings, got {fingerprints!r}")
     ks = KrausSet(
         operators=[pairs_to_matrix(op) for op in ops],
-        c_factor=pairs_to_matrix(c_factor) if c_factor is not None else None,
-        initial_fingerprint=obj.get("initial_fingerprint", ""),
-        final_fingerprint=obj.get("final_fingerprint", ""),
+        c_factor=_optional(pairs_to_matrix, c_factor),
+        initial_fingerprint=fingerprints[0],
+        final_fingerprint=fingerprints[1],
     )
-    dimension = obj.get("dimension", ks.dimension)
-    if isinstance(dimension, bool) or dimension != ks.dimension:
+    dimension = _dimension(obj, ks.dimension)
+    if dimension != ks.dimension:
         raise SchemaError(
             f"'dimension' {dimension!r} does not match operators of shape "
             f"{ks.operators.shape[1:]}"
@@ -236,19 +240,9 @@ def roundtrip_to_obj(rec: CoherenceRoundTrip) -> dict:
         "test_verdict": rec.test.verdict,
         "agree": rec.agree,
         "support": list(rec.probe.support),
-        "phases": (
-            [float(p) for p in rec.test.phases] if rec.test.phases is not None else None
-        ),
-        "unitary": (
-            matrix_to_pairs(rec.test.extracted_unitary)
-            if rec.test.extracted_unitary is not None
-            else None
-        ),
-        "output_coefficients": (
-            vector_to_pairs(rec.probe.output_coefficients)
-            if rec.probe.output_coefficients is not None
-            else None
-        ),
+        "phases": _optional(lambda phases: [float(p) for p in phases], rec.test.phases),
+        "unitary": _optional(matrix_to_pairs, rec.test.extracted_unitary),
+        "output_coefficients": _optional(vector_to_pairs, rec.probe.output_coefficients),
         "coefficient_law_residual": rec.coefficient_law_residual,
         "device_residual": rec.device_residual,
     }

@@ -80,7 +80,7 @@ class StateSet:
         return cls(
             dimension=arr.shape[1],
             states=arr,
-            labels=tuple(labels) if labels else None,
+            labels=None if labels is None else tuple(labels),
         )
 
     @property
@@ -91,7 +91,7 @@ class StateSet:
     def subset(self, indices: Sequence[int]) -> "StateSet":
         """Restriction to the given state indices (same ambient dimension)."""
         idx = list(indices)
-        labels = tuple(self.labels[i] for i in idx) if self.labels else None
+        labels = None if self.labels is None else tuple(self.labels[i] for i in idx)
         return StateSet(self.dimension, self.states[idx, :], labels)
 
 
@@ -116,32 +116,36 @@ def linear_independence(s: StateSet, tol: float = DEFAULT_TOL) -> bool:
 
 
 def span_duals(s: StateSet, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """In-span reciprocal vectors of an independent set, one per row.
+    """In-span reciprocal vectors of a state set of any rank, one per row.
 
-    Row j satisfies <w_j|psi_k> = delta_jk and lies inside span(s), so
-    ``sum_j |psi_j><w_j|`` is the projector onto span(s); for a spanning
-    set (N = D) these are the unique reciprocal states and that sum is the
-    identity.  This is the package's one dual constructor.
+    With Psi the D x N matrix of the states as columns, the conjugated
+    rows are the Moore-Penrose pseudo-inverse Psi^+, so every row lies in
+    span(s) and ``sum_j |psi_j><w_j|`` is the projector onto span(s) (the
+    identity when the set spans C^D).  For an independent set this means
+    <w_j|psi_k> = delta_jk.  This is the package's one dual constructor.
 
-    Unit-norm states have lambda_max >= 1, so the rank cutoff
-    ``tol * lambda_max`` refuses every condition number above 1 / tol (1e9
-    at the default ``tol``) with ``NotIndependentError``; the fixed 1e12
-    ceiling raises ``IllConditionedError`` only for ``tol`` below 1e-12.
-    One shifted Cholesky proves both bounds at the cutoff max(tol, 1e-12);
-    the Gram eigenvalues are computed, and raise, only when it fails.
+    One shifted Cholesky proves full rank N and condition <= 1e12 at the
+    cutoff max(tol, 1e-12); Psi^+ then comes from one linear solve with
+    the Gram matrix.  Any other set takes one ``eigh`` of its Gram matrix
+    and inverts the ``numerical_rank`` eigenvalues above the cutoff
+    ``tol * lambda_max``, which drops a dependent direction and every
+    condition above 1 / tol (1e9 at the default ``tol``).  The fixed 1e12
+    ceiling on the kept eigenvalues raises ``IllConditionedError`` only for
+    ``tol`` below 1e-12.
     """
     overlap = gram(s).conj()  # entry (j, k) = <psi_j | psi_k>
-    if not _certifies_full_rank(overlap, max(tol, 1.0 / _COND_CEILING)):
-        w = np.linalg.eigvalsh(overlap)  # ascending
+    if _certifies_full_rank(overlap, max(tol, 1.0 / _COND_CEILING)):
+        inv_overlap = np.linalg.solve(overlap, np.eye(s.n, dtype=np.complex128))
+    else:
+        w, v = np.linalg.eigh(overlap)  # ascending
         rank = numerical_rank(w, tol)
-        if rank < s.n:
-            raise NotIndependentError(f"state set has rank {rank} < N = {s.n}")
+        w, v = w[-rank:], v[:, -rank:]
         cond = float(w[-1] / w[0])
-        if not np.isfinite(cond) or cond > _COND_CEILING:
+        if cond > _COND_CEILING:
             raise IllConditionedError(
                 f"Gram condition {cond:.3e} exceeds ceiling {_COND_CEILING:.1e}"
             )
-    inv_overlap = np.linalg.solve(overlap, np.eye(s.n, dtype=np.complex128))
+        inv_overlap = (v / w) @ v.conj().T
     return (s.states.T @ inv_overlap).T
 
 
@@ -178,13 +182,6 @@ def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     diag = np.diagonal(r).copy()
     diag = np.where(np.abs(diag) < 1e-300, 1.0, diag)
     return q * (diag / np.abs(diag))
-
-
-def random_unitary(dimension: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary, deterministic in the seed (PCG64)."""
-    if dimension < 1:
-        raise InvalidDimensionsError(f"dimension must be >= 1, got {dimension}")
-    return _haar_unitary(np.random.default_rng(seed), dimension)
 
 
 def random_state_set(

@@ -30,14 +30,9 @@ from .states import StateSet, fingerprint, span_duals
 
 
 class _Factor(NamedTuple):
-    """The synthesized operators in factored form.
-
-    ``A_k = targets @ diag(c[:, k]) @ bras`` for k < K, then ``sink`` when
-    it is not None: ``targets`` is (D, N) with the final states as columns
-    (Phi), ``c`` is the (N, K) factor of the ratio matrix M = C C^dag,
-    ``bras`` is (N, D) with the conjugated reciprocal states of the initial
-    set as rows (Psi^+), and ``sink`` is I - P for an N < D initial set.
-    """
+    """The synthesized operators in factored form, as ``KrausSet`` describes:
+    ``targets`` is Phi (D, N), ``c`` the (N, K) factor C of the ratio
+    matrix, ``bras`` is Psi^+ (N, D), and ``sink`` is I - P or None."""
 
     targets: np.ndarray
     c: np.ndarray
@@ -59,13 +54,13 @@ class KrausSet:
 
     A set returned by ``synthesize`` is held in factored form instead:
     ``A_k = Phi diag(C[:, k]) Psi^+`` plus the sink ``I - P`` when the
-    initial set spans an N < D subspace, with Phi the final states as
-    columns, C = ``c_factor`` and Psi^+ the conjugated reciprocal states of
-    the initial set.  Its (K, D, D) ``operators`` array is built from the
-    factor on first read, checked like a constructor argument and kept;
-    ``apply_channel`` and the synthesis guard never read it.  ``dimension``
-    (D) and ``kraus_count`` (K) come from the factor or the array and never
-    build it.
+    initial set spans a proper subspace, with Phi the final states as
+    columns, C = ``c_factor`` and Psi^+ the pseudo-inverse of the initial
+    states (their conjugated reciprocal states).  Its (K, D, D)
+    ``operators`` array is built from the factor on first read, checked
+    like a constructor argument and kept; ``apply_channel`` and the
+    synthesis guard never read it.  ``dimension`` (D) and ``kraus_count``
+    (K) come from the factor or the array and never build it.
 
     Instances are immutable and safe to share across threads: the lazy
     build is a pure function of the factor and is stored once, so
@@ -143,7 +138,6 @@ class KrausSet:
         state sets are supplied."""
         return cls(
             operators=operators,
-            c_factor=None,
             initial_fingerprint=fingerprint(initial) if initial is not None else "",
             final_fingerprint=fingerprint(final) if final is not None else "",
         )
@@ -186,23 +180,26 @@ def synthesize(
     Feasible verdict (``FeasibilityReport.spectrum``), so the ratio matrix
     is eigensolved once: it is written as ``C @ C^dag`` with C of minimal
     column count (``rank_tol`` cuts the rank), and ``A_k = sum_j C_jk
-    |psi2_j><w_j|`` with w the reciprocal vectors of the initial set, so
-    ``A_k |psi1_j> = C_jk |psi2_j>`` and the operator count equals the
-    numerical rank of the ratio matrix.  These
-    operators give ``sum_k A_k^dag A_k = P``, the projector onto the span
-    of the initial set.  When that span is an N < D subspace, one more
+    |psi2_j><w_j|`` with w the reciprocal vectors of the initial set
+    (``span_duals``: the pseudo-inverse Psi^+, for any rank), so
+    ``A_k |psi1_j> = C_jk |psi2_j>``.  For a dependent initial set this
+    holds because G1 = M o G2 makes ``sum_j n_j C_jk |psi2_j>`` vanish for
+    every null vector n of the initial states.  These operators give
+    ``sum_k A_k^dag A_k = P``, the projector onto the span of the initial
+    set.  When that span is a proper subspace (rank < D), one more
     operator, ``I - P``, completes the identity resolution: it annihilates
     the span and is itself a projector, so it adds ``I - P`` to the sum.
-    The count is then rank(C) + 1 <= D.
+    The count is K = rank(C) + [rank < D] with rank(C) <= N, so the bound
+    K <= D of an independent set does not carry over to N > D.
 
     The returned set keeps the factor (final states, C, reciprocal states,
     sink) and builds its (K, D, D) ``operators`` only when they are first
     read; its completeness and per-state residuals are checked on the
     factor in O(N^2 D + N D^2 + D^3), whatever K is.
 
-    Raises ``NotFeasibleError`` (carrying the report) unless the
-    feasibility verdict is Feasible, and ``IllConditionedError`` when the
-    residuals exceed ``1e3 * tol``.
+    Raises ``NotFeasibleError`` (carrying the report) unless the verdict
+    is Feasible, and ``IllConditionedError`` when the residuals exceed
+    ``1e3 * tol`` (the check rules this out for dependent or free-pair sets).
     """
     report = feasibility_check(initial, final, tol)
     return _synthesize_from(report, initial, final, tol, rank_tol)
@@ -220,7 +217,8 @@ def _synthesize_from(
     c = _spectral_factor(*report.spectrum, rank_tol, tol)
     bras = span_duals(initial, tol).conj()
     sink = None
-    if initial.n < initial.dimension:
+    # The trace of the projector Psi^+ Psi is the rank of the initial set.
+    if round(float(np.sum(bras * initial.states).real)) < initial.dimension:
         sink = np.eye(initial.dimension) - initial.states.T @ bras
     ks = KrausSet(
         initial_fingerprint=fingerprint(initial),
@@ -245,13 +243,16 @@ def _verify_synthesis(f: _Factor, initial: StateSet, tol: float) -> tuple[float,
     # mapping error A_k psi1_j - C_jk psi2_j is Phi diag(C[:, k]) E[:, j],
     # whose squared norm summed over k is E[:, j]^dag mid E[:, j]: the
     # per-state residual below is never below the worst single operator's.
+    # The sink's target coefficient is 0, so its whole image of psi1_j
+    # (nonzero when a near-null direction was dropped) adds to that sum.
     mid = (f.c.conj() @ f.c.T) * (f.targets.conj().T @ f.targets)
     acc = f.bras.conj().T @ mid @ f.bras
-    if f.sink is not None:
-        acc += f.sink.conj().T @ f.sink
-    completeness = frobenius(acc - np.eye(acc.shape[0]))
     e = f.bras @ initial.states.T - np.eye(initial.n)
     per_state = np.real(np.sum(e.conj() * (mid @ e), axis=0))
+    if f.sink is not None:
+        acc += f.sink.conj().T @ f.sink
+        per_state += np.sum(np.abs(initial.states @ f.sink.T) ** 2, axis=1)
+    completeness = frobenius(acc - np.eye(acc.shape[0]))
     worst = float(np.sqrt(max(float(np.max(per_state)), 0.0)))
     # Written so that a NaN residual fails the guard too.
     if not (worst <= 1e3 * tol and completeness <= 1e3 * tol):

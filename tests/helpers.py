@@ -30,8 +30,39 @@ from detchan import (
 MIN_GRAM_EIG = 1e-4
 
 
+# Three states with free pair (0, 2) and ratios 0.5 at (1, 0) and -0.5 at
+# (1, 2): the completion with 1 (rows 0 and 2 equal) is not PSD, but -0.5
+# completes it PSD, and no pair is made more distinguishable, so the check
+# is Undetermined.  Rows are (initial, final), each of unit norm.
+FREE_UNDETERMINED = (
+    [[1, 0, 0], [0.3, -0.3, np.sqrt(0.82)], [0, 1, 0]],
+    [[1, 0, 0], [0.6, 0.6, np.sqrt(0.28)], [0, 1, 0]],
+)
+
+
 def sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
+
+
+def haar_unitary(dimension: int, seed: int) -> np.ndarray:
+    """Haar-distributed unitary, deterministic in the seed (PCG64): the QR
+    factor of a complex Gaussian matrix with the phases of R divided out
+    (Mezzadri, Notices AMS 2007)."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dimension, dimension)) + 1j * rng.standard_normal(
+        (dimension, dimension)
+    )
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def pair_witness(m, j: int, k: int) -> float:
+    """Smallest eigenvalue of the (j, k) principal 2x2 submatrix of a ratio
+    matrix: 1 - |mu_jk| for a unit diagonal, so a negative value is a pair
+    that no PSD completion can hold."""
+    idx = [j, k]
+    return float(np.linalg.eigvalsh(m.entries[np.ix_(idx, idx)])[0])
 
 
 def well_conditioned_set(rng: np.random.Generator, n: int, d: int) -> StateSet:
@@ -78,6 +109,38 @@ def feasible_pair(
             continue
         initial = StateSet.from_vectors(b, normalize=True)
         return initial, final, m
+
+
+def product_pair(rng: np.random.Generator, n: int, d: int, d_anc: int):
+    """Feasible pair psi_j = phi_j (x) a_j -> phi_j (x) |0> in C^(d * d_anc).
+
+    G1 = G2 o Gram(a), so the ratio matrix is Gram(a): PSD with unit
+    diagonal by construction.  With n > d * d_anc the initial set is
+    dependent and spans C^(d * d_anc).
+    """
+    def gaussian_rows(m):
+        z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+    phi, anc = gaussian_rows(d), gaussian_rows(d_anc)
+    parked = np.zeros((n, d, d_anc), dtype=complex)
+    parked[:, :, 0] = phi
+    product = (phi[:, :, None] * anc[:, None, :]).reshape(n, -1)
+    initial = StateSet.from_vectors(product, normalize=True)
+    return initial, StateSet.from_vectors(parked.reshape(n, -1), normalize=True)
+
+
+def channel_residuals(ks, initial: StateSet, final: StateSet) -> tuple[float, float]:
+    """Completeness ||sum_k A_k^dag A_k - I||_F and the worst per-state
+    mapping residual sqrt(sum_k ||(I - |phi_j><phi_j|) A_k psi_j||^2) of a
+    Kraus set, from its (K, D, D) operators with plain numpy."""
+    ops = ks.operators
+    completeness = np.linalg.norm(np.einsum("kij,kil->jl", ops.conj(), ops) - np.eye(ks.dimension))
+    images = np.einsum("kij,nj->nki", ops, initial.states)  # A_k psi_n
+    along = np.einsum("ni,nki->nk", final.states.conj(), images)
+    off = images - along[:, :, None] * final.states[:, None, :]
+    mapping = np.sqrt(np.max(np.sum(np.abs(off) ** 2, axis=(1, 2))))
+    return float(completeness), float(mapping)
 
 
 def embedded(s: StateSet, rng: np.random.Generator, d: int) -> StateSet:

@@ -21,20 +21,20 @@ from detchan import (
     hermitian_eig,
     kraus_to_choi,
     random_state_set,
-    random_unitary,
     span_duals,
     state_to_density,
     synthesize,
     transform_report,
     unitary_relation_test,
     verify_completeness,
-    witness_value,
 )
 from detchan import cli
 from detchan.numerics import frobenius
 from helpers import (
     bounded_complete_coefficients,
     feasible_pair,
+    haar_unitary,
+    pair_witness,
     sub_seed,
     subset_instance,
     well_conditioned_set,
@@ -106,7 +106,7 @@ def test_criterion_02_necessity_certificates():
             continue  # criterion targets instances where positivity fails
         checked += 1
         witness_negative = any(
-            witness_value(m, j, k) < 0.0
+            pair_witness(m, j, k) < 0.0
             for j in range(n)
             for k in range(j + 1, n)
         )
@@ -184,7 +184,7 @@ def test_criterion_05_factor_gauge_invariance():
     choi = kraus_to_choi(ks)
     worst = 0.0
     for seed in range(100):
-        w = random_unitary(ks.kraus_count, seed=seed)
+        w = haar_unitary(ks.kraus_count, seed=seed)
         mixed = [
             sum(w[k, m] * ks.operators[k] for k in range(ks.kraus_count))
             for m in range(ks.kraus_count)
@@ -294,7 +294,9 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
         (["check", str(fixtures / "plus_pair.json"), str(fixtures / "target_half.json")],
          "check_infeasible.json"),
         (["check", str(fixtures / "dependent_pair.json"), str(fixtures / "dependent_pair.json")],
-         "check_necessary_only.json"),
+         "check_dependent_pair.json"),
+        (["synth", str(fixtures / "dependent_pair.json"), str(fixtures / "dependent_pair.json")],
+         "synth_dependent_pair.json"),
         (["synth", str(fixtures / "basis2.json"), str(fixtures / "target_09.json")],
          "synth_basis_to_target.json"),
         (["apply", str(fixtures / "kraus_measure2.json"), str(fixtures / "plus_state.json")],

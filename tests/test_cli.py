@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detchan import DEFAULT_PURITY_TOL, cli
+from detchan import DEFAULT_PURITY_TOL, StateSet, cli
 from detchan import serialize as ser
+from helpers import FREE_UNDETERMINED
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,8 +37,8 @@ def assert_golden(text, name):
         (["check", fx("plus_pair.json"), fx("target_half.json")], 1, "check_infeasible.json"),
         (
             ["check", fx("dependent_pair.json"), fx("dependent_pair.json")],
-            3,
-            "check_necessary_only.json",
+            0,
+            "check_dependent_pair.json",
         ),
         (["synth", fx("basis2.json"), fx("basis2.json")], 0, "synth_identity.json"),
         (["synth", fx("basis2.json"), fx("target_09.json")], 0, "synth_basis_to_target.json"),
@@ -66,6 +67,11 @@ def assert_golden(text, name):
             "sweep_cos.csv",
         ),
         (["gen", "2", "2", "--mode", "independent", "--seed", "7"], 0, "gen_2x2_seed7.json"),
+        (
+            ["synth", fx("dependent_pair.json"), fx("dependent_pair.json")],
+            0,
+            "synth_dependent_pair.json",
+        ),
     ],
 )
 def test_golden_outputs_and_exit_codes(capsys, argv, expect_code, golden):
@@ -216,8 +222,6 @@ def test_size_mismatch_exits_2(capsys):
 
 def test_apply_dimension_mismatch_exits_2(capsys, tmp_path):
     three = tmp_path / "three.json"
-    from detchan import StateSet
-
     three.write_text(
         ser.dumps(ser.state_set_to_obj(StateSet.from_vectors([[1, 0, 0]])))
     )
@@ -231,6 +235,18 @@ def test_coherence_single_nonzero_coefficient_exits_2(capsys):
         ["coherence", fx("basis2.json"), fx("basis2.json"), "--coeffs", "1,0"],
     )
     assert code == 2 and "nonzero" in err
+
+
+def test_undetermined_check_exits_3(capsys, tmp_path):
+    # Free pair (0, 2) whose completion with 1 is not PSD and no violating
+    # pair: the one verdict that exits 3.
+    paths = []
+    for name, rows in zip(("initial", "final"), FREE_UNDETERMINED):
+        path = tmp_path / f"{name}.json"
+        path.write_text(ser.dumps(ser.state_set_to_obj(StateSet.from_vectors(rows))))
+        paths.append(str(path))
+    code, out, _ = run(capsys, ["check", *paths])
+    assert (code, json.loads(out)["verdict"]) == (3, "Undetermined")
 
 
 def test_coherence_dependent_final_exits_2(capsys):
@@ -278,6 +294,28 @@ def test_sweep_identity_family_has_zero_min_eigenvalue(capsys, tmp_path):
         assert abs(float(min_eig)) <= 1e-12
         assert float(max_mu) == pytest.approx(1.0, abs=1e-12)
         assert float(uniform_purity) >= 1.0 - 1e-9
+
+
+def test_sweep_through_a_near_coincidence_writes_every_row(capsys, tmp_path):
+    # psi_1 -> psi_1 with psi_1 tilted by theta from psi_0: exactly
+    # dependent at 0, independent past theta = 7e-5, and in between
+    # dependent only to within tol, where the channel built for the
+    # dependent set misses its guard.  Those points are Undetermined, with
+    # no purity; the sweep still writes every row and exits 0.
+    template = tmp_path / "tilted_family.json"
+    family = [[[1, 0], [0, 0]], [["cos(theta)", 0], ["sin(theta)", 0]]]
+    template.write_text(ser.dumps({"dimension": 2, "initial": family, "final": family}))
+    argv = ["sweep", str(template), "--start", "0", "--stop", "1e-4", "--steps", "6"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[2] for row in rows] == ["Feasible"] + ["Undetermined"] * 3 + ["Feasible"] * 2
+    # The Feasible points near the cutoff have Gram condition near 1e9, so
+    # the identity is rebuilt only to the synthesis guard's 1e-6.
+    for theta, _, verdict, _, uniform_purity in rows:
+        assert (uniform_purity != "") == (verdict == "Feasible")
+        if verdict == "Feasible":
+            assert float(uniform_purity) >= 1.0 - 2e-6
 
 
 def test_sweep_passes_tol_to_superpose(capsys, monkeypatch):

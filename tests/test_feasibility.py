@@ -8,12 +8,11 @@ from detchan import (
     DimensionMismatchError,
     FEASIBLE,
     INFEASIBLE,
-    NECESSARY_ONLY,
+    NotFeasibleError,
     PairOverlap,
     SizeMismatchError,
     StateSet,
     UNDETERMINED,
-    UndefinedEntryError,
     build_ratio_matrix,
     distinguishability_audit,
     feasibility_check,
@@ -22,9 +21,17 @@ from detchan import (
     psd_factor,
     random_state_set,
     synthesize,
-    witness_value,
+    transform_report,
 )
-from helpers import count_calls, feasible_pair, sub_seed
+from helpers import (
+    FREE_UNDETERMINED,
+    channel_residuals,
+    count_calls,
+    feasible_pair,
+    pair_witness,
+    product_pair,
+    sub_seed,
+)
 
 INV_SQRT2 = 2**-0.5
 
@@ -127,11 +134,16 @@ def test_identity_on_orthonormal_basis_is_feasible():
     assert report.verdict == FEASIBLE
 
 
-def test_dependent_initial_caps_at_necessary_only():
+def test_dependent_initial_is_feasible():
+    # Positivity suffices for a dependent initial set too: the identity on
+    # a repeated state is one operator on its span plus the sink off it.
     s = StateSet.from_vectors([[1, 0], [1, 0]])
     report = feasibility_check(s, s)
-    assert report.verdict == NECESSARY_ONLY
+    assert report.verdict == FEASIBLE
     assert not report.initial_independent
+    ks = synthesize(s, s)
+    assert ks.kraus_count == 2
+    np.testing.assert_allclose(ks.operators, [np.diag([1, 0]), np.diag([0, 1])], atol=1e-15)
 
 
 def test_dependent_initial_with_violation_is_infeasible():
@@ -149,8 +161,8 @@ def test_span_growth_is_infeasible():
     final = StateSet.from_vectors(
         [[1, 0, 0], [0, 1, 0], [INV_SQRT2, INV_SQRT2, 0]]
     )
-    # same sets: NecessaryOnly (dependent, grams equal)
-    assert feasibility_check(initial, final).verdict == NECESSARY_ONLY
+    # same sets: Feasible (dependent, grams equal)
+    assert feasibility_check(initial, final).verdict == FEASIBLE
     grown = StateSet.from_vectors(
         [[1, 0, 0], [0, 1, 0], [0.5, 0.5, INV_SQRT2]]
     )
@@ -159,16 +171,35 @@ def test_span_growth_is_infeasible():
 
 
 def test_undetermined_free_entries():
+    # Pair (0, 2) is 0/0 and the ratios (1, 0) = 0.5 and (1, 2) = -0.5 differ,
+    # so the completion with 1 (rows 0 and 2 equal) is not PSD; no pair is
+    # made more distinguishable.  The completion -0.5 is PSD, so Infeasible
+    # would be wrong: only a completion search could say Feasible.
+    initial = unit_rows(FREE_UNDETERMINED[0])
+    final = unit_rows(FREE_UNDETERMINED[1])
+    report = feasibility_check(initial, final)
+    assert report.verdict == UNDETERMINED
+    assert report.min_eigenvalue is None
+    m = report.ratio_matrix
+    assert m.free_pairs == ((0, 2),)
+    np.testing.assert_allclose([m.entries[1, 0], m.entries[1, 2]], [0.5, -0.5], atol=1e-15)
+
+
+def test_free_entries_completed_with_one_are_feasible():
     initial = StateSet.from_vectors(
         [[1, 0, 0], [0, 1, 0], [1 / np.sqrt(3), 1 / np.sqrt(3), 1 / np.sqrt(3)]]
     )
     final = StateSet.from_vectors(
         [[1, 0, 0], [0, 1, 0], [INV_SQRT2, INV_SQRT2, 0]]
     )
-    # pair (0,1) is 0/0; the remaining ratios have modulus sqrt(2/3) < 1
+    # pair (0,1) is 0/0; the remaining ratios have modulus sqrt(2/3) < 1 and
+    # the completion with 1 is PSD, so the channel is built.
     report = feasibility_check(initial, final)
-    assert report.verdict == UNDETERMINED
-    assert report.min_eigenvalue is None
+    assert report.verdict == FEASIBLE
+    assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+    ks = synthesize(initial, final)
+    for rec in transform_report(ks, initial, final):
+        assert rec.fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unitary_image_pairs_are_feasible():
@@ -237,7 +268,9 @@ def test_feasible_implies_no_violations():
         assert all(not p.violation for p in distinguishability_audit(initial, final))
 
 
-# ---------------------------------------------------------------- witness_value
+# ------------------------------------------------------- 2x2 pair witnesses
+# A flagged pair of the audit is a negative principal 2x2 minor of the
+# ratio matrix (``pair_witness``), which rules out every PSD completion.
 
 
 def test_witness_on_identity_matrix():
@@ -249,22 +282,25 @@ def test_witness_on_identity_matrix():
     for j in range(3):
         for k in range(3):
             if j != k:
-                assert witness_value(m, j, k) == pytest.approx(1.0, abs=1e-12)
+                assert pair_witness(m, j, k) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_witness_on_all_ones():
     s = zero_plus()
     m = build_ratio_matrix(s, s)
-    assert witness_value(m, 0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert pair_witness(m, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_witness_flags_cos_half():
-    m = build_ratio_matrix(zero_plus(), cos_family_final(0.5))
-    assert witness_value(m, 0, 1) == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
+    initial, final = zero_plus(), cos_family_final(0.5)
+    m = build_ratio_matrix(initial, final)
+    assert pair_witness(m, 0, 1) == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
+    assert [(p.j, p.k) for p in feasibility_check(initial, final).violating_pairs] == [(0, 1)]
 
 
 def test_witness_equals_one_minus_modulus_everywhere():
-    # two code paths: explicit quadratic form vs modulus formula
+    # two code paths: the 2x2 eigenvalue vs the modulus formula; every pair
+    # the audit flags has a negative witness
     rng = np.random.default_rng(53)
     for _ in range(20):
         n = int(rng.integers(2, 7))
@@ -275,17 +311,9 @@ def test_witness_equals_one_minus_modulus_everywhere():
             for k in range(n):
                 if j != k and m.defined[j, k]:
                     expected = 1.0 - abs(m.entries[j, k])
-                    assert witness_value(m, j, k) == pytest.approx(expected, abs=1e-12)
-
-
-def test_witness_undefined_entry_raises():
-    initial = zero_plus()
-    final = StateSet.from_vectors(np.eye(2))
-    m = build_ratio_matrix(initial, final)
-    with pytest.raises(UndefinedEntryError):
-        witness_value(m, 0, 1)
-    with pytest.raises(ValueError):
-        witness_value(m, 1, 1)
+                    assert pair_witness(m, j, k) == pytest.approx(expected, abs=1e-12)
+        for p in feasibility_check(initial, final).violating_pairs:
+            assert pair_witness(m, p.j, p.k) < 0.0
 
 
 # ------------------------------------------------------ feasibility_check branches
@@ -295,9 +323,13 @@ def unit_rows(vectors):
     return StateSet.from_vectors(vectors, normalize=True)
 
 
-FREE_EQUAL_NOTE = (
-    "initial and final Gram matrices coincide: a unitary channel realizes the "
-    "transformation (unconstrained entries completed with 1)"
+def free_note(count):
+    return f"{count} state pair(s) orthogonal in both sets leave their ratio free; completed with 1"
+
+
+UNDETERMINED_NOTE = (
+    "1 state pair(s) leave the ratio matrix underdetermined; "
+    "their completion with 1 is not PSD and no other completion is searched"
 )
 DEPENDENT_3 = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]
 
@@ -344,13 +376,11 @@ BRANCH_CASES = {
     "defined_dependent": (
         [[1, 0], [1, 1], [1, 1j]],
         [[1j, 0], [-1, -1], [1, 1j]],
-        NECESSARY_ONLY,
+        FEASIBLE,
         -3.922544539841766e-16,
         (
             "initial set is linearly dependent (rank 2 of 3)",
             "final set is linearly dependent (rank 2 of 3)",
-            "ratio matrix is PSD, which is necessary but not known sufficient "
-            "for a dependent initial set",
         ),
         [],
     ),
@@ -359,19 +389,18 @@ BRANCH_CASES = {
         [[0, 1, 0], [0, 0, 1j], [1, 0, 0]],
         FEASIBLE,
         -4.531559571436954e-16,
-        (FREE_EQUAL_NOTE,),
+        (free_note(3),),
         [],
     ),
     "free_equal_grams_dependent": (
         DEPENDENT_3,
         DEPENDENT_3,
-        NECESSARY_ONLY,
+        FEASIBLE,
         -4.531559571436954e-16,
         (
             "initial set is linearly dependent (rank 2 of 3)",
             "final set is linearly dependent (rank 2 of 3)",
-            FREE_EQUAL_NOTE,
-            "verdict capped at NecessaryOnly because the initial set is dependent",
+            free_note(1),
         ),
         [],
     ),
@@ -386,18 +415,15 @@ BRANCH_CASES = {
         ),
         [(1, 2)],
     ),
-    "free_undetermined": (
+    "free_completed_psd": (
         [[1, 0, 0], [0, 1, 0], [1, 1, 1]],
         [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
-        UNDETERMINED,
-        None,
-        (
-            "final set is linearly dependent (rank 2 of 3)",
-            "1 state pair(s) leave the ratio matrix underdetermined; "
-            "no positive completion attempted",
-        ),
+        FEASIBLE,
+        -3.639748517740032e-16,
+        ("final set is linearly dependent (rank 2 of 3)", free_note(1)),
         [],
     ),
+    "free_undetermined": (*FREE_UNDETERMINED, UNDETERMINED, None, (UNDETERMINED_NOTE,), []),
     "single_state": ([[0.6, 0.8j]], [[1, 0]], FEASIBLE, 1.0, (), []),
     # The Grams agree within tol, but the (0, 1) ratio is 0.4, so the
     # completion with 1 of the free (0, 2) pair is not PSD (min eigenvalue
@@ -408,10 +434,7 @@ BRANCH_CASES = {
         [[1, 0, 0], [1.5e-9, 0.5, np.sqrt(0.75)], [0, 1, 0]],
         UNDETERMINED,
         None,
-        (
-            "1 state pair(s) leave the ratio matrix underdetermined; "
-            "no positive completion attempted",
-        ),
+        (UNDETERMINED_NOTE,),
         [],
     ),
 }
@@ -432,16 +455,15 @@ def test_feasibility_check_branches(case):
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
 def test_only_feasible_reports_keep_the_certifying_spectrum(case):
     # The spectrum reconstructs the matrix the verdict was read from: the
-    # ratio matrix, or its completion with 1 when the Grams coincide (the
-    # free_equal_grams_independent case, whose 0/0 pairs are completed).
-    # Synthesis factors exactly that spectrum.
+    # ratio matrix with its 0/0 pairs completed with 1 (the free_* cases).
+    # Synthesis factors exactly that spectrum, for either rank.
     a, b = unit_rows(BRANCH_CASES[case][0]), unit_rows(BRANCH_CASES[case][1])
     report = feasibility_check(a, b)
     if report.verdict != FEASIBLE:
         assert report.spectrum is None
         return
     m = report.ratio_matrix
-    assert bool(m.free_pairs) == (case == "free_equal_grams_independent")
+    assert bool(m.free_pairs) == case.startswith("free_")
     certified = np.where(m.defined, m.entries, 1.0)
     w, v = report.spectrum
     assert np.all(np.diff(w) <= 0) and report.min_eigenvalue == w[-1]
@@ -514,6 +536,19 @@ def loop_reference(a, b, tol=1e-9):
     return tuple(audit), tuple(nonzero), tuple(free)
 
 
+def assert_feasible_iff_built(a, b, bound=1e-9):
+    # Feasible <=> synthesize returns a set that an independent numpy check
+    # of completeness and of every state's mapping accepts within bound.
+    feasible = feasibility_check(a, b).verdict == FEASIBLE
+    try:
+        ks = synthesize(a, b)
+    except NotFeasibleError:
+        assert not feasible
+        return
+    assert feasible
+    assert max(channel_residuals(ks, a, b)) <= bound
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(orthogonality_instances())
 def test_feasibility_check_agrees_with_public_pieces(instance):
@@ -531,13 +566,115 @@ def test_feasibility_check_agrees_with_public_pieces(instance):
         assert report.verdict == INFEASIBLE and report.notes[-1].endswith(pairs)
     if report.verdict == UNDETERMINED:
         assert report.notes[-1].startswith(f"{len(m.free_pairs)} state pair(s)")
+    assert_feasible_iff_built(a, b)
+
+
+@st.composite
+def product_instances(draw):
+    """Dependent instances psi_j = phi_j (x) a_j -> phi_j (x) |0> with
+    N > D d_a, so the initial set spans C^(D d_a) with N states."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    d_anc = draw(st.integers(min_value=1, max_value=2))
+    n = d * d_anc + draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    return product_pair(rng, n, d, d_anc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(product_instances())
+def test_dependent_product_instances_are_feasible_and_built(instance):
+    a, b = instance
+    assert not linear_independence(a)
+    assert feasibility_check(a, b).verdict == FEASIBLE
+    assert_feasible_iff_built(a, b)
+
+
+# ----------------------------------------------- verdicts near the rank cutoff
+# A dependent set, or a free pair, is decided to within tol, and that slack
+# reaches the built channel as a residual near sqrt(tol).  Feasible must
+# still mean that synthesize builds the channel: the check bounds the
+# residuals the synthesis guard will read and says Undetermined unless they
+# are within half the 1e3 * tol guard.  The independent check runs at the
+# guard.
+
+GUARD = 1e3 * 1e-9
+BOUNDS_NOTE = "the completion with 1 is PSD only to within tol: its channel's residual bounds"
+
+
+def tilted(theta):
+    # Gram eigenvalues 1 -+ cos(theta): the smaller one, about theta^2 / 2,
+    # crosses the rank cutoff tol * lambda_max = 2e-9 near theta = 6.3e-5.
+    return StateSet.from_vectors([[1, 0], [np.cos(theta), np.sin(theta)]])
+
+
+def test_near_dependent_pairs_are_feasible_only_when_built():
+    verdicts = {}
+    for theta in np.geomspace(1e-7, 1e-3, 41):
+        s = tilted(theta)
+        report = feasibility_check(s, s)
+        verdicts[theta] = report.verdict
+        assert report.verdict in (FEASIBLE, UNDETERMINED)
+        if report.verdict == UNDETERMINED:
+            assert not report.initial_independent
+            assert report.notes[-1].startswith(BOUNDS_NOTE)
+            assert report.min_eigenvalue is not None and report.spectrum is None
+        assert_feasible_iff_built(s, s, GUARD)
+    # The dropped direction costs a per-state residual of about
+    # theta / sqrt(2) (theta / 2 on the span operators, theta / 2 in the
+    # sink), which the check bounds by theta: within half the guard below
+    # 5e-7, beyond it up to the cutoff, and exact duals past the cutoff.
+    assert all(v == FEASIBLE for t, v in verdicts.items() if t < 4.5e-7 or t > 7e-5)
+    assert all(v == UNDETERMINED for t, v in verdicts.items() if 5.5e-7 < t < 6e-5)
+    assert feasibility_check(tilted(2e-5), tilted(2e-5)).verdict == UNDETERMINED
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 3e-10, 1e-9])
+def test_dependent_set_with_tiny_free_overlaps_is_feasible_only_when_built(eps):
+    # Three states in C^2 with pair (0, 1) free: overlaps -eps and +eps,
+    # both below tol, are completed with 1.  The slack 2 eps reaches the
+    # channel through the dependency; from eps = 3e-10 on its bound misses
+    # the guard, and the check says so instead of promising a channel.
+    a = unit_rows([[1, 0], [-eps, 1], [1 - eps, 1]])
+    b = unit_rows([[1, 0], [eps, 1], [1 + eps, 1]])
+    report = feasibility_check(a, b)
+    assert report.ratio_matrix.free_pairs == ((0, 1),)
+    assert not report.initial_independent
+    assert report.verdict == (FEASIBLE if eps < 3e-10 else UNDETERMINED)
+    assert_feasible_iff_built(a, b, GUARD)
+
+
+@st.composite
+def near_cutoff_instances(draw):
+    """Instances decided to within tol: a dependent product pair or a pair
+    with exactly orthogonal (free) pairs, each initial state tilted by
+    about delta and each final state by about tau, log-uniform across the
+    rank cutoff (tilts near 3e-5) and the free-pair cutoff (overlaps near
+    1e-9), so dropped directions and free pairs carry slack."""
+    a, b = draw(st.one_of(product_instances(), orthogonality_instances()))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+
+    def tilted(s, exponent):
+        noise = rng.standard_normal(s.states.shape) + 1j * rng.standard_normal(s.states.shape)
+        return unit_rows(s.states + 10.0**exponent * noise)
+
+    a = tilted(a, draw(st.floats(min_value=-12, max_value=-3)))
+    return a, tilted(b, draw(st.floats(min_value=-12, max_value=-3)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(near_cutoff_instances())
+def test_feasible_near_the_cutoffs_means_built(instance):
+    a, b = instance
+    assert_feasible_iff_built(a, b, GUARD)
 
 
 def test_spectral_work_per_check(monkeypatch):
     # One Gram product per set, one shifted Cholesky per set certifying its
     # full rank and one full eigendecomposition of the ratio matrix.  Only a
-    # dependent set, which no Cholesky can certify, takes an eigenvalues-only
-    # solve for its rank.
+    # dependent set takes more: the initial set's eigenpairs (one eigh, which
+    # also bounds the built channel's residuals; with a free pair, as in this
+    # one, no Cholesky is tried first) and the final set's eigenvalues (one
+    # eigvalsh after its failed Cholesky).
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
     dependent = unit_rows(DEPENDENT_3)
     counts = count_calls(
@@ -550,5 +687,5 @@ def test_spectral_work_per_check(monkeypatch):
     assert feasibility_check(initial, final).verdict == FEASIBLE
     assert (counts["gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"]) == (2, 2, 0, 1)
     counts.clear()
-    assert feasibility_check(dependent, dependent).verdict == NECESSARY_ONLY
-    assert (counts["gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"]) == (2, 2, 2, 1)
+    assert feasibility_check(dependent, dependent).verdict == FEASIBLE
+    assert (counts["gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"]) == (2, 1, 1, 2)

@@ -10,7 +10,6 @@ from detchan import (
     hermitian_eig,
     psd_check,
     psd_factor,
-    random_unitary,
 )
 from detchan.numerics import (
     _certifies_full_rank,
@@ -20,6 +19,7 @@ from detchan.numerics import (
     numerical_rank,
     pin_column_phases,
 )
+from helpers import haar_unitary
 
 
 def rand_hermitian(rng, n, scale=1.0):
@@ -229,7 +229,7 @@ def test_hermitian_rank_equals_the_eigenvalue_rule(n, tol):
     # answers; on the sweep it decides the clearly full-rank half.
     seed = 100 * n + int(-np.log10(tol))
     rng = np.random.default_rng(seed)
-    v = random_unitary(n, seed)
+    v = haar_unitary(n, seed)
     certified = 0
     for w in rank_grid_spectra(rng, n):
         h = (v * w) @ v.conj().T

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from detchan import SchemaError, StateSet, fingerprint, synthesize
+from detchan import SchemaError, SizeMismatchError, StateSet, fingerprint, synthesize
 from detchan import serialize as ser
 
 
@@ -50,6 +50,27 @@ def test_state_set_labels_roundtrip():
     s = StateSet.from_vectors(np.eye(2), labels=["zero", "one"])
     obj = json.loads(ser.dumps(ser.state_set_to_obj(s)))
     assert ser.state_set_from_obj(obj).labels == ("zero", "one")
+
+
+def test_empty_labels_are_a_size_mismatch_not_dropped():
+    # An empty list is a label list of the wrong length, as () is; only
+    # None means "no labels".
+    for labels in ([], ()):
+        with pytest.raises(SizeMismatchError):
+            StateSet.from_vectors(np.eye(2), labels=labels)
+    with pytest.raises(SizeMismatchError):
+        ser.state_set_from_obj({"states": [[[1, 0], [0, 0]]], "labels": []})
+    assert StateSet.from_vectors(np.eye(2), labels=None).labels is None
+    assert ser.state_set_from_obj({"states": [[[1, 0], [0, 0]]], "labels": None}).labels is None
+
+
+def test_kraus_document_dimension_and_fingerprints_are_typed():
+    ops = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+    for bad in ({"dimension": 2.0}, {"initial_fingerprint": 7}, {"final_fingerprint": None}):
+        with pytest.raises(SchemaError):
+            ser.kraus_set_from_obj({"operators": ops, **bad})
+    ks = ser.kraus_set_from_obj({"dimension": 2, "operators": ops, "initial_fingerprint": "ab"})
+    assert (ks.dimension, ks.initial_fingerprint, ks.final_fingerprint) == (2, "ab", "")
 
 
 def test_kraus_set_roundtrip():

@@ -5,7 +5,6 @@ import detchan.states
 from detchan import (
     IllConditionedError,
     InvalidDimensionsError,
-    NotIndependentError,
     NotNormalizedError,
     SizeMismatchError,
     StateSet,
@@ -14,7 +13,6 @@ from detchan import (
     gram,
     linear_independence,
     random_state_set,
-    random_unitary,
     span_duals,
     superpose,
 )
@@ -172,9 +170,21 @@ def test_duals_biorthogonality_and_identity_resolution():
     assert np.linalg.norm(adjoint - np.eye(5)) <= 1e-9
 
 
-def test_duals_require_independence():
-    with pytest.raises(NotIndependentError):
-        span_duals(StateSet.from_vectors([[1, 0], [1, 0]]))
+def test_duals_of_a_dependent_set_are_the_pseudo_inverse():
+    rng = np.random.default_rng(71)
+    repeated = StateSet.from_vectors([[1, 0], [1, 0]])
+    spanning = random_state_set(3, 5, 72)  # N > D
+    # rank 2 inside C^4: a third state in the span of the first two
+    pair = random_state_set(4, 2, 73, mode="independent")
+    mixed = StateSet.from_vectors(
+        np.vstack([pair.states, rng.standard_normal(2) @ pair.states]), normalize=True
+    )
+    for s, rank in ((repeated, 1), (spanning, 3), (mixed, 2)):
+        w = span_duals(s)
+        np.testing.assert_allclose(w.conj(), np.linalg.pinv(s.states.T), atol=1e-10)
+        resolution = s.states.T @ w.conj()  # projector onto the span
+        np.testing.assert_allclose(resolution @ resolution, resolution, atol=1e-10)
+        assert np.trace(resolution).real == pytest.approx(rank, abs=1e-10)
 
 
 def test_span_duals_non_spanning():
@@ -197,19 +207,21 @@ def gram_condition(s):
 
 def test_rank_cutoff_fires_before_the_default_ceiling():
     # Condition ~1e10 is below the 1e12 ceiling, but lambda_min is below
-    # tol * lambda_max at tol = 1e-9, so the set counts as dependent.
+    # tol * lambda_max at tol = 1e-9, so the set counts as rank one: its
+    # duals are the pseudo-inverse with that direction dropped (singular
+    # values of the states below sqrt(tol) times the largest).
     s = tilted_pair(2e-5)
     assert 5e9 < gram_condition(s) < 2e10
-    with pytest.raises(NotIndependentError):
-        span_duals(s)
+    rank_one = np.linalg.pinv(s.states.T, rcond=np.sqrt(1e-9))
+    np.testing.assert_allclose(span_duals(s).conj(), rank_one, atol=1e-10)
     # With a smaller tol the rank passes and the condition is admissible.
     w = span_duals(s, tol=1e-12)
     np.testing.assert_allclose(w.conj() @ s.states.T, np.eye(2), atol=1e-5)
     # Past the default ceiling only a smaller tol lets the ceiling decide.
     worse = tilted_pair(6e-7)
     assert 5e12 < gram_condition(worse) < 2e13
-    with pytest.raises(NotIndependentError):
-        span_duals(worse)
+    rank_one = np.linalg.pinv(worse.states.T, rcond=np.sqrt(1e-9))
+    np.testing.assert_allclose(span_duals(worse).conj(), rank_one, atol=1e-10)
     with pytest.raises(IllConditionedError):
         span_duals(worse, tol=1e-15)
 
@@ -288,12 +300,6 @@ def test_unitary_image_preserves_gram():
 def test_unitary_image_of_orthonormal_basis_is_orthonormal():
     image = random_state_set(3, 3, seed=8, mode="unitary_image", base=basis(3))
     np.testing.assert_allclose(gram(image), np.eye(3), atol=1e-12)
-
-
-def test_random_unitary_is_unitary_and_deterministic():
-    u = random_unitary(4, seed=3)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-    np.testing.assert_array_equal(u, random_unitary(4, seed=3))
 
 
 def test_fingerprint_ignores_labels_but_not_amplitudes():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from detchan import (
     DimensionMismatchError,
+    FEASIBLE,
     IllConditionedError,
     KrausSet,
     NotFeasibleError,
@@ -18,8 +19,8 @@ from detchan import (
     build_ratio_matrix,
     choi_output_trace,
     coherence_roundtrip,
+    feasibility_check,
     kraus_to_choi,
-    random_unitary,
     state_to_density,
     synthesize,
     transform_report,
@@ -30,10 +31,13 @@ from detchan import feasibility, states, synthesis
 from detchan.numerics import frobenius
 from helpers import (
     bounded_complete_coefficients,
+    channel_residuals,
     count_calls,
     embedded,
     feasible_pair,
+    haar_unitary,
     near_parallel_pair,
+    product_pair,
     sub_seed,
     well_conditioned_set,
 )
@@ -233,7 +237,7 @@ def test_factor_matches_per_operator_loops(shape, unitary, seed):
     rng = np.random.default_rng(seed)
     if unitary:
         initial = well_conditioned_set(rng, n, d)
-        final = StateSet(d, initial.states @ random_unitary(d, sub_seed(rng)).T)
+        final = StateSet(d, initial.states @ haar_unitary(d, sub_seed(rng)).T)
     else:
         initial, final, _ = feasible_pair(rng, n, int(rng.integers(1, n + 1)))
         if n < d:
@@ -264,6 +268,27 @@ def test_factor_matches_per_operator_loops(shape, unitary, seed):
         per_operator = max(per_operator, float(np.max(np.linalg.norm(images - expected, axis=1))))
     assert worst >= per_operator * (1 - 1e-9)
     assert abs(completeness - verify_completeness(bad_set)) <= 1e-12
+
+
+def test_guard_counts_the_sink_image_of_a_near_dependent_set():
+    # Tilted by 2e-5, the pair counts as rank one: the dropped direction's
+    # share of psi_1 lands in the sink, whose target coefficient is 0.  The
+    # guard's per-state residual is the root of the sum over every operator,
+    # the sink included, of ||A_k psi_j - c_jk psi_j||^2.
+    # The identity's factor: M = C C^dag is all ones, and the rank-one
+    # pseudo-inverse leaves the sink I - P.
+    s = StateSet.from_vectors([[1, 0], [np.cos(2e-5), np.sin(2e-5)]])
+    bras = states.span_duals(s).conj()
+    f = synthesis._Factor(s.states.T, np.ones((2, 1)), bras, np.eye(2) - s.states.T @ bras)
+    worst, _ = synthesis._verify_synthesis(f, s, 1.0)
+    ops = KrausSet(_factor=f).operators
+    coefficients = np.hstack([f.c, np.zeros((2, 1))])
+    images = np.einsum("kij,nj->nki", ops, s.states) - coefficients[:, :, None] * s.states[:, None]
+    per_state = np.sqrt(np.sum(np.abs(images) ** 2, axis=(1, 2)))
+    assert worst == pytest.approx(np.max(per_state), rel=1e-9)
+    assert worst == pytest.approx(2e-5 / np.sqrt(2), rel=1e-6)
+    with pytest.raises(IllConditionedError):
+        synthesis._verify_synthesis(f, s, 1e-9)
 
 
 def test_roundtrips_and_channel_use_the_factor(monkeypatch):
@@ -340,8 +365,8 @@ def test_synthesize_refuses_condition_above_the_ceiling():
 
 def test_spectral_work_per_synthesize(monkeypatch):
     # One eigh: the feasibility check's, of the ratio matrix, whose
-    # spectrum the report keeps and synthesis factors.  The duals take
-    # eigenvalues only, and no SVD-based condition number.
+    # spectrum the report keeps and synthesis factors.  The duals take one
+    # shifted Cholesky and a solve, and no SVD-based condition number.
     # The check's two Grams and the duals' one are the only Grams: the
     # ratio matrix is read off the report, never rebuilt.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
@@ -362,6 +387,37 @@ def test_spectral_work_per_synthesize(monkeypatch):
     assert (counts["cond"], counts["svd"]) == (0, 0)
     assert counts["gram"] <= 3
     assert counts["build_ratio_matrix"] == 0
+
+
+def test_dependent_synthesis_takes_one_more_eigh_than_its_check(monkeypatch):
+    # The only extra spectral work for a dependent initial set is the one
+    # eigh in span_duals that no Cholesky can replace; no SVD anywhere.
+    initial, final = product_pair(np.random.default_rng(5), 7, 3, 2)
+    counts = count_calls(
+        monkeypatch, (np.linalg, "eigh"), (np.linalg, "svd"), (synthesis, "span_duals")
+    )
+    assert feasibility_check(initial, final).verdict == FEASIBLE
+    check_eigh = counts["eigh"]
+    counts.clear()
+    synthesize(initial, final)
+    assert counts["eigh"] == check_eigh + 1
+    assert (counts["svd"], counts["span_duals"]) == (0, 1)
+
+
+def test_spanning_dependent_synthesis_gets_no_sink():
+    # N = 8 states spanning C^6: rank D, so P = I and no sink is added;
+    # K is the rank of the ratio matrix, the ancillas' Gram of rank 2.
+    initial, final = product_pair(np.random.default_rng(6), 8, 3, 2)
+    ks = synthesize(initial, final)
+    assert ks._factor.sink is None
+    assert ks.kraus_count == ks.c_factor.shape[1] == 2
+    assert max(channel_residuals(ks, initial, final)) <= 1e-12
+    # Repeating a state of a non-spanning set keeps the sink.
+    pair = StateSet.from_vectors([[1, 0, 0], [INV_SQRT2, INV_SQRT2, 0]])
+    repeated = StateSet.from_vectors(np.vstack([pair.states, pair.states[:1]]))
+    ks = synthesize(repeated, repeated)
+    assert ks._factor.sink is not None
+    np.testing.assert_allclose(ks._factor.sink, np.diag([0, 0, 1]), atol=1e-14)
 
 
 def test_per_state_action_matches_factor():
@@ -424,7 +480,7 @@ def test_non_spanning_synthesis_is_complete(shape, unitary, seed):
     rng = np.random.default_rng(seed)
     if unitary:
         initial = well_conditioned_set(rng, n, d)
-        final = StateSet(d, initial.states @ random_unitary(d, sub_seed(rng)).T)
+        final = StateSet(d, initial.states @ haar_unitary(d, sub_seed(rng)).T)
     else:
         initial, final, _ = feasible_pair(rng, n, int(rng.integers(1, n + 1)))
         initial, final = embedded(initial, rng, d), embedded(final, rng, d)
@@ -456,7 +512,7 @@ def test_near_parallel_pair_synthesizes():
 
 
 def test_completeness_of_single_unitary():
-    u = random_unitary(3, seed=1)
+    u = haar_unitary(3, seed=1)
     ks = KrausSet.from_operators([u])
     assert verify_completeness(ks) <= 1e-14
 
@@ -552,7 +608,7 @@ def test_choi_gauge_invariance():
     ks = synthesize(initial, final)
     choi = kraus_to_choi(ks)
     for seed in range(5):
-        w = random_unitary(ks.kraus_count, seed=seed)
+        w = haar_unitary(ks.kraus_count, seed=seed)
         assert frobenius(kraus_to_choi(reorder_gauge(ks, w)) - choi) <= 1e-9
 
 
