@@ -222,7 +222,7 @@ def _phase_sync(m) -> np.ndarray | None:
     # Unconstrained (0/0) pairs are consistent with any phases, so the
     # per-state phases are propagated over the graph of defined pairs and
     # verified on every defined entry, per connected component.
-    s = m.n_states
+    s = len(m.entries)
     offdiag = np.array(m.defined)
     np.fill_diagonal(offdiag, False)
     # Moduli must be 1 on every defined off-diagonal entry.

@@ -32,6 +32,13 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 UNDETERMINED = "Undetermined"
 
+#: One record of the distinguishability audit (a record dtype, so that a
+#: record array views it without converting, and records answer ``p.j``).
+_AUDIT_RECORD = np.dtype(
+    (np.record, [("j", np.intp), ("k", np.intp), ("initial_overlap", np.float64),
+                 ("final_overlap", np.float64), ("violation", np.bool_)])
+)
+
 
 @dataclass(frozen=True, eq=False)
 class RatioMatrix:
@@ -48,8 +55,6 @@ class RatioMatrix:
 
     entries: np.ndarray
     defined: np.ndarray
-    n_states: int
-    dimension: int
     undefined_nonzero_pairs: tuple[tuple[int, int], ...]
     free_pairs: tuple[tuple[int, int], ...]
 
@@ -64,17 +69,6 @@ class RatioMatrix:
         return bool(np.all(self.defined))
 
 
-@dataclass(frozen=True)
-class PairOverlap:
-    """Overlap moduli of one state pair in both sets."""
-
-    j: int
-    k: int
-    initial_overlap: float
-    final_overlap: float
-    violation: bool
-
-
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:
     """Verdict on deterministic transformability plus diagnostics.
@@ -83,10 +77,11 @@ class FeasibilityReport:
     ``Feasible`` pair is one ``synthesize`` builds (at the default
     ``rank_tol``), and ``Infeasible`` comes with a named witness in the notes.
 
-    ``violating_pairs`` holds only the flagged pairs of the
-    distinguishability audit, in (j, k) order with j < k; call
-    ``distinguishability_audit`` for every pair.  ``ratio_matrix`` is the
-    overlap-ratio matrix the verdict was read from (not serialized).
+    ``violating_pairs`` holds only the flagged records of the
+    distinguishability audit, a read-only record array of the same fields,
+    in (j, k) order with j < k; call ``distinguishability_audit`` for every
+    pair.  ``ratio_matrix`` is the overlap-ratio matrix the verdict was
+    read from (not serialized).
     ``spectrum`` is ``hermitian_eig`` of the matrix that certified a
     Feasible verdict: the ratio matrix with its unconstrained entries
     completed with 1.  ``synthesize`` factors it, so no eigensolve is
@@ -95,7 +90,7 @@ class FeasibilityReport:
 
     verdict: str
     min_eigenvalue: float | None
-    violating_pairs: tuple[PairOverlap, ...]
+    violating_pairs: np.recarray
     initial_independent: bool
     final_independent: bool
     notes: tuple[str, ...]
@@ -113,18 +108,20 @@ def build_ratio_matrix(
     """
     _check_shapes(initial, final)
     g1, g2 = gram(initial), gram(final)
-    return _ratio_matrix(g1, g2, np.abs(g1), np.abs(g2), initial.dimension, tol)
+    return _ratio_matrix(g1, g2, np.abs(g1), np.abs(g2), tol)
 
 
 def distinguishability_audit(
     initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL
-) -> tuple[PairOverlap, ...]:
+) -> np.recarray:
     """Pairwise overlap moduli for both sets, flagging forbidden pairs.
 
     A deterministic channel can never make a pair of states more
     distinguishable, so a pair is flagged when its initial overlap modulus
     exceeds the final one by more than ``tol``.  Every pair j < k is
-    listed, in (j, k) order.
+    listed, in (j, k) order, as one record of a read-only ``np.recarray``
+    with fields ``j``, ``k``, ``initial_overlap``, ``final_overlap`` and
+    ``violation``.
     """
     if initial.n != final.n:
         raise SizeMismatchError(f"{initial.n} initial states vs {final.n} final states")
@@ -141,7 +138,7 @@ def _check_shapes(initial: StateSet, final: StateSet) -> None:
         )
 
 
-def _ratio_matrix(g1, g2, abs1, abs2, dimension: int, tol: float) -> RatioMatrix:
+def _ratio_matrix(g1, g2, abs1, abs2, tol: float) -> RatioMatrix:
     # abs1, abs2 are the entrywise moduli of the Gram matrices g1, g2.
     defined = abs2 > tol
     np.fill_diagonal(defined, True)
@@ -155,25 +152,19 @@ def _ratio_matrix(g1, g2, abs1, abs2, dimension: int, tol: float) -> RatioMatrix
     return RatioMatrix(
         entries,
         defined,
-        len(g1),
-        dimension,
         tuple(zip(j[nonzero].tolist(), k[nonzero].tolist())),
         tuple(zip(j[~nonzero].tolist(), k[~nonzero].tolist())),
     )
 
 
-def _pair_overlaps(abs1, abs2, j, k, tol: float) -> tuple[PairOverlap, ...]:
+def _pair_overlaps(abs1, abs2, j, k, tol: float) -> np.recarray:
+    # One record per index pair (j, k), filled column by column.
     initial, final = abs1[j, k], abs2[j, k]
-    return tuple(
-        map(
-            PairOverlap,
-            j.tolist(),
-            k.tolist(),
-            initial.tolist(),
-            final.tolist(),
-            (initial > final + tol).tolist(),
-        )
-    )
+    records = np.empty(len(j), _AUDIT_RECORD).view(np.recarray)
+    for name, column in zip(_AUDIT_RECORD.names, (j, k, initial, final, initial > final + tol)):
+        records[name] = column
+    records.setflags(write=False)
+    return records
 
 
 def feasibility_check(
@@ -192,12 +183,14 @@ def feasibility_check(
     a dependent initial set or a free pair, whose slack at ``tol`` can
     reach the built channel as a residual near sqrt(tol), needs
     ``_guard_bounds`` within half the synthesis guard, else ``Undetermined``.
+    So does a certified independent set whose factor drops spectral mass,
+    unless one shifted Cholesky of G1 already proves that bound.
     """
     _check_shapes(initial, final)
     n = initial.n
     g1, g2 = gram(initial), gram(final)
     abs1, abs2 = np.abs(g1), np.abs(g2)
-    m = _ratio_matrix(g1, g2, abs1, abs2, initial.dimension, tol)
+    m = _ratio_matrix(g1, g2, abs1, abs2, tol)
     # gram() is exactly Hermitian, so no hermitian_rank check.  A dependent
     # initial set, or one with a free pair, keeps G1's eigenpairs for bounds.
     certified = not m.free_pairs and _certifies_full_rank(g1, tol)
@@ -242,7 +235,16 @@ def feasibility_check(
                 "their ratio free; completed with 1"
             )
         if eig1 is None:
-            return report(FEASIBLE, min_eig, spectrum)
+            # The factor drops eigenvalues <= rank_tol * lambda_max (clipped
+            # negatives too), so a certified set's completeness is at most
+            # ||dropped||_F / lambda_min(G1) plus rounding: a Cholesky of G1
+            # (trace n) shifted by ||dropped||_F over half the guard proves it
+            # within half the guard (no dropped mass passes at tol = 0).
+            w = spectrum[0]
+            dropped = float(np.linalg.norm(w[w <= DEFAULT_RANK_TOL * w[0]]))
+            if not dropped or tol > 0 and _certifies_full_rank(g1, dropped / (0.5e3 * tol * n)):
+                return report(FEASIBLE, min_eig, spectrum)
+            eig1 = np.linalg.eigh(g1)
         bounds = _guard_bounds(eig1, rank1, spectrum, g1, g2, tol)
         if all(bound <= 0.5e3 * tol for bound in bounds):  # NaN fails too
             return report(FEASIBLE, min_eig, spectrum)
@@ -254,7 +256,7 @@ def feasibility_check(
     if m.fully_defined:
         notes.append(f"ratio matrix has negative eigenvalue {min_eig:.6e}")
         return report(INFEASIBLE, min_eig)
-    if violations:
+    if len(violations):
         notes.append("a final pair is more distinguishable than its initial counterpart")
         return report(INFEASIBLE, None)
     notes.append(

@@ -149,9 +149,13 @@ def _spectral_factor(w: np.ndarray, v: np.ndarray, rank_tol: float, tol: float) 
 
 def pin_column_phases(c) -> np.ndarray:
     """Rotate each column so its largest-modulus entry is real positive."""
-    out = np.array(c, dtype=np.complex128)
-    for k in range(out.shape[1]):
-        out[:, k] *= phase_pin(out[:, k])
+    # ``phase_pin`` of every column at once, column-major (as a factor's
+    # columns already are): each column is scaled as one contiguous run,
+    # bitwise the arithmetic of scaling it alone.
+    out = np.array(c, dtype=np.complex128, order="F")
+    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    moduli = np.abs(pivots)
+    out *= np.divide(moduli, pivots, out=np.ones_like(pivots), where=moduli > 0.0)
     return out
 
 

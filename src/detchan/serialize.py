@@ -16,7 +16,7 @@ import numpy as np
 
 from .coherence import CoherenceRoundTrip
 from .errors import SchemaError
-from .feasibility import FeasibilityReport, PairOverlap
+from .feasibility import FeasibilityReport
 from .states import StateSet
 from .synthesis import KrausSet
 
@@ -212,20 +212,15 @@ def density_from_obj(obj) -> np.ndarray:
 # ----------------------------------------------------------------------
 # reports
 
-def _pair_overlap_to_obj(p: PairOverlap) -> dict:
-    return {
-        "j": p.j,
-        "k": p.k,
-        "initial_overlap": p.initial_overlap,
-        "final_overlap": p.final_overlap,
-    }
-
-
 def feasibility_report_to_obj(report: FeasibilityReport) -> dict:
     return {
         "verdict": report.verdict,
         "min_eigenvalue": report.min_eigenvalue,
-        "violating_pairs": [_pair_overlap_to_obj(p) for p in report.violating_pairs],
+        # Each flagged record without its violation field, which is true.
+        "violating_pairs": [
+            {"j": j, "k": k, "initial_overlap": initial, "final_overlap": final}
+            for j, k, initial, final, _ in report.violating_pairs.tolist()
+        ],
         "initial_independent": report.initial_independent,
         "final_independent": report.final_independent,
         "notes": list(report.notes),

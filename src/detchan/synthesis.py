@@ -199,7 +199,7 @@ def synthesize(
 
     Raises ``NotFeasibleError`` (carrying the report) unless the verdict
     is Feasible, and ``IllConditionedError`` when the residuals exceed
-    ``1e3 * tol`` (the check rules this out for dependent or free-pair sets).
+    ``1e3 * tol`` (a Feasible verdict bounds them within half that, up to rounding).
     """
     report = feasibility_check(initial, final, tol)
     return _synthesize_from(report, initial, final, tol, rank_tol)

@@ -293,6 +293,8 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
          "check_feasible.json"),
         (["check", str(fixtures / "plus_pair.json"), str(fixtures / "target_half.json")],
          "check_infeasible.json"),
+        (["check", str(fixtures / "equiangular_half.json"),
+          str(fixtures / "equiangular_quarter.json")], "check_infeasible_all_pairs.json"),
         (["check", str(fixtures / "dependent_pair.json"), str(fixtures / "dependent_pair.json")],
          "check_dependent_pair.json"),
         (["synth", str(fixtures / "dependent_pair.json"), str(fixtures / "dependent_pair.json")],

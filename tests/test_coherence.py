@@ -395,12 +395,15 @@ def test_spectral_work_per_roundtrip(monkeypatch):
     # eigh for a pure output.  Every full-rank question is settled by one
     # shifted Cholesky of one Gram matrix, with no eigenvalue solve: the
     # check's two ranks and the initial duals, plus the probe's expansion
-    # guard and the final duals for a pure output.  At full support the
-    # unitary test reads the check's ratio matrix and independence flags,
-    # so it builds no ratio matrix and no Gram.  It takes one SVD (the
-    # Procrustes polar factor) and no eigh, for N = D and N < D alike.  The
-    # channel runs once: the device residual reads the probe's output
-    # density.  The final set's duals are taken once, for that residual.
+    # guard and the final duals for a pure output.  A unitary pair's ratio
+    # matrix has rank one, so its factor drops rounding-sized eigenvalues,
+    # and one more Cholesky of G1 proves the channel built within half the
+    # synthesis guard.  At full support the unitary test reads the check's
+    # ratio matrix and independence flags, so it builds no ratio matrix and
+    # no Gram.  It takes one SVD (the Procrustes polar factor) and no eigh,
+    # for N = D and N < D alike.  The channel runs once: the device residual
+    # reads the probe's output density.  The final set's duals are taken
+    # once, for that residual.
     rng = np.random.default_rng(89)
     cases = []
     for n, d in [(8, 8), (6, 8)]:
@@ -430,7 +433,7 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         rec = coherence_roundtrip(a, b, q)
         assert rec.test.verdict == verdict
         # Every case is at full support: the coefficients are complete.
-        expected = (2, 0, 5, 5) if verdict == UNITARY_RELATED else (1, 0, 3, 3)
+        expected = (2, 0, 6, 5) if verdict == UNITARY_RELATED else (1, 0, 3, 3)
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == expected
         assert counts["cond"] == 0 and counts["svd"] <= 1

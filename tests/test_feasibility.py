@@ -9,7 +9,6 @@ from detchan import (
     FEASIBLE,
     INFEASIBLE,
     NotFeasibleError,
-    PairOverlap,
     SizeMismatchError,
     StateSet,
     UNDETERMINED,
@@ -34,6 +33,26 @@ from helpers import (
 )
 
 INV_SQRT2 = 2**-0.5
+
+
+AUDIT_DTYPE = np.dtype(
+    [
+        ("j", np.int64),
+        ("k", np.int64),
+        ("initial_overlap", np.float64),
+        ("final_overlap", np.float64),
+        ("violation", np.bool_),
+    ]
+)
+
+
+def assert_same_records(got, expected):
+    # The audit's read-only record array against a reference, field by
+    # field, with exact values, dtypes and shapes.
+    assert isinstance(got, np.recarray) and not got.flags.writeable
+    assert got.dtype.names == AUDIT_DTYPE.names
+    for name in AUDIT_DTYPE.names:
+        np.testing.assert_array_equal(got[name], expected[name], strict=True)
 
 
 def zero_plus():
@@ -259,6 +278,34 @@ def test_audit_flags_cos_half_pair():
     assert records[0].initial_overlap > records[0].final_overlap
 
 
+def equiangular(c):
+    # Four real states in C^4 with every pairwise overlap c.
+    t = (np.sqrt(1 + 3 * c) - np.sqrt(1 - c)) / 4
+    return StateSet.from_vectors(np.sqrt(1 - c) * np.eye(4) + t * np.ones((4, 4)))
+
+
+def test_audit_is_one_read_only_record_array():
+    # Every ratio is 2, so all six pairs are flagged and the ratio matrix
+    # 2J - I has eigenvalue -1.
+    a, b = equiangular(0.5), equiangular(0.25)
+    audit = distinguishability_audit(a, b)
+    report = feasibility_check(a, b)
+    assert report.verdict == INFEASIBLE
+    assert report.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+    assert [(p.j, p.k) for p in audit] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    np.testing.assert_allclose(audit.initial_overlap, 0.5, atol=1e-15)
+    np.testing.assert_allclose(audit.final_overlap, 0.25, atol=1e-15)
+    assert audit.violation.all()
+    assert_same_records(audit, np.array(audit, dtype=AUDIT_DTYPE))
+    assert_same_records(report.violating_pairs, audit)
+    with pytest.raises(ValueError):
+        report.violating_pairs.violation[0] = False
+    # No pair flagged: an empty record array, tested by length.
+    clean = feasibility_check(b, a).violating_pairs
+    assert len(clean) == 0
+    assert_same_records(clean, np.array([], dtype=AUDIT_DTYPE))
+
+
 def test_feasible_implies_no_violations():
     rng = np.random.default_rng(41)
     for _ in range(20):
@@ -449,7 +496,8 @@ def test_feasibility_check_branches(case):
     assert report.notes == notes
     assert report.min_eigenvalue == min_eig
     assert [(p.j, p.k) for p in report.violating_pairs] == flagged
-    assert report.violating_pairs == tuple(p for p in distinguishability_audit(a, b) if p.violation)
+    audit = distinguishability_audit(a, b)
+    assert_same_records(report.violating_pairs, audit[audit.violation])
 
 
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
@@ -530,10 +578,10 @@ def loop_reference(a, b, tol=1e-9):
     for j in range(a.n):
         for k in range(j + 1, a.n):
             m1, m2 = float(g1[j, k]), float(g2[j, k])
-            audit.append(PairOverlap(j, k, m1, m2, m1 > m2 + tol))
+            audit.append((j, k, m1, m2, m1 > m2 + tol))
             if m2 <= tol:
                 (nonzero if m1 > tol else free).append((j, k))
-    return tuple(audit), tuple(nonzero), tuple(free)
+    return np.array(audit, dtype=AUDIT_DTYPE), tuple(nonzero), tuple(free)
 
 
 def assert_feasible_iff_built(a, b, bound=1e-9):
@@ -555,8 +603,8 @@ def test_feasibility_check_agrees_with_public_pieces(instance):
     a, b = instance
     report = feasibility_check(a, b)
     audit, nonzero, free = loop_reference(a, b)
-    assert distinguishability_audit(a, b) == audit
-    assert report.violating_pairs == tuple(p for p in audit if p.violation)
+    assert_same_records(distinguishability_audit(a, b), audit)
+    assert_same_records(report.violating_pairs, audit[audit["violation"]])
     assert report.initial_independent == linear_independence(a)
     assert report.final_independent == linear_independence(b)
     m = build_ratio_matrix(a, b)
@@ -666,6 +714,59 @@ def near_cutoff_instances(draw):
 def test_feasible_near_the_cutoffs_means_built(instance):
     a, b = instance
     assert_feasible_iff_built(a, b, GUARD)
+
+
+# A certified independent pair is decided to within tol as well: a ratio
+# eigenvalue down to -tol passes as PSD, and the factor clips it.  Through
+# an ill-conditioned Gram matrix that dropped mass reaches the channel's
+# completeness as ||dropped||_F / lambda_min(G1).
+
+
+def overlap_pair(c):
+    # |0> and a state with overlap c with it.
+    return StateSet.from_vectors([[1, 0], [c, np.sqrt(1 - c * c)]])
+
+
+def test_certified_pair_with_a_clipped_ratio_eigenvalue_is_not_feasible():
+    # Gram condition about 1.8e8 and ratio modulus 1 + 5e-10: the clipped
+    # eigenvalue -5e-10 costs the built channel a completeness of about
+    # 4.4e-2, far beyond the guard, so the check may not say Feasible.
+    theta = 1.5e-4
+    a, b = tilted(theta), overlap_pair(np.cos(theta) / (1 + 5e-10))
+    report = feasibility_check(a, b)
+    assert report.initial_independent
+    assert report.verdict == UNDETERMINED
+    assert report.min_eigenvalue == pytest.approx(-5e-10, rel=1e-3)
+    assert report.notes[-1].startswith(BOUNDS_NOTE)
+    assert_feasible_iff_built(a, b, GUARD)
+
+
+def test_zero_tol_lets_no_dropped_mass_pass():
+    # At tol = 0 the synthesis guard is 0, so a factor that drops the ratio
+    # eigenvalue 1e-11 builds no channel the guard accepts.
+    a, b = tilted(0.3), overlap_pair(np.cos(0.3) / (1 - 1e-11))
+    assert feasibility_check(a, b, 0.0).verdict == UNDETERMINED
+    with pytest.raises(NotFeasibleError):
+        synthesize(a, b, 0.0)
+    assert feasibility_check(a, b).verdict == FEASIBLE
+
+
+def test_certified_pairs_near_the_ratio_cutoff_are_feasible_only_when_built():
+    # Angles across the conditioning range, final overlaps cos(theta) / (1 + s)
+    # with ratio moduli 1 + s on both sides of 1 (overlaps above 1 skipped).
+    shifts = np.concatenate(([0.0], np.geomspace(1e-14, 1e-9, 11), -np.geomspace(1e-14, 1e-9, 6)))
+    certified = set()
+    for theta in np.geomspace(1e-5, 1e-2, 25):
+        for s in shifts:
+            c = np.cos(theta) / (1 + s)
+            if c > 1.0:
+                continue
+            a, b = tilted(theta), overlap_pair(c)
+            report = feasibility_check(a, b)
+            if report.initial_independent:
+                certified.add(report.verdict)
+            assert_feasible_iff_built(a, b, GUARD)
+    assert certified == {FEASIBLE, UNDETERMINED}
 
 
 def test_spectral_work_per_check(monkeypatch):

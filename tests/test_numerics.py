@@ -17,6 +17,7 @@ from detchan.numerics import (
     frobenius,
     hermitian_rank,
     numerical_rank,
+    phase_pin,
     pin_column_phases,
 )
 from helpers import haar_unitary
@@ -203,6 +204,31 @@ def test_pin_column_phases_gauges_only():
         pivot = pinned[np.argmax(np.abs(pinned[:, k])), k]
         assert pivot.imag == pytest.approx(0.0, abs=1e-14)
         assert pivot.real > 0
+
+
+def test_pin_column_phases_matches_the_column_loop_bitwise():
+    # Reference: phase_pin applied column by column.  Factors as
+    # _spectral_factor builds them (its column selection is column-major),
+    # with zero, real and widely scaled columns, come out bit for bit.
+    def column_loop(c):
+        out = np.array(c, dtype=np.complex128)
+        for k in range(out.shape[1]):
+            out[:, k] *= phase_pin(out[:, k])
+        return out
+
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        _, v = hermitian_eig(rand_hermitian(rng, n))
+        keep = rng.random(n) < 0.8
+        c = v[:, keep] * 10.0 ** rng.uniform(-100, 100, int(keep.sum()))
+        if trial % 5 == 0 and c.shape[1]:
+            c[:, 0] = 0.0
+        if trial % 7 == 0:
+            c = c.real.astype(np.complex128)
+        pinned, reference = pin_column_phases(c), column_loop(c)
+        assert pinned.tobytes() == reference.tobytes()
+        assert pinned.flags.f_contiguous == reference.flags.f_contiguous
 
 
 # ------------------------------------------------------------ hermitian_rank

@@ -1,0 +1,19 @@
+"""Every ```python block of README.md runs as written, so the example
+keeps to the public surface."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_has_a_python_example():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index):
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
