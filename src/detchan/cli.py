@@ -25,7 +25,7 @@ from . import serialize
 from .coherence import DEFAULT_PURITY_TOL, UNITARY_RELATED, coherence_roundtrip, purity
 from .errors import DetchanError, NotFeasibleError, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, feasibility_check
-from .numerics import DEFAULT_RANK_TOL, DEFAULT_TOL
+from .numerics import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances
 from .states import StateSet, random_state_set, superpose
 from .synthesis import (
     apply_channel,
@@ -292,6 +292,8 @@ def _template_state_set(compiled, theta: float) -> StateSet:
 
 
 def _cmd_sweep(args) -> int:
+    # rank_tol reaches the library only at a Feasible grid point.
+    _check_tolerances(tol=args.tol, rank_tol=args.rank_tol)
     if args.steps < 2:
         raise SchemaError(f"sweep needs at least 2 steps, got {args.steps}")
     doc = serialize.load_document(args.template)

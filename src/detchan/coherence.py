@@ -13,7 +13,7 @@ tolerances are the module constants ``PHASE_TOL`` and ``UNITARY_TOL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,11 +27,13 @@ from .errors import (
 from .numerics import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _check_tolerances,
     hermitian_eig,
     phase_pin,
 )
 from .states import (
     StateSet,
+    _span_duals,
     fingerprint,
     linear_independence,
     span_duals,
@@ -88,8 +90,8 @@ class CoherenceRoundTrip:
     agree: bool
     #: max |r_j r_k^* - q_j q_k^* mu_jk| from the recovered expansion.
     coefficient_law_residual: float | None
-    #: same law read off the output density matrix through an
-    #: orthogonalizing map built from the final set's duals.
+    #: same law read off the output density matrix through Psi2^+, the
+    #: final states' conjugated duals, which orthonormalizes them.
     device_residual: float | None
 
 
@@ -117,8 +119,10 @@ def coherence_probe(
     For a pure output the state is recovered as the top eigenvector of
     the output density matrix; when the final set is available and
     independent on the support, the output is additionally expanded in
-    the final states to recover its combination coefficients.
+    the final states, r = Psi2^+ output_state with Psi2^+ their conjugated
+    ``span_duals`` on the support, to recover its combination coefficients.
     """
+    _check_tolerances(purity_tol=purity_tol)
     if fingerprint(initial) != ks.initial_fingerprint:
         raise FingerprintMismatchError("Kraus set was not synthesized from this initial set")
     if final is not None and ks.final_fingerprint and fingerprint(final) != ks.final_fingerprint:
@@ -135,28 +139,29 @@ def coherence_probe(
     p = purity(rho)
     is_pure = (1.0 - p) <= purity_tol
     output_state = None
-    output_coefficients = None
     if is_pure:
         _, vecs = hermitian_eig(rho, tol=1e-6)
         top = vecs[:, 0]
         output_state = top * phase_pin(top)
-        if final is not None:
-            sub = final.subset(support)
-            if linear_independence(sub, tol):
-                r_support, *_ = np.linalg.lstsq(sub.states.T, output_state, rcond=None)
-                r = np.zeros(initial.n, dtype=np.complex128)
-                r[list(support)] = r_support
-                output_coefficients = r
-    return CoherenceReport(
+    probe = CoherenceReport(
         coefficients=q,
         support=support,
         output_density=rho,
         output_purity=p,
         is_pure=is_pure,
         output_state=output_state,
-        output_coefficients=output_coefficients,
         verdict=UNITARY_RELATED if is_pure else DECOHERING,
     )
+    if is_pure and final is not None and linear_independence(sub := final.subset(support), tol):
+        probe = _expanded(probe, span_duals(sub, tol).conj())
+    return probe
+
+
+def _expanded(probe: CoherenceReport, bras) -> CoherenceReport:
+    # ``probe`` with its coefficients r = bras @ output_state, bras = Psi2^+.
+    r = np.zeros(len(probe.coefficients), dtype=np.complex128)
+    r[list(probe.support)] = bras @ probe.output_state
+    return replace(probe, output_coefficients=r)
 
 
 def unitary_relation_test(
@@ -185,7 +190,7 @@ def unitary_relation_test(
     the largest-modulus entry of the first column real positive.
     At full support ``coherence_roundtrip`` reuses its check's guards and ratio matrix.
     """
-    _check_shapes(initial, final)
+    _check_shapes(initial, final, tol)
     n = initial.n
     support = tuple(range(n)) if support is None else tuple(sorted({int(i) for i in support}))
     if any(i < 0 or i >= n for i in support):
@@ -235,7 +240,8 @@ def _phase_sync(m) -> np.ndarray | None:
             continue
         seen[root] = True
         stack = [root]
-        while stack:
+        # No state is reassigned once seen, so the walk ends once all are.
+        while stack and not seen.all():
             j = stack.pop()
             reached = np.flatnonzero(offdiag[j] & ~seen)
             # mu_jk = e^{i(phi_j - phi_k)}
@@ -273,17 +279,20 @@ def coherence_roundtrip(
     cross-check them.
 
     Runs ``feasibility_check`` once; its independence flags guard the
-    input and the channel is synthesized from its Feasible spectrum (the
+    input and the channel is synthesized from its pair record (the
     instance must be Feasible).  Probes the superposition given by
     ``coefficients`` (restricting to its support, which must contain at
     least two states) and runs the structural test on the same support;
     the two verdicts must agree; at full support the test reads the
     report's ratio matrix and flags.  For pure outputs
-    the coefficient law r_j r_k^* = q_j q_k^* mu_jk is verified twice:
-    once from the recovered expansion coefficients and once by reading the
-    output density matrix through an orthogonalizing map that sends the
-    final states to an orthonormal basis (built from their duals).
+    the coefficient law r_j r_k^* = q_j q_k^* mu_jk is verified twice,
+    through Psi2^+, the final states' conjugated duals on the support:
+    once from the expansion coefficients r = Psi2^+ output_state and once
+    by reading the output density matrix through Psi2^+, which sends the
+    final states to an orthonormal basis.  Psi2^+ is built once, at full
+    support from the check's G2 and its certificate.
     """
+    _check_tolerances(tol=tol, rank_tol=rank_tol, purity_tol=purity_tol)
     report = feasibility_check(initial, final, tol)
     if not report.initial_independent:
         raise NotIndependentError("initial set must be linearly independent")
@@ -291,8 +300,9 @@ def coherence_roundtrip(
         raise NotIndependentError("final set must be linearly independent")
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     ks = _synthesize_from(report, initial, final, tol, rank_tol)
-    probe = coherence_probe(ks, initial, q, purity_tol, final=final, tol=tol)
-    if len(probe.support) == initial.n:
+    probe = coherence_probe(ks, initial, q, purity_tol, tol=tol)  # expanded below
+    full = len(probe.support) == initial.n
+    if full:
         # The report's flags and ratio matrix cover exactly this support.
         test = _unitary_relation(initial, final, probe.support, report.ratio_matrix)
     else:
@@ -300,9 +310,15 @@ def coherence_roundtrip(
     agree = bool(probe.is_pure) == (test.verdict == UNITARY_RELATED)
     law_residual = None
     device_residual = None
-    if probe.is_pure and probe.output_coefficients is not None:
+    if probe.is_pure:
         support = list(probe.support)
-        sub2 = final.subset(support)
+        if full:
+            pair = report._pair
+            bras = _span_duals(final.states, pair.g2, tol, pair.certified2).conj()
+        else:
+            # The unitary test has proved the final states independent here.
+            bras = span_duals(final.subset(support), tol).conj()
+        probe = _expanded(probe, bras)
         m = test.ratio_matrix
         mu = np.where(m.defined, m.entries, 1.0)
         # Effective coefficients of the normalized input superposition.
@@ -311,7 +327,6 @@ def coherence_roundtrip(
         analytic = (qs[:, None] * qs.conj()[None, :]) * mu
         rs = probe.output_coefficients[support]
         law_residual = float(np.max(np.abs(np.outer(rs, rs.conj()) - analytic)))
-        ortho_map = span_duals(sub2, tol).conj()
-        device = ortho_map @ probe.output_density @ ortho_map.conj().T
+        device = bras @ probe.output_density @ bras.conj().T
         device_residual = float(np.max(np.abs(device - analytic)))
     return CoherenceRoundTrip(probe, test, agree, law_residual, device_residual)

@@ -30,6 +30,10 @@ class InvalidDimensionsError(DetchanError):
     independent draw."""
 
 
+class InvalidToleranceError(DetchanError):
+    """A tolerance is NaN, infinite or negative."""
+
+
 class NotNormalizedError(DetchanError):
     """State vector does not have unit norm within tolerance."""
 

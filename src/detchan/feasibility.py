@@ -12,6 +12,7 @@ denominator are tracked explicitly rather than guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .numerics import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
     _certifies_full_rank,
+    _check_tolerances,
     _psd_verdict,
     _spectral_factor,
     frobenius,
@@ -69,6 +71,19 @@ class RatioMatrix:
         return bool(np.all(self.defined))
 
 
+class _PairAnalysis(NamedTuple):
+    """The check's read-only G1, G2, their ``_certifies_full_rank`` at its
+    ``tol`` (False also when not tried), G1's ascending eigh when taken, and
+    the certifying ratio spectrum of a Feasible verdict (else None)."""
+
+    g1: np.ndarray
+    g2: np.ndarray
+    certified1: bool
+    certified2: bool
+    eig1: tuple[np.ndarray, np.ndarray] | None
+    spectrum: tuple[np.ndarray, np.ndarray] | None
+
+
 @dataclass(frozen=True, eq=False)
 class FeasibilityReport:
     """Verdict on deterministic transformability plus diagnostics.
@@ -82,10 +97,10 @@ class FeasibilityReport:
     in (j, k) order with j < k; call ``distinguishability_audit`` for every
     pair.  ``ratio_matrix`` is the overlap-ratio matrix the verdict was
     read from (not serialized).
-    ``spectrum`` is ``hermitian_eig`` of the matrix that certified a
-    Feasible verdict: the ratio matrix with its unconstrained entries
-    completed with 1.  ``synthesize`` factors it, so no eigensolve is
-    repeated.  It is None for every other verdict (not serialized).
+    The check owns the pair's Gram matrices: its private ``_pair`` record
+    keeps G1, G2, their rank certificates, G1's eigenpairs when taken and
+    the certifying ratio spectrum, which ``synthesize`` and
+    ``coherence_roundtrip`` read instead of computing them again.
     """
 
     verdict: str
@@ -95,7 +110,7 @@ class FeasibilityReport:
     final_independent: bool
     notes: tuple[str, ...]
     ratio_matrix: RatioMatrix
-    spectrum: tuple[np.ndarray, np.ndarray] | None = None
+    _pair: _PairAnalysis
 
 
 def build_ratio_matrix(
@@ -106,7 +121,7 @@ def build_ratio_matrix(
     Final overlaps with modulus <= ``tol`` leave the entry undefined; the
     diagonal is normalized to exactly 1 (both overlaps are 1 there).
     """
-    _check_shapes(initial, final)
+    _check_shapes(initial, final, tol)
     g1, g2 = gram(initial), gram(final)
     return _ratio_matrix(g1, g2, np.abs(g1), np.abs(g2), tol)
 
@@ -123,13 +138,15 @@ def distinguishability_audit(
     with fields ``j``, ``k``, ``initial_overlap``, ``final_overlap`` and
     ``violation``.
     """
+    _check_tolerances(tol=tol)
     if initial.n != final.n:
         raise SizeMismatchError(f"{initial.n} initial states vs {final.n} final states")
     j, k = np.triu_indices(initial.n, 1)
     return _pair_overlaps(np.abs(gram(initial)), np.abs(gram(final)), j, k, tol)
 
 
-def _check_shapes(initial: StateSet, final: StateSet) -> None:
+def _check_shapes(initial: StateSet, final: StateSet, tol: float) -> None:
+    _check_tolerances(tol=tol)
     if initial.n != final.n:
         raise SizeMismatchError(f"{initial.n} initial states vs {final.n} final states")
     if initial.dimension != final.dimension:
@@ -186,17 +203,19 @@ def feasibility_check(
     So does a certified independent set whose factor drops spectral mass,
     unless one shifted Cholesky of G1 already proves that bound.
     """
-    _check_shapes(initial, final)
+    _check_shapes(initial, final, tol)
     n = initial.n
     g1, g2 = gram(initial), gram(final)
     abs1, abs2 = np.abs(g1), np.abs(g2)
     m = _ratio_matrix(g1, g2, abs1, abs2, tol)
     # gram() is exactly Hermitian, so no hermitian_rank check.  A dependent
-    # initial set, or one with a free pair, keeps G1's eigenpairs for bounds.
+    # initial set, or one with a free pair, keeps G1's eigenpairs for the
+    # bounds and the duals.
     certified = not m.free_pairs and _certifies_full_rank(g1, tol)
     eig1 = None if certified else np.linalg.eigh(g1)
     rank1 = n if eig1 is None else numerical_rank(eig1[0], tol)
-    rank2 = n if _certifies_full_rank(g2, tol) else numerical_rank(np.linalg.eigvalsh(g2), tol)
+    certified2 = _certifies_full_rank(g2, tol)
+    rank2 = n if certified2 else numerical_rank(np.linalg.eigvalsh(g2), tol)
     flagged = np.nonzero(np.triu(abs1 > abs2 + tol, 1))
     violations = _pair_overlaps(abs1, abs2, *flagged, tol)
     notes: list[str] = []
@@ -205,10 +224,11 @@ def feasibility_check(
             notes.append(f"{name} set is linearly dependent (rank {rank} of {n})")
 
     def report(verdict, min_eig, spectrum=None):
-        for part in spectrum or ():
+        for part in (g1, g2, *(eig1 or ()), *(spectrum or ())):
             part.setflags(write=False)
+        pair = _PairAnalysis(g1, g2, certified, certified2, eig1, spectrum)
         return FeasibilityReport(
-            verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m, spectrum
+            verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m, pair
         )
 
     if m.undefined_nonzero_pairs:

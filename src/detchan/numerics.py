@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    InvalidToleranceError,
     NotFiniteError,
     NotHermitianError,
     NotPSDError,
@@ -32,6 +33,13 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NotFiniteError(f"{name} contains NaN or Inf entries")
     return m
+
+
+def _check_tolerances(**tolerances: float) -> None:
+    """``InvalidToleranceError`` unless each tolerance is finite and >= 0."""
+    for name, value in tolerances.items():
+        if not 0.0 <= value < np.inf:
+            raise InvalidToleranceError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def frobenius(a) -> float:
@@ -89,6 +97,7 @@ def _certifies_full_rank(m: np.ndarray, tol: float) -> bool:
 def _hermitian_part(h, tol: float) -> np.ndarray:
     """Finite, square, Hermitian within ``tol * max(1, ||h||_F)``; returns
     the exactly Hermitian part ``(h + h^dag) / 2``."""
+    _check_tolerances(tol=tol)
     m = as_complex_matrix(h, name="h")
     if m.shape[0] != m.shape[1]:
         raise SizeMismatchError(f"expected a square matrix, got shape {m.shape}")
@@ -130,8 +139,9 @@ def psd_factor(
     Column phases are pinned (largest-modulus entry real positive) to make
     the output deterministic; any ``C @ W`` with ``W`` unitary is an
     equally valid factor of the same matrix.  Synthesis runs the same
-    steps (``_spectral_factor``) on the spectrum a Feasible report holds.
+    steps (``_spectral_factor``) on the ratio spectrum its check keeps.
     """
+    _check_tolerances(rank_tol=rank_tol)
     return _spectral_factor(*hermitian_eig(m, tol), rank_tol, tol)
 
 

@@ -21,6 +21,7 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     _certifies_full_rank,
+    _check_tolerances,
     hermitian_rank,
     numerical_rank,
 )
@@ -133,11 +134,27 @@ def span_duals(s: StateSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     ceiling on the kept eigenvalues raises ``IllConditionedError`` only for
     ``tol`` below 1e-12.
     """
-    overlap = gram(s).conj()  # entry (j, k) = <psi_j | psi_k>
-    if _certifies_full_rank(overlap, max(tol, 1.0 / _COND_CEILING)):
-        inv_overlap = np.linalg.solve(overlap, np.eye(s.n, dtype=np.complex128))
+    _check_tolerances(tol=tol)
+    return _span_duals(s.states, gram(s), tol)
+
+
+def _span_duals(states: np.ndarray, g: np.ndarray, tol: float, certified=None, eig=None):
+    """``span_duals`` of the rows ``states`` with Gram matrix ``g``.
+
+    ``certified`` is the outcome of ``_certifies_full_rank(g, tol)`` when the
+    caller took it (None otherwise); it stands for the certificate at the
+    cutoff max(tol, 1e-12) only when tol >= 1e-12.  ``eig`` is g's ascending
+    eigh when the caller took it; its conjugate is the eigh of conj(g)
+    (bitwise so with numpy 2.4's LAPACK on 210 random Gram matrices), so the
+    duals match those of a fresh eigh here.
+    """
+    overlap = g.conj()  # entry (j, k) = <psi_j | psi_k>
+    if certified is None or tol < 1.0 / _COND_CEILING:
+        certified = eig is None and _certifies_full_rank(overlap, max(tol, 1.0 / _COND_CEILING))
+    if certified:
+        inv_overlap = np.linalg.solve(overlap, np.eye(len(g), dtype=np.complex128))
     else:
-        w, v = np.linalg.eigh(overlap)  # ascending
+        w, v = np.linalg.eigh(overlap) if eig is None else (eig[0], eig[1].conj())  # ascending
         rank = numerical_rank(w, tol)
         w, v = w[-rank:], v[:, -rank:]
         cond = float(w[-1] / w[0])
@@ -146,11 +163,12 @@ def span_duals(s: StateSet, tol: float = DEFAULT_TOL) -> np.ndarray:
                 f"Gram condition {cond:.3e} exceeds ceiling {_COND_CEILING:.1e}"
             )
         inv_overlap = (v / w) @ v.conj().T
-    return (s.states.T @ inv_overlap).T
+    return (states.T @ inv_overlap).T
 
 
 def superpose(s: StateSet, coefficients, tol: float = DEFAULT_TOL) -> Superposition:
     """Normalized ``sum_j q_j |psi_j>`` plus the support {j : q_j != 0}."""
+    _check_tolerances(tol=tol)
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     if q.shape[0] != s.n:
         raise SizeMismatchError(f"{q.shape[0]} coefficients for {s.n} states")

@@ -21,12 +21,13 @@ from .feasibility import FEASIBLE, FeasibilityReport, feasibility_check
 from .numerics import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _check_tolerances,
     _spectral_factor,
     as_complex_matrix,
     frobenius,
     psd_check,
 )
-from .states import StateSet, fingerprint, span_duals
+from .states import StateSet, _span_duals, fingerprint
 
 
 class _Factor(NamedTuple):
@@ -176,12 +177,13 @@ def synthesize(
 ) -> KrausSet:
     """Kraus operators realizing a Feasible transformation, in factored form.
 
-    Runs ``feasibility_check`` and factors the spectrum that certified its
-    Feasible verdict (``FeasibilityReport.spectrum``), so the ratio matrix
-    is eigensolved once: it is written as ``C @ C^dag`` with C of minimal
-    column count (``rank_tol`` cuts the rank), and ``A_k = sum_j C_jk
-    |psi2_j><w_j|`` with w the reciprocal vectors of the initial set
-    (``span_duals``: the pseudo-inverse Psi^+, for any rank), so
+    Runs ``feasibility_check`` and reads its private pair record, so no
+    Gram matrix is formed, factored or eigensolved a second time.  The
+    ratio spectrum that certified the Feasible verdict is written as
+    ``C @ C^dag`` with C of minimal column count (``rank_tol`` cuts the
+    rank), and ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the reciprocal
+    vectors of the initial set (``span_duals`` on the check's G1 and its
+    certificate or eigenpairs: the pseudo-inverse Psi^+, for any rank), so
     ``A_k |psi1_j> = C_jk |psi2_j>``.  For a dependent initial set this
     holds because G1 = M o G2 makes ``sum_j n_j C_jk |psi2_j>`` vanish for
     every null vector n of the initial states.  These operators give
@@ -201,6 +203,7 @@ def synthesize(
     is Feasible, and ``IllConditionedError`` when the residuals exceed
     ``1e3 * tol`` (a Feasible verdict bounds them within half that, up to rounding).
     """
+    _check_tolerances(rank_tol=rank_tol)
     report = feasibility_check(initial, final, tol)
     return _synthesize_from(report, initial, final, tol, rank_tol)
 
@@ -214,8 +217,9 @@ def _synthesize_from(
             f"feasibility verdict is {report.verdict}; synthesis needs Feasible",
             report=report,
         )
-    c = _spectral_factor(*report.spectrum, rank_tol, tol)
-    bras = span_duals(initial, tol).conj()
+    pair = report._pair
+    c = _spectral_factor(*pair.spectrum, rank_tol, tol)
+    bras = _span_duals(initial.states, pair.g1, tol, pair.certified1, pair.eig1).conj()
     sink = None
     # The trace of the projector Psi^+ Psi is the rank of the initial set.
     if round(float(np.sum(bras * initial.states).real)) < initial.dimension:

@@ -1,4 +1,8 @@
-"""The public surface of the package, pinned name by name."""
+"""The public surface of the package, pinned name by name, and the
+tolerance validation every public entry point shares."""
+
+import numpy as np
+import pytest
 
 import detchan
 
@@ -17,6 +21,7 @@ PUBLIC_NAMES = [
     "INFEASIBLE",
     "IllConditionedError",
     "InvalidDimensionsError",
+    "InvalidToleranceError",
     "KrausSet",
     "NotFeasibleError",
     "NotFiniteError",
@@ -65,3 +70,54 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(detchan.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(detchan, name) is not None
+
+
+# ------------------------------------------------------------ tolerances
+
+_PAIR = (
+    detchan.StateSet.from_vectors([[1, 0], [np.sqrt(0.5), np.sqrt(0.5)]]),
+    detchan.StateSet.from_vectors([[1, 0], [0.9, np.sqrt(0.19)]]),
+)
+_KRAUS = detchan.synthesize(*_PAIR)
+#: Each public entry point that takes a tolerance, called with one of them.
+TOLERANCE_CALLS = {
+    "feasibility_check": lambda t: detchan.feasibility_check(*_PAIR, tol=t),
+    "build_ratio_matrix": lambda t: detchan.build_ratio_matrix(*_PAIR, tol=t),
+    "distinguishability_audit": lambda t: detchan.distinguishability_audit(*_PAIR, tol=t),
+    "synthesize.tol": lambda t: detchan.synthesize(*_PAIR, tol=t),
+    "synthesize.rank_tol": lambda t: detchan.synthesize(*_PAIR, rank_tol=t),
+    "coherence_roundtrip.tol": lambda t: detchan.coherence_roundtrip(*_PAIR, [1, 1], tol=t),
+    "coherence_roundtrip.rank_tol":
+        lambda t: detchan.coherence_roundtrip(*_PAIR, [1, 1], rank_tol=t),
+    "coherence_roundtrip.purity_tol":
+        lambda t: detchan.coherence_roundtrip(*_PAIR, [1, 1], purity_tol=t),
+    "coherence_probe.tol": lambda t: detchan.coherence_probe(_KRAUS, _PAIR[0], [1, 1], tol=t),
+    "coherence_probe.purity_tol":
+        lambda t: detchan.coherence_probe(_KRAUS, _PAIR[0], [1, 1], purity_tol=t),
+    "unitary_relation_test": lambda t: detchan.unitary_relation_test(*_PAIR, tol=t),
+    "span_duals": lambda t: detchan.span_duals(_PAIR[0], tol=t),
+    "linear_independence": lambda t: detchan.linear_independence(_PAIR[0], tol=t),
+    "superpose": lambda t: detchan.superpose(_PAIR[0], [1, 1], tol=t),
+    "hermitian_eig": lambda t: detchan.hermitian_eig(np.eye(2), tol=t),
+    "psd_check": lambda t: detchan.psd_check(np.eye(2), tol=t),
+    "psd_factor.tol": lambda t: detchan.psd_factor(np.eye(2), tol=t),
+    "psd_factor.rank_tol": lambda t: detchan.psd_factor(np.eye(2), rank_tol=t),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("call", sorted(TOLERANCE_CALLS))
+def test_invalid_tolerances_raise(call, value):
+    name = call.rpartition(".")[2] if "." in call else "tol"
+    with pytest.raises(detchan.InvalidToleranceError, match=f"^{name} must be finite and >= 0"):
+        TOLERANCE_CALLS[call](value)
+    assert issubclass(detchan.InvalidToleranceError, detchan.DetchanError)
+
+
+@pytest.mark.parametrize("call", sorted(TOLERANCE_CALLS))
+def test_zero_tolerance_is_legal(call):
+    try:
+        TOLERANCE_CALLS[call](0.0)
+    except detchan.IllConditionedError:
+        # At tol = 0 the synthesis guard, 1e3 * tol, refuses any rounding.
+        assert call in ("synthesize.tol", "coherence_roundtrip.tol")

@@ -237,6 +237,36 @@ def test_coherence_single_nonzero_coefficient_exits_2(capsys):
     assert code == 2 and "nonzero" in err
 
 
+#: The tolerance flags each subcommand takes, with a feasible pair's argv.
+TOLERANCE_ARGV = {
+    "check": (["check", fx("plus_pair.json"), fx("target_09.json")], ("--tol",)),
+    "synth": (["synth", fx("plus_pair.json"), fx("target_09.json")], ("--tol", "--rank-tol")),
+    "coherence": (
+        ["coherence", fx("plus_pair.json"), fx("target_09.json"), "--coeffs", "1,1"],
+        ("--tol", "--rank-tol", "--purity-tol"),
+    ),
+    "sweep": (SUBCOMMAND_ARGV["sweep"], ("--tol", "--rank-tol")),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+@pytest.mark.parametrize("command", sorted(TOLERANCE_ARGV))
+def test_invalid_tolerances_exit_2_with_a_message(capsys, command, value):
+    # A NaN tolerance once made a feasible check print Infeasible, inf ended
+    # in a traceback and a negative one in a bogus symmetry error.
+    argv, flags = TOLERANCE_ARGV[command]
+    for flag in flags:
+        code, out, err = run(capsys, argv + [f"{flag}={value}"])
+        assert (code, out) == (2, "")
+        name = flag[2:].replace("-", "_")
+        assert err.startswith(f"error: {name} must be finite and >= 0, got ")
+
+
+def test_zero_tolerance_stays_legal(capsys):
+    code, out, _ = run(capsys, ["check", fx("plus_pair.json"), fx("target_09.json"), "--tol=0"])
+    assert code == 0 and '"verdict": "Feasible"' in out
+
+
 def test_undetermined_check_exits_3(capsys, tmp_path):
     # Free pair (0, 2) whose completion with 1 is not PSD and no violating
     # pair: the one verdict that exits 3.

@@ -390,20 +390,21 @@ def test_ratio_trace_is_support_size_on_subsets():
 
 
 def test_spectral_work_per_roundtrip(monkeypatch):
-    # One feasibility check answers independence and supplies the ratio
-    # spectrum synthesis factors: one eigh, plus the probe's output-state
-    # eigh for a pure output.  Every full-rank question is settled by one
-    # shifted Cholesky of one Gram matrix, with no eigenvalue solve: the
-    # check's two ranks and the initial duals, plus the probe's expansion
-    # guard and the final duals for a pure output.  A unitary pair's ratio
-    # matrix has rank one, so its factor drops rounding-sized eigenvalues,
-    # and one more Cholesky of G1 proves the channel built within half the
-    # synthesis guard.  At full support the unitary test reads the check's
-    # ratio matrix and independence flags, so it builds no ratio matrix and
-    # no Gram.  It takes one SVD (the Procrustes polar factor) and no eigh,
-    # for N = D and N < D alike.  The channel runs once: the device residual
-    # reads the probe's output density.  The final set's duals are taken
-    # once, for that residual.
+    # One feasibility check owns both Gram matrices: it forms each once,
+    # settles each rank by one shifted Cholesky with no eigenvalue solve,
+    # and supplies the ratio spectrum synthesis factors (one eigh), plus
+    # the probe's output-state eigh for a pure output.  A unitary pair's
+    # ratio matrix has rank one, so its factor drops rounding-sized
+    # eigenvalues, and one more Cholesky of G1 proves the channel built
+    # within half the synthesis guard.  The initial duals read the check's
+    # G1 and certificate; for a pure output the final duals are built once,
+    # from the check's G2 and certificate, and serve both the expansion of
+    # the output state and the device residual.  At full support the
+    # unitary test reads the check's ratio matrix and independence flags,
+    # so it builds no ratio matrix and no Gram.  It takes one SVD (the
+    # Procrustes polar factor) and no eigh, for N = D and N < D alike.  The
+    # channel runs once: the device residual reads the probe's output
+    # density.
     rng = np.random.default_rng(89)
     cases = []
     for n, d in [(8, 8), (6, 8)]:
@@ -426,21 +427,59 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         (coherence, "build_ratio_matrix"),
         (feasibility, "build_ratio_matrix"),
         (coherence, "span_duals"),
-        (synthesis, "span_duals"),
+        (coherence, "_span_duals"),
+        (coherence, "linear_independence"),
+        (synthesis, "_span_duals"),
+        (np.linalg, "lstsq"),
     )
     for a, b, q, verdict in cases:
         counts.clear()
         rec = coherence_roundtrip(a, b, q)
         assert rec.test.verdict == verdict
         # Every case is at full support: the coefficients are complete.
-        expected = (2, 0, 6, 5) if verdict == UNITARY_RELATED else (1, 0, 3, 3)
+        expected = (2, 0, 3, 2) if verdict == UNITARY_RELATED else (1, 0, 2, 2)
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == expected
         assert counts["cond"] == 0 and counts["svd"] <= 1
         assert counts["apply_channel"] == 1
         assert counts["build_ratio_matrix"] == 0
-        assert counts["span_duals"] == (2 if verdict == UNITARY_RELATED else 1)
+        # One initial-dual construction (synthesis) and, per pure output,
+        # one final-dual construction; no public re-entry, no least squares.
+        pure = verdict == UNITARY_RELATED
+        assert (counts["_span_duals"], counts["span_duals"]) == (1 + pure, 0)
+        assert (counts["linear_independence"], counts["lstsq"]) == (0, 0)
         assert (rec.device_residual is not None) == (verdict == UNITARY_RELATED)
+
+
+def lstsq_coefficients(final, probe):
+    # Reference: the least-squares expansion of the output state in the
+    # final states on the support.
+    r = np.zeros(len(probe.coefficients), dtype=np.complex128)
+    sub = final.subset(probe.support)
+    r[list(probe.support)] = np.linalg.lstsq(sub.states.T, probe.output_state, rcond=None)[0]
+    return r
+
+
+@pytest.mark.parametrize("n, d, zero", [(6, 6, None), (4, 7, None), (6, 6, 2), (5, 8, 0)])
+def test_dual_coefficients_match_a_least_squares_expansion(n, d, zero):
+    # Unitary-related pairs at N = D, N < D and on partial supports: the
+    # coefficients read through Psi2^+ equal a least-squares expansion to
+    # rounding, in the roundtrip and in the public probe, and both law
+    # residuals stay at rounding level.
+    rng = np.random.default_rng(1000 * n + d)
+    for _ in range(5):
+        base = random_state_set(d, n, sub_seed(rng), mode="independent")
+        image = random_state_set(d, n, sub_seed(rng), mode="unitary_image", base=base)
+        q = bounded_complete_coefficients(rng, n)
+        if zero is not None:
+            q[zero] = 0.0
+        rec = coherence_roundtrip(base, image, q)
+        assert rec.probe.is_pure and rec.test.verdict == UNITARY_RELATED
+        expected = lstsq_coefficients(image, rec.probe)
+        np.testing.assert_allclose(rec.probe.output_coefficients, expected, rtol=0, atol=1e-12)
+        assert rec.coefficient_law_residual <= 1e-10 and rec.device_residual <= 1e-10
+        probe = coherence_probe(synthesize(base, image), base, q, final=image)
+        np.testing.assert_allclose(probe.output_coefficients, expected, rtol=0, atol=1e-12)
 
 
 def test_roundtrip_on_a_partial_support_runs_the_full_test(monkeypatch):

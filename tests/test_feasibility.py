@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import detchan.feasibility
@@ -26,7 +26,9 @@ from helpers import (
     FREE_UNDETERMINED,
     channel_residuals,
     count_calls,
+    embedded,
     feasible_pair,
+    haar_unitary,
     pair_witness,
     product_pair,
     sub_seed,
@@ -502,18 +504,20 @@ def test_feasibility_check_branches(case):
 
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
 def test_only_feasible_reports_keep_the_certifying_spectrum(case):
-    # The spectrum reconstructs the matrix the verdict was read from: the
-    # ratio matrix with its 0/0 pairs completed with 1 (the free_* cases).
-    # Synthesis factors exactly that spectrum, for either rank.
+    # The check's private pair record keeps the spectrum, which
+    # reconstructs the matrix the verdict was read from: the ratio matrix
+    # with its 0/0 pairs completed with 1 (the free_* cases).  Synthesis
+    # factors exactly that spectrum, for either rank.
     a, b = unit_rows(BRANCH_CASES[case][0]), unit_rows(BRANCH_CASES[case][1])
     report = feasibility_check(a, b)
+    assert not hasattr(report, "spectrum")
     if report.verdict != FEASIBLE:
-        assert report.spectrum is None
+        assert report._pair.spectrum is None
         return
     m = report.ratio_matrix
     assert bool(m.free_pairs) == case.startswith("free_")
     certified = np.where(m.defined, m.entries, 1.0)
-    w, v = report.spectrum
+    w, v = report._pair.spectrum
     assert np.all(np.diff(w) <= 0) and report.min_eigenvalue == w[-1]
     assert not w.flags.writeable and not v.flags.writeable
     np.testing.assert_allclose((v * w) @ v.conj().T, certified, atol=1e-12)
@@ -526,7 +530,7 @@ def test_feasible_spectrum_reconstructs_random_ratio_matrices():
         initial, final, _ = feasible_pair(rng, n)
         report = feasibility_check(initial, final)
         assert report.verdict == FEASIBLE
-        w, v = report.spectrum
+        w, v = report._pair.spectrum
         np.testing.assert_allclose(
             (v * w) @ v.conj().T, report.ratio_matrix.entries, atol=1e-12
         )
@@ -618,6 +622,53 @@ def test_feasibility_check_agrees_with_public_pieces(instance):
 
 
 @st.composite
+def invariance_instances(draw):
+    """An independent pair with its check's report, feasible by
+    construction or generic (mostly infeasible), in C^d with d >= n; only
+    pairs whose ratio-matrix lambda_min is at least 1e-3 away from 0, so
+    that no verdict sits at a tolerance boundary."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    d = n + draw(st.integers(min_value=0, max_value=2))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if draw(st.booleans()):
+        a, b, _ = feasible_pair(rng, n)
+        a, b = embedded(a, rng, d), embedded(b, rng, d)
+    else:
+        a, b = (random_state_set(d, n, sub_seed(rng), mode="independent") for _ in "ab")
+    report = feasibility_check(a, b)
+    assume(report.min_eigenvalue is not None and abs(report.min_eigenvalue) >= 1e-3)
+    return a, b, report, rng, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(invariance_instances())
+def test_verdict_is_invariant_under_unitaries_phases_and_relabelling(instance):
+    # The ratio matrix only depends on the Gram matrices, which a global
+    # unitary on either set leaves unchanged; per-state phases conjugate
+    # it by a diagonal unitary and a shared permutation permutes it, so
+    # its spectrum, and the verdict, cannot change.
+    a, b, report, rng, perm = instance
+    d, n = a.dimension, a.n
+
+    def rotated(s):
+        return StateSet(d, s.states @ haar_unitary(d, sub_seed(rng)).T)
+
+    def phased(s):
+        return StateSet(d, np.exp(2j * np.pi * rng.random(n))[:, None] * s.states)
+
+    variants = [
+        (rotated(a), b),
+        (a, rotated(b)),
+        (phased(a), phased(b)),
+        (a.subset(perm), b.subset(perm)),
+    ]
+    for a2, b2 in variants:
+        other = feasibility_check(a2, b2)
+        assert other.verdict == report.verdict
+        assert (other.initial_independent, other.final_independent) == (True, True)
+
+
+@st.composite
 def product_instances(draw):
     """Dependent instances psi_j = phi_j (x) a_j -> phi_j (x) |0> with
     N > D d_a, so the initial set spans C^(D d_a) with N states."""
@@ -665,7 +716,7 @@ def test_near_dependent_pairs_are_feasible_only_when_built():
         if report.verdict == UNDETERMINED:
             assert not report.initial_independent
             assert report.notes[-1].startswith(BOUNDS_NOTE)
-            assert report.min_eigenvalue is not None and report.spectrum is None
+            assert report.min_eigenvalue is not None and report._pair.spectrum is None
         assert_feasible_iff_built(s, s, GUARD)
     # The dropped direction costs a per-state residual of about
     # theta / sqrt(2) (theta / 2 on the span operators, theta / 2 in the

@@ -365,10 +365,11 @@ def test_synthesize_refuses_condition_above_the_ceiling():
 
 def test_spectral_work_per_synthesize(monkeypatch):
     # One eigh: the feasibility check's, of the ratio matrix, whose
-    # spectrum the report keeps and synthesis factors.  The duals take one
-    # shifted Cholesky and a solve, and no SVD-based condition number.
-    # The check's two Grams and the duals' one are the only Grams: the
-    # ratio matrix is read off the report, never rebuilt.
+    # spectrum the check's pair record keeps and synthesis factors.  The
+    # duals read the check's G1 and its certificate and take one solve,
+    # and no SVD-based condition number.  The check's two Grams are the
+    # only Grams: the ratio matrix and G1 are read off the report, never
+    # rebuilt.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
     counts = count_calls(
         monkeypatch,
@@ -385,23 +386,29 @@ def test_spectral_work_per_synthesize(monkeypatch):
     synthesize(initial, final)
     assert counts["eigh"] == 1
     assert (counts["cond"], counts["svd"]) == (0, 0)
-    assert counts["gram"] <= 3
+    assert counts["gram"] == 2
     assert counts["build_ratio_matrix"] == 0
 
 
-def test_dependent_synthesis_takes_one_more_eigh_than_its_check(monkeypatch):
-    # The only extra spectral work for a dependent initial set is the one
-    # eigh in span_duals that no Cholesky can replace; no SVD anywhere.
+def test_dependent_synthesis_takes_no_more_eigh_than_its_check(monkeypatch):
+    # A dependent initial set's duals come from the eigenpairs of G1 that
+    # the check took, so synthesis adds no eigh, Cholesky or Gram to its
+    # check's work; no SVD anywhere.
     initial, final = product_pair(np.random.default_rng(5), 7, 3, 2)
     counts = count_calls(
-        monkeypatch, (np.linalg, "eigh"), (np.linalg, "svd"), (synthesis, "span_duals")
+        monkeypatch,
+        (np.linalg, "eigh"),
+        (np.linalg, "cholesky"),
+        (np.linalg, "svd"),
+        (feasibility, "gram"),
+        (synthesis, "_span_duals"),
     )
     assert feasibility_check(initial, final).verdict == FEASIBLE
-    check_eigh = counts["eigh"]
+    check_work = (counts["eigh"], counts["cholesky"], counts["gram"])
     counts.clear()
     synthesize(initial, final)
-    assert counts["eigh"] == check_eigh + 1
-    assert (counts["svd"], counts["span_duals"]) == (0, 1)
+    assert (counts["eigh"], counts["cholesky"], counts["gram"]) == check_work
+    assert (counts["svd"], counts["_span_duals"]) == (0, 1)
 
 
 def test_spanning_dependent_synthesis_gets_no_sink():
