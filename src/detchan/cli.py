@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import math
 import operator
@@ -28,6 +29,7 @@ from .feasibility import FEASIBLE, INFEASIBLE, feasibility_check
 from .numerics import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances
 from .states import StateSet, random_state_set, superpose
 from .synthesis import (
+    _synthesize_from,
     apply_channel,
     state_to_density,
     synthesize,
@@ -40,8 +42,7 @@ _EXIT_BY_VERDICT = {FEASIBLE: 0, INFEASIBLE: 1}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DetchanError, OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
@@ -49,7 +50,11 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and kept for
+    the process: ``parse_args`` returns a fresh namespace each call and
+    leaves the parser unchanged, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="detchan",
         description="Deterministic transformations between pure-state sets: "
@@ -292,7 +297,9 @@ def _template_state_set(compiled, theta: float) -> StateSet:
 
 
 def _cmd_sweep(args) -> int:
-    # rank_tol reaches the library only at a Feasible grid point.
+    # rank_tol reaches the library only at a Feasible grid point, whose
+    # channel _synthesize_from builds from that point's check without
+    # validating rank_tol.
     _check_tolerances(tol=args.tol, rank_tol=args.rank_tol)
     if args.steps < 2:
         raise SchemaError(f"sweep needs at least 2 steps, got {args.steps}")
@@ -313,7 +320,7 @@ def _cmd_sweep(args) -> int:
         max_mu = float(np.max(np.abs(m.entries[offdiag]))) if np.any(offdiag) else None
         uniform_purity = None
         if report.verdict == FEASIBLE:
-            ks = synthesize(initial, final, args.tol, args.rank_tol)
+            ks = _synthesize_from(report, initial, final, args.tol, args.rank_tol)
             vec, _ = superpose(initial, np.ones(initial.n), args.tol)
             uniform_purity = purity(apply_channel(ks, state_to_density(vec)))
         cells = [_csv_float(theta), _csv_float(report.min_eigenvalue), report.verdict]

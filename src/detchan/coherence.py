@@ -29,18 +29,20 @@ from .numerics import (
     DEFAULT_TOL,
     _check_tolerances,
     hermitian_eig,
+    hermitian_rank,
     phase_pin,
 )
 from .states import (
     StateSet,
     _span_duals,
     fingerprint,
+    gram,
     linear_independence,
     span_duals,
     superpose,
 )
 from .synthesis import KrausSet, _synthesize_from, apply_channel, state_to_density
-from .feasibility import RatioMatrix, _check_shapes, build_ratio_matrix, feasibility_check
+from .feasibility import RatioMatrix, _check_shapes, _ratio_matrix, feasibility_check
 
 UNITARY_RELATED = "UnitaryRelated"
 DECOHERING = "Decohering"
@@ -188,7 +190,8 @@ def unitary_relation_test(
     accepted only if every per-state residual ||U psi1_j - e^{i phi_j} psi2_j||
     stays within ``UNITARY_TOL``.  The global phase is pinned by making
     the largest-modulus entry of the first column real positive.
-    At full support ``coherence_roundtrip`` reuses its check's guards and ratio matrix.
+    At full support ``coherence_roundtrip`` reuses its check's guards and
+    ratio matrix; on a smaller support it passes the check's Gram submatrices.
     """
     _check_shapes(initial, final, tol)
     n = initial.n
@@ -199,13 +202,22 @@ def unitary_relation_test(
         raise SupportTooSmallError("support must contain at least two states")
     sub1 = initial.subset(support)
     sub2 = final.subset(support)
-    if not linear_independence(sub1, tol):
+    return _support_relation(sub1, sub2, support, gram(sub1), gram(sub2), tol)
+
+
+def _support_relation(
+    sub1: StateSet, sub2: StateSet, support, g1, g2, tol: float
+) -> CoherenceReport:
+    """``unitary_relation_test`` on the support sets with Gram matrices g1, g2:
+    both independence guards, then the test on their ratio matrix."""
+    if hermitian_rank(g1, tol) < len(g1):
         raise NotIndependentError("initial states are dependent on the support")
-    if not linear_independence(sub2, tol):
+    if hermitian_rank(g2, tol) < len(g2):
         raise NotIndependentError(
             "final states are dependent on the support; no unitary produces a dependent image"
         )
-    return _unitary_relation(sub1, sub2, support, build_ratio_matrix(sub1, sub2, tol))
+    m = _ratio_matrix(g1, g2, np.abs(g1), np.abs(g2), tol)
+    return _unitary_relation(sub1, sub2, support, m)
 
 
 def _unitary_relation(sub1: StateSet, sub2: StateSet, support, m) -> CoherenceReport:
@@ -289,8 +301,9 @@ def coherence_roundtrip(
     through Psi2^+, the final states' conjugated duals on the support:
     once from the expansion coefficients r = Psi2^+ output_state and once
     by reading the output density matrix through Psi2^+, which sends the
-    final states to an orthonormal basis.  Psi2^+ is built once, at full
-    support from the check's G2 and its certificate.
+    final states to an orthonormal basis.  Psi2^+ is built once, from the
+    check's G2 (with its certificate at full support, else its principal
+    submatrix on the support), so no Gram matrix is formed again.
     """
     _check_tolerances(tol=tol, rank_tol=rank_tol, purity_tol=purity_tol)
     report = feasibility_check(initial, final, tol)
@@ -301,23 +314,27 @@ def coherence_roundtrip(
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     ks = _synthesize_from(report, initial, final, tol, rank_tol)
     probe = coherence_probe(ks, initial, q, purity_tol, tol=tol)  # expanded below
-    full = len(probe.support) == initial.n
-    if full:
+    pair = report._pair
+    if len(probe.support) == initial.n:
         # The report's flags and ratio matrix cover exactly this support.
         test = _unitary_relation(initial, final, probe.support, report.ratio_matrix)
+        states2, g2, certified2 = final.states, pair.g2, pair.certified2
     else:
-        test = unitary_relation_test(initial, final, probe.support, tol)
+        # The support's Gram matrices are principal submatrices of the check's.
+        block = np.ix_(probe.support, probe.support)
+        sub2 = final.subset(probe.support)
+        g2 = pair.g2[block]
+        test = _support_relation(
+            initial.subset(probe.support), sub2, probe.support, pair.g1[block], g2, tol
+        )
+        states2, certified2 = sub2.states, None
     agree = bool(probe.is_pure) == (test.verdict == UNITARY_RELATED)
     law_residual = None
     device_residual = None
     if probe.is_pure:
         support = list(probe.support)
-        if full:
-            pair = report._pair
-            bras = _span_duals(final.states, pair.g2, tol, pair.certified2).conj()
-        else:
-            # The unitary test has proved the final states independent here.
-            bras = span_duals(final.subset(support), tol).conj()
+        # The unitary test has proved the final states independent on the support.
+        bras = _span_duals(states2, g2, tol, certified2).conj()
         probe = _expanded(probe, bras)
         m = test.ratio_matrix
         mu = np.where(m.defined, m.entries, 1.0)

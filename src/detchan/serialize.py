@@ -10,6 +10,7 @@ to the same bytes.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -23,19 +24,22 @@ from .synthesis import KrausSet
 
 def format_float(x) -> str:
     v = float(x)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise SchemaError(f"cannot serialize non-finite value {v!r}")
     if v == 0.0:
         return "0"
     return format(v, ".17g")
 
 
-def _depth(obj) -> int:
-    if isinstance(obj, (list, tuple)):
-        return 1 + max((_depth(x) for x in obj), default=0)
-    if isinstance(obj, dict):
-        return 99
-    return 0
+def _flat(seq) -> bool:
+    """True when no item of the list ``seq`` is a dict or a list holding a
+    container, i.e. it nests at most two lists deep: it goes on one line."""
+    for x in seq:
+        if isinstance(x, dict) or (
+            isinstance(x, (list, tuple)) and any(isinstance(y, (list, tuple, dict)) for y in x)
+        ):
+            return False
+    return True
 
 
 def _emit(obj, out: list[str], level: int, indent: int) -> None:
@@ -44,7 +48,7 @@ def _emit(obj, out: list[str], level: int, indent: int) -> None:
     keyed = isinstance(obj, dict)
     if (keyed or isinstance(obj, (list, tuple))) and not obj:
         out.append("{}" if keyed else "[]")
-    elif isinstance(obj, (list, tuple)) and _depth(obj) <= 2:
+    elif isinstance(obj, (list, tuple)) and _flat(obj):
         out.append("[")
         for i, value in enumerate(obj):
             _emit(value, out, level, indent)

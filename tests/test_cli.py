@@ -1,12 +1,17 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from detchan import DEFAULT_PURITY_TOL, StateSet, cli
+import detchan
+from detchan import DEFAULT_PURITY_TOL, StateSet, cli, synthesis
 from detchan import serialize as ser
-from helpers import FREE_UNDETERMINED
+from helpers import FREE_UNDETERMINED, count_calls
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,50 +35,48 @@ def assert_golden(text, name):
 # ---------------------------------------------------------------- golden files
 
 
-@pytest.mark.parametrize(
-    "argv, expect_code, golden",
-    [
-        (["check", fx("plus_pair.json"), fx("target_09.json")], 0, "check_feasible.json"),
-        (["check", fx("plus_pair.json"), fx("target_half.json")], 1, "check_infeasible.json"),
-        (
-            ["check", fx("dependent_pair.json"), fx("dependent_pair.json")],
-            0,
-            "check_dependent_pair.json",
-        ),
-        (["synth", fx("basis2.json"), fx("basis2.json")], 0, "synth_identity.json"),
-        (["synth", fx("basis2.json"), fx("target_09.json")], 0, "synth_basis_to_target.json"),
-        (
-            ["apply", fx("kraus_measure2.json"), fx("plus_state.json")],
-            0,
-            "apply_measure_plus.json",
-        ),
-        (
-            ["coherence", fx("basis2.json"), fx("swapped_basis.json"), "--coeffs", "1,1"],
-            0,
-            "coherence_unitary.json",
-        ),
-        (
-            ["coherence", fx("plus_pair.json"), fx("target_09.json"), "--coeffs", "1,1"],
-            1,
-            "coherence_decohering.json",
-        ),
-        (
-            [
-                "sweep",
-                fx("sweep_template.json"),
-                "--start", "0.02", "--stop", "1.55", "--steps", "50",
-            ],
-            0,
-            "sweep_cos.csv",
-        ),
-        (["gen", "2", "2", "--mode", "independent", "--seed", "7"], 0, "gen_2x2_seed7.json"),
-        (
-            ["synth", fx("dependent_pair.json"), fx("dependent_pair.json")],
-            0,
-            "synth_dependent_pair.json",
-        ),
-    ],
-)
+#: The 50-point sweep of sweep_cos.csv.
+SWEEP_ARGV = [
+    "sweep", fx("sweep_template.json"), "--start", "0.02", "--stop", "1.55", "--steps", "50"
+]
+
+#: Every golden file with the argv that writes it and the exit code.
+GOLDEN_CASES = [
+    (["check", fx("plus_pair.json"), fx("target_09.json")], 0, "check_feasible.json"),
+    (["check", fx("plus_pair.json"), fx("target_half.json")], 1, "check_infeasible.json"),
+    (
+        ["check", fx("dependent_pair.json"), fx("dependent_pair.json")],
+        0,
+        "check_dependent_pair.json",
+    ),
+    (["synth", fx("basis2.json"), fx("basis2.json")], 0, "synth_identity.json"),
+    (["synth", fx("basis2.json"), fx("target_09.json")], 0, "synth_basis_to_target.json"),
+    (
+        ["apply", fx("kraus_measure2.json"), fx("plus_state.json")],
+        0,
+        "apply_measure_plus.json",
+    ),
+    (
+        ["coherence", fx("basis2.json"), fx("swapped_basis.json"), "--coeffs", "1,1"],
+        0,
+        "coherence_unitary.json",
+    ),
+    (
+        ["coherence", fx("plus_pair.json"), fx("target_09.json"), "--coeffs", "1,1"],
+        1,
+        "coherence_decohering.json",
+    ),
+    (SWEEP_ARGV, 0, "sweep_cos.csv"),
+    (["gen", "2", "2", "--mode", "independent", "--seed", "7"], 0, "gen_2x2_seed7.json"),
+    (
+        ["synth", fx("dependent_pair.json"), fx("dependent_pair.json")],
+        0,
+        "synth_dependent_pair.json",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expect_code, golden", GOLDEN_CASES)
 def test_golden_outputs_and_exit_codes(capsys, argv, expect_code, golden):
     code, out, _ = run(capsys, argv)
     assert code == expect_code
@@ -100,8 +103,7 @@ PER_OPERATOR_UNIFORM_PURITY = [
 def test_sweep_purity_matches_the_per_operator_sum(capsys):
     # The factored and per-operator sums differ only in summation order,
     # so every cell agrees to a few ulp.
-    argv = ["sweep", fx("sweep_template.json"), "--start", "0.02", "--stop", "1.55", "--steps", "50"]
-    code, out, _ = run(capsys, argv)
+    code, out, _ = run(capsys, SWEEP_ARGV)
     assert code == 0
     cells = [line.split(",")[4] for line in out.strip().split("\n")[1:]]
     assert len(cells) == len(PER_OPERATOR_UNIFORM_PURITY)
@@ -110,6 +112,60 @@ def test_sweep_purity_matches_the_per_operator_sum(capsys):
             assert cell == ""
         else:
             assert abs(float(cell) - expected) <= 1e-14
+
+
+def test_sweep_checks_each_grid_point_once(capsys, monkeypatch):
+    # A Feasible grid point builds its channel from that point's check.
+    counts = count_calls(
+        monkeypatch, (cli, "feasibility_check"), (synthesis, "feasibility_check")
+    )
+    code, out, _ = run(capsys, SWEEP_ARGV)
+    assert code == 0
+    assert counts["feasibility_check"] == 50
+    assert_golden(out, "sweep_cos.csv")
+
+
+def test_repeated_calls_share_only_the_parser(capsys, monkeypatch):
+    # Every golden call in one process, forwards and then backwards.  Between
+    # them a check with a non-default --tol (1e-6 leaves every check
+    # fixture's output as it is, 0.3 changes it), a default check and a
+    # usage error: no flag value or failure carries over to the next call.
+    # The parser tree (root plus six subcommands) is built once.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    check = ["check", fx("plus_pair.json"), fx("target_09.json")]
+    feasible = (GOLDEN / "check_feasible.json").read_text()
+    loose = set()
+    for argv, expect_code, golden in GOLDEN_CASES + GOLDEN_CASES[::-1]:
+        code, out, _ = run(capsys, argv)
+        assert code == expect_code
+        assert_golden(out, golden)
+        assert run(capsys, check + ["--tol", "1e-6"])[:2] == (0, feasible)
+        loose.add(run(capsys, check + ["--tol", "0.3"])[:2])
+        assert run(capsys, check)[:2] == (0, feasible)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", fx("plus_pair.json")])
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err
+    assert len(loose) == 1 and loose.pop()[1] != feasible
+    assert len(built) == 7
+
+
+def test_importing_detchan_builds_no_parser():
+    src = str(Path(detchan.__file__).resolve().parents[1])
+    probe = (
+        "import detchan, detchan.cli; "
+        "assert detchan.cli._build_parser.cache_info().currsize == 0"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env)
 
 
 # ---------------------------------------------------------------- --out files

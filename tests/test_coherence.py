@@ -423,8 +423,9 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         (np.linalg, "svd"),
         (states, "gram"),
         (feasibility, "gram"),
+        (coherence, "gram"),
         (coherence, "apply_channel"),
-        (coherence, "build_ratio_matrix"),
+        (coherence, "_ratio_matrix"),
         (feasibility, "build_ratio_matrix"),
         (coherence, "span_duals"),
         (coherence, "_span_duals"),
@@ -442,13 +443,46 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         assert work == expected
         assert counts["cond"] == 0 and counts["svd"] <= 1
         assert counts["apply_channel"] == 1
-        assert counts["build_ratio_matrix"] == 0
+        assert (counts["build_ratio_matrix"], counts["_ratio_matrix"]) == (0, 0)
         # One initial-dual construction (synthesis) and, per pure output,
         # one final-dual construction; no public re-entry, no least squares.
         pure = verdict == UNITARY_RELATED
         assert (counts["_span_duals"], counts["span_duals"]) == (1 + pure, 0)
         assert (counts["linear_independence"], counts["lstsq"]) == (0, 0)
         assert (rec.device_residual is not None) == (verdict == UNITARY_RELATED)
+    # One zero coefficient at N = 6, D = 8: the unitary test runs in full on
+    # the support, from the principal submatrices of the check's G1 and G2,
+    # so no Gram is formed beyond the check's two.  Its two independence
+    # guards take one shifted Cholesky each and it builds one ratio matrix;
+    # for a pure output the final duals certify the sliced G2 once more.
+    for a, b, q, verdict in cases[2:]:
+        q = q.copy()
+        q[2] = 0.0
+        counts.clear()
+        rec = coherence_roundtrip(a, b, q)
+        support = (0, 1, 3, 4, 5)
+        assert rec.probe.support == rec.test.support == support
+        expected = (2, 0, 6, 2) if verdict == UNITARY_RELATED else (1, 0, 4, 2)
+        work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
+        assert work == expected
+        assert (counts["build_ratio_matrix"], counts["_ratio_matrix"]) == (0, 1)
+        assert (counts["linear_independence"], counts["span_duals"]) == (0, 0)
+        assert counts["_span_duals"] == 1 + (verdict == UNITARY_RELATED)
+        ref = unitary_relation_test(a, b, support=support)
+        assert rec.test.verdict == ref.verdict == verdict and rec.agree
+        if verdict == UNITARY_RELATED:
+            np.testing.assert_allclose(rec.test.phases, ref.phases, rtol=0, atol=1e-12)
+            assert_same_unitary_on_span(rec.test, ref, a.subset(support))
+
+
+def assert_same_unitary_on_span(test, ref, sub):
+    # Two extracted unitaries agree to 1e-12 on the span of the support's
+    # initial states.  Off that span either is an arbitrary completion,
+    # which also moves the global phase pinned on its first column.
+    x = sub.states.T
+    ux, ref_ux = test.extracted_unitary @ x, ref.extracted_unitary @ x
+    phase = np.vdot(ux, ref_ux)
+    np.testing.assert_allclose(ux * (phase / abs(phase)), ref_ux, rtol=0, atol=1e-12)
 
 
 def lstsq_coefficients(final, probe):
@@ -485,23 +519,27 @@ def test_dual_coefficients_match_a_least_squares_expansion(n, d, zero):
 def test_roundtrip_on_a_partial_support_runs_the_full_test(monkeypatch):
     # A zero coefficient leaves a smaller support; the check's ratio matrix
     # and flags cover every state, so the test on the support is run in
-    # full and must equal the public unitary_relation_test there.
+    # full (one ratio matrix, from the check's Gram submatrices) and must
+    # match the public unitary_relation_test there to rounding (the sliced
+    # and the recomputed Gram matrices sum in different orders).
     rng = np.random.default_rng(90)
     base = random_state_set(6, 5, sub_seed(rng), mode="independent")
     image = random_state_set(6, 5, sub_seed(rng), mode="unitary_image", base=base)
     initial, final, _ = feasible_pair(rng, 5, min_subdominant=0.01)
-    counts = count_calls(monkeypatch, (coherence, "build_ratio_matrix"))
+    counts = count_calls(monkeypatch, (coherence, "_ratio_matrix"))
     for a, b in [(base, image), (initial, final)]:
         q = bounded_complete_coefficients(rng, 5)
         q[2] = 0.0
         counts.clear()
         rec = coherence_roundtrip(a, b, q)
-        assert counts["build_ratio_matrix"] == 1
+        assert counts["_ratio_matrix"] == 1
         ref = unitary_relation_test(a, b, support=(0, 1, 3, 4))
         assert rec.test.support == ref.support == (0, 1, 3, 4)
         assert rec.test.verdict == ref.verdict
-        np.testing.assert_array_equal(rec.test.ratio_matrix.entries, ref.ratio_matrix.entries)
+        np.testing.assert_allclose(
+            rec.test.ratio_matrix.entries, ref.ratio_matrix.entries, rtol=0, atol=1e-12
+        )
         if ref.verdict == UNITARY_RELATED:
-            np.testing.assert_array_equal(rec.test.phases, ref.phases)
-            np.testing.assert_array_equal(rec.test.extracted_unitary, ref.extracted_unitary)
+            np.testing.assert_allclose(rec.test.phases, ref.phases, rtol=0, atol=1e-12)
+            assert_same_unitary_on_span(rec.test, ref, a.subset(ref.support))
         assert rec.agree

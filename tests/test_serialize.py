@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detchan import SchemaError, SizeMismatchError, StateSet, fingerprint, synthesize
 from detchan import serialize as ser
@@ -117,5 +119,91 @@ def test_schema_errors_on_malformed_documents():
 
 
 def test_dumps_rejects_non_finite():
-    with pytest.raises(SchemaError):
-        ser.dumps({"x": float("nan")})
+    for value in (float("nan"), float("inf"), -float("inf"), *np.array([np.nan, np.inf, -np.inf])):
+        for doc in ({"x": value}, [value], {"a": [[1.0, value]]}, [[[0.5, value]]]):
+            with pytest.raises(SchemaError):
+                ser.dumps(doc)
+
+
+# ---------------------------------------------------------------- emitter reference
+
+
+def _reference_depth(obj) -> int:
+    if isinstance(obj, (list, tuple)):
+        return 1 + max((_reference_depth(x) for x in obj), default=0)
+    if isinstance(obj, dict):
+        return 99
+    return 0
+
+
+def _reference_emit(obj, out, level, indent):
+    # The emitter as first written: a list nesting at most two deep goes on
+    # one line, measured by walking its whole subtree.
+    pad = " " * (indent * level)
+    inner = " " * (indent * (level + 1))
+    keyed = isinstance(obj, dict)
+    if (keyed or isinstance(obj, (list, tuple))) and not obj:
+        out.append("{}" if keyed else "[]")
+    elif isinstance(obj, (list, tuple)) and _reference_depth(obj) <= 2:
+        out.append("[")
+        for i, value in enumerate(obj):
+            _reference_emit(value, out, level, indent)
+            if i < len(obj) - 1:
+                out.append(", ")
+        out.append("]")
+    elif keyed or isinstance(obj, (list, tuple)):
+        out.append("{\n" if keyed else "[\n")
+        for i, (key, value) in enumerate(obj.items() if keyed else enumerate(obj)):
+            out.append(inner + (f"{json.dumps(str(key))}: " if keyed else ""))
+            _reference_emit(value, out, level + 1, indent)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + ("}" if keyed else "]"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(repr(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        assert np.isfinite(v)
+        out.append("0" if v == 0.0 else format(v, ".17g"))
+    else:
+        assert obj is None
+        out.append("null")
+
+
+def _reference_dumps(obj, indent=2) -> str:
+    out = []
+    _reference_emit(obj, out, 0, indent)
+    return "".join(out) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = st.one_of(
+    _finite,
+    _finite.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.sampled_from([0.0, -0.0, np.float64(-0.0)]),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(max_size=6),
+)
+_documents = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_documents, indent=st.integers(0, 4))
+def test_dumps_matches_the_reference_emitter(doc, indent):
+    assert ser.dumps(doc, indent) == _reference_dumps(doc, indent)
