@@ -34,6 +34,7 @@ from .numerics import (
 )
 from .states import (
     StateSet,
+    _overlap_inverse,
     _span_duals,
     fingerprint,
     gram,
@@ -190,8 +191,8 @@ def unitary_relation_test(
     accepted only if every per-state residual ||U psi1_j - e^{i phi_j} psi2_j||
     stays within ``UNITARY_TOL``.  The global phase is pinned by making
     the largest-modulus entry of the first column real positive.
-    At full support ``coherence_roundtrip`` reuses its check's guards and
-    ratio matrix; on a smaller support it passes the check's Gram submatrices.
+    ``coherence_roundtrip`` runs the same test from its check's report,
+    whose independence flags already guard every support.
     """
     _check_shapes(initial, final, tol)
     n = initial.n
@@ -200,16 +201,8 @@ def unitary_relation_test(
         raise IndexError(f"support {support} out of range for {n} states")
     if len(support) < 2:
         raise SupportTooSmallError("support must contain at least two states")
-    sub1 = initial.subset(support)
-    sub2 = final.subset(support)
-    return _support_relation(sub1, sub2, support, gram(sub1), gram(sub2), tol)
-
-
-def _support_relation(
-    sub1: StateSet, sub2: StateSet, support, g1, g2, tol: float
-) -> CoherenceReport:
-    """``unitary_relation_test`` on the support sets with Gram matrices g1, g2:
-    both independence guards, then the test on their ratio matrix."""
+    sub1, sub2 = initial.subset(support), final.subset(support)
+    g1, g2 = gram(sub1), gram(sub2)
     if hermitian_rank(g1, tol) < len(g1):
         raise NotIndependentError("initial states are dependent on the support")
     if hermitian_rank(g2, tol) < len(g2):
@@ -291,19 +284,17 @@ def coherence_roundtrip(
     cross-check them.
 
     Runs ``feasibility_check`` once; its independence flags guard the
-    input and the channel is synthesized from its pair record (the
-    instance must be Feasible).  Probes the superposition given by
-    ``coefficients`` (restricting to its support, which must contain at
-    least two states) and runs the structural test on the same support;
-    the two verdicts must agree; at full support the test reads the
-    report's ratio matrix and flags.  For pure outputs
-    the coefficient law r_j r_k^* = q_j q_k^* mu_jk is verified twice,
-    through Psi2^+, the final states' conjugated duals on the support:
-    once from the expansion coefficients r = Psi2^+ output_state and once
-    by reading the output density matrix through Psi2^+, which sends the
-    final states to an orthonormal basis.  Psi2^+ is built once, from the
-    check's G2 (with its certificate at full support, else its principal
-    submatrix on the support), so no Gram matrix is formed again.
+    input on every support and the channel is synthesized from its pair
+    record (the instance must be Feasible).  Probes the superposition given
+    by ``coefficients`` (restricting to its support, which must contain at
+    least two states) and runs the structural test on the same support,
+    from the check's Gram matrices; the two verdicts must agree.  For pure
+    outputs the coefficient law r_j r_k^* = q_j q_k^* mu_jk is verified
+    twice, through Psi2^+, the final states' conjugated duals on the
+    support: once from the expansion coefficients r = Psi2^+ output_state
+    and once by reading the output density matrix through Psi2^+, which
+    sends the final states to an orthonormal basis.  Psi2^+ is built once,
+    from the check's G2 and its certificate, so no Gram is formed again.
     """
     _check_tolerances(tol=tol, rank_tol=rank_tol, purity_tol=purity_tol)
     report = feasibility_check(initial, final, tol)
@@ -315,28 +306,26 @@ def coherence_roundtrip(
     ks = _synthesize_from(report, initial, final, tol, rank_tol)
     probe = coherence_probe(ks, initial, q, purity_tol, tol=tol)  # expanded below
     pair = report._pair
-    if len(probe.support) == initial.n:
-        # The report's flags and ratio matrix cover exactly this support.
-        test = _unitary_relation(initial, final, probe.support, report.ratio_matrix)
-        states2, g2, certified2 = final.states, pair.g2, pair.certified2
+    support = probe.support
+    if len(support) == initial.n:
+        # The report's ratio matrix covers exactly this support.
+        sub1, sub2, g2, m = initial, final, pair.g2, report.ratio_matrix
     else:
-        # The support's Gram matrices are principal submatrices of the check's.
-        block = np.ix_(probe.support, probe.support)
-        sub2 = final.subset(probe.support)
-        g2 = pair.g2[block]
-        test = _support_relation(
-            initial.subset(probe.support), sub2, probe.support, pair.g1[block], g2, tol
-        )
-        states2, certified2 = sub2.states, None
+        # Principal submatrices of the check's Gram matrices: by Cauchy
+        # interlacing they keep the smallest eigenvalue no lower and the trace
+        # no larger, so the report's flags and G2's certificate hold for them.
+        block = np.ix_(support, support)
+        sub1, sub2 = initial.subset(support), final.subset(support)
+        g1, g2 = pair.g1[block], pair.g2[block]
+        m = _ratio_matrix(g1, g2, np.abs(g1), np.abs(g2), tol)
+    test = _unitary_relation(sub1, sub2, support, m)
     agree = bool(probe.is_pure) == (test.verdict == UNITARY_RELATED)
     law_residual = None
     device_residual = None
     if probe.is_pure:
-        support = list(probe.support)
-        # The unitary test has proved the final states independent on the support.
-        bras = _span_duals(states2, g2, tol, certified2).conj()
+        bras = _span_duals(sub2.states, _overlap_inverse(g2, tol, pair.certified2)).conj()
         probe = _expanded(probe, bras)
-        m = test.ratio_matrix
+        support = list(support)
         mu = np.where(m.defined, m.entries, 1.0)
         # Effective coefficients of the normalized input superposition.
         q_eff = q / float(np.linalg.norm(q @ initial.states))

@@ -24,11 +24,9 @@ from .numerics import (
     _check_tolerances,
     _psd_verdict,
     _spectral_factor,
-    frobenius,
-    hermitian_eig,
     numerical_rank,
 )
-from .states import StateSet, gram
+from .states import StateSet, _overlap_inverse, gram
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -51,6 +49,7 @@ class RatioMatrix:
     exist (undefined slots are stored as 0).  Pairs whose final overlap
     vanishes while the initial one does not are collected in
     ``undefined_nonzero_pairs``; they rule out any deterministic channel.
+    A final overlap below 2^-1000 of the initial one counts as vanishing.
     Pairs where both overlaps vanish are unconstrained (``free_pairs``).
     The diagonal is always defined and exactly 1.
     """
@@ -72,16 +71,15 @@ class RatioMatrix:
 
 
 class _PairAnalysis(NamedTuple):
-    """The check's read-only G1, G2, their ``_certifies_full_rank`` at its
-    ``tol`` (False also when not tried), G1's ascending eigh when taken, and
-    the certifying ratio spectrum of a Feasible verdict (else None)."""
+    """The check's read-only G1, G2 and ``_certifies_full_rank(G2, tol)``
+    (False also when not tried); for a Feasible verdict, the certifying
+    ratio spectrum and G1's ``_overlap_inverse`` (None after a fast accept)."""
 
     g1: np.ndarray
     g2: np.ndarray
-    certified1: bool
     certified2: bool
-    eig1: tuple[np.ndarray, np.ndarray] | None
     spectrum: tuple[np.ndarray, np.ndarray] | None
+    inverse: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +96,7 @@ class FeasibilityReport:
     pair.  ``ratio_matrix`` is the overlap-ratio matrix the verdict was
     read from (not serialized).
     The check owns the pair's Gram matrices: its private ``_pair`` record
-    keeps G1, G2, their rank certificates, G1's eigenpairs when taken and
-    the certifying ratio spectrum, which ``synthesize`` and
+    keeps G1, G2 and what it computed from them, which ``synthesize`` and
     ``coherence_roundtrip`` read instead of computing them again.
     """
 
@@ -156,8 +153,9 @@ def _check_shapes(initial: StateSet, final: StateSet, tol: float) -> None:
 
 
 def _ratio_matrix(g1, g2, abs1, abs2, tol: float) -> RatioMatrix:
-    # abs1, abs2 are the entrywise moduli of the Gram matrices g1, g2.
-    defined = abs2 > tol
+    # abs1, abs2 are the entrywise moduli of g1, g2.  The floor 2^-1000 abs1
+    # (below any tol > 1e-301, as |g1| <= 1) keeps every defined ratio finite.
+    defined = abs2 > np.maximum(tol, abs1 * 2.0**-1000)
     np.fill_diagonal(defined, True)
     entries = np.zeros_like(g1)
     entries[defined] = g1[defined] / g2[defined]
@@ -196,12 +194,13 @@ def feasibility_check(
     final span exceeding the initial span, yields ``Infeasible``.  A
     completion that is not PSD yields ``Infeasible`` when the ratio matrix
     is fully defined or a pair is made strictly more distinguishable, and
-    ``Undetermined`` otherwise.  A PSD one yields ``Feasible``, except that
-    a dependent initial set or a free pair, whose slack at ``tol`` can
-    reach the built channel as a residual near sqrt(tol), needs
-    ``_guard_bounds`` within half the synthesis guard, else ``Undetermined``.
-    So does a certified independent set whose factor drops spectral mass,
-    unless one shifted Cholesky of G1 already proves that bound.
+    ``Undetermined`` otherwise.  A PSD one yields ``Feasible`` exactly when
+    the channel ``synthesize`` builds (default ``rank_tol``) passes its
+    guard: at once for a certified set without free pairs whose factor
+    drops no ratio eigenvalue, at tol >= 1e-9; else when both exact
+    ``_guard_residuals`` are within half the guard, and ``Undetermined``
+    otherwise.  Duals above the 1e12 condition ceiling, possible only for
+    tol < 1e-12, raise ``IllConditionedError`` as ``synthesize`` does.
     """
     _check_shapes(initial, final, tol)
     n = initial.n
@@ -210,7 +209,7 @@ def feasibility_check(
     m = _ratio_matrix(g1, g2, abs1, abs2, tol)
     # gram() is exactly Hermitian, so no hermitian_rank check.  A dependent
     # initial set, or one with a free pair, keeps G1's eigenpairs for the
-    # bounds and the duals.
+    # residuals and the duals.
     certified = not m.free_pairs and _certifies_full_rank(g1, tol)
     eig1 = None if certified else np.linalg.eigh(g1)
     rank1 = n if eig1 is None else numerical_rank(eig1[0], tol)
@@ -223,10 +222,10 @@ def feasibility_check(
         if rank < n:
             notes.append(f"{name} set is linearly dependent (rank {rank} of {n})")
 
-    def report(verdict, min_eig, spectrum=None):
-        for part in (g1, g2, *(eig1 or ()), *(spectrum or ())):
+    def report(verdict, min_eig, spectrum=None, inverse=None):
+        for part in (g1, g2, *(spectrum or ()), *(() if inverse is None else (inverse,))):
             part.setflags(write=False)
-        pair = _PairAnalysis(g1, g2, certified, certified2, eig1, spectrum)
+        pair = _PairAnalysis(g1, g2, certified2, spectrum, inverse)
         return FeasibilityReport(
             verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m, pair
         )
@@ -245,8 +244,10 @@ def feasibility_check(
 
     # A channel exists iff G1 = M o G2 for a PSD, unit-diagonal M.  Entries
     # with 0/0 overlaps leave M free; completing them with 1 keeps the
-    # unitary channel of equal Gram matrices.
-    spectrum = hermitian_eig(np.where(m.defined, m.entries, 1.0), tol)
+    # unitary channel of equal Gram matrices.  The completion is exactly
+    # Hermitian and finite by construction, so eigh reads it unchecked.
+    w, v = np.linalg.eigh(np.where(m.defined, m.entries, 1.0))
+    spectrum = (w[::-1].copy(), v[:, ::-1].copy())  # descending
     ok, min_eig = _psd_verdict(spectrum[0], tol)
     if ok:
         if m.free_pairs:
@@ -254,23 +255,18 @@ def feasibility_check(
                 f"{len(m.free_pairs)} state pair(s) orthogonal in both sets leave "
                 "their ratio free; completed with 1"
             )
-        if eig1 is None:
-            # The factor drops eigenvalues <= rank_tol * lambda_max (clipped
-            # negatives too), so a certified set's completeness is at most
-            # ||dropped||_F / lambda_min(G1) plus rounding: a Cholesky of G1
-            # (trace n) shifted by ||dropped||_F over half the guard proves it
-            # within half the guard (no dropped mass passes at tol = 0).
-            w = spectrum[0]
-            dropped = float(np.linalg.norm(w[w <= DEFAULT_RANK_TOL * w[0]]))
-            if not dropped or tol > 0 and _certifies_full_rank(g1, dropped / (0.5e3 * tol * n)):
-                return report(FEASIBLE, min_eig, spectrum)
-            eig1 = np.linalg.eigh(g1)
-        bounds = _guard_bounds(eig1, rank1, spectrum, g1, g2, tol)
-        if all(bound <= 0.5e3 * tol for bound in bounds):  # NaN fails too
+        # A factor that drops nothing leaves the built channel only rounding,
+        # measured below 1.4 eps kappa(G1) < 1.4 eps / tol (the certificate):
+        # within half the guard, 500 tol, for tol >= 1e-9.
+        if certified and tol >= 1e-9 and min_eig > DEFAULT_RANK_TOL * w[-1]:
             return report(FEASIBLE, min_eig, spectrum)
+        inverse = _overlap_inverse(g1, tol, certified, eig1)
+        residuals = _guard_residuals(g1, g2, spectrum, inverse, eig1, rank1, tol)
+        if all(residual <= 0.5e3 * tol for residual in residuals):  # NaN fails too
+            return report(FEASIBLE, min_eig, spectrum, inverse)
         notes.append(
-            "the completion with 1 is PSD only to within tol: its channel's residual "
-            "bounds (per-state {:.3e}, completeness {:.3e}) exceed half the guard".format(*bounds)
+            "the completion with 1 is PSD only to within tol: its channel's residuals "
+            "(per-state {:.3e}, completeness {:.3e}) exceed half the guard".format(*residuals)
         )
         return report(UNDETERMINED, min_eig)
     if m.fully_defined:
@@ -286,21 +282,27 @@ def feasibility_check(
     return report(UNDETERMINED, None)
 
 
-def _guard_bounds(eig1, rank1: int, spectrum, g1, g2, tol: float) -> tuple[float, float]:
-    """Bounds on the per-state and completeness residuals the synthesis
-    guard reads off the channel ``synthesize`` builds (default ``rank_tol``),
-    from the ascending eigenpairs ``eig1`` of G1.  With V_d the dropped
-    eigenvectors (eigenvalues w_d), w_r the kept eigenvalues and T = M_c o G2
-    for the factored ratio matrix M_c, state j's squared residual is
-    y^dag (V_d^dag T V_d + diag(w_d)) y with y = V_d^dag e_j, |y| <= 1 (w_d
-    is the sink's share).  Completeness is at most ||T - G1||_F / min(w_r)
-    plus the guard's own rounding, charged as 1e3 eps N ||M_c|| / min(w_r).
+def _guard_residuals(g1, g2, spectrum, inverse, eig1, rank1: int, tol: float):
+    """Both residuals the synthesis guard reads off the channel ``synthesize``
+    builds (default ``rank_tol``), exactly, from ``inverse`` = (conj G1)^+
+    and G1's ascending eigenpairs ``eig1`` (None when G1 was certified).
+
+    With T = (C C^dag) o G2 and G = conj(G1), the operators sum to
+    I + Psi G^+ (conj(T) - G) G^+ Psi^dag, whose Frobenius norm is
+    sqrt(Re tr(X X)) with X = G^+ (conj(T) - G).  State j's squared residual
+    is y^dag (V_d^dag T V_d + diag(w_d)) y with y = V_d^dag e_j for G1's
+    dropped eigenpairs (V_d, w_d; w_d is the sink's share), 0 if none.
     """
-    w, v = eig1
-    k = len(w) - rank1
     c = _spectral_factor(*spectrum, DEFAULT_RANK_TOL, tol)
     t = (c @ c.conj().T) * g2
-    vd = v[:, :k]
-    per_state = np.sqrt(frobenius(vd.conj().T @ t @ vd + np.diag(w[:k])))
-    rounding = 1e3 * np.finfo(float).eps * len(w) * max(float(spectrum[0][0]), 1.0)
-    return float(per_state), (frobenius(t - g1) + rounding) / float(w[k])
+    x = inverse @ (t - g1).conj()
+    completeness = np.sqrt(max(float(np.sum(x * x.T).real), 0.0))  # NaN stays NaN
+    per_state = 0.0
+    k = len(g1) - rank1
+    if k:
+        w, v = eig1
+        y = v[:, :k].conj().T  # column j is y_j
+        b = y @ t @ y.conj().T + np.diag(w[:k])
+        squares = np.sum(y.conj() * (b @ y), axis=0).real  # y_j^dag b y_j
+        per_state = np.sqrt(max(float(np.max(squares)), 0.0))
+    return float(per_state), float(completeness)

@@ -135,35 +135,39 @@ def span_duals(s: StateSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``tol`` below 1e-12.
     """
     _check_tolerances(tol=tol)
-    return _span_duals(s.states, gram(s), tol)
+    return _span_duals(s.states, _overlap_inverse(gram(s), tol))
 
 
-def _span_duals(states: np.ndarray, g: np.ndarray, tol: float, certified=None, eig=None):
-    """``span_duals`` of the rows ``states`` with Gram matrix ``g``.
+def _span_duals(states: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """``span_duals`` of the rows ``states`` from their ``_overlap_inverse``."""
+    return (states.T @ inverse).T
+
+
+def _overlap_inverse(g: np.ndarray, tol: float, certified=None, eig=None) -> np.ndarray:
+    """Inverse, or pseudo-inverse at the rank cutoff, of the overlap matrix
+    Psi^dag Psi = conj(g) of states with Gram matrix ``g``, as ``span_duals``.
 
     ``certified`` is the outcome of ``_certifies_full_rank(g, tol)`` when the
     caller took it (None otherwise); it stands for the certificate at the
     cutoff max(tol, 1e-12) only when tol >= 1e-12.  ``eig`` is g's ascending
     eigh when the caller took it; its conjugate is the eigh of conj(g)
     (bitwise so with numpy 2.4's LAPACK on 210 random Gram matrices), so the
-    duals match those of a fresh eigh here.
+    inverse matches that of a fresh eigh here.
     """
     overlap = g.conj()  # entry (j, k) = <psi_j | psi_k>
     if certified is None or tol < 1.0 / _COND_CEILING:
         certified = eig is None and _certifies_full_rank(overlap, max(tol, 1.0 / _COND_CEILING))
     if certified:
-        inv_overlap = np.linalg.solve(overlap, np.eye(len(g), dtype=np.complex128))
-    else:
-        w, v = np.linalg.eigh(overlap) if eig is None else (eig[0], eig[1].conj())  # ascending
-        rank = numerical_rank(w, tol)
-        w, v = w[-rank:], v[:, -rank:]
-        cond = float(w[-1] / w[0])
-        if cond > _COND_CEILING:
-            raise IllConditionedError(
-                f"Gram condition {cond:.3e} exceeds ceiling {_COND_CEILING:.1e}"
-            )
-        inv_overlap = (v / w) @ v.conj().T
-    return (states.T @ inv_overlap).T
+        return np.linalg.solve(overlap, np.eye(len(g), dtype=np.complex128))
+    w, v = np.linalg.eigh(overlap) if eig is None else (eig[0], eig[1].conj())  # ascending
+    rank = numerical_rank(w, tol)
+    w, v = w[-rank:], v[:, -rank:]
+    cond = float(w[-1] / w[0])
+    if cond > _COND_CEILING:
+        raise IllConditionedError(
+            f"Gram condition {cond:.3e} exceeds ceiling {_COND_CEILING:.1e}"
+        )
+    return (v / w) @ v.conj().T
 
 
 def superpose(s: StateSet, coefficients, tol: float = DEFAULT_TOL) -> Superposition:

@@ -27,7 +27,7 @@ from .numerics import (
     frobenius,
     psd_check,
 )
-from .states import StateSet, _span_duals, fingerprint
+from .states import StateSet, _overlap_inverse, _span_duals, fingerprint
 
 
 class _Factor(NamedTuple):
@@ -182,8 +182,8 @@ def synthesize(
     ratio spectrum that certified the Feasible verdict is written as
     ``C @ C^dag`` with C of minimal column count (``rank_tol`` cuts the
     rank), and ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the reciprocal
-    vectors of the initial set (``span_duals`` on the check's G1 and its
-    certificate or eigenpairs: the pseudo-inverse Psi^+, for any rank), so
+    vectors of the initial set (``span_duals`` from the check's inverse of
+    G1 or certified G1: the pseudo-inverse Psi^+, for any rank), so
     ``A_k |psi1_j> = C_jk |psi2_j>``.  For a dependent initial set this
     holds because G1 = M o G2 makes ``sum_j n_j C_jk |psi2_j>`` vanish for
     every null vector n of the initial states.  These operators give
@@ -201,7 +201,7 @@ def synthesize(
 
     Raises ``NotFeasibleError`` (carrying the report) unless the verdict
     is Feasible, and ``IllConditionedError`` when the residuals exceed
-    ``1e3 * tol`` (a Feasible verdict bounds them within half that, up to rounding).
+    ``1e3 * tol``, which a Feasible verdict has ruled out.
     """
     _check_tolerances(rank_tol=rank_tol)
     report = feasibility_check(initial, final, tol)
@@ -219,7 +219,10 @@ def _synthesize_from(
         )
     pair = report._pair
     c = _spectral_factor(*pair.spectrum, rank_tol, tol)
-    bras = _span_duals(initial.states, pair.g1, tol, pair.certified1, pair.eig1).conj()
+    inverse = pair.inverse
+    if inverse is None:  # the fast accept certified G1 at tol >= 1e-9
+        inverse = _overlap_inverse(pair.g1, tol, certified=True)
+    bras = _span_duals(initial.states, inverse).conj()
     sink = None
     # The trace of the projector Psi^+ Psi is the rank of the initial set.
     if round(float(np.sum(bras * initial.states).real)) < initial.dimension:
@@ -239,7 +242,8 @@ def _verify_synthesis(f: _Factor, initial: StateSet, tol: float) -> tuple[float,
 
     Residuals stay near machine precision for admissible conditions, so
     anything above 1e3 * tol means the Gram matrices were too
-    ill-conditioned to trust the result.
+    ill-conditioned to trust the result.  ``feasibility_check`` computes
+    both from G1 beforehand (``_guard_residuals``).
     """
     # Both residuals are read off the factor.  With G2 = Phi^dag Phi and
     # mid = (conj(C) C^T) o G2 (N x N), sum_k A_k^dag A_k over the span

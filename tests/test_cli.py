@@ -319,8 +319,29 @@ def test_invalid_tolerances_exit_2_with_a_message(capsys, command, value):
 
 
 def test_zero_tolerance_stays_legal(capsys):
-    code, out, _ = run(capsys, ["check", fx("plus_pair.json"), fx("target_09.json"), "--tol=0"])
-    assert code == 0 and '"verdict": "Feasible"' in out
+    # tol = 0 is decided, not refused: the synthesis guard 1e3 * tol then
+    # admits no rounding, so the check says Undetermined (exit 3) and synth
+    # refuses the pair (exit 1), as at every tol where the channel fails.
+    pair = [fx("plus_pair.json"), fx("target_09.json"), "--tol=0"]
+    code, out, _ = run(capsys, ["check", *pair])
+    assert code == 3 and '"verdict": "Undetermined"' in out
+    assert run(capsys, ["synth", *pair])[0] == 1
+
+
+@pytest.mark.parametrize(
+    "fixture, check_code, synth_code",
+    # The exact per-state residual of the tilted pair mapped onto itself is
+    # about theta / sqrt(2): within half the 1e-6 guard at theta = 6.3e-7,
+    # beyond it at 2e-5 (below the rank cutoff near 6.3e-5).
+    [("tilted_6.3e-7.json", 0, 0), ("tilted_2e-5.json", 3, 1)],
+)
+def test_near_dependent_check_exits_0_exactly_when_synth_builds(
+    capsys, fixture, check_code, synth_code
+):
+    code, out, _ = run(capsys, ["check", fx(fixture), fx(fixture)])
+    assert code == check_code
+    assert json.loads(out)["verdict"] == ("Feasible" if code == 0 else "Undetermined")
+    assert run(capsys, ["synth", fx(fixture), fx(fixture)])[0] == synth_code
 
 
 def test_undetermined_check_exits_3(capsys, tmp_path):

@@ -395,9 +395,10 @@ def test_spectral_work_per_roundtrip(monkeypatch):
     # and supplies the ratio spectrum synthesis factors (one eigh), plus
     # the probe's output-state eigh for a pure output.  A unitary pair's
     # ratio matrix has rank one, so its factor drops rounding-sized
-    # eigenvalues, and one more Cholesky of G1 proves the channel built
-    # within half the synthesis guard.  The initial duals read the check's
-    # G1 and certificate; for a pure output the final duals are built once,
+    # eigenvalues, and the check computes the built channel's residuals
+    # from G1's inverse (one solve, no Cholesky), which the initial duals
+    # then read; a decohering pair's duals come from one solve with the
+    # certified G1.  For a pure output the final duals are built once,
     # from the check's G2 and certificate, and serve both the expansion of
     # the output state and the device residual.  At full support the
     # unitary test reads the check's ratio matrix and independence flags,
@@ -431,6 +432,9 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         (coherence, "_span_duals"),
         (coherence, "linear_independence"),
         (synthesis, "_span_duals"),
+        (feasibility, "_overlap_inverse"),
+        (synthesis, "_overlap_inverse"),
+        (coherence, "_overlap_inverse"),
         (np.linalg, "lstsq"),
     )
     for a, b, q, verdict in cases:
@@ -438,7 +442,7 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         rec = coherence_roundtrip(a, b, q)
         assert rec.test.verdict == verdict
         # Every case is at full support: the coefficients are complete.
-        expected = (2, 0, 3, 2) if verdict == UNITARY_RELATED else (1, 0, 2, 2)
+        expected = (2, 0, 2, 2) if verdict == UNITARY_RELATED else (1, 0, 2, 2)
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == expected
         assert counts["cond"] == 0 and counts["svd"] <= 1
@@ -448,13 +452,16 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         # one final-dual construction; no public re-entry, no least squares.
         pure = verdict == UNITARY_RELATED
         assert (counts["_span_duals"], counts["span_duals"]) == (1 + pure, 0)
+        # G1's inverse once (in the check or in synthesis), G2's per pure output.
+        assert counts["_overlap_inverse"] == 1 + pure
         assert (counts["linear_independence"], counts["lstsq"]) == (0, 0)
         assert (rec.device_residual is not None) == (verdict == UNITARY_RELATED)
-    # One zero coefficient at N = 6, D = 8: the unitary test runs in full on
-    # the support, from the principal submatrices of the check's G1 and G2,
-    # so no Gram is formed beyond the check's two.  Its two independence
-    # guards take one shifted Cholesky each and it builds one ratio matrix;
-    # for a pure output the final duals certify the sliced G2 once more.
+    # One zero coefficient at N = 6, D = 8: the unitary test runs on the
+    # support, from the principal submatrices of the check's G1 and G2, so
+    # no Gram is formed beyond the check's two and it builds one ratio
+    # matrix.  By Cauchy interlacing the check's independence flags and G2's
+    # certificate hold for the submatrices, so the spectral work is the
+    # full support's.
     for a, b, q, verdict in cases[2:]:
         q = q.copy()
         q[2] = 0.0
@@ -462,12 +469,13 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         rec = coherence_roundtrip(a, b, q)
         support = (0, 1, 3, 4, 5)
         assert rec.probe.support == rec.test.support == support
-        expected = (2, 0, 6, 2) if verdict == UNITARY_RELATED else (1, 0, 4, 2)
+        expected = (2, 0, 2, 2) if verdict == UNITARY_RELATED else (1, 0, 2, 2)
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == expected
         assert (counts["build_ratio_matrix"], counts["_ratio_matrix"]) == (0, 1)
         assert (counts["linear_independence"], counts["span_duals"]) == (0, 0)
-        assert counts["_span_duals"] == 1 + (verdict == UNITARY_RELATED)
+        pure = verdict == UNITARY_RELATED
+        assert counts["_span_duals"] == counts["_overlap_inverse"] == 1 + pure
         ref = unitary_relation_test(a, b, support=support)
         assert rec.test.verdict == ref.verdict == verdict and rec.agree
         if verdict == UNITARY_RELATED:

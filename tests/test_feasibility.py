@@ -4,10 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import detchan.feasibility
+import detchan.synthesis
 from detchan import (
     DimensionMismatchError,
     FEASIBLE,
     INFEASIBLE,
+    IllConditionedError,
     NotFeasibleError,
     SizeMismatchError,
     StateSet,
@@ -691,13 +693,13 @@ def test_dependent_product_instances_are_feasible_and_built(instance):
 # ----------------------------------------------- verdicts near the rank cutoff
 # A dependent set, or a free pair, is decided to within tol, and that slack
 # reaches the built channel as a residual near sqrt(tol).  Feasible must
-# still mean that synthesize builds the channel: the check bounds the
+# still mean that synthesize builds the channel: the check computes the
 # residuals the synthesis guard will read and says Undetermined unless they
 # are within half the 1e3 * tol guard.  The independent check runs at the
 # guard.
 
 GUARD = 1e3 * 1e-9
-BOUNDS_NOTE = "the completion with 1 is PSD only to within tol: its channel's residual bounds"
+RESIDUALS_NOTE = "the completion with 1 is PSD only to within tol: its channel's residuals"
 
 
 def tilted(theta):
@@ -715,15 +717,15 @@ def test_near_dependent_pairs_are_feasible_only_when_built():
         assert report.verdict in (FEASIBLE, UNDETERMINED)
         if report.verdict == UNDETERMINED:
             assert not report.initial_independent
-            assert report.notes[-1].startswith(BOUNDS_NOTE)
+            assert report.notes[-1].startswith(RESIDUALS_NOTE)
             assert report.min_eigenvalue is not None and report._pair.spectrum is None
         assert_feasible_iff_built(s, s, GUARD)
     # The dropped direction costs a per-state residual of about
     # theta / sqrt(2) (theta / 2 on the span operators, theta / 2 in the
-    # sink), which the check bounds by theta: within half the guard below
-    # 5e-7, beyond it up to the cutoff, and exact duals past the cutoff.
-    assert all(v == FEASIBLE for t, v in verdicts.items() if t < 4.5e-7 or t > 7e-5)
-    assert all(v == UNDETERMINED for t, v in verdicts.items() if 5.5e-7 < t < 6e-5)
+    # sink), which the check computes exactly: within half the guard below
+    # theta = 7.07e-7, beyond it up to the cutoff, and exact duals past it.
+    assert all(v == FEASIBLE for t, v in verdicts.items() if t < 7e-7 or t > 7e-5)
+    assert all(v == UNDETERMINED for t, v in verdicts.items() if 7.5e-7 < t < 6e-5)
     assert feasibility_check(tilted(2e-5), tilted(2e-5)).verdict == UNDETERMINED
 
 
@@ -788,7 +790,7 @@ def test_certified_pair_with_a_clipped_ratio_eigenvalue_is_not_feasible():
     assert report.initial_independent
     assert report.verdict == UNDETERMINED
     assert report.min_eigenvalue == pytest.approx(-5e-10, rel=1e-3)
-    assert report.notes[-1].startswith(BOUNDS_NOTE)
+    assert report.notes[-1].startswith(RESIDUALS_NOTE)
     assert_feasible_iff_built(a, b, GUARD)
 
 
@@ -818,6 +820,118 @@ def test_certified_pairs_near_the_ratio_cutoff_are_feasible_only_when_built():
                 certified.add(report.verdict)
             assert_feasible_iff_built(a, b, GUARD)
     assert certified == {FEASIBLE, UNDETERMINED}
+
+
+def exact_and_built_residuals(a, b):
+    """The residuals the check computes on its exact path (None when it
+    takes the fast accept or the completion is not PSD) and those
+    ``_verify_synthesis`` reads off the channel built from the same report,
+    with the check's verdict forced to Feasible and the guard lifted."""
+    guard_residuals = detchan.feasibility._guard_residuals
+    verify = detchan.synthesis._verify_synthesis
+    seen = {}
+
+    def exact(*args):
+        seen["exact"] = guard_residuals(*args)
+        return 0.0, 0.0
+
+    def built(factor, initial, tol):
+        seen["built"] = verify(factor, initial, np.inf)
+        return seen["built"]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detchan.feasibility, "_guard_residuals", exact)
+        patch.setattr(detchan.synthesis, "_verify_synthesis", built)
+        try:
+            synthesize(a, b)
+        except NotFeasibleError:
+            return None
+    return (seen["exact"], seen["built"]) if "exact" in seen else None
+
+
+def assert_exact_residuals_match_the_built_channel(a, b):
+    # Rounding in either computation grows with G1's condition number,
+    # capped by the 1e9 rank cutoff.  The built channel also carries its
+    # construction's own rounding, a few N eps, where the exact per-state
+    # residual is 0 (no dropped direction).
+    residuals = exact_and_built_residuals(a, b)
+    if residuals is None:
+        return
+    w = np.linalg.eigvalsh(gram(a))
+    kappa = min(w[-1] / w[0] if w[0] > 0 else np.inf, 1e9)
+    for exact, built in zip(*residuals):
+        assert abs(exact - built) <= 1e-3 * built + np.finfo(float).eps * (kappa + 4 * a.n)
+
+
+def test_exact_residuals_match_the_built_channel_on_the_boundary_grids():
+    shifts = np.concatenate(([0.0], np.geomspace(1e-14, 1e-9, 11), -np.geomspace(1e-14, 1e-9, 6)))
+    pairs = [(tilted(t), tilted(t)) for t in np.geomspace(1e-7, 1e-3, 41)]
+    pairs += [
+        (tilted(t), overlap_pair(np.cos(t) / (1 + s)))
+        for t in np.geomspace(1e-5, 1e-2, 25)
+        for s in shifts
+        if np.cos(t) / (1 + s) <= 1.0
+    ]
+    compared = 0
+    for a, b in pairs:
+        compared += exact_and_built_residuals(a, b) is not None
+        assert_exact_residuals_match_the_built_channel(a, b)
+    assert compared > 400
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(near_cutoff_instances())
+def test_exact_residuals_match_the_built_channel_near_the_cutoffs(instance):
+    assert_exact_residuals_match_the_built_channel(*instance)
+
+
+def test_duals_above_the_condition_ceiling_raise_in_the_check():
+    # Gram condition about 1.1e13: certified full rank at tol = 1e-15, but
+    # the unitary ratio matrix drops rounding-sized eigenvalues, so the
+    # check builds the duals the channel needs and refuses them as
+    # synthesize would.
+    s = tilted(6e-7)
+    with pytest.raises(IllConditionedError):
+        feasibility_check(s, s, 1e-15)
+    with pytest.raises(IllConditionedError):
+        synthesize(s, s, 1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ratio_beyond_any_float_is_infeasible_at_zero_tol():
+    # At tol = 0 the final overlap 1e-309 is nonzero, but 0.5 / 1e-309 is no
+    # float: the pair is left undefined with a nonzero initial overlap.
+    a = StateSet.from_vectors([[1, 0], [0.5, np.sqrt(0.75)]])
+    b = StateSet.from_vectors([[1, 0], [1e-309, 1]])
+    report = feasibility_check(a, b, 0.0)
+    assert report.verdict == INFEASIBLE and report.min_eigenvalue is None
+    assert report.ratio_matrix.undefined_nonzero_pairs == ((0, 1),)
+    assert report.notes[-1].endswith("(0, 1)")
+    assert np.all(np.isfinite(report.ratio_matrix.entries))
+
+
+@pytest.mark.parametrize("tol", [1e-10, 3e-10, 1e-9])
+def test_fast_accept_holds_only_where_rounding_fits_the_guard(tol):
+    # Certified pairs whose ratio matrix keeps full rank: the fast accept
+    # skips the residuals, which is sound while the channel's rounding,
+    # about eps kappa(G1) < eps / tol, fits within half the guard, 500 tol:
+    # from tol = 1e-9.  Below it the check computes them, and at tol = 1e-10
+    # this grid holds pairs whose fast-accepted channel the guard refuses.
+    # Feasible must mean that synthesize passes its guard (IllConditionedError
+    # fails the test).
+    for theta in np.geomspace(1e-6, 1e-3, 31):
+        for s in np.concatenate(([0.0], -np.geomspace(1e-14, 1e-3, 23))):
+            c = np.cos(theta) / (1 + s)
+            if c > 1.0:
+                continue
+            a, b = tilted(theta), overlap_pair(c)
+            feasible = feasibility_check(a, b, tol).verdict == FEASIBLE
+            try:
+                synthesize(a, b, tol)
+            except NotFeasibleError:
+                assert not feasible
+            else:
+                assert feasible
 
 
 def test_spectral_work_per_check(monkeypatch):

@@ -391,9 +391,9 @@ def test_spectral_work_per_synthesize(monkeypatch):
 
 
 def test_dependent_synthesis_takes_no_more_eigh_than_its_check(monkeypatch):
-    # A dependent initial set's duals come from the eigenpairs of G1 that
-    # the check took, so synthesis adds no eigh, Cholesky or Gram to its
-    # check's work; no SVD anywhere.
+    # A dependent initial set's duals come from the pseudo-inverse of G1
+    # that the check built from its eigenpairs, so synthesis adds no eigh,
+    # Cholesky, Gram or inverse to its check's work; no SVD anywhere.
     initial, final = product_pair(np.random.default_rng(5), 7, 3, 2)
     counts = count_calls(
         monkeypatch,
@@ -402,12 +402,16 @@ def test_dependent_synthesis_takes_no_more_eigh_than_its_check(monkeypatch):
         (np.linalg, "svd"),
         (feasibility, "gram"),
         (synthesis, "_span_duals"),
+        (feasibility, "_overlap_inverse"),
+        (synthesis, "_overlap_inverse"),
     )
     assert feasibility_check(initial, final).verdict == FEASIBLE
-    check_work = (counts["eigh"], counts["cholesky"], counts["gram"])
+    names = ("eigh", "cholesky", "gram", "_overlap_inverse")
+    check_work = [counts[name] for name in names]
     counts.clear()
     synthesize(initial, final)
-    assert (counts["eigh"], counts["cholesky"], counts["gram"]) == check_work
+    # The check's pseudo-inverse of G1, kept on its record, gives the duals.
+    assert [counts[name] for name in names] == check_work
     assert (counts["svd"], counts["_span_duals"]) == (0, 1)
 
 
