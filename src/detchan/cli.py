@@ -25,7 +25,7 @@ import numpy as np
 from . import serialize
 from .coherence import DEFAULT_PURITY_TOL, UNITARY_RELATED, coherence_roundtrip, purity
 from .errors import DetchanError, NotFeasibleError, SchemaError
-from .feasibility import FEASIBLE, INFEASIBLE, feasibility_check
+from .feasibility import FEASIBLE, INFEASIBLE, _check, feasibility_check
 from .numerics import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances
 from .states import StateSet, random_state_set, superpose
 from .synthesis import (
@@ -313,7 +313,7 @@ def _cmd_sweep(args) -> int:
         theta = float(theta)
         initial = _template_state_set(initial_template, theta)
         final = _template_state_set(final_template, theta)
-        report = feasibility_check(initial, final, args.tol)
+        report = _check(initial, final, args.tol, build=True)
         m = report.ratio_matrix
         offdiag = np.array(m.defined)
         np.fill_diagonal(offdiag, False)

@@ -43,7 +43,7 @@ from .states import (
     superpose,
 )
 from .synthesis import KrausSet, _synthesize_from, apply_channel, state_to_density
-from .feasibility import RatioMatrix, _check_shapes, _ratio_matrix, feasibility_check
+from .feasibility import RatioMatrix, _check, _check_shapes, _ratio_matrix
 
 UNITARY_RELATED = "UnitaryRelated"
 DECOHERING = "Decohering"
@@ -297,7 +297,7 @@ def coherence_roundtrip(
     from the check's G2 and its certificate, so no Gram is formed again.
     """
     _check_tolerances(tol=tol, rank_tol=rank_tol, purity_tol=purity_tol)
-    report = feasibility_check(initial, final, tol)
+    report = _check(initial, final, tol, build=True)
     if not report.initial_independent:
         raise NotIndependentError("initial set must be linearly independent")
     if not report.final_independent:

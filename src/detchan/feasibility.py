@@ -71,9 +71,9 @@ class RatioMatrix:
 
 
 class _PairAnalysis(NamedTuple):
-    """The check's read-only G1, G2 and ``_certifies_full_rank(G2, tol)``
-    (False also when not tried); for a Feasible verdict, the certifying
-    ratio spectrum and G1's ``_overlap_inverse`` (None after a fast accept)."""
+    """The check's read-only G1, G2, ``_certifies_full_rank(G2, tol)`` (False
+    also when not tried) and, for a Feasible verdict, G1's ``_overlap_inverse``
+    and the ratio spectrum (None after a fast accept, except a build check's spectrum)."""
 
     g1: np.ndarray
     g2: np.ndarray
@@ -157,12 +157,11 @@ def _ratio_matrix(g1, g2, abs1, abs2, tol: float) -> RatioMatrix:
     # (below any tol > 1e-301, as |g1| <= 1) keeps every defined ratio finite.
     defined = abs2 > np.maximum(tol, abs1 * 2.0**-1000)
     np.fill_diagonal(defined, True)
-    entries = np.zeros_like(g1)
-    entries[defined] = g1[defined] / g2[defined]
+    entries = np.divide(g1, g2, out=np.zeros_like(g1), where=defined)
     np.fill_diagonal(entries, 1.0)
-    entries = (entries + entries.conj().T) / 2.0
-    # np.nonzero walks the strict upper triangle row by row: (j, k) order.
-    j, k = np.nonzero(np.triu(~defined, 1))
+    entries = (entries + entries.conj().T) / 2.0  # sets the signs of zeros, which eigh sees
+    j, k = np.divmod(np.flatnonzero(~defined), len(defined))  # row by row: (j, k) order
+    j, k = j[j < k], k[j < k]
     nonzero = abs1[j, k] > tol
     return RatioMatrix(
         entries,
@@ -188,20 +187,25 @@ def feasibility_check(
     """Decide whether a deterministic channel can map each initial state
     onto its final counterpart.
 
-    One criterion serves every rank: the ratio matrix with its
-    unconstrained (0/0) entries completed with 1 must be PSD.  Before that
-    test, a final pair orthogonal while its initial pair is not, or a
-    final span exceeding the initial span, yields ``Infeasible``.  A
-    completion that is not PSD yields ``Infeasible`` when the ratio matrix
-    is fully defined or a pair is made strictly more distinguishable, and
-    ``Undetermined`` otherwise.  A PSD one yields ``Feasible`` exactly when
-    the channel ``synthesize`` builds (default ``rank_tol``) passes its
-    guard: at once for a certified set without free pairs whose factor
-    drops no ratio eigenvalue, at tol >= 1e-9; else when both exact
-    ``_guard_residuals`` are within half the guard, and ``Undetermined``
-    otherwise.  Duals above the 1e12 condition ceiling, possible only for
-    tol < 1e-12, raise ``IllConditionedError`` as ``synthesize`` does.
+    One criterion serves every rank: the ratio matrix with its unconstrained
+    (0/0) entries completed with 1 must be PSD.  Before that test, a final
+    pair orthogonal while its initial pair is not, or a final span exceeding
+    the initial span, yields ``Infeasible``.  A completion that is not PSD
+    yields ``Infeasible`` when the ratio matrix is fully defined or a pair is
+    made strictly more distinguishable, and ``Undetermined`` otherwise.  A
+    PSD one yields ``Feasible`` exactly when the channel ``synthesize``
+    builds (default ``rank_tol``) passes its guard: at once for a certified
+    set without free pairs whose factor drops no ratio eigenvalue, at
+    tol >= 1e-9 (one Cholesky of the completion proves it); else when both
+    exact ``_guard_residuals`` are within half the guard, and
+    ``Undetermined`` otherwise.  Duals over the 1e12 condition ceiling (only
+    for tol < 1e-12) raise ``IllConditionedError``, as in ``synthesize``.
     """
+    return _check(initial, final, tol, build=False)
+
+
+def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> FeasibilityReport:
+    """``feasibility_check``; ``build`` keeps the ratio spectrum ``_synthesize_from`` factors."""
     _check_shapes(initial, final, tol)
     n = initial.n
     g1, g2 = gram(initial), gram(final)
@@ -215,8 +219,8 @@ def feasibility_check(
     rank1 = n if eig1 is None else numerical_rank(eig1[0], tol)
     certified2 = _certifies_full_rank(g2, tol)
     rank2 = n if certified2 else numerical_rank(np.linalg.eigvalsh(g2), tol)
-    flagged = np.nonzero(np.triu(abs1 > abs2 + tol, 1))
-    violations = _pair_overlaps(abs1, abs2, *flagged, tol)
+    j, k = np.divmod(np.flatnonzero(abs1 > abs2 + tol), n)  # row by row: (j, k) order
+    violations = _pair_overlaps(abs1, abs2, j[j < k], k[j < k], tol)
     notes: list[str] = []
     for name, rank in (("initial", rank1), ("final", rank2)):
         if rank < n:
@@ -246,7 +250,14 @@ def feasibility_check(
     # with 0/0 overlaps leave M free; completing them with 1 keeps the
     # unitary channel of equal Gram matrices.  The completion is exactly
     # Hermitian and finite by construction, so eigh reads it unchecked.
-    w, v = np.linalg.eigh(np.where(m.defined, m.entries, 1.0))
+    completion = np.where(m.defined, m.entries, 1.0)
+    # A factor that drops nothing leaves the built channel only rounding, below
+    # 1.4 eps kappa(G1) < 1.4 eps / tol (the certificate): within half the guard,
+    # 500 tol, for tol >= 1e-9; a shifted Cholesky proves it with a margin over eigh.
+    fast = certified and tol >= 1e-9
+    if fast and not build and _certifies_full_rank(completion, DEFAULT_RANK_TOL):
+        return report(FEASIBLE, float(np.linalg.eigvalsh(completion)[0]))
+    w, v = np.linalg.eigh(completion)
     spectrum = (w[::-1].copy(), v[:, ::-1].copy())  # descending
     ok, min_eig = _psd_verdict(spectrum[0], tol)
     if ok:
@@ -255,10 +266,7 @@ def feasibility_check(
                 f"{len(m.free_pairs)} state pair(s) orthogonal in both sets leave "
                 "their ratio free; completed with 1"
             )
-        # A factor that drops nothing leaves the built channel only rounding,
-        # measured below 1.4 eps kappa(G1) < 1.4 eps / tol (the certificate):
-        # within half the guard, 500 tol, for tol >= 1e-9.
-        if certified and tol >= 1e-9 and min_eig > DEFAULT_RANK_TOL * w[-1]:
+        if fast and min_eig > DEFAULT_RANK_TOL * w[-1]:
             return report(FEASIBLE, min_eig, spectrum)
         inverse = _overlap_inverse(g1, tol, certified, eig1)
         residuals = _guard_residuals(g1, g2, spectrum, inverse, eig1, rank1, tol)

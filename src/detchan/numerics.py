@@ -87,8 +87,10 @@ def _certifies_full_rank(m: np.ndarray, tol: float) -> bool:
     n = len(m)
     scale = max(float(np.trace(m).real), 1.0)
     shift = (tol * (1.0 + 1e-6) + 4.0 * n * (n + 1) * np.finfo(float).eps) * scale
+    shifted = m.copy()
+    np.fill_diagonal(shifted, m.diagonal() - shift)
     try:
-        np.linalg.cholesky(m - shift * np.eye(n))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -17,7 +17,7 @@ from .errors import (
     NotFeasibleError,
     SizeMismatchError,
 )
-from .feasibility import FEASIBLE, FeasibilityReport, feasibility_check
+from .feasibility import FEASIBLE, FeasibilityReport, _check
 from .numerics import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
@@ -177,13 +177,13 @@ def synthesize(
 ) -> KrausSet:
     """Kraus operators realizing a Feasible transformation, in factored form.
 
-    Runs ``feasibility_check`` and reads its private pair record, so no
-    Gram matrix is formed, factored or eigensolved a second time.  The
-    ratio spectrum that certified the Feasible verdict is written as
-    ``C @ C^dag`` with C of minimal column count (``rank_tol`` cuts the
-    rank), and ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the reciprocal
-    vectors of the initial set (``span_duals`` from the check's inverse of
-    G1 or certified G1: the pseudo-inverse Psi^+, for any rank), so
+    Runs ``feasibility_check`` as a build check, which keeps the ratio
+    spectrum, and reads its private pair record, so no Gram matrix is
+    formed, factored or eigensolved a second time.  That spectrum is
+    written as ``C @ C^dag`` with C of minimal column count (``rank_tol``
+    cuts the rank), and ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the
+    reciprocal vectors of the initial set (``span_duals`` from the check's
+    inverse of G1 or certified G1: the pseudo-inverse Psi^+, any rank), so
     ``A_k |psi1_j> = C_jk |psi2_j>``.  For a dependent initial set this
     holds because G1 = M o G2 makes ``sum_j n_j C_jk |psi2_j>`` vanish for
     every null vector n of the initial states.  These operators give
@@ -204,7 +204,7 @@ def synthesize(
     ``1e3 * tol``, which a Feasible verdict has ruled out.
     """
     _check_tolerances(rank_tol=rank_tol)
-    report = feasibility_check(initial, final, tol)
+    report = _check(initial, final, tol, build=True)
     return _synthesize_from(report, initial, final, tol, rank_tol)
 
 

@@ -115,13 +115,14 @@ def test_sweep_purity_matches_the_per_operator_sum(capsys):
 
 
 def test_sweep_checks_each_grid_point_once(capsys, monkeypatch):
-    # A Feasible grid point builds its channel from that point's check.
+    # A Feasible grid point builds its channel from that point's check, a
+    # build check that keeps the ratio spectrum the channel is factored from.
     counts = count_calls(
-        monkeypatch, (cli, "feasibility_check"), (synthesis, "feasibility_check")
+        monkeypatch, (cli, "_check"), (cli, "feasibility_check"), (synthesis, "_check")
     )
     code, out, _ = run(capsys, SWEEP_ARGV)
     assert code == 0
-    assert counts["feasibility_check"] == 50
+    assert (counts["_check"], counts["feasibility_check"]) == (50, 0)
     assert_golden(out, "sweep_cos.csv")
 
 
@@ -342,6 +343,20 @@ def test_near_dependent_check_exits_0_exactly_when_synth_builds(
     assert code == check_code
     assert json.loads(out)["verdict"] == ("Feasible" if code == 0 else "Undetermined")
     assert run(capsys, ["synth", fx(fixture), fx(fixture)])[0] == synth_code
+
+
+def test_certified_check_accepts_without_eigenvectors(capsys, monkeypatch):
+    # A certified N = 4 pair whose check accepts on one shifted Cholesky of
+    # the completed ratio matrix and reads min_eigenvalue (exactly 1/2) with
+    # eigvalsh, whose last bits at N >= 3 may differ between LAPACK builds;
+    # the console-script step of CI runs the same comparison.
+    counts = count_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"))
+    pair = [fx("equiangular_quarter.json"), fx("equiangular_half.json")]
+    code, out, _ = run(capsys, ["check", *pair])
+    report = json.loads(out)
+    assert (code, report["verdict"]) == (0, "Feasible")
+    assert abs(report["min_eigenvalue"] - 0.5) <= 1e-12
+    assert (counts["eigh"], counts["eigvalsh"]) == (0, 1)
 
 
 def test_undetermined_check_exits_3(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import detchan.feasibility
 import detchan.synthesis
 from detchan import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     FEASIBLE,
     INFEASIBLE,
@@ -24,6 +25,7 @@ from detchan import (
     synthesize,
     transform_report,
 )
+from detchan.feasibility import _check
 from helpers import (
     FREE_UNDETERMINED,
     channel_residuals,
@@ -506,16 +508,25 @@ def test_feasibility_check_branches(case):
 
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
 def test_only_feasible_reports_keep_the_certifying_spectrum(case):
-    # The check's private pair record keeps the spectrum, which
+    # A build check's private pair record keeps the spectrum, which
     # reconstructs the matrix the verdict was read from: the ratio matrix
     # with its 0/0 pairs completed with 1 (the free_* cases).  Synthesis
-    # factors exactly that spectrum, for either rank.
+    # factors exactly that spectrum, for either rank.  A bare check that
+    # accepts on its Cholesky (here the two certified cases without a
+    # dependent set or a free pair) takes no spectrum; any other keeps the
+    # same one.
     a, b = unit_rows(BRANCH_CASES[case][0]), unit_rows(BRANCH_CASES[case][1])
-    report = feasibility_check(a, b)
+    report = _check(a, b, DEFAULT_TOL, build=True)
+    bare = feasibility_check(a, b)
     assert not hasattr(report, "spectrum")
     if report.verdict != FEASIBLE:
-        assert report._pair.spectrum is None
+        assert report._pair.spectrum is None and bare._pair.spectrum is None
         return
+    if case in ("defined_psd", "single_state"):
+        assert bare._pair.spectrum is None and bare._pair.inverse is None
+    else:
+        for got, kept in zip(bare._pair.spectrum, report._pair.spectrum):
+            np.testing.assert_array_equal(got, kept, strict=True)
     m = report.ratio_matrix
     assert bool(m.free_pairs) == case.startswith("free_")
     certified = np.where(m.defined, m.entries, 1.0)
@@ -530,8 +541,9 @@ def test_feasible_spectrum_reconstructs_random_ratio_matrices():
     rng = np.random.default_rng(23)
     for n in range(2, 9):
         initial, final, _ = feasible_pair(rng, n)
-        report = feasibility_check(initial, final)
+        report = _check(initial, final, DEFAULT_TOL, build=True)
         assert report.verdict == FEASIBLE
+        assert feasibility_check(initial, final)._pair.spectrum is None
         w, v = report._pair.spectrum
         np.testing.assert_allclose(
             (v * w) @ v.conj().T, report.ratio_matrix.entries, atol=1e-12
@@ -863,7 +875,10 @@ def assert_exact_residuals_match_the_built_channel(a, b):
         assert abs(exact - built) <= 1e-3 * built + np.finfo(float).eps * (kappa + 4 * a.n)
 
 
-def test_exact_residuals_match_the_built_channel_on_the_boundary_grids():
+def boundary_instances():
+    """The tier-1 boundary grids: the tilted(theta) pairs mapped onto
+    themselves, the certified tilted(theta) -> overlap_pair sweep across the
+    ratio cutoff and the dependent sets with tiny free overlaps."""
     shifts = np.concatenate(([0.0], np.geomspace(1e-14, 1e-9, 11), -np.geomspace(1e-14, 1e-9, 6)))
     pairs = [(tilted(t), tilted(t)) for t in np.geomspace(1e-7, 1e-3, 41)]
     pairs += [
@@ -872,8 +887,16 @@ def test_exact_residuals_match_the_built_channel_on_the_boundary_grids():
         for s in shifts
         if np.cos(t) / (1 + s) <= 1.0
     ]
+    for eps in (1e-12, 1e-10, 3e-10, 1e-9):
+        pairs.append(
+            (unit_rows([[1, 0], [-eps, 1], [1 - eps, 1]]), unit_rows([[1, 0], [eps, 1], [1 + eps, 1]]))
+        )
+    return pairs
+
+
+def test_exact_residuals_match_the_built_channel_on_the_boundary_grids():
     compared = 0
-    for a, b in pairs:
+    for a, b in boundary_instances():
         compared += exact_and_built_residuals(a, b) is not None
         assert_exact_residuals_match_the_built_channel(a, b)
     assert compared > 400
@@ -935,12 +958,17 @@ def test_fast_accept_holds_only_where_rounding_fits_the_guard(tol):
 
 
 def test_spectral_work_per_check(monkeypatch):
-    # One Gram product per set, one shifted Cholesky per set certifying its
-    # full rank and one full eigendecomposition of the ratio matrix.  Only a
-    # dependent set takes more: the initial set's eigenpairs (one eigh, which
-    # also bounds the built channel's residuals; with a free pair, as in this
-    # one, no Cholesky is tried first) and the final set's eigenvalues (one
-    # eigvalsh after its failed Cholesky).
+    # One Gram product per set and one shifted Cholesky per set certifying
+    # its full rank.  A certified feasible check then proves its fast accept
+    # with a third shifted Cholesky, of the completed ratio matrix, and reads
+    # min_eigenvalue with one eigvalsh: no eigenvectors.  Where that Cholesky
+    # fails (a fully defined Infeasible pair) one full eigh decides, and a
+    # build check, whose spectrum synthesis factors, takes that eigh at once.
+    # Only a dependent set takes more: the initial set's eigenpairs (one
+    # eigh, which also bounds the built channel's residuals; with a free
+    # pair, as in this one, no Cholesky is tried first), the final set's
+    # eigenvalues (one eigvalsh after its failed Cholesky) and the ratio
+    # matrix's eigh.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
     dependent = unit_rows(DEPENDENT_3)
     counts = count_calls(
@@ -950,8 +978,103 @@ def test_spectral_work_per_check(monkeypatch):
         (np.linalg, "eigh"),
         (np.linalg, "cholesky"),
     )
-    assert feasibility_check(initial, final).verdict == FEASIBLE
-    assert (counts["gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"]) == (2, 2, 0, 1)
-    counts.clear()
-    assert feasibility_check(dependent, dependent).verdict == FEASIBLE
-    assert (counts["gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"]) == (2, 1, 1, 2)
+
+    def work(report, verdict):
+        assert report.verdict == verdict
+        tally = (counts["gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"])
+        counts.clear()
+        return tally
+
+    assert work(feasibility_check(initial, final), FEASIBLE) == (2, 3, 1, 0)
+    assert work(_check(initial, final, DEFAULT_TOL, build=True), FEASIBLE) == (2, 2, 0, 1)
+    assert work(feasibility_check(final, initial), INFEASIBLE) == (2, 3, 0, 1)
+    assert work(feasibility_check(dependent, dependent), FEASIBLE) == (2, 1, 1, 2)
+
+
+# ------------------------------------- decide-only and build checks agree
+# feasibility_check decides; the build check (_check with build=True) also
+# keeps the ratio spectrum that synthesize, the roundtrip and cli sweep
+# factor.  A certified decide-only check proves its fast accept with one
+# shifted Cholesky of the completion and reads min_eigenvalue with eigvalsh,
+# which for N >= 3 may differ from eigh's in the last bits.
+
+
+def assert_checks_agree(a, b, tol=DEFAULT_TOL):
+    bare = feasibility_check(a, b, tol)
+    built = _check(a, b, tol, build=True)
+    assert (bare.verdict, bare.notes) == (built.verdict, built.notes)
+    assert bare.initial_independent == built.initial_independent
+    assert bare.final_independent == built.final_independent
+    assert_same_records(bare.violating_pairs, built.violating_pairs)
+    if built.min_eigenvalue is None or a.n <= 2:
+        assert repr(bare.min_eigenvalue) == repr(built.min_eigenvalue)
+    else:
+        m = built.ratio_matrix
+        radius = np.max(np.abs(np.linalg.eigvalsh(np.where(m.defined, m.entries, 1.0))))
+        assert abs(bare.min_eigenvalue - built.min_eigenvalue) <= 1e-12 * max(1.0, radius)
+    if bare.verdict == FEASIBLE:
+        synthesize(a, b, tol)  # IllConditionedError or NotFeasibleError fails the test
+    return bare.verdict
+
+
+def test_decide_only_and_build_checks_agree_on_the_boundary_instances():
+    verdicts = [assert_checks_agree(a, b) for a, b in boundary_instances()]
+    assert len(verdicts) == 487
+    counts = {v: verdicts.count(v) for v in (FEASIBLE, INFEASIBLE, UNDETERMINED)}
+    assert counts == {FEASIBLE: 147, INFEASIBLE: 1, UNDETERMINED: 339}
+
+
+def test_decide_only_and_build_checks_agree_on_random_pools():
+    # Feasible pairs, certified and fast-accepted, and the same pairs
+    # reversed, which are fully defined and mostly Infeasible: there the
+    # Cholesky stops early and one eigh decides, as in the build check.
+    rng = np.random.default_rng(29)
+    verdicts = []
+    for n in range(2, 9):
+        for _ in range(4):
+            initial, final, _ = feasible_pair(rng, n)
+            verdicts.append(assert_checks_agree(initial, final))
+            verdicts.append(assert_checks_agree(final, initial))
+    assert verdicts[::2] == [FEASIBLE] * 28 and INFEASIBLE in verdicts[1::2]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(orthogonality_instances(), near_cutoff_instances(), product_instances()))
+def test_decide_only_and_build_checks_agree_on_drawn_instances(instance):
+    assert_checks_agree(*instance)
+
+
+def raw_quotient(g1, g2, defined):
+    q = np.zeros_like(g1)
+    q[defined] = g1[defined] / g2[defined]
+    np.fill_diagonal(q, 1.0)
+    return q
+
+
+def test_ratio_entries_are_the_symmetrized_quotient_bit_for_bit():
+    # The entries are (q + q^dag) / 2 for the raw quotient q, bit for bit, and
+    # exactly Hermitian.  q itself is Hermitian in value (G1, G2 are, the
+    # defined pattern is symmetric and complex division commutes with
+    # conjugation), so the symmetrization changes no value: only the sign of
+    # some zero parts (of orthogonal or real states), which eigh's last bits
+    # can see, so it stays.  Random pairs, pairs with free and orthogonal
+    # pairs, and the tol = 0 pair whose 1e-309 overlap is left undefined.
+    rng = np.random.default_rng(31)
+    instances = [(*feasible_pair(rng, n)[:2], DEFAULT_TOL) for n in (2, 5, 8)]
+    instances += [(unit_rows(i), unit_rows(f), DEFAULT_TOL) for i, f, *_ in BRANCH_CASES.values()]
+    instances.append(
+        (
+            StateSet.from_vectors([[1, 0], [0.5, np.sqrt(0.75)]]),
+            StateSet.from_vectors([[1, 0], [1e-309, 1]]),
+            0.0,
+        )
+    )
+    for a, b, tol in instances:
+        g1, g2 = gram(a), gram(b)
+        m = build_ratio_matrix(a, b, tol)
+        q = raw_quotient(g1, g2, m.defined)
+        assert m.entries.tobytes() == ((q + q.conj().T) / 2.0).tobytes()
+        np.testing.assert_array_equal(m.entries, m.entries.conj().T)
+        np.testing.assert_array_equal(q, m.entries)
+        nonzero = q.view(np.float64) != 0.0
+        assert q.view(np.float64)[nonzero].tobytes() == m.entries.view(np.float64)[nonzero].tobytes()

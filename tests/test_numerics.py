@@ -266,3 +266,29 @@ def test_hermitian_rank_equals_the_eigenvalue_rule(n, tol):
             assert expected == n
             certified += 1
     assert certified > 0
+
+
+def test_certificate_factors_m_minus_shift_times_identity_bit_for_bit(monkeypatch):
+    # The shift comes off the diagonal of a copy, leaving m untouched; the
+    # factored matrix is m - shift * I, bit for bit, with the shift of the
+    # docstring.
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def capture(a):
+        factored.append(a.copy())
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", capture)
+    rng = np.random.default_rng(41)
+    for n, tol in ((1, 1e-9), (3, 0.0), (16, 1e-10), (64, 1e-9)):
+        v = haar_unitary(n, n)
+        for w in rank_grid_spectra(rng, n):
+            m = _hermitian_part((v * w) @ v.conj().T, 1e-9)
+            kept = m.copy()
+            factored.clear()
+            _certifies_full_rank(m, tol)
+            eps = np.finfo(float).eps
+            shift = (tol * (1.0 + 1e-6) + 4.0 * n * (n + 1) * eps) * max(float(np.trace(m).real), 1.0)
+            assert factored[0].tobytes() == (m - shift * np.eye(n)).tobytes()
+            assert m.tobytes() == kept.tobytes()

@@ -90,6 +90,20 @@ def test_gram_convention_entry_jk_is_bra_k_ket_j():
     assert g[0, 1] == pytest.approx(expected, abs=1e-15)
 
 
+def test_gram_is_the_symmetrized_product_bit_for_bit():
+    # (g + g^dag) / 2, bit for bit, also where overlaps have zero parts:
+    # scaling by 0.5 instead of dividing by 2 would keep some -0 that the
+    # complex division turns into +0 (the last two sets, with OpenBLAS).
+    rng = np.random.default_rng(43)
+    sets = [random_state_set(d, n, int(rng.integers(2**31))) for n, d in ((2, 2), (5, 3), (8, 8))]
+    sets += [basis(3), StateSet.from_vectors([[-1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 0, 0]])]
+    for rows in ([[-1 + 1j, -1 + 1j], [-1j, 1j]], [[0, 1 - 1j, 1j], [-1j, -1j, -1 - 1j]]):
+        sets.append(StateSet.from_vectors(rows, normalize=True))
+    for s in sets:
+        g = s.states @ s.states.conj().T
+        assert gram(s).tobytes() == ((g + g.conj().T) / 2.0).tobytes()
+
+
 def test_gram_unit_diagonal_psd_property():
     rng = np.random.default_rng(21)
     for _ in range(20):
