@@ -26,7 +26,7 @@ from . import serialize
 from .coherence import DEFAULT_PURITY_TOL, UNITARY_RELATED, coherence_roundtrip, purity
 from .errors import DetchanError, NotFeasibleError, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, _check, feasibility_check
-from .numerics import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances
+from .numerics import DEFAULT_TOL
 from .states import StateSet, random_state_set, superpose
 from .synthesis import (
     _synthesize_from,
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize Kraus operators for a feasible pair")
     p.add_argument("initial")
     p.add_argument("final")
-    _add_flags(p, "tol", "rank-tol")
+    _add_flags(p, "tol")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("apply", help="apply a Kraus channel to a state or density matrix")
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated superposition coefficients (python complex "
         "literals, e.g. '1,1' or '0.5+0.5j,1'); at least two nonzero",
     )
-    _add_flags(p, "tol", "rank-tol", "purity-tol")
+    _add_flags(p, "tol", "purity-tol")
     p.set_defaults(func=_cmd_coherence)
 
     p = sub.add_parser("sweep", help="one-parameter family of instances to CSV")
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="grid size (>= 2)")
-    _add_flags(p, "tol", "rank-tol")
+    _add_flags(p, "tol")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gen", help="seeded random state set")
@@ -114,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
 #: Optional flags by name; each subcommand takes only those it reads.
 _FLAGS = {
     "tol": dict(type=float, default=DEFAULT_TOL),
-    "rank-tol": dict(type=float, default=DEFAULT_RANK_TOL),
     "purity-tol": dict(type=float, default=DEFAULT_PURITY_TOL),
     "seed": dict(type=int, default=0),
 }
@@ -152,7 +151,7 @@ def _cmd_synth(args) -> int:
     initial = _load_state_set(args.initial)
     final = _load_state_set(args.final)
     try:
-        ks = synthesize(initial, final, args.tol, args.rank_tol)
+        ks = synthesize(initial, final, args.tol)
     except NotFeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -203,7 +202,7 @@ def _cmd_coherence(args) -> int:
         raise SchemaError(f"{len(coeffs)} coefficients for {initial.n} states")
     if sum(1 for c in coeffs if c != 0) < 2:
         raise SchemaError("need at least two nonzero coefficients")
-    rec = coherence_roundtrip(initial, final, coeffs, args.tol, args.rank_tol, args.purity_tol)
+    rec = coherence_roundtrip(initial, final, coeffs, args.tol, purity_tol=args.purity_tol)
     _write(serialize.dumps(serialize.roundtrip_to_obj(rec)), args.out)
     return 0 if (rec.agree and rec.test.verdict == UNITARY_RELATED) else 1
 
@@ -297,10 +296,6 @@ def _template_state_set(compiled, theta: float) -> StateSet:
 
 
 def _cmd_sweep(args) -> int:
-    # rank_tol reaches the library only at a Feasible grid point, whose
-    # channel _synthesize_from builds from that point's check without
-    # validating rank_tol.
-    _check_tolerances(tol=args.tol, rank_tol=args.rank_tol)
     if args.steps < 2:
         raise SchemaError(f"sweep needs at least 2 steps, got {args.steps}")
     doc = serialize.load_document(args.template)
@@ -320,7 +315,7 @@ def _cmd_sweep(args) -> int:
         max_mu = float(np.max(np.abs(m.entries[offdiag]))) if np.any(offdiag) else None
         uniform_purity = None
         if report.verdict == FEASIBLE:
-            ks = _synthesize_from(report, initial, final, args.tol, args.rank_tol)
+            ks = _synthesize_from(report, initial, final, args.tol)
             vec, _ = superpose(initial, np.ones(initial.n), args.tol)
             uniform_purity = purity(apply_channel(ks, state_to_density(vec)))
         cells = [_csv_float(theta), _csv_float(report.min_eigenvalue), report.verdict]

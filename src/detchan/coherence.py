@@ -25,7 +25,6 @@ from .errors import (
     SupportTooSmallError,
 )
 from .numerics import (
-    DEFAULT_RANK_TOL,
     DEFAULT_TOL,
     _check_tolerances,
     hermitian_eig,
@@ -277,7 +276,6 @@ def coherence_roundtrip(
     final: StateSet,
     coefficients,
     tol: float = DEFAULT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
     purity_tol: float = DEFAULT_PURITY_TOL,
 ) -> CoherenceRoundTrip:
     """Run the purity probe and the structural test on one instance and
@@ -296,14 +294,14 @@ def coherence_roundtrip(
     sends the final states to an orthonormal basis.  Psi2^+ is built once,
     from the check's G2 and its certificate, so no Gram is formed again.
     """
-    _check_tolerances(tol=tol, rank_tol=rank_tol, purity_tol=purity_tol)
+    _check_tolerances(tol=tol, purity_tol=purity_tol)
     report = _check(initial, final, tol, build=True)
     if not report.initial_independent:
         raise NotIndependentError("initial set must be linearly independent")
     if not report.final_independent:
         raise NotIndependentError("final set must be linearly independent")
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
-    ks = _synthesize_from(report, initial, final, tol, rank_tol)
+    ks = _synthesize_from(report, initial, final, tol)
     probe = coherence_probe(ks, initial, q, purity_tol, tol=tol)  # expanded below
     pair = report._pair
     support = probe.support

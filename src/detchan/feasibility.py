@@ -72,13 +72,14 @@ class RatioMatrix:
 
 class _PairAnalysis(NamedTuple):
     """The check's read-only G1, G2, ``_certifies_full_rank(G2, tol)`` (False
-    also when not tried) and, for a Feasible verdict, G1's ``_overlap_inverse``
-    and the ratio spectrum (None after a fast accept, except a build check's spectrum)."""
+    also when not tried) and, for a Feasible verdict, the ratio matrix's
+    factor C and G1's ``_overlap_inverse`` (None after a fast accept, except
+    in a build check)."""
 
     g1: np.ndarray
     g2: np.ndarray
     certified2: bool
-    spectrum: tuple[np.ndarray, np.ndarray] | None
+    c: np.ndarray | None
     inverse: np.ndarray | None
 
 
@@ -87,8 +88,8 @@ class FeasibilityReport:
     """Verdict on deterministic transformability plus diagnostics.
 
     ``verdict`` is decided as ``feasibility_check`` describes: a
-    ``Feasible`` pair is one ``synthesize`` builds (at the default
-    ``rank_tol``), and ``Infeasible`` comes with a named witness in the notes.
+    ``Feasible`` pair is one ``synthesize`` builds, and ``Infeasible`` comes
+    with a named witness in the notes.
 
     ``violating_pairs`` holds only the flagged records of the
     distinguishability audit, a read-only record array of the same fields,
@@ -194,8 +195,8 @@ def feasibility_check(
     yields ``Infeasible`` when the ratio matrix is fully defined or a pair is
     made strictly more distinguishable, and ``Undetermined`` otherwise.  A
     PSD one yields ``Feasible`` exactly when the channel ``synthesize``
-    builds (default ``rank_tol``) passes its guard: at once for a certified
-    set without free pairs whose factor drops no ratio eigenvalue, at
+    builds passes its guard: at once for a certified set without free
+    pairs whose factor drops no ratio eigenvalue, at
     tol >= 1e-9 (one Cholesky of the completion proves it); else when both
     exact ``_guard_residuals`` are within half the guard, and
     ``Undetermined`` otherwise.  Duals over the 1e12 condition ceiling (only
@@ -205,7 +206,8 @@ def feasibility_check(
 
 
 def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> FeasibilityReport:
-    """``feasibility_check``; ``build`` keeps the ratio spectrum ``_synthesize_from`` factors."""
+    """``feasibility_check``; ``build`` also keeps, for a Feasible verdict,
+    the factor C and G1's inverse that ``_synthesize_from`` builds from."""
     _check_shapes(initial, final, tol)
     n = initial.n
     g1, g2 = gram(initial), gram(final)
@@ -226,10 +228,11 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
         if rank < n:
             notes.append(f"{name} set is linearly dependent (rank {rank} of {n})")
 
-    def report(verdict, min_eig, spectrum=None, inverse=None):
-        for part in (g1, g2, *(spectrum or ()), *(() if inverse is None else (inverse,))):
-            part.setflags(write=False)
-        pair = _PairAnalysis(g1, g2, certified2, spectrum, inverse)
+    def report(verdict, min_eig, c=None, inverse=None):
+        for part in (g1, g2, c, inverse):
+            if part is not None:
+                part.setflags(write=False)
+        pair = _PairAnalysis(g1, g2, certified2, c, inverse)
         return FeasibilityReport(
             verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m, pair
         )
@@ -266,12 +269,18 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
                 f"{len(m.free_pairs)} state pair(s) orthogonal in both sets leave "
                 "their ratio free; completed with 1"
             )
-        if fast and min_eig > DEFAULT_RANK_TOL * w[-1]:
-            return report(FEASIBLE, min_eig, spectrum)
+        # A fast accept reads no residuals, but a build check still keeps
+        # the factor and G1's inverse that synthesis builds from.
+        accept = fast and min_eig > DEFAULT_RANK_TOL * w[-1]
+        if accept and not build:
+            return report(FEASIBLE, min_eig)
+        c = _spectral_factor(*spectrum, tol)
         inverse = _overlap_inverse(g1, tol, certified, eig1)
-        residuals = _guard_residuals(g1, g2, spectrum, inverse, eig1, rank1, tol)
+        if accept:
+            return report(FEASIBLE, min_eig, c, inverse)
+        residuals = _guard_residuals(g1, g2, c, inverse, eig1, rank1, tol)
         if all(residual <= 0.5e3 * tol for residual in residuals):  # NaN fails too
-            return report(FEASIBLE, min_eig, spectrum, inverse)
+            return report(FEASIBLE, min_eig, c, inverse)
         notes.append(
             "the completion with 1 is PSD only to within tol: its channel's residuals "
             "(per-state {:.3e}, completeness {:.3e}) exceed half the guard".format(*residuals)
@@ -290,9 +299,9 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
     return report(UNDETERMINED, None)
 
 
-def _guard_residuals(g1, g2, spectrum, inverse, eig1, rank1: int, tol: float):
+def _guard_residuals(g1, g2, c, inverse, eig1, rank1: int, tol: float):
     """Both residuals the synthesis guard reads off the channel ``synthesize``
-    builds (default ``rank_tol``), exactly, from ``inverse`` = (conj G1)^+
+    builds from the factor ``c``, exactly, from ``inverse`` = (conj G1)^+
     and G1's ascending eigenpairs ``eig1`` (None when G1 was certified).
 
     With T = (C C^dag) o G2 and G = conj(G1), the operators sum to
@@ -301,7 +310,6 @@ def _guard_residuals(g1, g2, spectrum, inverse, eig1, rank1: int, tol: float):
     is y^dag (V_d^dag T V_d + diag(w_d)) y with y = V_d^dag e_j for G1's
     dropped eigenpairs (V_d, w_d; w_d is the sink's share), 0 if none.
     """
-    c = _spectral_factor(*spectrum, DEFAULT_RANK_TOL, tol)
     t = (c @ c.conj().T) * g2
     x = inverse @ (t - g1).conj()
     completeness = np.sqrt(max(float(np.sum(x * x.T).real), 0.0))  # NaN stays NaN

@@ -21,7 +21,8 @@ from .errors import (
 
 #: Relative tolerance for Hermiticity and positivity decisions.
 DEFAULT_TOL = 1e-9
-#: Relative eigenvalue cutoff used when revealing numerical rank.
+#: Relative eigenvalue cutoff of every PSD factor: ``psd_factor`` and the
+#: ratio matrix's factor C that each synthesized channel is built from.
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -127,34 +128,31 @@ def _psd_verdict(w: np.ndarray, tol: float) -> tuple[bool, float]:
     return min_eig >= -tol * max(1.0, radius), min_eig
 
 
-def psd_factor(
-    m, rank_tol: float = DEFAULT_RANK_TOL, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def psd_factor(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Rank-revealing factor ``C`` with ``m = C @ C.conj().T``.
 
     Eigenvalues in the band between ``-tol`` (relative) and
-    ``rank_tol * lambda_max`` are treated as zero, so boundary-PSD inputs
-    such as rank-one matrices factor cleanly; anything more negative makes
-    the input non-PSD. The number of columns of ``C`` equals the numerical
-    rank of ``m``.
+    ``DEFAULT_RANK_TOL * lambda_max`` are treated as zero, so boundary-PSD
+    inputs such as rank-one matrices factor cleanly; anything more negative
+    makes the input non-PSD. The number of columns of ``C`` equals the
+    numerical rank of ``m``.
 
     Column phases are pinned (largest-modulus entry real positive) to make
     the output deterministic; any ``C @ W`` with ``W`` unitary is an
-    equally valid factor of the same matrix.  Synthesis runs the same
-    steps (``_spectral_factor``) on the ratio spectrum its check keeps.
+    equally valid factor of the same matrix.  A build check runs the same
+    steps (``_spectral_factor``) on the ratio spectrum it certifies.
     """
-    _check_tolerances(rank_tol=rank_tol)
-    return _spectral_factor(*hermitian_eig(m, tol), rank_tol, tol)
+    return _spectral_factor(*hermitian_eig(m, tol), tol)
 
 
-def _spectral_factor(w: np.ndarray, v: np.ndarray, rank_tol: float, tol: float) -> np.ndarray:
+def _spectral_factor(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     """``psd_factor`` of the matrix whose descending spectrum is ``(w, v)``."""
     ok, min_eig = _psd_verdict(w, tol)
     if not ok:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {min_eig:.3e}")
     w = np.clip(w, 0.0, None)
     lam_max = float(w[0])
-    keep = w > rank_tol * lam_max
+    keep = w > DEFAULT_RANK_TOL * lam_max
     c = v[:, keep] * np.sqrt(w[keep])
     return pin_column_phases(c)
 

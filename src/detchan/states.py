@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .numerics import (
 UNIT_NORM_TOL = 1e-12
 #: ``span_duals`` refuses Gram condition numbers above this ceiling.
 _COND_CEILING = 1e12
+#: Most draws ``random_state_set`` makes in its ``independent`` mode.
+_MAX_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +96,6 @@ class StateSet:
         idx = list(indices)
         labels = None if self.labels is None else tuple(self.labels[i] for i in idx)
         return StateSet(self.dimension, self.states[idx, :], labels)
-
-
-class Superposition(NamedTuple):
-    vector: np.ndarray
-    support: tuple[int, ...]
 
 
 def gram(s: StateSet) -> np.ndarray:
@@ -170,8 +167,11 @@ def _overlap_inverse(g: np.ndarray, tol: float, certified=None, eig=None) -> np.
     return (v / w) @ v.conj().T
 
 
-def superpose(s: StateSet, coefficients, tol: float = DEFAULT_TOL) -> Superposition:
-    """Normalized ``sum_j q_j |psi_j>`` plus the support {j : q_j != 0}."""
+def superpose(
+    s: StateSet, coefficients, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``(vector, support)``: the normalized ``sum_j q_j |psi_j>`` and the
+    support {j : q_j != 0}."""
     _check_tolerances(tol=tol)
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     if q.shape[0] != s.n:
@@ -183,7 +183,7 @@ def superpose(s: StateSet, coefficients, tol: float = DEFAULT_TOL) -> Superposit
     norm = float(np.linalg.norm(vec))
     if norm <= tol * max(1.0, float(np.linalg.norm(q))):
         raise ZeroVectorError(f"superposition norm {norm:.3e} is below tolerance")
-    return Superposition(vec / norm, support)
+    return vec / norm, support
 
 
 def fingerprint(s: StateSet) -> str:
@@ -212,7 +212,6 @@ def random_state_set(
     seed: int,
     mode: str = "generic",
     base: StateSet | None = None,
-    max_attempts: int = 1000,
     tol: float = DEFAULT_TOL,
 ) -> StateSet:
     """Seeded random state sets (numpy PCG64; same seed, same set).
@@ -223,7 +222,7 @@ def random_state_set(
         Each state drawn independently from the rotation-invariant
         distribution on the unit sphere.
     independent
-        Generic draws re-sampled (up to ``max_attempts``) until the Gram
+        Generic draws re-sampled (at most 1000 draws) until the Gram
         matrix has full rank N; requires N <= D.
     unitary_image
         Returns {U |psi_j>} for a Haar-random U applied to ``base``;
@@ -239,13 +238,13 @@ def random_state_set(
             raise InvalidDimensionsError(
                 f"independent draws need N <= D, got N={n_states}, D={dimension}"
             )
-        for _ in range(max_attempts):
+        for _ in range(_MAX_ATTEMPTS):
             candidate = StateSet.from_vectors(_sphere_points(rng, n_states, dimension))
             if linear_independence(candidate, tol):
                 return candidate
         raise NotIndependentError(
             f"no independent set of {n_states} states in dimension {dimension} "
-            f"after {max_attempts} attempts"
+            f"after {_MAX_ATTEMPTS} attempts"
         )
     if mode == "unitary_image":
         if base is None:

@@ -12,22 +12,13 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
     NotFiniteError,
-    NotHermitianError,
     NotPSDError,
     NotFeasibleError,
     SizeMismatchError,
 )
 from .feasibility import FEASIBLE, FeasibilityReport, _check
-from .numerics import (
-    DEFAULT_RANK_TOL,
-    DEFAULT_TOL,
-    _check_tolerances,
-    _spectral_factor,
-    as_complex_matrix,
-    frobenius,
-    psd_check,
-)
-from .states import StateSet, _overlap_inverse, _span_duals, fingerprint
+from .numerics import DEFAULT_TOL, _hermitian_part, _psd_verdict, as_complex_matrix, frobenius
+from .states import StateSet, _span_duals, fingerprint
 
 
 class _Factor(NamedTuple):
@@ -169,21 +160,16 @@ def _kraus_stack(targets, c, bras) -> np.ndarray:
     return (targets @ scaled).reshape(targets.shape[0], k, d).transpose(1, 0, 2)
 
 
-def synthesize(
-    initial: StateSet,
-    final: StateSet,
-    tol: float = DEFAULT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> KrausSet:
+def synthesize(initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL) -> KrausSet:
     """Kraus operators realizing a Feasible transformation, in factored form.
 
-    Runs ``feasibility_check`` as a build check, which keeps the ratio
-    spectrum, and reads its private pair record, so no Gram matrix is
-    formed, factored or eigensolved a second time.  That spectrum is
-    written as ``C @ C^dag`` with C of minimal column count (``rank_tol``
-    cuts the rank), and ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the
+    Runs ``feasibility_check`` as a build check and reads its private pair
+    record, so no Gram matrix is formed, factored, eigensolved or inverted
+    a second time.  The record keeps the certified ratio matrix as
+    ``C @ C^dag`` with C of minimal column count (``psd_factor``, cut at
+    ``DEFAULT_RANK_TOL``), and ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the
     reciprocal vectors of the initial set (``span_duals`` from the check's
-    inverse of G1 or certified G1: the pseudo-inverse Psi^+, any rank), so
+    inverse of G1: the pseudo-inverse Psi^+, any rank), so
     ``A_k |psi1_j> = C_jk |psi2_j>``.  For a dependent initial set this
     holds because G1 = M o G2 makes ``sum_j n_j C_jk |psi2_j>`` vanish for
     every null vector n of the initial states.  These operators give
@@ -203,26 +189,21 @@ def synthesize(
     is Feasible, and ``IllConditionedError`` when the residuals exceed
     ``1e3 * tol``, which a Feasible verdict has ruled out.
     """
-    _check_tolerances(rank_tol=rank_tol)
     report = _check(initial, final, tol, build=True)
-    return _synthesize_from(report, initial, final, tol, rank_tol)
+    return _synthesize_from(report, initial, final, tol)
 
 
 def _synthesize_from(
-    report: FeasibilityReport, initial: StateSet, final: StateSet, tol: float, rank_tol: float
+    report: FeasibilityReport, initial: StateSet, final: StateSet, tol: float
 ) -> KrausSet:
-    """``synthesize`` from the pair's ``feasibility_check`` report."""
+    """``synthesize`` from the pair's build check (``_check(..., build=True)``)."""
     if report.verdict != FEASIBLE:
         raise NotFeasibleError(
             f"feasibility verdict is {report.verdict}; synthesis needs Feasible",
             report=report,
         )
     pair = report._pair
-    c = _spectral_factor(*pair.spectrum, rank_tol, tol)
-    inverse = pair.inverse
-    if inverse is None:  # the fast accept certified G1 at tol >= 1e-9
-        inverse = _overlap_inverse(pair.g1, tol, certified=True)
-    bras = _span_duals(initial.states, inverse).conj()
+    bras = _span_duals(initial.states, pair.inverse).conj()
     sink = None
     # The trace of the projector Psi^+ Psi is the rank of the initial set.
     if round(float(np.sum(bras * initial.states).real)) < initial.dimension:
@@ -230,7 +211,7 @@ def _synthesize_from(
     ks = KrausSet(
         initial_fingerprint=fingerprint(initial),
         final_fingerprint=fingerprint(final),
-        _factor=_Factor(final.states.T, c, bras, sink),
+        _factor=_Factor(final.states.T, pair.c, bras, sink),
     )
     _verify_synthesis(ks._factor, initial, tol)
     return ks
@@ -317,23 +298,16 @@ def state_to_density(state) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def validate_density(
-    rho,
-    hermitian_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    psd_tol: float = 1e-10,
-) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix."""
+def validate_density(rho) -> np.ndarray:
+    """Check a density matrix and return it as given: Hermitian and of unit
+    trace within 1e-12 * max(1, ||rho||_F), and PSD within 1e-10
+    (``psd_check``'s relative rule)."""
     r = as_complex_matrix(rho, name="density matrix")
-    if r.shape[0] != r.shape[1]:
-        raise SizeMismatchError(f"density matrix must be square, got {r.shape}")
-    scale = max(1.0, frobenius(r))
-    if frobenius(r - r.conj().T) > hermitian_tol * scale:
-        raise NotHermitianError("density matrix is not Hermitian")
+    h = _hermitian_part(r, 1e-12)
     tr = complex(np.trace(r))
-    if abs(tr - 1.0) > trace_tol * scale:
+    if abs(tr - 1.0) > 1e-12 * max(1.0, frobenius(r)):
         raise SizeMismatchError(f"density matrix trace {tr:.12g} != 1")
-    ok, min_eig = psd_check(r, psd_tol)
+    ok, min_eig = _psd_verdict(np.linalg.eigvalsh(h)[::-1], 1e-10)
     if not ok:
         raise NotPSDError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return r

@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "SchemaError",
     "SizeMismatchError",
     "StateSet",
-    "Superposition",
     "SupportTooSmallError",
     "TransformRecord",
     "UNDETERMINED",
@@ -85,10 +84,7 @@ TOLERANCE_CALLS = {
     "build_ratio_matrix": lambda t: detchan.build_ratio_matrix(*_PAIR, tol=t),
     "distinguishability_audit": lambda t: detchan.distinguishability_audit(*_PAIR, tol=t),
     "synthesize.tol": lambda t: detchan.synthesize(*_PAIR, tol=t),
-    "synthesize.rank_tol": lambda t: detchan.synthesize(*_PAIR, rank_tol=t),
     "coherence_roundtrip.tol": lambda t: detchan.coherence_roundtrip(*_PAIR, [1, 1], tol=t),
-    "coherence_roundtrip.rank_tol":
-        lambda t: detchan.coherence_roundtrip(*_PAIR, [1, 1], rank_tol=t),
     "coherence_roundtrip.purity_tol":
         lambda t: detchan.coherence_roundtrip(*_PAIR, [1, 1], purity_tol=t),
     "coherence_probe.tol": lambda t: detchan.coherence_probe(_KRAUS, _PAIR[0], [1, 1], tol=t),
@@ -101,7 +97,6 @@ TOLERANCE_CALLS = {
     "hermitian_eig": lambda t: detchan.hermitian_eig(np.eye(2), tol=t),
     "psd_check": lambda t: detchan.psd_check(np.eye(2), tol=t),
     "psd_factor.tol": lambda t: detchan.psd_factor(np.eye(2), tol=t),
-    "psd_factor.rank_tol": lambda t: detchan.psd_factor(np.eye(2), rank_tol=t),
 }
 
 

@@ -116,7 +116,7 @@ def test_sweep_purity_matches_the_per_operator_sum(capsys):
 
 def test_sweep_checks_each_grid_point_once(capsys, monkeypatch):
     # A Feasible grid point builds its channel from that point's check, a
-    # build check that keeps the ratio spectrum the channel is factored from.
+    # build check that keeps the factor C and G1's inverse the channel is built from.
     counts = count_calls(
         monkeypatch, (cli, "_check"), (cli, "feasibility_check"), (synthesis, "_check")
     )
@@ -221,10 +221,10 @@ SUBCOMMAND_ARGV = {
 #: The optional flags the README documents for each subcommand.
 DOCUMENTED_FLAGS = {
     "check": {"--tol", "--out"},
-    "synth": {"--tol", "--rank-tol", "--out"},
+    "synth": {"--tol", "--out"},
     "apply": {"--out"},
-    "coherence": {"--tol", "--rank-tol", "--purity-tol", "--out"},
-    "sweep": {"--tol", "--rank-tol", "--out"},
+    "coherence": {"--tol", "--purity-tol", "--out"},
+    "sweep": {"--tol", "--out"},
     "gen": {"--seed", "--out"},
 }
 FLAG_VALUES = {
@@ -286,6 +286,22 @@ def test_apply_dimension_mismatch_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "matrix, reason",
+    [
+        ([[0.5, 0.5], [0.0, 0.5]], "symmetry residual"),  # not Hermitian
+        ([[1.0, 0.0], [0.0, 1.0]], "trace"),
+        ([[1.5, 0.0], [0.0, -0.5]], "negative eigenvalue"),  # Hermitian, trace 1
+    ],
+)
+def test_apply_rejects_an_invalid_density_matrix(capsys, tmp_path, matrix, reason):
+    rho = tmp_path / "rho.json"
+    rho.write_text(ser.dumps(ser.density_to_obj(np.array(matrix))))
+    code, out, err = run(capsys, ["apply", fx("kraus_measure2.json"), str(rho)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err
+
+
 def test_coherence_single_nonzero_coefficient_exits_2(capsys):
     code, _, err = run(
         capsys,
@@ -297,12 +313,12 @@ def test_coherence_single_nonzero_coefficient_exits_2(capsys):
 #: The tolerance flags each subcommand takes, with a feasible pair's argv.
 TOLERANCE_ARGV = {
     "check": (["check", fx("plus_pair.json"), fx("target_09.json")], ("--tol",)),
-    "synth": (["synth", fx("plus_pair.json"), fx("target_09.json")], ("--tol", "--rank-tol")),
+    "synth": (["synth", fx("plus_pair.json"), fx("target_09.json")], ("--tol",)),
     "coherence": (
         ["coherence", fx("plus_pair.json"), fx("target_09.json"), "--coeffs", "1,1"],
-        ("--tol", "--rank-tol", "--purity-tol"),
+        ("--tol", "--purity-tol"),
     ),
-    "sweep": (SUBCOMMAND_ARGV["sweep"], ("--tol", "--rank-tol")),
+    "sweep": (SUBCOMMAND_ARGV["sweep"], ("--tol",)),
 }
 
 
@@ -343,6 +359,26 @@ def test_near_dependent_check_exits_0_exactly_when_synth_builds(
     assert code == check_code
     assert json.loads(out)["verdict"] == ("Feasible" if code == 0 else "Undetermined")
     assert run(capsys, ["synth", fx(fixture), fx(fixture)])[0] == synth_code
+
+
+def test_check_exits_0_exactly_when_synth_succeeds_on_every_fixture_pair(capsys):
+    # Every ordered pair of state-set fixtures of one shape (N, D), each set
+    # with itself included: a Feasible verdict always comes with a built
+    # channel, and synth builds none the check did not accept.
+    shapes = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "states" in doc:
+            shapes.setdefault((len(doc["states"]), doc["dimension"]), []).append(str(path))
+    pairs = [(a, b) for group in shapes.values() for a in group for b in group]
+    assert len(pairs) == 72
+    mismatched = [
+        (Path(a).name, Path(b).name, check, synth)
+        for a, b in pairs
+        if ((check := run(capsys, ["check", a, b])[0]) == 0)
+        != ((synth := run(capsys, ["synth", a, b])[0]) == 0)
+    ]
+    assert mismatched == []
 
 
 def test_certified_check_accepts_without_eigenvectors(capsys, monkeypatch):

@@ -392,7 +392,7 @@ def test_ratio_trace_is_support_size_on_subsets():
 def test_spectral_work_per_roundtrip(monkeypatch):
     # One feasibility check owns both Gram matrices: it forms each once,
     # settles each rank by one shifted Cholesky with no eigenvalue solve,
-    # and supplies the ratio spectrum synthesis factors (one eigh), plus
+    # and supplies the ratio factor synthesis builds from (one eigh), plus
     # the probe's output-state eigh for a pure output.  A unitary pair's
     # ratio matrix has rank one, so its factor drops rounding-sized
     # eigenvalues, and the check computes the built channel's residuals
@@ -433,7 +433,6 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         (coherence, "linear_independence"),
         (synthesis, "_span_duals"),
         (feasibility, "_overlap_inverse"),
-        (synthesis, "_overlap_inverse"),
         (coherence, "_overlap_inverse"),
         (np.linalg, "lstsq"),
     )
@@ -452,7 +451,7 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         # one final-dual construction; no public re-entry, no least squares.
         pure = verdict == UNITARY_RELATED
         assert (counts["_span_duals"], counts["span_duals"]) == (1 + pure, 0)
-        # G1's inverse once (in the check or in synthesis), G2's per pure output.
+        # G1's inverse once, in the check, G2's per pure output.
         assert counts["_overlap_inverse"] == 1 + pure
         assert (counts["linear_independence"], counts["lstsq"]) == (0, 0)
         assert (rec.device_residual is not None) == (verdict == UNITARY_RELATED)

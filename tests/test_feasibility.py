@@ -508,33 +508,35 @@ def test_feasibility_check_branches(case):
 
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
 def test_only_feasible_reports_keep_the_certifying_spectrum(case):
-    # A build check's private pair record keeps the spectrum, which
-    # reconstructs the matrix the verdict was read from: the ratio matrix
-    # with its 0/0 pairs completed with 1 (the free_* cases).  Synthesis
-    # factors exactly that spectrum, for either rank.  A bare check that
-    # accepts on its Cholesky (here the two certified cases without a
-    # dependent set or a free pair) takes no spectrum; any other keeps the
-    # same one.
+    # A build check's private pair record keeps the factor C of the
+    # certified spectrum, which reconstructs the matrix the verdict was read
+    # from: the ratio matrix with its 0/0 pairs completed with 1 (the free_*
+    # cases).  Synthesis builds from exactly that C and the kept inverse of
+    # G1, for either rank.  A bare check that accepts at once (here the two
+    # certified cases without a dependent set or a free pair) keeps neither;
+    # any other computed both for the residuals and keeps the same ones.
     a, b = unit_rows(BRANCH_CASES[case][0]), unit_rows(BRANCH_CASES[case][1])
     report = _check(a, b, DEFAULT_TOL, build=True)
     bare = feasibility_check(a, b)
-    assert not hasattr(report, "spectrum")
+    assert not hasattr(report, "spectrum") and not hasattr(report._pair, "spectrum")
     if report.verdict != FEASIBLE:
-        assert report._pair.spectrum is None and bare._pair.spectrum is None
+        for pair in (report._pair, bare._pair):
+            assert pair.c is None and pair.inverse is None
         return
     if case in ("defined_psd", "single_state"):
-        assert bare._pair.spectrum is None and bare._pair.inverse is None
+        assert bare._pair.c is None and bare._pair.inverse is None
     else:
-        for got, kept in zip(bare._pair.spectrum, report._pair.spectrum):
+        for name in ("c", "inverse"):
+            got, kept = getattr(bare._pair, name), getattr(report._pair, name)
             np.testing.assert_array_equal(got, kept, strict=True)
     m = report.ratio_matrix
     assert bool(m.free_pairs) == case.startswith("free_")
     certified = np.where(m.defined, m.entries, 1.0)
-    w, v = report._pair.spectrum
-    assert np.all(np.diff(w) <= 0) and report.min_eigenvalue == w[-1]
-    assert not w.flags.writeable and not v.flags.writeable
-    np.testing.assert_allclose((v * w) @ v.conj().T, certified, atol=1e-12)
-    np.testing.assert_array_equal(synthesize(a, b).c_factor, psd_factor(certified))
+    c, inverse = report._pair.c, report._pair.inverse
+    assert not c.flags.writeable and not inverse.flags.writeable
+    np.testing.assert_allclose(c @ c.conj().T, certified, atol=1e-12)
+    np.testing.assert_array_equal(c, psd_factor(certified), strict=True)
+    np.testing.assert_array_equal(synthesize(a, b).c_factor, c, strict=True)
 
 
 def test_feasible_spectrum_reconstructs_random_ratio_matrices():
@@ -543,11 +545,9 @@ def test_feasible_spectrum_reconstructs_random_ratio_matrices():
         initial, final, _ = feasible_pair(rng, n)
         report = _check(initial, final, DEFAULT_TOL, build=True)
         assert report.verdict == FEASIBLE
-        assert feasibility_check(initial, final)._pair.spectrum is None
-        w, v = report._pair.spectrum
-        np.testing.assert_allclose(
-            (v * w) @ v.conj().T, report.ratio_matrix.entries, atol=1e-12
-        )
+        assert feasibility_check(initial, final)._pair.c is None
+        c = report._pair.c
+        np.testing.assert_allclose(c @ c.conj().T, report.ratio_matrix.entries, atol=1e-12)
 
 
 @st.composite
@@ -730,7 +730,7 @@ def test_near_dependent_pairs_are_feasible_only_when_built():
         if report.verdict == UNDETERMINED:
             assert not report.initial_independent
             assert report.notes[-1].startswith(RESIDUALS_NOTE)
-            assert report.min_eigenvalue is not None and report._pair.spectrum is None
+            assert report.min_eigenvalue is not None and report._pair.c is None
         assert_feasible_iff_built(s, s, GUARD)
     # The dropped direction costs a per-state residual of about
     # theta / sqrt(2) (theta / 2 on the span operators, theta / 2 in the
@@ -963,7 +963,7 @@ def test_spectral_work_per_check(monkeypatch):
     # with a third shifted Cholesky, of the completed ratio matrix, and reads
     # min_eigenvalue with one eigvalsh: no eigenvectors.  Where that Cholesky
     # fails (a fully defined Infeasible pair) one full eigh decides, and a
-    # build check, whose spectrum synthesis factors, takes that eigh at once.
+    # build check, whose spectrum it factors for synthesis, takes that eigh at once.
     # Only a dependent set takes more: the initial set's eigenpairs (one
     # eigh, which also bounds the built channel's residuals; with a free
     # pair, as in this one, no Cholesky is tried first), the final set's
@@ -993,8 +993,8 @@ def test_spectral_work_per_check(monkeypatch):
 
 # ------------------------------------- decide-only and build checks agree
 # feasibility_check decides; the build check (_check with build=True) also
-# keeps the ratio spectrum that synthesize, the roundtrip and cli sweep
-# factor.  A certified decide-only check proves its fast accept with one
+# keeps the factor C and G1's inverse that synthesize, the roundtrip and
+# cli sweep build from.  A certified decide-only check proves its fast accept with one
 # shifted Cholesky of the completion and reads min_eigenvalue with eigvalsh,
 # which for N >= 3 may differ from eigh's in the last bits.
 

@@ -364,9 +364,9 @@ def test_synthesize_refuses_condition_above_the_ceiling():
 
 
 def test_spectral_work_per_synthesize(monkeypatch):
-    # One eigh: the feasibility check's, of the ratio matrix, whose
-    # spectrum the check's pair record keeps and synthesis factors.  The
-    # duals read the check's G1 and its certificate and take one solve,
+    # One eigh: the feasibility check's, of the ratio matrix, whose factor
+    # the check's pair record keeps for synthesis.  The duals read the
+    # inverse the check took from its certified G1 with one solve,
     # and no SVD-based condition number.  The check's two Grams are the
     # only Grams: the ratio matrix and G1 are read off the report, never
     # rebuilt.
@@ -403,7 +403,6 @@ def test_dependent_synthesis_takes_no_more_eigh_than_its_check(monkeypatch):
         (feasibility, "gram"),
         (synthesis, "_span_duals"),
         (feasibility, "_overlap_inverse"),
-        (synthesis, "_overlap_inverse"),
     )
     assert feasibility_check(initial, final).verdict == FEASIBLE
     names = ("eigh", "cholesky", "gram", "_overlap_inverse")
