@@ -230,17 +230,17 @@ def _compile_component(value, param: str):
     Strings are parsed once into a tree of float operations.  Only number
     literals, ``+ - * / **``, unary signs, the parameter, ``pi`` and
     one-argument calls to the functions above are accepted; nothing else
-    is ever evaluated.
+    is ever evaluated.  A number, bare or literal, must fit a double.
     """
-    if isinstance(value, (int, float)):
-        constant = float(value)
-        return lambda theta: constant
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, (int, float)):
+            constant = float(value)
+            return lambda theta: constant
+        if isinstance(value, str):
             return _compile_node(ast.parse(value, mode="eval").body, param)
-        # The parser reports nesting too deep for it as MemoryError.
-        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-            raise SchemaError(f"bad template expression {value!r}: {exc}") from exc
+    # The parser reports nesting too deep for it as MemoryError.
+    except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
+        raise SchemaError(f"bad template expression {value!r}: {exc}") from exc
     raise SchemaError(f"template amplitude component must be a number or string, got {value!r}")
 
 

@@ -4,13 +4,18 @@ Floats are rendered with 17 significant digits so every double round-trips
 exactly; dictionaries keep a fixed key order; complex scalars are [re, im]
 pairs.  Emission is hand-rolled to keep the byte stream fully
 deterministic (golden-file friendly): the same object always serializes
-to the same bytes.
+to the same bytes.  Every number must be finite and fit a double.
+Complex arrays go in and out whole: the ``*_to_obj`` documents hold the objects'
+own complex128 arrays (not copies), ``dumps`` writes each in one pass exactly as
+its nested [re, im] lists, and ``pairs_to_matrix`` checks nested pairs in one
+pass and converts them, bit for bit, with one ``np.array`` call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain, islice
 from typing import Any
 
 import numpy as np
@@ -26,18 +31,18 @@ def format_float(x) -> str:
     v = float(x)
     if not math.isfinite(v):
         raise SchemaError(f"cannot serialize non-finite value {v!r}")
-    if v == 0.0:
-        return "0"
-    return format(v, ".17g")
+    return format(v, ".17g") if v else "0"
 
 
 def _flat(seq) -> bool:
     """True when no item of the list ``seq`` is a dict or a list holding a
-    container, i.e. it nests at most two lists deep: it goes on one line."""
+    container, i.e. it nests at most two lists deep: it goes on one line.
+    An array counts as its nested lists: it holds pairs or rows unless empty."""
     for x in seq:
-        if isinstance(x, dict) or (
-            isinstance(x, (list, tuple)) and any(isinstance(y, (list, tuple, dict)) for y in x)
-        ):
+        if isinstance(x, (list, tuple)):
+            if any(isinstance(y, (list, tuple, dict, np.ndarray)) for y in x):
+                return False
+        elif isinstance(x, dict) or (isinstance(x, np.ndarray) and x.shape[:1] != (0,)):
             return False
     return True
 
@@ -46,7 +51,9 @@ def _emit(obj, out: list[str], level: int, indent: int) -> None:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))
     keyed = isinstance(obj, dict)
-    if (keyed or isinstance(obj, (list, tuple))) and not obj:
+    if isinstance(obj, np.ndarray) and obj.dtype == np.complex128 and obj.ndim:
+        _emit_complex(obj, out, level, indent)
+    elif (keyed or isinstance(obj, (list, tuple))) and not obj:
         out.append("{}" if keyed else "[]")
     elif isinstance(obj, (list, tuple)) and _flat(obj):
         out.append("[")
@@ -77,6 +84,27 @@ def _emit(obj, out: list[str], level: int, indent: int) -> None:
         raise SchemaError(f"cannot serialize value of type {type(obj).__name__}")
 
 
+def _emit_complex(arr: np.ndarray, out: list[str], level: int, indent: int) -> None:
+    """A complex128 array laid out as its nested [re, im] lists: each row of
+    pairs on one line, every outer axis one item per line."""
+    if not arr.size:  # no number in it: written as its (empty) nested lists
+        return _emit(arr.tolist(), out, level, indent)
+    floats = np.ascontiguousarray(arr).view(np.float64)
+    finite = np.isfinite(floats)
+    if not finite.all():
+        raise SchemaError(f"cannot serialize non-finite value {float(floats[~finite][0])!r}")
+    # Adding 0.0 turns -0.0 into 0.0, so every zero prints "0" as in format_float.
+    cells = iter([format(v, ".17g") for v in (floats + 0.0).ravel().tolist()])
+    pairs, width = map(", ".join, zip(cells, cells)), arr.shape[-1]
+    items = ["[[" + "], [".join(islice(pairs, width)) + "]]" for _ in range(arr.size // width)]
+    for depth, count in enumerate(reversed(arr.shape[:-1])):
+        pad = " " * (indent * (level + arr.ndim - 2 - depth))
+        inner = pad + " " * indent
+        items = [f"[\n{inner}" + f",\n{inner}".join(items[i : i + count]) + f"\n{pad}]"
+                 for i in range(0, len(items), count)]
+    out.append(items[0])
+
+
 def dumps(obj, indent: int = 2) -> str:
     """Serialize to deterministic, diff-friendly JSON (trailing newline)."""
     out: list[str] = []
@@ -86,32 +114,31 @@ def dumps(obj, indent: int = 2) -> str:
 
 
 # ----------------------------------------------------------------------
-# complex <-> [re, im] codecs
+# [re, im] pairs -> complex arrays
 
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+def _entries(seqs, what: str, length: int | None = None) -> list:
+    """The entries, in order, of ``seqs``: a non-empty list of lists or tuples
+    that share one nonzero length (``length`` when given)."""
+    if not isinstance(seqs, list) or not seqs or not all(
+        issubclass(t, (list, tuple)) for t in set(map(type, seqs))
+    ):
+        raise SchemaError(f"{what} must be a non-empty list of lists")
+    if not seqs[0] or set(map(len, seqs)) != {length or len(seqs[0])}:
+        raise SchemaError(f"{what} must be non-empty and of one length")
+    return list(chain.from_iterable(seqs))
 
 
-def vector_to_pairs(v) -> list:
-    return [complex_pair(z) for z in np.asarray(v).reshape(-1)]
-
-
-def matrix_to_pairs(m) -> list:
-    return [vector_to_pairs(row) for row in np.asarray(m)]
-
-
-def _pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise SchemaError(f"expected an [re, im] pair, got {pair!r}")
+def pairs_to_matrix(rows) -> np.ndarray:
+    """The (rows, width) complex128 array of a non-empty list of equal-length
+    rows of [re, im] pairs, with the exact bits of each number (-0.0 too)."""
+    numbers = _entries(_entries(rows, "matrix rows"), "[re, im] pairs", 2)
     # JSON true/false load as bool, a subclass of int; they are not numbers.
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
-        raise SchemaError(f"non-numeric [re, im] pair {pair!r}")
-    return complex(*pair)
-
-
-def pairs_to_vector(pairs) -> np.ndarray:
-    return np.array([_pair_to_complex(p) for p in pairs], dtype=np.complex128)
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, numbers))):
+        raise SchemaError("[re, im] pairs must hold two numbers each")
+    try:
+        return np.array(numbers, dtype=np.float64).view(np.complex128).reshape(len(rows), -1)
+    except OverflowError as exc:
+        raise SchemaError(f"amplitude does not fit a double: {exc}") from exc
 
 
 def _optional(convert, value):
@@ -119,41 +146,23 @@ def _optional(convert, value):
     return None if value is None else convert(value)
 
 
-def pairs_to_matrix(pairs) -> np.ndarray:
-    if not isinstance(pairs, list) or not pairs:
-        raise SchemaError("expected a non-empty list of rows")
-    rows = [pairs_to_vector(row) for row in pairs]
-    lengths = {row.shape[0] for row in rows}
-    if len(lengths) != 1:
-        raise SchemaError("matrix rows have inconsistent lengths")
-    return np.vstack(rows)
-
-
 # ----------------------------------------------------------------------
 # domain objects
 
 def state_set_to_obj(s: StateSet) -> dict:
-    return {
-        "dimension": s.dimension,
-        "states": [vector_to_pairs(row) for row in s.states],
-        "labels": _optional(list, s.labels),
-    }
+    return {"dimension": s.dimension, "states": s.states, "labels": _optional(list, s.labels)}
 
 
 def state_set_from_obj(obj) -> StateSet:
     if not isinstance(obj, dict) or "states" not in obj:
         raise SchemaError("state-set document needs a 'states' key")
-    states = obj["states"]
-    if not isinstance(states, list) or not states:
-        raise SchemaError("'states' must be a non-empty list")
-    arr = pairs_to_matrix(states)
-    dimension = _dimension(obj, arr.shape[1])
+    arr = pairs_to_matrix(obj["states"])
     labels = obj.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
     ):
         raise SchemaError("'labels' must be a list of strings or null")
-    return StateSet(dimension=dimension, states=arr, labels=labels)
+    return StateSet(_dimension(obj, arr.shape[1]), arr, labels)
 
 
 def _dimension(obj: dict, default: int) -> int:
@@ -167,8 +176,8 @@ def _dimension(obj: dict, default: int) -> int:
 def kraus_set_to_obj(ks: KrausSet) -> dict:
     return {
         "dimension": ks.dimension,
-        "operators": [matrix_to_pairs(op) for op in ks.operators],
-        "c_factor": _optional(matrix_to_pairs, ks.c_factor),
+        "operators": ks.operators,
+        "c_factor": ks.c_factor,
         "initial_fingerprint": ks.initial_fingerprint,
         "final_fingerprint": ks.final_fingerprint,
     }
@@ -178,30 +187,21 @@ def kraus_set_from_obj(obj) -> KrausSet:
     if not isinstance(obj, dict) or "operators" not in obj:
         raise SchemaError("Kraus document needs an 'operators' key")
     ops = obj["operators"]
-    if not isinstance(ops, list) or not ops:
-        raise SchemaError("'operators' must be a non-empty list")
-    c_factor = obj.get("c_factor")
     fingerprints = [obj.get(key, "") for key in ("initial_fingerprint", "final_fingerprint")]
     if not all(isinstance(f, str) for f in fingerprints):
         raise SchemaError(f"fingerprints must be strings, got {fingerprints!r}")
-    ks = KrausSet(
-        operators=[pairs_to_matrix(op) for op in ops],
-        c_factor=_optional(pairs_to_matrix, c_factor),
-        initial_fingerprint=fingerprints[0],
-        final_fingerprint=fingerprints[1],
-    )
+    rows = _entries(ops, "'operators'")
+    operators = pairs_to_matrix(rows).reshape(len(ops), len(rows) // len(ops), -1)
+    ks = KrausSet(operators, _optional(pairs_to_matrix, obj.get("c_factor")), *fingerprints)
     dimension = _dimension(obj, ks.dimension)
     if dimension != ks.dimension:
-        raise SchemaError(
-            f"'dimension' {dimension!r} does not match operators of shape "
-            f"{ks.operators.shape[1:]}"
-        )
+        shape = ks.operators.shape[1:]
+        raise SchemaError(f"'dimension' {dimension!r} does not match operators of shape {shape}")
     return ks
 
 
 def density_to_obj(rho) -> dict:
-    r = np.asarray(rho, dtype=np.complex128)
-    return {"dimension": r.shape[0], "matrix": matrix_to_pairs(r)}
+    return {"dimension": len(rho), "matrix": np.asarray(rho, dtype=np.complex128)}
 
 
 def density_from_obj(obj) -> np.ndarray:
@@ -240,8 +240,8 @@ def roundtrip_to_obj(rec: CoherenceRoundTrip) -> dict:
         "agree": rec.agree,
         "support": list(rec.probe.support),
         "phases": _optional(lambda phases: [float(p) for p in phases], rec.test.phases),
-        "unitary": _optional(matrix_to_pairs, rec.test.extracted_unitary),
-        "output_coefficients": _optional(vector_to_pairs, rec.probe.output_coefficients),
+        "unitary": rec.test.extracted_unitary,
+        "output_coefficients": rec.probe.output_coefficients,
         "coefficient_law_residual": rec.coefficient_law_residual,
         "device_residual": rec.device_residual,
     }

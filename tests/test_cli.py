@@ -544,6 +544,31 @@ def test_sweep_rejects_expressions_outside_the_grammar(capsys, tmp_path, express
     assert code == 2 and out == "" and "template expression" in err
 
 
+#: A 401-digit JSON integer: valid JSON, but too large for a double.
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("component", [f'"{HUGE} * theta"', HUGE], ids=["expression", "number"])
+def test_sweep_rejects_a_literal_too_large_for_a_double(capsys, tmp_path, component):
+    # Inside an expression or as a bare number, the literal is an input
+    # error (exit 2), not a traceback that would exit 1.
+    tpl = tmp_path / "tpl.json"
+    tpl.write_text(
+        '{"dimension": 2, "initial": [[[1, 0], [0, 0]], [[%s, 0], [1, 0]]], '
+        '"final": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}' % component
+    )
+    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
+    assert code == 2 and out == "" and "template expression" in err
+
+
+def test_check_rejects_an_amplitude_too_large_for_a_double(capsys, tmp_path):
+    # Exit 1 would read as Infeasible; an unreadable amplitude exits 2.
+    big = tmp_path / "big.json"
+    big.write_text('{"states": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % HUGE)
+    code, out, err = run(capsys, ["check", str(big), fx("plus_pair.json")])
+    assert (code, out) == (2, "") and "fit a double" in err
+
+
 def test_gen_invalid_dimensions_exit_2(capsys):
     code, _, _ = run(capsys, ["gen", "2", "3", "--mode", "independent", "--seed", "0"])
     assert code == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from detchan import SchemaError, SizeMismatchError, StateSet, fingerprint, synthesize
 from detchan import serialize as ser
@@ -116,12 +117,73 @@ def test_schema_errors_on_malformed_documents():
         ser.state_set_from_obj({"states": [[[1, 0]], [[1, 0], [0, 0]]]})
     with pytest.raises(SchemaError):
         ser.kraus_set_from_obj({"dimension": True, "operators": [[[[1, 0]]]]})
+    # Operators of different shapes, and state rows that are not lists.
+    with pytest.raises(SchemaError):
+        ser.kraus_set_from_obj({"operators": [[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]})
+    with pytest.raises(SchemaError):
+        ser.state_set_from_obj({"states": [1, 2]})
+
+
+_ROW = [[1.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[[np.float64(0.5), np.float64(-0.25)]]], [[0.5 - 0.25j]]),
+        ([[(1, 0), (0.5, 2)]], [[1, 0.5 + 2j]]),
+        ([([1, 0], [0, 1]), ((2, 3), (4, 5))], [[1, 1j], [2 + 3j, 4 + 5j]]),
+        ([[[1, -0.0]]], [[complex(1, -0.0)]]),
+    ],
+)
+def test_pairs_to_matrix_accepts_numbers_in_lists_and_tuples(rows, expected):
+    m = ser.pairs_to_matrix(rows)
+    assert m.dtype == np.complex128
+    np.testing.assert_array_equal(m, np.array(expected, dtype=np.complex128))
+    assert np.signbit(m.imag).tolist() == np.signbit(np.array(expected).imag).tolist()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[[True, 0]]],  # booleans are not numbers
+        [[[1, np.bool_(False)]]],
+        [[["1", 0]]],  # strings
+        [[[None, 0]]],
+        [[[[1], 0]]],  # a nested leaf
+        [[[1, 0], [[0, 0], [0, 0]]]],
+        [[[1]]],  # pairs of 1 and 3 entries
+        [[[1, 0, 0]]],
+        [[[10**400, 0]]],  # an integer too large for a double
+        [[[1, 0]], [[1, 0], [0, 0]]],  # ragged rows
+        [[]],  # an empty row
+        [],  # no rows
+        [_ROW, []],
+        [_ROW, "ab"],  # rows that are not lists
+        [_ROW, {"a": 1, "b": 2}],
+        [_ROW, 7],
+        [[1, 0]],
+        ([_ROW],),  # the row list itself must be a list
+        {"rows": _ROW},
+        None,
+    ],
+)
+def test_pairs_to_matrix_rejects_malformed_nesting(rows):
+    with pytest.raises(SchemaError):
+        ser.pairs_to_matrix(rows)
 
 
 def test_dumps_rejects_non_finite():
     for value in (float("nan"), float("inf"), -float("inf"), *np.array([np.nan, np.inf, -np.inf])):
-        for doc in ({"x": value}, [value], {"a": [[1.0, value]]}, [[[0.5, value]]]):
-            with pytest.raises(SchemaError):
+        arrays = (
+            np.array([complex(value, 0.0)]),
+            np.array([[1.0, complex(0.5, value)]]),
+            np.full((2, 2, 3), complex(1.0, value)),
+        )
+        docs = ({"x": value}, [value], {"a": [[1.0, value]]}, [[[0.5, value]]])
+        docs += tuple({"m": a} for a in arrays) + tuple([[a]] for a in arrays)
+        for doc in docs:
+            with pytest.raises(SchemaError, match="non-finite"):
                 ser.dumps(doc)
 
 
@@ -207,3 +269,56 @@ _documents = st.recursive(
 @given(doc=_documents, indent=st.integers(0, 4))
 def test_dumps_matches_the_reference_emitter(doc, indent):
     assert ser.dumps(doc, indent) == _reference_dumps(doc, indent)
+
+
+# ---------------------------------------------------------------- complex arrays
+
+
+def _nested_pairs(arr):
+    # An array as the nested [re, im] lists the emitter's reference writes.
+    if arr.ndim == 1:
+        return [[z.real, z.imag] for z in arr.tolist()]
+    return [_nested_pairs(sub) for sub in arr]
+
+
+_edge_doubles = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e-300,
+     1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1 / 3]
+)
+_doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _edge_doubles)
+
+
+def _complex_arrays(min_dims, max_dims, min_side):
+    shapes = hnp.array_shapes(min_dims=min_dims, max_dims=max_dims, min_side=min_side, max_side=4)
+    return shapes.flatmap(
+        lambda shape: hnp.arrays(np.float64, (*shape, 2), elements=_doubles).map(
+            lambda floats: floats.view(np.complex128)[..., 0]
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arr=_complex_arrays(1, 3, 0),  # empty and zero-width shapes included
+    transpose=st.booleans(),
+    indent=st.integers(0, 4),
+    wrap=st.integers(0, 3),
+)
+def test_dumps_writes_complex_arrays_as_their_nested_pairs(arr, transpose, indent, wrap):
+    if transpose:
+        arr = arr.T  # not C-contiguous once it has two axes or more
+    doc, reference = arr, _nested_pairs(arr)
+    for depth in range(wrap):  # the array at several indentation levels
+        doc, reference = {"k": doc, "n": depth}, {"k": reference, "n": depth}
+    assert ser.dumps(doc, indent) == _reference_dumps(reference, indent)
+    assert ser.dumps([doc, 1.5], indent) == _reference_dumps([reference, 1.5], indent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arr=_complex_arrays(2, 2, 1))
+def test_complex_arrays_round_trip_bit_exactly_but_for_the_sign_of_zero(arr):
+    restored = ser.pairs_to_matrix(json.loads(ser.dumps({"m": arr}))["m"])
+    assert restored.shape == arr.shape
+    # -0.0 is written as "0", so it comes back as +0.0; every other bit holds.
+    expected = arr.view(np.float64) + 0.0
+    np.testing.assert_array_equal(restored.view(np.uint64), expected.view(np.uint64))
