@@ -12,31 +12,25 @@ environment variables.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import functools
-import json
 import math
 import operator
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import serialize
-from .coherence import DEFAULT_PURITY_TOL, UNITARY_RELATED, coherence_roundtrip, purity
 from .errors import DetchanError, NotFeasibleError, SchemaError
 from .feasibility import FEASIBLE, INFEASIBLE, _check, feasibility_check
-from .numerics import DEFAULT_TOL
+from .numerics import DEFAULT_PURITY_TOL, DEFAULT_TOL
 from .states import StateSet, random_state_set, superpose
-from .synthesis import (
-    _synthesize_from,
-    apply_channel,
-    state_to_density,
-    synthesize,
-    transform_report,
-    validate_density,
-    verify_completeness,
-)
+
+if TYPE_CHECKING:
+    import argparse
+
+# serialize, synthesis and coherence are imported inside the commands that
+# use them, so a fresh process loads only what its first call runs.
 
 _EXIT_BY_VERDICT = {FEASIBLE: 0, INFEASIBLE: 1}
 
@@ -45,7 +39,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DetchanError, OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (DetchanError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -55,6 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first ``main`` call and kept for
     the process: ``parse_args`` returns a fresh namespace each call and
     leaves the parser unchanged, and every default is immutable."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="detchan",
         description="Deterministic transformations between pure-state sets: "
@@ -126,6 +122,8 @@ def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 def _load_state_set(path) -> StateSet:
+    from . import serialize
+
     return serialize.state_set_from_obj(serialize.load_document(path))
 
 
@@ -140,6 +138,8 @@ def _write(text: str, out_path) -> None:
 
 
 def _cmd_check(args) -> int:
+    from . import serialize
+
     initial = _load_state_set(args.initial)
     final = _load_state_set(args.final)
     report = feasibility_check(initial, final, args.tol)
@@ -148,6 +148,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import serialize
+    from .synthesis import synthesize, transform_report, verify_completeness
+
     initial = _load_state_set(args.initial)
     final = _load_state_set(args.final)
     try:
@@ -173,6 +176,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from . import serialize
+    from .coherence import purity
+    from .synthesis import apply_channel, state_to_density, validate_density
+
     ks = serialize.kraus_set_from_obj(serialize.load_document(args.kraus))
     doc = serialize.load_document(args.state)
     if isinstance(doc, dict) and "states" in doc:
@@ -192,6 +199,9 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_coherence(args) -> int:
+    from . import serialize
+    from .coherence import UNITARY_RELATED, coherence_roundtrip
+
     initial = _load_state_set(args.initial)
     final = _load_state_set(args.final)
     try:
@@ -233,7 +243,8 @@ def _compile_component(value, param: str):
     is ever evaluated.  A number, bare or literal, must fit a double.
     """
     try:
-        if isinstance(value, (int, float)):
+        # JSON true/false load as bool, a subclass of int; they are not numbers.
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             constant = float(value)
             return lambda theta: constant
         if isinstance(value, str):
@@ -275,6 +286,9 @@ def _compile_template(entries, param: str):
     """Per state, per amplitude: (real, imaginary) component functions."""
     if not isinstance(entries, list) or not entries:
         raise SchemaError("template state list must be a non-empty list")
+    if not all(isinstance(state, list) and all(isinstance(pair, list) and len(pair) == 2
+                                               for pair in state) for state in entries):
+        raise SchemaError("template states must be lists of [re, im] pairs")
     return [
         [
             (_compile_component(pair[0], param), _compile_component(pair[1], param))
@@ -296,6 +310,10 @@ def _template_state_set(compiled, theta: float) -> StateSet:
 
 
 def _cmd_sweep(args) -> int:
+    from . import serialize
+    from .coherence import purity
+    from .synthesis import _synthesize_from, apply_channel, state_to_density
+
     if args.steps < 2:
         raise SchemaError(f"sweep needs at least 2 steps, got {args.steps}")
     doc = serialize.load_document(args.template)
@@ -303,6 +321,11 @@ def _cmd_sweep(args) -> int:
         raise SchemaError("template needs 'initial' and 'final' state lists")
     initial_template = _compile_template(doc["initial"], args.param)
     final_template = _compile_template(doc["final"], args.param)
+
+    def cell(x) -> str:
+        """A CSV cell: the float with 17 significant digits, empty for None."""
+        return "" if x is None else serialize.format_float(x)
+
     rows = ["theta,min_eigenvalue,verdict,max_abs_mu,uniform_purity"]
     for theta in np.linspace(args.start, args.stop, args.steps):
         theta = float(theta)
@@ -318,19 +341,16 @@ def _cmd_sweep(args) -> int:
             ks = _synthesize_from(report, initial, final, args.tol)
             vec, _ = superpose(initial, np.ones(initial.n), args.tol)
             uniform_purity = purity(apply_channel(ks, state_to_density(vec)))
-        cells = [_csv_float(theta), _csv_float(report.min_eigenvalue), report.verdict]
-        cells += [_csv_float(max_mu), _csv_float(uniform_purity)]
+        cells = [cell(theta), cell(report.min_eigenvalue), report.verdict]
+        cells += [cell(max_mu), cell(uniform_purity)]
         rows.append(",".join(cells))
     _write("\n".join(rows) + "\n", args.out)
     return 0
 
 
-def _csv_float(x) -> str:
-    """A CSV cell: the float with 17 significant digits, empty for None."""
-    return "" if x is None else serialize.format_float(x)
-
-
 def _cmd_gen(args) -> int:
+    from . import serialize
+
     base = _load_state_set(args.base) if args.base else None
     s = random_state_set(
         args.dimension, args.n_states, args.seed, mode=args.mode, base=base

@@ -25,6 +25,7 @@ from .errors import (
     SupportTooSmallError,
 )
 from .numerics import (
+    DEFAULT_PURITY_TOL,
     DEFAULT_TOL,
     _check_tolerances,
     hermitian_eig,
@@ -47,8 +48,6 @@ from .feasibility import RatioMatrix, _check, _check_shapes, _ratio_matrix
 UNITARY_RELATED = "UnitaryRelated"
 DECOHERING = "Decohering"
 
-#: A state counts as pure when 1 - Tr(rho^2) is at most this.
-DEFAULT_PURITY_TOL = 1e-9
 #: Allowed deviation of a defined ratio entry from e^{i(phi_j - phi_k)},
 #: and of its modulus from 1, in the unitary-relation test.
 PHASE_TOL = 1e-6

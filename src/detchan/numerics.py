@@ -24,6 +24,8 @@ DEFAULT_TOL = 1e-9
 #: Relative eigenvalue cutoff of every PSD factor: ``psd_factor`` and the
 #: ratio matrix's factor C that each synthesized channel is built from.
 DEFAULT_RANK_TOL = 1e-10
+#: A state counts as pure when 1 - Tr(rho^2) is at most this.
+DEFAULT_PURITY_TOL = 1e-9
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -16,15 +16,17 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain, islice
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .coherence import CoherenceRoundTrip
 from .errors import SchemaError
-from .feasibility import FeasibilityReport
 from .states import StateSet
-from .synthesis import KrausSet
+
+if TYPE_CHECKING:
+    from .coherence import CoherenceRoundTrip
+    from .feasibility import FeasibilityReport
+    from .synthesis import KrausSet
 
 
 def format_float(x) -> str:
@@ -184,6 +186,8 @@ def kraus_set_to_obj(ks: KrausSet) -> dict:
 
 
 def kraus_set_from_obj(obj) -> KrausSet:
+    from .synthesis import KrausSet
+
     if not isinstance(obj, dict) or "operators" not in obj:
         raise SchemaError("Kraus document needs an 'operators' key")
     ops = obj["operators"]
@@ -249,4 +253,7 @@ def roundtrip_to_obj(rec: CoherenceRoundTrip) -> dict:
 
 def load_document(path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise SchemaError(f"{path}: JSON nested too deeply to read") from exc

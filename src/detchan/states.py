@@ -3,7 +3,6 @@ reciprocal (dual) states, superpositions and seeded random generation."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,6 +191,8 @@ def fingerprint(s: StateSet) -> str:
     Labels are deliberately excluded; negative zeros are normalized so the
     fingerprint survives serialization round trips.
     """
+    import hashlib  # loads OpenSSL: paid only by the callers that fingerprint
+
     h = hashlib.sha256()
     h.update(f"stateset:{s.n}:{s.dimension}:".encode())
     h.update(np.ascontiguousarray(s.states + (0.0 + 0.0j)).tobytes())

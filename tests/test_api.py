@@ -1,6 +1,11 @@
 """The public surface of the package, pinned name by name, and the
 tolerance validation every public entry point shares."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -65,10 +70,41 @@ PUBLIC_NAMES = [
 ]
 
 
+#: Run in a fresh interpreter, where nothing but the package is imported yet:
+#: names resolve on first access, from several threads at once too.
+LAZY_PROBE = """
+import importlib, sys, types
+from concurrent.futures import ThreadPoolExecutor
+import detchan
+assert "detchan.coherence" not in sys.modules
+assert isinstance(detchan.coherence, types.ModuleType)
+try:
+    detchan.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+with ThreadPoolExecutor(4) as pool:
+    resolved = list(pool.map(lambda name: getattr(detchan, name), detchan.__all__))
+for name, value in zip(detchan.__all__, resolved):
+    module = importlib.import_module("detchan." + detchan._MODULE_OF[name])
+    assert value is getattr(module, name) is getattr(detchan, name), name
+    if isinstance(value, (type, types.FunctionType)):
+        assert value.__module__ == module.__name__, name
+namespace = {}
+exec("from detchan import *", namespace)
+assert sorted(set(namespace) - {"__builtins__"}) == sorted(detchan.__all__)
+assert "__all__" in dir(detchan) and set(detchan.__all__) <= set(dir(detchan))
+"""
+
+
 def test_public_names_are_pinned_and_resolve():
     assert sorted(detchan.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(detchan, name) is not None
+    src = str(Path(detchan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", LAZY_PROBE], check=True, env=env)
 
 
 # ------------------------------------------------------------ tolerances

@@ -169,6 +169,37 @@ def test_importing_detchan_builds_no_parser():
     subprocess.run([sys.executable, "-c", probe], check=True, env=env)
 
 
+#: Run in a fresh interpreter: the modules detchan adds to those numpy loads,
+#: after import and one check, then after one `detchan check`.
+STARTUP_PROBE = """
+import contextlib, io, sys
+import numpy as np
+before = set(sys.modules)
+import detchan, detchan.cli
+s = detchan.StateSet.from_vectors([[1, 0], [0, 1]])
+detchan.feasibility_check(s, s)
+first = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    assert detchan.cli.main(["check", sys.argv[1], sys.argv[2]]) == 0
+after_check = set(sys.modules) - before
+import json
+print(json.dumps([sorted(first), sorted(after_check)]))
+"""
+
+
+def test_startup_imports_only_what_the_first_call_runs():
+    src = str(Path(detchan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-c", STARTUP_PROBE, fx("plus_pair.json"), fx("target_09.json")]
+    out = subprocess.run(argv, check=True, env=env, capture_output=True, text=True).stdout
+    first, after_check = map(set, json.loads(out))
+    assert {"detchan.feasibility", "detchan.cli"} <= first
+    assert not first & {"detchan.coherence", "detchan.synthesis", "detchan.serialize",
+                        "argparse", "hashlib"}
+    assert "detchan.serialize" in after_check
+    assert not after_check & {"detchan.coherence", "detchan.synthesis", "hashlib"}
+
+
 # ---------------------------------------------------------------- --out files
 
 
@@ -567,6 +598,46 @@ def test_check_rejects_an_amplitude_too_large_for_a_double(capsys, tmp_path):
     big.write_text('{"states": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % HUGE)
     code, out, err = run(capsys, ["check", str(big), fx("plus_pair.json")])
     assert (code, out) == (2, "") and "fit a double" in err
+
+
+#: 100,000 unclosed brackets: deeper than the JSON reader can recurse.
+DEEP = "[" * 100_000
+
+
+def test_check_rejects_a_document_nested_too_deeply(capsys, tmp_path):
+    # The reader's RecursionError is an input error (exit 2), not an exit 1
+    # that would read as Infeasible.
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    code, out, err = run(capsys, ["check", str(deep), fx("plus_pair.json")])
+    assert (code, out) == (2, "") and "nested too deeply" in err
+
+
+def test_sweep_rejects_a_template_nested_too_deeply(capsys, tmp_path):
+    tpl = tmp_path / "tpl.json"
+    tpl.write_text('{"dimension": 2, "initial": ' + DEEP)
+    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
+    assert (code, out) == (2, "") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "first_pair, message",
+    [
+        # JSON true/false are not the numbers 1 and 0, as in state documents.
+        ("[true, 0]", "must be a number or string, got True"),
+        ("[1]", "lists of [re, im] pairs"),
+        ('{"re": 1, "im": 0}', "lists of [re, im] pairs"),
+    ],
+    ids=["boolean", "short", "object"],
+)
+def test_sweep_rejects_a_malformed_amplitude(capsys, tmp_path, first_pair, message):
+    tpl = tmp_path / "tpl.json"
+    tpl.write_text(
+        '{"dimension": 2, "initial": [[%s, [0, 0]], [[0, 0], [1, 0]]], '
+        '"final": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}' % first_pair
+    )
+    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
+    assert (code, out) == (2, "") and message in err
 
 
 def test_gen_invalid_dimensions_exit_2(capsys):
