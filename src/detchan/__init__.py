@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "coherence": (
         "DECOHERING", "UNITARY_RELATED", "CoherenceReport", "CoherenceRoundTrip",
-        "coherence_probe", "coherence_roundtrip", "purity", "unitary_relation_test",
+        "coherence_probe", "coherence_roundtrip", "unitary_relation_test",
     ),
     "errors": (
         "DetchanError", "DimensionMismatchError", "FingerprintMismatchError",
@@ -42,7 +42,7 @@ _PUBLIC = {
     ),
     "synthesis": (
         "KrausSet", "TransformRecord", "apply_channel", "choi_output_trace", "kraus_to_choi",
-        "state_to_density", "synthesize", "transform_report", "validate_density",
+        "purity", "state_to_density", "synthesize", "transform_report", "validate_density",
         "verify_completeness",
     ),
 }

@@ -177,8 +177,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_apply(args) -> int:
     from . import serialize
-    from .coherence import purity
-    from .synthesis import apply_channel, state_to_density, validate_density
+    from .synthesis import apply_channel, purity, state_to_density, validate_density
 
     ks = serialize.kraus_set_from_obj(serialize.load_document(args.kraus))
     doc = serialize.load_document(args.state)
@@ -311,8 +310,7 @@ def _template_state_set(compiled, theta: float) -> StateSet:
 
 def _cmd_sweep(args) -> int:
     from . import serialize
-    from .coherence import purity
-    from .synthesis import _synthesize_from, apply_channel, state_to_density
+    from .synthesis import _synthesize_from, apply_channel, purity, state_to_density
 
     if args.steps < 2:
         raise SchemaError(f"sweep needs at least 2 steps, got {args.steps}")

@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatchError,
     FingerprintMismatchError,
     NotIndependentError,
-    SizeMismatchError,
     SupportTooSmallError,
 )
 from .numerics import (
@@ -42,7 +41,7 @@ from .states import (
     span_duals,
     superpose,
 )
-from .synthesis import KrausSet, _synthesize_from, apply_channel, state_to_density
+from .synthesis import KrausSet, _synthesize_from, apply_channel, purity, state_to_density
 from .feasibility import RatioMatrix, _check, _check_shapes, _ratio_matrix
 
 UNITARY_RELATED = "UnitaryRelated"
@@ -94,14 +93,6 @@ class CoherenceRoundTrip:
     #: same law read off the output density matrix through Psi2^+, the
     #: final states' conjugated duals, which orthonormalizes them.
     device_residual: float | None
-
-
-def purity(rho) -> float:
-    """Tr(rho^2); 1 for pure states, 1/D for the maximally mixed state."""
-    r = np.asarray(rho, dtype=np.complex128)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise SizeMismatchError(f"density matrix must be square, got {r.shape}")
-    return float(np.real(np.trace(r @ r)))
 
 
 def coherence_probe(

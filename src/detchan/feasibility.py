@@ -26,7 +26,7 @@ from .numerics import (
     _spectral_factor,
     numerical_rank,
 )
-from .states import StateSet, _overlap_inverse, gram
+from .states import StateSet, _kept_spectrum, _overlap_inverse, gram
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -72,9 +72,9 @@ class RatioMatrix:
 
 class _PairAnalysis(NamedTuple):
     """The check's read-only G1, G2, ``_certifies_full_rank(G2, tol)`` (False
-    also when not tried) and, for a Feasible verdict, the ratio matrix's
-    factor C and G1's ``_overlap_inverse`` (None after a fast accept, except
-    in a build check)."""
+    also when not tried, as for a dependent G1) and, for a Feasible verdict,
+    the ratio matrix's factor C (None after a bare fast accept) and G1's
+    ``_overlap_inverse`` (formed for a build check only)."""
 
     g1: np.ndarray
     g2: np.ndarray
@@ -98,7 +98,9 @@ class FeasibilityReport:
     read from (not serialized).
     The check owns the pair's Gram matrices: its private ``_pair`` record
     keeps G1, G2 and what it computed from them, which ``synthesize`` and
-    ``coherence_roundtrip`` read instead of computing them again.
+    ``coherence_roundtrip`` read instead of computing them again.  A bare
+    check keeps no inverse of G1; the check they run keeps one for every
+    Feasible verdict.
     """
 
     verdict: str
@@ -199,15 +201,21 @@ def feasibility_check(
     pairs whose factor drops no ratio eigenvalue, at
     tol >= 1e-9 (one Cholesky of the completion proves it); else when both
     exact ``_guard_residuals`` are within half the guard, and
-    ``Undetermined`` otherwise.  Duals over the 1e12 condition ceiling (only
-    for tol < 1e-12) raise ``IllConditionedError``, as in ``synthesize``.
+    ``Undetermined`` otherwise.  A completion counts as PSD when its smallest
+    eigenvalue is at least -tol * max(1, spectral radius), so an instance
+    infeasible by less than that is never ``Infeasible``: it is ``Feasible``
+    only by the residuals, else ``Undetermined``.  The residuals of a set
+    the Cholesky cannot certify come from G1's eigenpairs, with no inverse
+    formed.  Duals over the 1e12 condition ceiling (only for tol < 1e-12)
+    raise ``IllConditionedError``, as in ``synthesize``.
     """
     return _check(initial, final, tol, build=False)
 
 
 def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> FeasibilityReport:
     """``feasibility_check``; ``build`` also keeps, for a Feasible verdict,
-    the factor C and G1's inverse that ``_synthesize_from`` builds from."""
+    the factor C and G1's inverse that ``_synthesize_from`` builds from
+    (for a dependent G1, formed from its eigenpairs only then)."""
     _check_shapes(initial, final, tol)
     n = initial.n
     g1, g2 = gram(initial), gram(final)
@@ -215,11 +223,13 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
     m = _ratio_matrix(g1, g2, abs1, abs2, tol)
     # gram() is exactly Hermitian, so no hermitian_rank check.  A dependent
     # initial set, or one with a free pair, keeps G1's eigenpairs for the
-    # residuals and the duals.
-    certified = not m.free_pairs and _certifies_full_rank(g1, tol)
+    # residuals and the duals.  No Cholesky is tried where it cannot serve a
+    # Feasible verdict: rank(G1) <= D, and a Feasible pair has rank(G2) <=
+    # rank(G1), so a dependent G1 leaves G2's rank to its eigenvalues.
+    certified = not m.free_pairs and n <= initial.dimension and _certifies_full_rank(g1, tol)
     eig1 = None if certified else np.linalg.eigh(g1)
     rank1 = n if eig1 is None else numerical_rank(eig1[0], tol)
-    certified2 = _certifies_full_rank(g2, tol)
+    certified2 = rank1 == n and _certifies_full_rank(g2, tol)
     rank2 = n if certified2 else numerical_rank(np.linalg.eigvalsh(g2), tol)
     j, k = np.divmod(np.flatnonzero(abs1 > abs2 + tol), n)  # row by row: (j, k) order
     violations = _pair_overlaps(abs1, abs2, j[j < k], k[j < k], tol)
@@ -275,12 +285,14 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
         if accept and not build:
             return report(FEASIBLE, min_eig)
         c = _spectral_factor(*spectrum, tol)
-        inverse = _overlap_inverse(g1, tol, certified, eig1)
-        if accept:
-            return report(FEASIBLE, min_eig, c, inverse)
-        residuals = _guard_residuals(g1, g2, c, inverse, eig1, rank1, tol)
+        # A certified G1's residuals read its inverse; any other G1's come from
+        # its eigenpairs, and only a Feasible build check inverts them.
+        inverse = _overlap_inverse(g1, tol, certified) if eig1 is None else None
+        residuals = () if accept else _guard_residuals(g1, g2, c, inverse, eig1, rank1, tol)
         if all(residual <= 0.5e3 * tol for residual in residuals):  # NaN fails too
-            return report(FEASIBLE, min_eig, c, inverse)
+            if build and inverse is None:
+                inverse = _overlap_inverse(g1, tol, certified, eig1)
+            return report(FEASIBLE, min_eig, c, inverse if build else None)
         notes.append(
             "the completion with 1 is PSD only to within tol: its channel's residuals "
             "(per-state {:.3e}, completeness {:.3e}) exceed half the guard".format(*residuals)
@@ -301,18 +313,28 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
 
 def _guard_residuals(g1, g2, c, inverse, eig1, rank1: int, tol: float):
     """Both residuals the synthesis guard reads off the channel ``synthesize``
-    builds from the factor ``c``, exactly, from ``inverse`` = (conj G1)^+
-    and G1's ascending eigenpairs ``eig1`` (None when G1 was certified).
+    builds from the factor ``c``, exactly: from ``inverse`` = (conj G1)^+
+    when G1 was certified (``eig1`` None), else from G1's ascending
+    eigenpairs ``eig1``, with no inverse formed.
 
     With T = (C C^dag) o G2 and G = conj(G1), the operators sum to
     I + Psi G^+ (conj(T) - G) G^+ Psi^dag, whose Frobenius norm is
-    sqrt(Re tr(X X)) with X = G^+ (conj(T) - G).  State j's squared residual
+    sqrt(Re tr(X X)) with X = G^+ (conj(T) - G).  Over G1's kept eigenpairs
+    (V_r, W_r; ``_overlap_inverse``'s rank cut and condition ceiling) that is
+    ||W_r^-1/2 V_r^dag (T - G1) V_r W_r^-1/2||_F, summed as |y_jk|^2 / (w_j w_k)
+    over Y = V_r^dag (T - G1) V_r.  State j's squared residual
     is y^dag (V_d^dag T V_d + diag(w_d)) y with y = V_d^dag e_j for G1's
     dropped eigenpairs (V_d, w_d; w_d is the sink's share), 0 if none.
     """
     t = (c @ c.conj().T) * g2
-    x = inverse @ (t - g1).conj()
-    completeness = np.sqrt(max(float(np.sum(x * x.T).real), 0.0))  # NaN stays NaN
+    if eig1 is None:
+        x = inverse @ (t - g1).conj()
+        completeness = np.sqrt(max(float(np.sum(x * x.T).real), 0.0))  # NaN stays NaN
+    else:
+        w, v = _kept_spectrum(*eig1, tol)
+        y = v.conj().T @ (t - g1) @ v
+        squares = np.sum((y.real**2 + y.imag**2) / np.outer(w, w))  # |y_jk|^2 / (w_j w_k)
+        completeness = np.sqrt(max(float(squares), 0.0))  # NaN stays NaN
     per_state = 0.0
     k = len(g1) - rank1
     if k:

@@ -156,6 +156,14 @@ def _overlap_inverse(g: np.ndarray, tol: float, certified=None, eig=None) -> np.
     if certified:
         return np.linalg.solve(overlap, np.eye(len(g), dtype=np.complex128))
     w, v = np.linalg.eigh(overlap) if eig is None else (eig[0], eig[1].conj())  # ascending
+    w, v = _kept_spectrum(w, v, tol)
+    return (v / w) @ v.conj().T
+
+
+def _kept_spectrum(w: np.ndarray, v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs an ``_overlap_inverse`` inverts, from an ascending eigh
+    ``(w, v)``: the ``numerical_rank`` largest, or ``IllConditionedError``
+    when their condition exceeds the 1e12 ceiling (only for tol < 1e-12)."""
     rank = numerical_rank(w, tol)
     w, v = w[-rank:], v[:, -rank:]
     cond = float(w[-1] / w[0])
@@ -163,7 +171,7 @@ def _overlap_inverse(g: np.ndarray, tol: float, certified=None, eig=None) -> np.
         raise IllConditionedError(
             f"Gram condition {cond:.3e} exceeds ceiling {_COND_CEILING:.1e}"
         )
-    return (v / w) @ v.conj().T
+    return w, v
 
 
 def superpose(

@@ -1,5 +1,6 @@
 """Kraus-operator synthesis for feasible deterministic transformations,
-channel application, per-state verification and Choi-matrix utilities."""
+channel application, density-matrix helpers (projector, purity,
+validation), per-state verification and Choi-matrix utilities."""
 
 from __future__ import annotations
 
@@ -296,6 +297,14 @@ def state_to_density(state) -> np.ndarray:
     """Projector |psi><psi| of an amplitude vector."""
     v = np.asarray(state, dtype=np.complex128).reshape(-1)
     return np.outer(v, v.conj())
+
+
+def purity(rho) -> float:
+    """Tr(rho^2); 1 for pure states, 1/D for the maximally mixed state."""
+    r = np.asarray(rho, dtype=np.complex128)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise SizeMismatchError(f"density matrix must be square, got {r.shape}")
+    return float(np.real(np.trace(r @ r)))
 
 
 def validate_density(rho) -> np.ndarray:

@@ -182,22 +182,28 @@ first = set(sys.modules) - before
 with contextlib.redirect_stdout(io.StringIO()):
     assert detchan.cli.main(["check", sys.argv[1], sys.argv[2]]) == 0
 after_check = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    assert detchan.cli.main(["apply", sys.argv[3], sys.argv[4]]) == 0
+after_apply = set(sys.modules) - before
 import json
-print(json.dumps([sorted(first), sorted(after_check)]))
+print(json.dumps([sorted(first), sorted(after_check), sorted(after_apply)]))
 """
 
 
 def test_startup_imports_only_what_the_first_call_runs():
     src = str(Path(detchan.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    argv = [sys.executable, "-c", STARTUP_PROBE, fx("plus_pair.json"), fx("target_09.json")]
+    argv = [sys.executable, "-c", STARTUP_PROBE, fx("plus_pair.json"), fx("target_09.json"),
+            fx("kraus_measure2.json"), fx("plus_state.json")]
     out = subprocess.run(argv, check=True, env=env, capture_output=True, text=True).stdout
-    first, after_check = map(set, json.loads(out))
+    first, after_check, after_apply = map(set, json.loads(out))
     assert {"detchan.feasibility", "detchan.cli"} <= first
     assert not first & {"detchan.coherence", "detchan.synthesis", "detchan.serialize",
                         "argparse", "hashlib"}
     assert "detchan.serialize" in after_check
     assert not after_check & {"detchan.coherence", "detchan.synthesis", "hashlib"}
+    # apply reads a purity, which synthesis defines beside the density helpers.
+    assert "detchan.synthesis" in after_apply and "detchan.coherence" not in after_apply
 
 
 # ---------------------------------------------------------------- --out files

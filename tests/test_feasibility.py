@@ -20,12 +20,15 @@ from detchan import (
     feasibility_check,
     gram,
     linear_independence,
+    psd_check,
     psd_factor,
     random_state_set,
     synthesize,
     transform_report,
 )
 from detchan.feasibility import _check
+from detchan.numerics import numerical_rank
+from detchan.states import _overlap_inverse
 from helpers import (
     FREE_UNDETERMINED,
     channel_residuals,
@@ -512,9 +515,10 @@ def test_only_feasible_reports_keep_the_certifying_spectrum(case):
     # certified spectrum, which reconstructs the matrix the verdict was read
     # from: the ratio matrix with its 0/0 pairs completed with 1 (the free_*
     # cases).  Synthesis builds from exactly that C and the kept inverse of
-    # G1, for either rank.  A bare check that accepts at once (here the two
-    # certified cases without a dependent set or a free pair) keeps neither;
-    # any other computed both for the residuals and keeps the same ones.
+    # G1, for either rank.  A bare check keeps no inverse: one that accepts
+    # at once (here the two certified cases without a dependent set or a free
+    # pair) keeps no C either; any other computed C for the residuals and
+    # keeps the same one.
     a, b = unit_rows(BRANCH_CASES[case][0]), unit_rows(BRANCH_CASES[case][1])
     report = _check(a, b, DEFAULT_TOL, build=True)
     bare = feasibility_check(a, b)
@@ -523,12 +527,11 @@ def test_only_feasible_reports_keep_the_certifying_spectrum(case):
         for pair in (report._pair, bare._pair):
             assert pair.c is None and pair.inverse is None
         return
+    assert bare._pair.inverse is None
     if case in ("defined_psd", "single_state"):
-        assert bare._pair.c is None and bare._pair.inverse is None
+        assert bare._pair.c is None
     else:
-        for name in ("c", "inverse"):
-            got, kept = getattr(bare._pair, name), getattr(report._pair, name)
-            np.testing.assert_array_equal(got, kept, strict=True)
+        np.testing.assert_array_equal(bare._pair.c, report._pair.c, strict=True)
     m = report.ratio_matrix
     assert bool(m.free_pairs) == case.startswith("free_")
     certified = np.where(m.defined, m.entries, 1.0)
@@ -908,6 +911,70 @@ def test_exact_residuals_match_the_built_channel_near_the_cutoffs(instance):
     assert_exact_residuals_match_the_built_channel(*instance)
 
 
+def assert_completeness_formulas_agree(a, b, c, tol=DEFAULT_TOL):
+    # The completeness residual the check reads for the factor c from G1's
+    # eigenpairs against the pseudo-inverse formula sqrt(Re tr(X X)) with
+    # X = G^+ (conj(T) - G), within rounding of the kept condition number.
+    g1, g2 = gram(a), gram(b)
+    eig1 = np.linalg.eigh(g1)
+    rank1 = numerical_rank(eig1[0], tol)
+    eigenbasis = detchan.feasibility._guard_residuals(g1, g2, c, None, eig1, rank1, tol)[1]
+    x = _overlap_inverse(g1, tol, False, eig1) @ ((c @ c.conj().T) * g2 - g1).conj()
+    inverse = np.sqrt(max(float(np.sum(x * x.T).real), 0.0))
+    kappa = eig1[0][-1] / eig1[0][-rank1]
+    assert abs(eigenbasis - inverse) <= 1e-9 * inverse + np.finfo(float).eps * kappa
+
+
+@st.composite
+def rank_deficient_instances(draw):
+    """A dependent set of N <= 12 states of rank r < N in C^D, with a final
+    set of the same rank, or its unitary image, and a factor C: the check's
+    own when the completion is PSD, else random rows of unit norm.  The
+    coefficient columns fall off geometrically, so G1's kept condition
+    ranges up to the 1e9 cutoff."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    r = draw(st.integers(min_value=1, max_value=n - 1))
+    d = draw(st.integers(min_value=r, max_value=12))
+    decay = draw(st.floats(min_value=0.0, max_value=5.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def rows():
+        basis = np.linalg.qr(gaussian(d, d))[0][:, :r].T
+        return unit_rows((gaussian(n, r) * np.logspace(0, -decay, r)) @ basis)
+
+    a = rows()
+    b = rows() if draw(st.booleans()) else StateSet(d, a.states @ haar_unitary(d, sub_seed(rng)).T)
+    m = build_ratio_matrix(a, b)
+    completion = np.where(m.defined, m.entries, 1.0)
+    if psd_check(completion)[0] and draw(st.booleans()):
+        return a, b, psd_factor(completion)
+    c = gaussian(n, draw(st.integers(min_value=1, max_value=n)))
+    return a, b, c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rank_deficient_instances())
+def test_eigenbasis_completeness_is_the_pseudo_inverse_formula(instance):
+    # A check that G1's Cholesky cannot certify reads the completeness
+    # residual in G1's eigenbasis and forms no inverse; it is the same
+    # number as the pseudo-inverse formula, within rounding.
+    assert_completeness_formulas_agree(*instance)
+
+
+def test_eigenbasis_completeness_is_the_pseudo_inverse_formula_on_the_boundary_grids():
+    compared = 0
+    for a, b in boundary_instances():
+        m = build_ratio_matrix(a, b)
+        completion = np.where(m.defined, m.entries, 1.0)
+        if psd_check(completion)[0]:
+            assert_completeness_formulas_agree(a, b, psd_factor(completion))
+            compared += 1
+    assert compared > 400
+
+
 def test_duals_above_the_condition_ceiling_raise_in_the_check():
     # Gram condition about 1.1e13: certified full rank at tol = 1e-15, but
     # the unitary ratio matrix drops rounding-sized eigenvalues, so the
@@ -918,6 +985,46 @@ def test_duals_above_the_condition_ceiling_raise_in_the_check():
         feasibility_check(s, s, 1e-15)
     with pytest.raises(IllConditionedError):
         synthesize(s, s, 1e-15)
+
+
+def test_dependent_duals_above_the_condition_ceiling_raise_in_the_check():
+    # tilted(6e-7) with its first state repeated: rank 2 of 3 at tol = 1e-14,
+    # and the kept eigenvalues, 3 and about 2.4e-13, have condition about
+    # 1.25e13.  The check reads its residuals from G1's eigenpairs without
+    # inverting them, but it applies the same rank cut and condition ceiling
+    # as the duals, so it raises where synthesize does.  At tol = 1e-13 the
+    # small eigenvalue falls below the cut, 3e-13, and the dropped direction
+    # leaves a residual beyond the guard: Undetermined, and no channel.
+    s = tilted(6e-7)
+    s = StateSet.from_vectors(np.vstack([s.states, s.states[:1]]))
+    for tol in (1e-14, 1e-15):
+        with pytest.raises(IllConditionedError):
+            feasibility_check(s, s, tol)
+        with pytest.raises(IllConditionedError):
+            synthesize(s, s, tol)
+    report = feasibility_check(s, s, 1e-13)
+    assert not report.initial_independent and report.verdict == UNDETERMINED
+    with pytest.raises(NotFeasibleError):
+        synthesize(s, s, 1e-13)
+
+
+def test_only_a_build_check_keeps_the_inverse():
+    # Past the fast accept, a Feasible bare check keeps the factor C its
+    # residuals were read from, but no inverse of G1: only a build check,
+    # whose channel synthesize builds, forms it (from G1's eigenpairs when
+    # the set is dependent, by a solve when it is certified).
+    dependent = unit_rows(DEPENDENT_3)
+    certified = tilted(1e-3), overlap_pair(np.cos(1e-3))
+    for a, b in ((dependent, dependent), certified):
+        bare, built = feasibility_check(a, b), _check(a, b, DEFAULT_TOL, build=True)
+        assert bare.verdict == built.verdict == FEASIBLE
+        assert bare._pair.c is not None and bare._pair.inverse is None
+        np.testing.assert_array_equal(bare._pair.c, built._pair.c, strict=True)
+        inverse = built._pair.inverse
+        assert inverse is not None and not inverse.flags.writeable
+        np.testing.assert_allclose(
+            inverse @ gram(a).conj() @ inverse, inverse, atol=1e-9 * np.linalg.norm(inverse)
+        )
 
 
 @pytest.mark.filterwarnings("error")
@@ -965,10 +1072,10 @@ def test_spectral_work_per_check(monkeypatch):
     # fails (a fully defined Infeasible pair) one full eigh decides, and a
     # build check, whose spectrum it factors for synthesis, takes that eigh at once.
     # Only a dependent set takes more: the initial set's eigenpairs (one
-    # eigh, which also bounds the built channel's residuals; with a free
+    # eigh, which also gives the built channel's residuals; with a free
     # pair, as in this one, no Cholesky is tried first), the final set's
-    # eigenvalues (one eigvalsh after its failed Cholesky) and the ratio
-    # matrix's eigh.
+    # eigenvalues (one eigvalsh; no Cholesky, which cannot certify G2 on a
+    # Feasible pair once G1 is dependent) and the ratio matrix's eigh.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
     dependent = unit_rows(DEPENDENT_3)
     counts = count_calls(
@@ -988,7 +1095,7 @@ def test_spectral_work_per_check(monkeypatch):
     assert work(feasibility_check(initial, final), FEASIBLE) == (2, 3, 1, 0)
     assert work(_check(initial, final, DEFAULT_TOL, build=True), FEASIBLE) == (2, 2, 0, 1)
     assert work(feasibility_check(final, initial), INFEASIBLE) == (2, 3, 0, 1)
-    assert work(feasibility_check(dependent, dependent), FEASIBLE) == (2, 1, 1, 2)
+    assert work(feasibility_check(dependent, dependent), FEASIBLE) == (2, 0, 1, 2)
 
 
 # ------------------------------------- decide-only and build checks agree
@@ -1042,6 +1149,17 @@ def test_decide_only_and_build_checks_agree_on_random_pools():
 @given(st.one_of(orthogonality_instances(), near_cutoff_instances(), product_instances()))
 def test_decide_only_and_build_checks_agree_on_drawn_instances(instance):
     assert_checks_agree(*instance)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [1.0, 3.0])
+def test_checks_agree_where_tol_leaves_no_gram_eigenvalue_above_the_cut(tol):
+    # At tol >= 1 no eigenvalue of G1 clears tol * lambda_max, so its rank
+    # is 0 and its eigenvalues include a rounding-sized one, of either sign.
+    # The bare check's eigenbasis residuals still agree with the build
+    # check's and raise no warning.
+    a = unit_rows(DEPENDENT_3)
+    assert_checks_agree(a, a, tol)
 
 
 def raw_quotient(g1, g2, defined):

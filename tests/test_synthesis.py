@@ -392,8 +392,9 @@ def test_spectral_work_per_synthesize(monkeypatch):
 
 def test_dependent_synthesis_takes_no_more_eigh_than_its_check(monkeypatch):
     # A dependent initial set's duals come from the pseudo-inverse of G1
-    # that the check built from its eigenpairs, so synthesis adds no eigh,
-    # Cholesky, Gram or inverse to its check's work; no SVD anywhere.
+    # that the build check forms from its eigenpairs once the verdict is
+    # Feasible, so synthesis adds that one inverse to a bare check's work and
+    # no eigh, Cholesky or Gram; no SVD anywhere.
     initial, final = product_pair(np.random.default_rng(5), 7, 3, 2)
     counts = count_calls(
         monkeypatch,
@@ -409,8 +410,9 @@ def test_dependent_synthesis_takes_no_more_eigh_than_its_check(monkeypatch):
     check_work = [counts[name] for name in names]
     counts.clear()
     synthesize(initial, final)
-    # The check's pseudo-inverse of G1, kept on its record, gives the duals.
-    assert [counts[name] for name in names] == check_work
+    # The build check's pseudo-inverse of G1, kept on its record, gives the duals.
+    assert check_work[3] == 0
+    assert [counts[name] for name in names] == check_work[:3] + [1]
     assert (counts["svd"], counts["_span_duals"]) == (0, 1)
 
 
