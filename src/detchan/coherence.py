@@ -27,7 +27,6 @@ from .numerics import (
     DEFAULT_PURITY_TOL,
     DEFAULT_TOL,
     _check_tolerances,
-    hermitian_eig,
     hermitian_rank,
     phase_pin,
 )
@@ -113,6 +112,7 @@ def coherence_probe(
     independent on the support, the output is additionally expanded in
     the final states, r = Psi2^+ output_state with Psi2^+ their conjugated
     ``span_duals`` on the support, to recover its combination coefficients.
+    ``coherence_roundtrip`` skips the fingerprint and dimension checks.
     """
     _check_tolerances(purity_tol=purity_tol)
     if fingerprint(initial) != ks.initial_fingerprint:
@@ -123,6 +123,11 @@ def coherence_probe(
         raise DimensionMismatchError(
             f"state dimension {initial.dimension} != channel dimension {ks.dimension}"
         )
+    return _probe(ks, initial, coefficients, purity_tol, final, tol)
+
+
+def _probe(ks: KrausSet, initial: StateSet, coefficients, purity_tol, final, tol):
+    # ``coherence_probe`` on a channel known to act on ``initial``.
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     vec, support = superpose(initial, q, tol)
     if len(support) < 2:
@@ -132,8 +137,9 @@ def coherence_probe(
     is_pure = (1.0 - p) <= purity_tol
     output_state = None
     if is_pure:
-        _, vecs = hermitian_eig(rho, tol=1e-6)
-        top = vecs[:, 0]
+        # apply_channel returns (X + X^dag)/2, exactly Hermitian, which
+        # ``hermitian_eig`` would pass on bit for bit; eigh sorts ascending.
+        top = np.linalg.eigh(rho)[1][:, -1]
         output_state = top * phase_pin(top)
     probe = CoherenceReport(
         coefficients=q,
@@ -242,8 +248,9 @@ def _phase_sync(m) -> np.ndarray | None:
             phases[reached] = phases[j] - np.angle(m.entries[j, reached])
             seen[reached] = True
             stack.extend(reached.tolist())
-    expected = np.exp(1j * (phases[:, None] - phases[None, :]))
-    if np.any(np.abs(m.entries - expected)[offdiag] > PHASE_TOL):
+    # e^{i(phi_j - phi_k)} as z_j conj(z_k): N exponentials, not N^2.
+    z = np.exp(1j * phases)
+    if np.any(np.abs(m.entries - np.outer(z, z.conj()))[offdiag] > PHASE_TOL):
         return None
     return phases
 
@@ -283,6 +290,7 @@ def coherence_roundtrip(
     and once by reading the output density matrix through Psi2^+, which
     sends the final states to an orthonormal basis.  Psi2^+ is built once,
     from the check's G2 and its certificate, so no Gram is formed again.
+    Its probe skips ``coherence_probe``'s fingerprint and dimension checks.
     """
     _check_tolerances(tol=tol, purity_tol=purity_tol)
     report = _check(initial, final, tol, build=True)
@@ -292,7 +300,7 @@ def coherence_roundtrip(
         raise NotIndependentError("final set must be linearly independent")
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     ks = _synthesize_from(report, initial, final, tol)
-    probe = coherence_probe(ks, initial, q, purity_tol, tol=tol)  # expanded below
+    probe = _probe(ks, initial, q, purity_tol, None, tol)  # expanded below
     pair = report._pair
     support = probe.support
     if len(support) == initial.n:

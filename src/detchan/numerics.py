@@ -39,10 +39,12 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _check_tolerances(**tolerances: float) -> None:
-    """``InvalidToleranceError`` unless each tolerance is finite and >= 0."""
+    """``InvalidToleranceError`` unless each tolerance is in [0, 1)."""
     for name, value in tolerances.items():
-        if not 0.0 <= value < np.inf:
-            raise InvalidToleranceError(f"{name} must be finite and >= 0, got {value!r}")
+        if not 0.0 <= value < 1.0:
+            raise InvalidToleranceError(
+                f"{name} must be finite and >= 0, got {value!r} (tolerances lie in [0, 1))"
+            )
 
 
 def frobenius(a) -> float:

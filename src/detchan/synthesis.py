@@ -24,11 +24,12 @@ from .states import StateSet, _span_duals, fingerprint
 
 class _Factor(NamedTuple):
     """The synthesized operators in factored form, as ``KrausSet`` describes:
-    ``targets`` is Phi (D, N), ``c`` the (N, K) factor C of the ratio
-    matrix, ``bras`` is Psi^+ (N, D), and ``sink`` is I - P or None."""
+    ``targets`` is Phi (D, N), ``c`` the (N, K) factor C of the ratio matrix,
+    ``m`` is C C^dag, ``bras`` is Psi^+ (N, D) and ``sink`` is I - P or None."""
 
     targets: np.ndarray
     c: np.ndarray
+    m: np.ndarray
     bras: np.ndarray
     sink: np.ndarray | None
 
@@ -52,13 +53,14 @@ class KrausSet:
     states (their conjugated reciprocal states).  Its (K, D, D)
     ``operators`` array is built from the factor on first read, checked
     like a constructor argument and kept; ``apply_channel`` and the
-    synthesis guard never read it.  ``dimension`` (D) and ``kraus_count``
-    (K) come from the factor or the array and never build it.
+    synthesis guard never read it; its fingerprints are hashed from its two
+    state sets on first read.  ``dimension`` (D) and ``kraus_count`` (K)
+    come from the factor or the array and never build it.
 
-    Instances are immutable and safe to share across threads: the lazy
-    build is a pure function of the factor and is stored once, so
-    concurrent first reads may both compute it but all of them return the
-    same array.
+    Instances are immutable and safe to share across threads: each lazy
+    value is a pure function of what the set was built from and is stored
+    once, so concurrent first reads may both compute it but all of them
+    return the same object.
     """
 
     def __init__(
@@ -69,6 +71,7 @@ class KrausSet:
         final_fingerprint: str = "",
         *,
         _factor: _Factor | None = None,
+        _sources: tuple[StateSet, StateSet] | None = None,
     ):
         if (operators is None) == (_factor is None):
             raise TypeError("KrausSet takes either operators or a synthesis factor")
@@ -98,8 +101,10 @@ class KrausSet:
             fields["kraus_count"] = _factor.c.shape[1] + (_factor.sink is not None)
             c_factor = _factor.c
         fields["c_factor"] = c_factor
-        fields["initial_fingerprint"] = initial_fingerprint
-        fields["final_fingerprint"] = final_fingerprint
+        fields["_sources"] = _sources
+        if _sources is None:
+            fields["_initial_fingerprint"] = initial_fingerprint
+            fields["_final_fingerprint"] = final_fingerprint
 
     def __setattr__(self, name, value):
         raise AttributeError(f"KrausSet is immutable; cannot set {name!r}")
@@ -124,16 +129,22 @@ class KrausSet:
             ops = self.__dict__.setdefault("_operators", _checked_operators(built))
         return ops
 
+    def _fingerprint(self, key: str, side: int) -> str:
+        # Stored atomically, as ``operators`` is: every reader gets the first string.
+        if key not in self.__dict__:
+            self.__dict__.setdefault(key, fingerprint(self._sources[side]))
+        return self.__dict__[key]
+
+    initial_fingerprint = property(lambda self: self._fingerprint("_initial_fingerprint", 0))
+    final_fingerprint = property(lambda self: self._fingerprint("_final_fingerprint", 1))
+
     @classmethod
     def from_operators(cls, operators, initial: StateSet | None = None,
                        final: StateSet | None = None) -> "KrausSet":
         """Wrap explicit operators; fingerprints filled in when the source
         state sets are supplied."""
-        return cls(
-            operators=operators,
-            initial_fingerprint=fingerprint(initial) if initial is not None else "",
-            final_fingerprint=fingerprint(final) if final is not None else "",
-        )
+        fingerprints = (fingerprint(s) if s is not None else "" for s in (initial, final))
+        return cls(operators, None, *fingerprints)
 
 
 def _checked_operators(ops: np.ndarray) -> np.ndarray:
@@ -181,10 +192,10 @@ def synthesize(initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL) -> 
     The count is K = rank(C) + [rank < D] with rank(C) <= N, so the bound
     K <= D of an independent set does not carry over to N > D.
 
-    The returned set keeps the factor (final states, C, reciprocal states,
-    sink) and builds its (K, D, D) ``operators`` only when they are first
-    read; its completeness and per-state residuals are checked on the
-    factor in O(N^2 D + N D^2 + D^3), whatever K is.
+    The returned set keeps the factor (final states, C, C C^dag, reciprocal
+    states, sink) and builds its (K, D, D) ``operators`` only when they are
+    first read; its completeness and per-state residuals are checked on the
+    factor and the check's G2 in O(N^2 D + N D^2 + D^3), whatever K is.
 
     Raises ``NotFeasibleError`` (carrying the report) unless the verdict
     is Feasible, and ``IllConditionedError`` when the residuals exceed
@@ -209,33 +220,32 @@ def _synthesize_from(
     # The trace of the projector Psi^+ Psi is the rank of the initial set.
     if round(float(np.sum(bras * initial.states).real)) < initial.dimension:
         sink = np.eye(initial.dimension) - initial.states.T @ bras
-    ks = KrausSet(
-        initial_fingerprint=fingerprint(initial),
-        final_fingerprint=fingerprint(final),
-        _factor=_Factor(final.states.T, pair.c, bras, sink),
-    )
-    _verify_synthesis(ks._factor, initial, tol)
+    factor = _Factor(final.states.T, pair.c, pair.c @ pair.c.conj().T, bras, sink)
+    ks = KrausSet(_factor=factor, _sources=(initial, final))
+    _verify_synthesis(factor, initial, pair.g2, tol)
     return ks
 
 
-def _verify_synthesis(f: _Factor, initial: StateSet, tol: float) -> tuple[float, float]:
+def _verify_synthesis(f: _Factor, initial: StateSet, g2, tol: float) -> tuple[float, float]:
     """Construction guard: the worst per-state residual and the
-    completeness residual of the factored set, or ``IllConditionedError``.
+    completeness residual of the factored set, with G2 the check's Gram
+    matrix of the final set, or ``IllConditionedError``.
 
     Residuals stay near machine precision for admissible conditions, so
     anything above 1e3 * tol means the Gram matrices were too
     ill-conditioned to trust the result.  ``feasibility_check`` computes
     both from G1 beforehand (``_guard_residuals``).
     """
-    # Both residuals are read off the factor.  With G2 = Phi^dag Phi and
-    # mid = (conj(C) C^T) o G2 (N x N), sum_k A_k^dag A_k over the span
+    # Both residuals are read off the factor.  Phi^dag Phi is conj(G2)
+    # (``gram`` puts <psi_k|psi_j> at (j, k)), so with M = C C^dag and
+    # mid = conj(M o G2) (N x N), sum_k A_k^dag A_k over the span
     # operators is (Psi^+)^dag mid Psi^+.  With E = Psi^+ Psi - I, the
     # mapping error A_k psi1_j - C_jk psi2_j is Phi diag(C[:, k]) E[:, j],
     # whose squared norm summed over k is E[:, j]^dag mid E[:, j]: the
     # per-state residual below is never below the worst single operator's.
     # The sink's target coefficient is 0, so its whole image of psi1_j
     # (nonzero when a near-null direction was dropped) adds to that sum.
-    mid = (f.c.conj() @ f.c.T) * (f.targets.conj().T @ f.targets)
+    mid = np.conj(f.m * g2)
     acc = f.bras.conj().T @ mid @ f.bras
     e = f.bras @ initial.states.T - np.eye(initial.n)
     per_state = np.real(np.sum(e.conj() * (mid @ e), axis=0))
@@ -268,10 +278,10 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
     A set from ``synthesize`` is applied through its factor, as the Schur
     multiplier ``Phi ((C C^dag) o (Psi^+ rho (Psi^+)^dag)) Phi^dag`` plus
     ``S rho S^dag`` for the sink S, in O(D^3) for any K and without
-    building ``operators``; other sets run the per-operator sum.  The
-    output is re-Hermitized as (X + X^dag)/2 to suppress floating-point
-    asymmetry, keeping density-matrix invariants checkable at tight
-    tolerances.
+    building ``operators`` or C C^dag, which the factor keeps; other sets
+    run the per-operator sum.  The output is re-Hermitized as
+    (X + X^dag)/2 to suppress floating-point asymmetry, keeping
+    density-matrix invariants checkable at tight tolerances.
     """
     r = np.asarray(rho, dtype=np.complex128)
     if r.shape != (ks.dimension, ks.dimension):
@@ -286,7 +296,7 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
         for op in ks.operators:
             out += op @ r @ op.conj().T
     else:
-        inner = (f.c @ f.c.conj().T) * (f.bras @ r @ f.bras.conj().T)
+        inner = f.m * (f.bras @ r @ f.bras.conj().T)
         out = f.targets @ inner @ f.targets.conj().T
         if f.sink is not None:
             out += f.sink @ r @ f.sink.conj().T

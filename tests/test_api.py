@@ -136,7 +136,7 @@ TOLERANCE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9, 1.0, 3.0])
 @pytest.mark.parametrize("call", sorted(TOLERANCE_CALLS))
 def test_invalid_tolerances_raise(call, value):
     name = call.rpartition(".")[2] if "." in call else "tol"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import detchan
-from detchan import DEFAULT_PURITY_TOL, StateSet, cli, synthesis
+from detchan import DEFAULT_PURITY_TOL, StateSet, cli, coherence, states, synthesis
 from detchan import serialize as ser
 from helpers import FREE_UNDETERMINED, count_calls
 
@@ -126,6 +126,21 @@ def test_sweep_checks_each_grid_point_once(capsys, monkeypatch):
     assert_golden(out, "sweep_cos.csv")
 
 
+def test_only_synth_fingerprints_its_sets(capsys, monkeypatch):
+    # sweep and coherence build channels that they never write out, so
+    # they hash no state set; synth writes both fingerprints.
+    counts = count_calls(
+        monkeypatch, *[(module, "fingerprint") for module in (states, synthesis, coherence)]
+    )
+    code, out, _ = run(capsys, SWEEP_ARGV)
+    assert code == 0
+    assert_golden(out, "sweep_cos.csv")
+    assert run(capsys, SUBCOMMAND_ARGV["coherence"])[0] == 0
+    assert sum(counts.values()) == 0
+    assert run(capsys, SUBCOMMAND_ARGV["synth"])[0] == 0
+    assert counts["fingerprint"] == 2
+
+
 def test_repeated_calls_share_only_the_parser(capsys, monkeypatch):
     # Every golden call in one process, forwards and then backwards.  Between
     # them a check with a non-default --tol (1e-6 leaves every check
@@ -170,7 +185,8 @@ def test_importing_detchan_builds_no_parser():
 
 
 #: Run in a fresh interpreter: the modules detchan adds to those numpy loads,
-#: after import and one check, then after one `detchan check`.
+#: after import and one check, then after one `detchan check`, one `apply`,
+#: one `coherence` and one `sweep`, and one `synth`.
 STARTUP_PROBE = """
 import contextlib, io, sys
 import numpy as np
@@ -185,8 +201,17 @@ after_check = set(sys.modules) - before
 with contextlib.redirect_stdout(io.StringIO()):
     assert detchan.cli.main(["apply", sys.argv[3], sys.argv[4]]) == 0
 after_apply = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    assert detchan.cli.main(["coherence", *sys.argv[5:7], "--coeffs", "1,1"]) == 0
+    sweep = ["sweep", sys.argv[7], "--start", "0", "--stop", "1", "--steps", "3"]
+    assert detchan.cli.main(sweep) == 0
+after_sweep = set(sys.modules) - before
+with contextlib.redirect_stdout(io.StringIO()):
+    assert detchan.cli.main(["synth", *sys.argv[5:7]]) == 0
+after_synth = set(sys.modules) - before
 import json
-print(json.dumps([sorted(first), sorted(after_check), sorted(after_apply)]))
+loaded = [first, after_check, after_apply, after_sweep, after_synth]
+print(json.dumps([sorted(modules) for modules in loaded]))
 """
 
 
@@ -194,9 +219,10 @@ def test_startup_imports_only_what_the_first_call_runs():
     src = str(Path(detchan.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     argv = [sys.executable, "-c", STARTUP_PROBE, fx("plus_pair.json"), fx("target_09.json"),
-            fx("kraus_measure2.json"), fx("plus_state.json")]
+            fx("kraus_measure2.json"), fx("plus_state.json"), fx("basis2.json"),
+            fx("swapped_basis.json"), fx("sweep_template.json")]
     out = subprocess.run(argv, check=True, env=env, capture_output=True, text=True).stdout
-    first, after_check, after_apply = map(set, json.loads(out))
+    first, after_check, after_apply, after_sweep, after_synth = map(set, json.loads(out))
     assert {"detchan.feasibility", "detchan.cli"} <= first
     assert not first & {"detchan.coherence", "detchan.synthesis", "detchan.serialize",
                         "argparse", "hashlib"}
@@ -204,6 +230,9 @@ def test_startup_imports_only_what_the_first_call_runs():
     assert not after_check & {"detchan.coherence", "detchan.synthesis", "hashlib"}
     # apply reads a purity, which synthesis defines beside the density helpers.
     assert "detchan.synthesis" in after_apply and "detchan.coherence" not in after_apply
+    # coherence and sweep build channels but hash no set; synth writes fingerprints.
+    assert "detchan.coherence" in after_sweep and "hashlib" not in after_sweep
+    assert "hashlib" in after_synth
 
 
 # ---------------------------------------------------------------- --out files
@@ -359,11 +388,12 @@ TOLERANCE_ARGV = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "1"])
 @pytest.mark.parametrize("command", sorted(TOLERANCE_ARGV))
 def test_invalid_tolerances_exit_2_with_a_message(capsys, command, value):
     # A NaN tolerance once made a feasible check print Infeasible, inf ended
-    # in a traceback and a negative one in a bogus symmetry error.
+    # in a traceback and a negative one in a bogus symmetry error; at 1 a
+    # dependent set's rank was 0 and its rounding eigenvalue was inverted.
     argv, flags = TOLERANCE_ARGV[command]
     for flag in flags:
         code, out, err = run(capsys, argv + [f"{flag}={value}"])

@@ -20,7 +20,7 @@ from detchan import (
     synthesize,
     unitary_relation_test,
 )
-from detchan import coherence, feasibility, states, synthesis
+from detchan import coherence, feasibility, numerics, states, synthesis
 from detchan.numerics import frobenius
 from helpers import (
     bounded_complete_coefficients,
@@ -490,6 +490,32 @@ def assert_same_unitary_on_span(test, ref, sub):
     ux, ref_ux = test.extracted_unitary @ x, ref.extracted_unitary @ x
     phase = np.vdot(ux, ref_ux)
     np.testing.assert_allclose(ux * (phase / abs(phase)), ref_ux, rtol=0, atol=1e-12)
+
+
+def test_roundtrip_hashes_nothing_and_forms_each_gram_once(monkeypatch):
+    # A roundtrip forms the check's two Grams and nothing else does; the
+    # probe reads its top eigenvector with one plain eigh of the exactly
+    # Hermitian output, and the channel it probes, built from these very
+    # sets, is neither fingerprinted nor checked against them.
+    rng = np.random.default_rng(97)
+    base = random_state_set(6, 6, sub_seed(rng), mode="independent")
+    image = random_state_set(6, 6, sub_seed(rng), mode="unitary_image", base=base)
+    initial, final, _ = feasible_pair(rng, 5, min_subdominant=0.01)
+    decohering = embedded(initial, rng, 6), embedded(final, rng, 6)
+    counts = count_calls(
+        monkeypatch,
+        *[
+            (module, name)
+            for module in (numerics, states, feasibility, synthesis, coherence)
+            for name in ("gram", "hermitian_eig", "fingerprint")
+            if hasattr(module, name)
+        ],
+    )
+    for (a, b), verdict in [((base, image), UNITARY_RELATED), (decohering, DECOHERING)]:
+        counts.clear()
+        rec = coherence_roundtrip(a, b, bounded_complete_coefficients(rng, a.n))
+        assert rec.agree and rec.test.verdict == verdict
+        assert (counts["gram"], counts["hermitian_eig"], counts["fingerprint"]) == (2, 0, 0)
 
 
 def lstsq_coefficients(final, probe):

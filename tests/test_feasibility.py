@@ -11,6 +11,7 @@ from detchan import (
     FEASIBLE,
     INFEASIBLE,
     IllConditionedError,
+    InvalidToleranceError,
     NotFeasibleError,
     SizeMismatchError,
     StateSet,
@@ -850,8 +851,8 @@ def exact_and_built_residuals(a, b):
         seen["exact"] = guard_residuals(*args)
         return 0.0, 0.0
 
-    def built(factor, initial, tol):
-        seen["built"] = verify(factor, initial, np.inf)
+    def built(factor, initial, g2, tol):
+        seen["built"] = verify(factor, initial, g2, np.inf)
         return seen["built"]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1151,15 +1152,16 @@ def test_decide_only_and_build_checks_agree_on_drawn_instances(instance):
     assert_checks_agree(*instance)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tol", [1.0, 3.0])
-def test_checks_agree_where_tol_leaves_no_gram_eigenvalue_above_the_cut(tol):
-    # At tol >= 1 no eigenvalue of G1 clears tol * lambda_max, so its rank
-    # is 0 and its eigenvalues include a rounding-sized one, of either sign.
-    # The bare check's eigenbasis residuals still agree with the build
-    # check's and raise no warning.
+def test_checks_refuse_a_tol_that_leaves_no_gram_eigenvalue_above_the_cut(tol):
+    # At tol >= 1 no eigenvalue of G1 would clear tol * lambda_max: its rank
+    # would be 0 and a dependent set's rounding-sized eigenvalue would be
+    # inverted, yet the 1e3 * tol guard would pass the channel.  The bare
+    # and the build check both refuse such a tol before any Gram is formed.
     a = unit_rows(DEPENDENT_3)
-    assert_checks_agree(a, a, tol)
+    for build in (False, True):
+        with pytest.raises(InvalidToleranceError, match="^tol must be finite and >= 0"):
+            _check(a, a, tol, build)
 
 
 def raw_quotient(g1, g2, defined):

@@ -1,5 +1,7 @@
+import itertools
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from detchan import (
     validate_density,
     verify_completeness,
 )
-from detchan import feasibility, states, synthesis
+from detchan import feasibility, serialize, states, synthesis
 from detchan.numerics import frobenius
 from helpers import (
     bounded_complete_coefficients,
@@ -43,6 +45,7 @@ from helpers import (
 )
 
 INV_SQRT2 = 2**-0.5
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def zero_plus():
@@ -223,6 +226,54 @@ def test_concurrent_first_reads_share_one_array():
         sys.setswitchinterval(switch)
 
 
+def test_synthesized_fingerprints_are_hashed_on_first_read(monkeypatch):
+    # synthesize hashes neither set; each fingerprint is hashed once, when
+    # first read, and equals the fingerprint of the set the channel was
+    # built from.  A hand-assembled set keeps the strings it was given.
+    initial, final = zero_plus(), cos09_final()
+    counts = count_calls(monkeypatch, (synthesis, "fingerprint"))
+    ks = synthesize(initial, final)
+    assert counts["fingerprint"] == 0
+    assert ks.initial_fingerprint == states.fingerprint(initial)
+    assert ks.final_fingerprint == states.fingerprint(final)
+    assert ks.initial_fingerprint != ks.final_fingerprint  # read again, not hashed again
+    assert counts["fingerprint"] == 2
+    given = KrausSet(ks.operators, None, "a", "b")
+    assert (given.initial_fingerprint, given.final_fingerprint) == ("a", "b")
+    assert KrausSet(_factor=ks._factor).initial_fingerprint == ""
+    assert counts["fingerprint"] == 2
+    with pytest.raises(AttributeError):
+        ks.initial_fingerprint = "x"
+
+
+def test_concurrent_first_fingerprint_reads_share_one_string():
+    rng = np.random.default_rng(10)
+    initial, final, _ = feasible_pair(rng, 8)
+    expected = states.fingerprint(initial)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ks = synthesize(initial, final)
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(ks.initial_fingerprint)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 4 and all(fp is ks.initial_fingerprint for fp in seen)
+            assert seen[0] == expected
+    finally:
+        sys.setswitchinterval(switch)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.integers(1, 8).flatmap(lambda d: st.tuples(st.integers(1, d), st.just(d))),
@@ -251,15 +302,16 @@ def test_factor_matches_per_operator_loops(shape, unitary, seed):
     np.testing.assert_allclose(
         apply_channel(ks, rho), apply_channel(reference, rho), rtol=0, atol=1e-13
     )
-    _, completeness = synthesis._verify_synthesis(f, initial, 1e-9)
+    g2 = states.gram(final)
+    _, completeness = synthesis._verify_synthesis(f, initial, g2, 1e-9)
     assert abs(completeness - verify_completeness(ks)) <= 1e-13
     # A 1e-5 error in the reciprocal states trips the factored guard, whose
     # per-state residual is the root of the sum over operators of the
     # per-operator residuals, never below their maximum.
     bad = f._replace(bras=f.bras + 1e-5 * random_rows(rng, n, d))
     with pytest.raises(IllConditionedError):
-        synthesis._verify_synthesis(bad, initial, 1e-9)
-    worst, completeness = synthesis._verify_synthesis(bad, initial, 1.0)
+        synthesis._verify_synthesis(bad, initial, g2, 1e-9)
+    worst, completeness = synthesis._verify_synthesis(bad, initial, g2, 1.0)
     bad_set = KrausSet(_factor=bad)
     per_operator = 0.0
     for k in range(bad.c.shape[1]):
@@ -279,8 +331,9 @@ def test_guard_counts_the_sink_image_of_a_near_dependent_set():
     # pseudo-inverse leaves the sink I - P.
     s = StateSet.from_vectors([[1, 0], [np.cos(2e-5), np.sin(2e-5)]])
     bras = states.span_duals(s).conj()
-    f = synthesis._Factor(s.states.T, np.ones((2, 1)), bras, np.eye(2) - s.states.T @ bras)
-    worst, _ = synthesis._verify_synthesis(f, s, 1.0)
+    sink = np.eye(2) - s.states.T @ bras
+    f = synthesis._Factor(s.states.T, np.ones((2, 1)), np.ones((2, 2)), bras, sink)
+    worst, _ = synthesis._verify_synthesis(f, s, states.gram(s), 1.0)
     ops = KrausSet(_factor=f).operators
     coefficients = np.hstack([f.c, np.zeros((2, 1))])
     images = np.einsum("kij,nj->nki", ops, s.states) - coefficients[:, :, None] * s.states[:, None]
@@ -288,7 +341,38 @@ def test_guard_counts_the_sink_image_of_a_near_dependent_set():
     assert worst == pytest.approx(np.max(per_state), rel=1e-9)
     assert worst == pytest.approx(2e-5 / np.sqrt(2), rel=1e-6)
     with pytest.raises(IllConditionedError):
-        synthesis._verify_synthesis(f, s, 1e-9)
+        synthesis._verify_synthesis(f, s, states.gram(s), 1e-9)
+
+
+def fixture_state_sets():
+    docs = (serialize.load_document(path) for path in sorted(FIXTURES.glob("*.json")))
+    return [serialize.state_set_from_obj(doc) for doc in docs if "states" in doc]
+
+
+def test_apply_channel_is_the_factored_reference_bit_for_bit():
+    # For every pair of same-shape fixtures that synthesize builds, the
+    # channel's output is, bit for bit, the re-Hermitized
+    # Phi ((C C^dag) o (Psi^+ rho Psi^+^dag)) Phi^dag + S rho S^dag with
+    # C C^dag formed here from c_factor: the C C^dag the factor carries
+    # is that product.
+    built = 0
+    for initial, final in itertools.product(fixture_state_sets(), repeat=2):
+        if initial.states.shape != final.states.shape:
+            continue
+        try:
+            ks = synthesize(initial, final)
+        except NotFeasibleError:
+            continue
+        built += 1
+        f, c, d = ks._factor, ks.c_factor, initial.dimension
+        for rho in [state_to_density(psi) for psi in initial.states] + [np.eye(d) / d + 0j]:
+            inner = (c @ c.conj().T) * (f.bras @ rho @ f.bras.conj().T)
+            out = f.targets @ inner @ f.targets.conj().T
+            if f.sink is not None:
+                out += f.sink @ rho @ f.sink.conj().T
+            expected = (out + out.conj().T) / 2.0
+            assert apply_channel(ks, rho).tobytes() == expected.tobytes()
+    assert built == 42
 
 
 def test_roundtrips_and_channel_use_the_factor(monkeypatch):
