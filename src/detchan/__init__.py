@@ -30,20 +30,16 @@ _PUBLIC = {
     ),
     "feasibility": (
         "FEASIBLE", "INFEASIBLE", "UNDETERMINED", "FeasibilityReport", "RatioMatrix",
-        "build_ratio_matrix", "distinguishability_audit", "feasibility_check",
+        "distinguishability_audit", "feasibility_check",
     ),
-    "numerics": (
-        "DEFAULT_PURITY_TOL", "DEFAULT_RANK_TOL", "DEFAULT_TOL",
-        "hermitian_eig", "psd_check", "psd_factor",
-    ),
+    "numerics": ("DEFAULT_PURITY_TOL", "DEFAULT_RANK_TOL", "DEFAULT_TOL"),
     "states": (
         "StateSet", "fingerprint", "gram", "linear_independence", "random_state_set",
         "span_duals", "superpose",
     ),
     "synthesis": (
-        "KrausSet", "TransformRecord", "apply_channel", "choi_output_trace", "kraus_to_choi",
-        "purity", "state_to_density", "synthesize", "transform_report", "validate_density",
-        "verify_completeness",
+        "KrausSet", "apply_channel", "kraus_to_choi", "purity", "state_to_density",
+        "synthesize", "validate_density", "verify_completeness",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

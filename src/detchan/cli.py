@@ -149,7 +149,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_synth(args) -> int:
     from . import serialize
-    from .synthesis import synthesize, transform_report, verify_completeness
+    from .synthesis import apply_channel, state_to_density, synthesize, verify_completeness
 
     initial = _load_state_set(args.initial)
     final = _load_state_set(args.final)
@@ -159,17 +159,21 @@ def _cmd_synth(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     obj = serialize.kraus_set_to_obj(ks)
+    # Per state: the fidelity <psi2|L(|psi1><psi1|)|psi2> and sum_k |c_k|^2
+    # over the coefficients c_k = <psi2|A_k|psi1>.
+    records = []
+    for j, (psi1, psi2) in enumerate(zip(initial.states, final.states)):
+        out = apply_channel(ks, state_to_density(psi1))
+        coeffs = (ks.operators @ psi1) @ psi2.conj()
+        records.append({
+            "index": j,
+            "fidelity": float(np.real(psi2.conj() @ out @ psi2)),
+            "total_probability": float(np.sum(np.abs(coeffs) ** 2)),
+        })
     obj["verification"] = {
         "kraus_count": ks.kraus_count,
         "completeness_residual": verify_completeness(ks),
-        "states": [
-            {
-                "index": rec.index,
-                "fidelity": rec.fidelity,
-                "total_probability": rec.total_probability,
-            }
-            for rec in transform_report(ks, initial, final)
-        ],
+        "states": records,
     }
     _write(serialize.dumps(obj), args.out)
     return 0

@@ -26,8 +26,10 @@ from .errors import (
 from .numerics import (
     DEFAULT_PURITY_TOL,
     DEFAULT_TOL,
+    _certifies_full_rank,
     _check_tolerances,
     hermitian_rank,
+    numerical_rank,
     phase_pin,
 )
 from .states import (
@@ -36,8 +38,6 @@ from .states import (
     _span_duals,
     fingerprint,
     gram,
-    linear_independence,
-    span_duals,
     superpose,
 )
 from .synthesis import KrausSet, _synthesize_from, apply_channel, purity, state_to_density
@@ -137,8 +137,8 @@ def _probe(ks: KrausSet, initial: StateSet, coefficients, purity_tol, final, tol
     is_pure = (1.0 - p) <= purity_tol
     output_state = None
     if is_pure:
-        # apply_channel returns (X + X^dag)/2, exactly Hermitian, which
-        # ``hermitian_eig`` would pass on bit for bit; eigh sorts ascending.
+        # apply_channel returns (X + X^dag)/2, exactly Hermitian, so eigh
+        # reads it unchecked; eigh sorts ascending.
         top = np.linalg.eigh(rho)[1][:, -1]
         output_state = top * phase_pin(top)
     probe = CoherenceReport(
@@ -150,8 +150,14 @@ def _probe(ks: KrausSet, initial: StateSet, coefficients, purity_tol, final, tol
         output_state=output_state,
         verdict=UNITARY_RELATED if is_pure else DECOHERING,
     )
-    if is_pure and final is not None and linear_independence(sub := final.subset(support), tol):
-        probe = _expanded(probe, span_duals(sub, tol).conj())
+    if is_pure and final is not None:
+        sub = final.subset(support)
+        # One Gram and one shifted Cholesky serve the rank test and the duals.
+        g = gram(sub)
+        certified = _certifies_full_rank(g, tol)
+        if certified or numerical_rank(np.linalg.eigvalsh(g), tol) == len(g):
+            bras = _span_duals(sub.states, _overlap_inverse(g, tol, certified)).conj()
+            probe = _expanded(probe, bras)
     return probe
 
 

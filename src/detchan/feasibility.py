@@ -113,19 +113,6 @@ class FeasibilityReport:
     _pair: _PairAnalysis
 
 
-def build_ratio_matrix(
-    initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL
-) -> RatioMatrix:
-    """Overlap-ratio matrix of a transformation instance.
-
-    Final overlaps with modulus <= ``tol`` leave the entry undefined; the
-    diagonal is normalized to exactly 1 (both overlaps are 1 there).
-    """
-    _check_shapes(initial, final, tol)
-    g1, g2 = gram(initial), gram(final)
-    return _ratio_matrix(g1, g2, np.abs(g1), np.abs(g2), tol)
-
-
 def distinguishability_audit(
     initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL
 ) -> np.recarray:

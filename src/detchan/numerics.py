@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernels: Hermitian eigendecomposition, positivity
-tests and rank-revealing PSD factorization.
+"""Dense complex-matrix kernels: Hermitian parts, numerical rank, positivity
+verdicts and the rank-revealing PSD factor of a descending spectrum.
 
 All decisions (Hermiticity, positivity, rank) are made relative to the
 spectral scale of the input; nothing here assumes exact arithmetic.
@@ -21,7 +21,7 @@ from .errors import (
 
 #: Relative tolerance for Hermiticity and positivity decisions.
 DEFAULT_TOL = 1e-9
-#: Relative eigenvalue cutoff of every PSD factor: ``psd_factor`` and the
+#: Relative eigenvalue cutoff of every PSD factor (``_spectral_factor``): the
 #: ratio matrix's factor C that each synthesized channel is built from.
 DEFAULT_RANK_TOL = 1e-10
 #: A state counts as pure when 1 - Tr(rho^2) is at most this.
@@ -51,18 +51,8 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
-def hermitian_eig(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition ``(w, v)`` of a square matrix ``h`` that is
-    Hermitian within ``tol * max(1, ||h||_F)`` (``tol`` is the relative
-    symmetry tolerance): real eigenvalues w in descending order and
-    orthonormal eigenvector columns v, so ``v @ diag(w) @ v.conj().T``
-    reconstructs ``h``."""
-    w, v = np.linalg.eigh(_hermitian_part(h, tol))
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def hermitian_rank(h, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank of a Hermitian matrix (checked as in ``hermitian_eig``):
+    """Numerical rank of a Hermitian matrix (checked by ``_hermitian_part``):
     n when one shifted Cholesky proves it (``_certifies_full_rank``), else
     ``numerical_rank`` of its eigenvalues."""
     m = _hermitian_part(h, tol)
@@ -117,40 +107,16 @@ def _hermitian_part(h, tol: float) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def psd_check(h, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Decide positive semidefiniteness of a Hermitian matrix.
-
-    Returns ``(is_psd, min_eigenvalue)``.  The verdict tolerates
-    eigenvalues down to ``-tol * max(1, spectral radius)``.
-    """
-    return _psd_verdict(hermitian_eig(h, tol)[0], tol)
-
-
 def _psd_verdict(w: np.ndarray, tol: float) -> tuple[bool, float]:
     min_eig = float(w[-1])
     radius = float(np.max(np.abs(w)))
     return min_eig >= -tol * max(1.0, radius), min_eig
 
 
-def psd_factor(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Rank-revealing factor ``C`` with ``m = C @ C.conj().T``.
-
-    Eigenvalues in the band between ``-tol`` (relative) and
-    ``DEFAULT_RANK_TOL * lambda_max`` are treated as zero, so boundary-PSD
-    inputs such as rank-one matrices factor cleanly; anything more negative
-    makes the input non-PSD. The number of columns of ``C`` equals the
-    numerical rank of ``m``.
-
-    Column phases are pinned (largest-modulus entry real positive) to make
-    the output deterministic; any ``C @ W`` with ``W`` unitary is an
-    equally valid factor of the same matrix.  A build check runs the same
-    steps (``_spectral_factor``) on the ratio spectrum it certifies.
-    """
-    return _spectral_factor(*hermitian_eig(m, tol), tol)
-
-
 def _spectral_factor(w: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
-    """``psd_factor`` of the matrix whose descending spectrum is ``(w, v)``."""
+    """Factor C, one column per eigenvalue above ``DEFAULT_RANK_TOL * lambda_max``
+    and phases pinned, with C C^dag the matrix of descending spectrum ``(w, v)``
+    (``NotPSDError`` unless ``_psd_verdict`` passes; smaller eigenvalues are 0)."""
     ok, min_eig = _psd_verdict(w, tol)
     if not ok:
         raise NotPSDError(f"matrix is not PSD: min eigenvalue {min_eig:.3e}")

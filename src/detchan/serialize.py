@@ -214,6 +214,8 @@ def density_from_obj(obj) -> np.ndarray:
     r = pairs_to_matrix(obj["matrix"])
     if r.shape[0] != r.shape[1]:
         raise SchemaError(f"density matrix must be square, got {r.shape}")
+    if _dimension(obj, r.shape[0]) != r.shape[0]:
+        raise SchemaError(f"'dimension' {obj['dimension']!r} does not match a {r.shape} matrix")
     return r
 
 

@@ -1,10 +1,9 @@
 """Kraus-operator synthesis for feasible deterministic transformations,
 channel application, density-matrix helpers (projector, purity,
-validation), per-state verification and Choi-matrix utilities."""
+validation), the completeness residual and the Choi matrix."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -178,7 +177,7 @@ def synthesize(initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL) -> 
     Runs ``feasibility_check`` as a build check and reads its private pair
     record, so no Gram matrix is formed, factored, eigensolved or inverted
     a second time.  The record keeps the certified ratio matrix as
-    ``C @ C^dag`` with C of minimal column count (``psd_factor``, cut at
+    ``C @ C^dag`` with C of minimal column count (``_spectral_factor``, cut at
     ``DEFAULT_RANK_TOL``), and ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the
     reciprocal vectors of the initial set (``span_duals`` from the check's
     inverse of G1: the pseudo-inverse Psi^+, any rank), so
@@ -320,7 +319,7 @@ def purity(rho) -> float:
 def validate_density(rho) -> np.ndarray:
     """Check a density matrix and return it as given: Hermitian and of unit
     trace within 1e-12 * max(1, ||rho||_F), and PSD within 1e-10
-    (``psd_check``'s relative rule)."""
+    (``_psd_verdict``'s relative rule)."""
     r = as_complex_matrix(rho, name="density matrix")
     h = _hermitian_part(r, 1e-12)
     tr = complex(np.trace(r))
@@ -330,46 +329,6 @@ def validate_density(rho) -> np.ndarray:
     if not ok:
         raise NotPSDError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return r
-
-
-@dataclass(frozen=True, eq=False)
-class TransformRecord:
-    """Per-state audit of a synthesized channel."""
-
-    index: int
-    fidelity: float
-    #: c_jk = <psi2_j| A_k |psi1_j>, one entry per operator.
-    coefficients: np.ndarray
-    #: sum_k |c_jk|^2; equals 1 for a deterministic transformation.
-    total_probability: float
-
-
-def transform_report(
-    ks: KrausSet, initial: StateSet, final: StateSet
-) -> tuple[TransformRecord, ...]:
-    """Fidelities and recovered coefficients for every state of the pair."""
-    if initial.n != final.n:
-        raise SizeMismatchError(f"{initial.n} initial states vs {final.n} final states")
-    if initial.dimension != ks.dimension or final.dimension != ks.dimension:
-        raise DimensionMismatchError(
-            f"state sets of dimension ({initial.dimension}, {final.dimension}) "
-            f"do not match channel dimension {ks.dimension}"
-        )
-    records = []
-    for j in range(initial.n):
-        psi1 = initial.states[j]
-        psi2 = final.states[j]
-        out = apply_channel(ks, state_to_density(psi1))
-        coeffs = (ks.operators @ psi1) @ psi2.conj()
-        records.append(
-            TransformRecord(
-                index=j,
-                fidelity=float(np.real(psi2.conj() @ out @ psi2)),
-                coefficients=coeffs,
-                total_probability=float(np.sum(np.abs(coeffs) ** 2)),
-            )
-        )
-    return tuple(records)
 
 
 def kraus_to_choi(ks: KrausSet) -> np.ndarray:
@@ -383,12 +342,3 @@ def kraus_to_choi(ks: KrausSet) -> np.ndarray:
     # Row k of w is A_k^T flattened: w[k, i*d + m] = A_k[m, i].
     w = ks.operators.transpose(0, 2, 1).reshape(ks.kraus_count, -1)
     return w.T @ w.conj()
-
-
-def choi_output_trace(choi, dimension: int) -> np.ndarray:
-    """Partial trace of a Choi matrix over the output factor."""
-    d = dimension
-    c = np.asarray(choi, dtype=np.complex128)
-    if c.shape != (d * d, d * d):
-        raise SizeMismatchError(f"Choi shape {c.shape} != ({d * d}, {d * d})")
-    return np.einsum("imjm->ij", c.reshape(d, d, d, d))

@@ -16,12 +16,14 @@ from collections import Counter
 import numpy as np
 
 from detchan import (
+    DEFAULT_TOL,
     StateSet,
+    apply_channel,
     gram,
-    hermitian_eig,
-    psd_factor,
     random_state_set,
+    state_to_density,
 )
+from detchan.numerics import _hermitian_part, _spectral_factor
 
 # Gram matrices with smallest eigenvalue below this are re-drawn: dual
 # vectors scale with the inverse Gram, and the 1e-9 residual targets are
@@ -65,10 +67,40 @@ def pair_witness(m, j: int, k: int) -> float:
     return float(np.linalg.eigvalsh(m.entries[np.ix_(idx, idx)])[0])
 
 
+def descending_eig(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and eigenvectors of the exactly Hermitian part
+    ``(h + h^dag) / 2`` of a complex128 matrix: the spectrum, in the order a
+    build check hands it to ``_spectral_factor``."""
+    w, v = np.linalg.eigh(_hermitian_part(h, tol))
+    return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def spectral_factor(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Rank-revealing, phase-pinned factor C with ``m = C @ C^dag``, as the
+    library factors a ratio matrix (``NotPSDError`` for a non-PSD ``m``)."""
+    return _spectral_factor(*descending_eig(m, tol), tol)
+
+
+def transforms(ks, initial: StateSet, final: StateSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per state pair j, the fidelity <psi2_j| L(|psi1_j><psi1_j|) |psi2_j>
+    of a channel L and the coefficients c_jk = <psi2_j| A_k |psi1_j> (row j)."""
+    fidelities = np.array([
+        np.real(psi2.conj() @ apply_channel(ks, state_to_density(psi1)) @ psi2)
+        for psi1, psi2 in zip(initial.states, final.states)
+    ])
+    coefficients = np.einsum("kij,nj,ni->nk", ks.operators, initial.states, final.states.conj())
+    return fidelities, coefficients
+
+
+def output_trace(choi, d: int) -> np.ndarray:
+    """Partial trace of a (d^2, d^2) Choi matrix over its output factor."""
+    return np.einsum("imjm->ij", np.asarray(choi).reshape(d, d, d, d))
+
+
 def well_conditioned_set(rng: np.random.Generator, n: int, d: int) -> StateSet:
     while True:
         s = random_state_set(d, n, sub_seed(rng), mode="independent")
-        w, _ = hermitian_eig(gram(s))
+        w, _ = descending_eig(gram(s))
         if float(w[-1]) >= MIN_GRAM_EIG:
             return s
 
@@ -96,15 +128,15 @@ def feasible_pair(
         g2 = gram(final)
         c = unit_row_factor(rng, n, k)
         m = c @ c.conj().T
-        w, _ = hermitian_eig(m)
+        w, _ = descending_eig(m)
         if min_subdominant is not None and n > 1:
             if float(w[1]) < min_subdominant * float(w[0]):
                 continue
         g1 = m * g2
-        w1, _ = hermitian_eig(g1)
+        w1, _ = descending_eig(g1)
         if float(w1[-1]) < MIN_GRAM_EIG:
             continue
-        b = psd_factor(g1)
+        b = spectral_factor(g1)
         if b.shape[1] != n:
             continue
         initial = StateSet.from_vectors(b, normalize=True)
@@ -154,7 +186,7 @@ def embedded(s: StateSet, rng: np.random.Generator, d: int) -> StateSet:
 def near_parallel_pair() -> StateSet:
     """Two independent states in C^4 with Gram condition about 1.8e8,
     below the 1e9 rank cutoff.  I - P on their span is not Hermitian to
-    ``hermitian_eig``'s tolerance, so no path may eigensolve it."""
+    ``_hermitian_part``'s default tolerance, so no path may eigensolve it."""
     rng = np.random.default_rng(2)
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     a = a / np.linalg.norm(a)
@@ -197,7 +229,7 @@ def subset_instance(seed: int = 101, theta: float = 0.7, beta: float = 0.3):
         dtype=complex,
     )
     g1 = (c @ c.conj().T) * g2
-    initial = StateSet.from_vectors(psd_factor(g1), normalize=True)
+    initial = StateSet.from_vectors(spectral_factor(g1), normalize=True)
     return initial, final
 
 

@@ -13,18 +13,15 @@ from detchan import (
     UNITARY_RELATED,
     KrausSet,
     StateSet,
-    build_ratio_matrix,
     coherence_probe,
     distinguishability_audit,
     feasibility_check,
     gram,
-    hermitian_eig,
     kraus_to_choi,
     random_state_set,
     span_duals,
     state_to_density,
     synthesize,
-    transform_report,
     unitary_relation_test,
     verify_completeness,
 )
@@ -32,11 +29,13 @@ from detchan import cli
 from detchan.numerics import frobenius
 from helpers import (
     bounded_complete_coefficients,
+    descending_eig,
     feasible_pair,
     haar_unitary,
     pair_witness,
     sub_seed,
     subset_instance,
+    transforms,
     well_conditioned_set,
 )
 
@@ -78,9 +77,9 @@ def test_criterion_01_sufficiency_roundtrip():
         residual = verify_completeness(ks)
         if residual > 1e-9:
             failures.append((idx, "completeness", residual))
-        for rec in transform_report(ks, initial, final):
-            if rec.fidelity < 1.0 - 1e-9:
-                failures.append((idx, "fidelity", rec.fidelity))
+        for fidelity in transforms(ks, initial, final)[0]:
+            if fidelity < 1.0 - 1e-9:
+                failures.append((idx, "fidelity", fidelity))
     record(
         1,
         "sufficiency round-trip on PSD instances",
@@ -97,10 +96,10 @@ def test_criterion_02_necessity_certificates():
         n = 2 + checked % 7
         initial = well_conditioned_set(rng, n, n)
         final = well_conditioned_set(rng, n, n)
-        m = build_ratio_matrix(initial, final)
+        m = feasibility_check(initial, final).ratio_matrix
         if not m.fully_defined:
             continue
-        w, _ = hermitian_eig(m.entries)
+        w, _ = descending_eig(m.entries)
         min_eig = float(w[-1])
         if min_eig >= -1e-9 * max(1.0, float(np.max(np.abs(w)))):
             continue  # criterion targets instances where positivity fails

@@ -39,31 +39,24 @@ PUBLIC_NAMES = [
     "SizeMismatchError",
     "StateSet",
     "SupportTooSmallError",
-    "TransformRecord",
     "UNDETERMINED",
     "UNITARY_RELATED",
     "ZeroVectorError",
     "apply_channel",
-    "build_ratio_matrix",
-    "choi_output_trace",
     "coherence_probe",
     "coherence_roundtrip",
     "distinguishability_audit",
     "feasibility_check",
     "fingerprint",
     "gram",
-    "hermitian_eig",
     "kraus_to_choi",
     "linear_independence",
-    "psd_check",
-    "psd_factor",
     "purity",
     "random_state_set",
     "span_duals",
     "state_to_density",
     "superpose",
     "synthesize",
-    "transform_report",
     "unitary_relation_test",
     "validate_density",
     "verify_completeness",
@@ -117,7 +110,6 @@ _KRAUS = detchan.synthesize(*_PAIR)
 #: Each public entry point that takes a tolerance, called with one of them.
 TOLERANCE_CALLS = {
     "feasibility_check": lambda t: detchan.feasibility_check(*_PAIR, tol=t),
-    "build_ratio_matrix": lambda t: detchan.build_ratio_matrix(*_PAIR, tol=t),
     "distinguishability_audit": lambda t: detchan.distinguishability_audit(*_PAIR, tol=t),
     "synthesize.tol": lambda t: detchan.synthesize(*_PAIR, tol=t),
     "coherence_roundtrip.tol": lambda t: detchan.coherence_roundtrip(*_PAIR, [1, 1], tol=t),
@@ -130,9 +122,6 @@ TOLERANCE_CALLS = {
     "span_duals": lambda t: detchan.span_duals(_PAIR[0], tol=t),
     "linear_independence": lambda t: detchan.linear_independence(_PAIR[0], tol=t),
     "superpose": lambda t: detchan.superpose(_PAIR[0], [1, 1], tol=t),
-    "hermitian_eig": lambda t: detchan.hermitian_eig(np.eye(2), tol=t),
-    "psd_check": lambda t: detchan.psd_check(np.eye(2), tol=t),
-    "psd_factor.tol": lambda t: detchan.psd_factor(np.eye(2), tol=t),
 }
 
 

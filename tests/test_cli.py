@@ -11,7 +11,7 @@ import pytest
 import detchan
 from detchan import DEFAULT_PURITY_TOL, StateSet, cli, coherence, states, synthesis
 from detchan import serialize as ser
-from helpers import FREE_UNDETERMINED, count_calls
+from helpers import FREE_UNDETERMINED, count_calls, feasible_pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -274,6 +274,27 @@ def test_synth_output_applies_back(capsys, tmp_path):
     assert abs(rho[0, 0] - 1.0) <= 1e-9
 
 
+def test_synth_total_probability_matches_per_operator_loop(capsys, tmp_path):
+    # Each state's sum_k |<psi2|A_k|psi1>|^2 that synth reports, against a
+    # per-operator loop over the Kraus operators it writes, for a random
+    # feasible pair whose channel has more than one operator.
+    initial, final, _ = feasible_pair(np.random.default_rng(5), 4)
+    paths = []
+    for name, s in [("initial", initial), ("final", final)]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(ser.dumps(ser.state_set_to_obj(s)))
+        paths.append(str(path))
+    code, out, _ = run(capsys, ["synth", *paths])
+    assert code == 0
+    doc = json.loads(out)
+    ops = list(ser.kraus_set_from_obj(doc).operators)
+    assert len(ops) > 1
+    records = doc["verification"]["states"]
+    for record, psi1, psi2 in zip(records, initial.states, final.states, strict=True):
+        expected = sum(abs(psi2.conj() @ (op @ psi1)) ** 2 for op in ops)
+        assert abs(record["total_probability"] - expected) <= 1e-12
+
+
 # ---------------------------------------------------------------- flags
 
 SUBCOMMAND_ARGV = {
@@ -363,6 +384,23 @@ def test_apply_dimension_mismatch_exits_2(capsys, tmp_path):
 def test_apply_rejects_an_invalid_density_matrix(capsys, tmp_path, matrix, reason):
     rho = tmp_path / "rho.json"
     rho.write_text(ser.dumps(ser.density_to_obj(np.array(matrix))))
+    code, out, err = run(capsys, ["apply", fx("kraus_measure2.json"), str(rho)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize(
+    "dimension, reason", [(3, "does not match"), ("two", "must be an integer")]
+)
+def test_apply_rejects_a_density_dimension_that_is_not_the_matrix_size(
+    capsys, tmp_path, dimension, reason
+):
+    # A valid 2 x 2 density matrix under a wrong "dimension", refused as
+    # state-set and Kraus documents refuse theirs.
+    obj = ser.density_to_obj(np.eye(2) / 2.0)
+    obj["dimension"] = dimension
+    rho = tmp_path / "rho.json"
+    rho.write_text(ser.dumps(obj))
     code, out, err = run(capsys, ["apply", fx("kraus_measure2.json"), str(rho)])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and reason in err

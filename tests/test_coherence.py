@@ -10,12 +10,13 @@ from detchan import (
     StateSet,
     SupportTooSmallError,
     UNITARY_RELATED,
-    build_ratio_matrix,
     coherence_probe,
     coherence_roundtrip,
+    feasibility_check,
     gram,
     purity,
     random_state_set,
+    span_duals,
     state_to_density,
     synthesize,
     unitary_relation_test,
@@ -118,6 +119,28 @@ def test_probe_needs_two_support_states():
     ks = synthesize(s, s)
     with pytest.raises(SupportTooSmallError):
         coherence_probe(ks, s, [1, 0])
+
+
+def unitary_probe_instance(seed: int = 67):
+    rng = np.random.default_rng(seed)
+    base = random_state_set(4, 4, sub_seed(rng), mode="independent")
+    image = random_state_set(4, 4, sub_seed(rng), mode="unitary_image", base=base)
+    return base, image, bounded_complete_coefficients(rng, 4)
+
+
+def test_probe_forms_one_gram_of_the_final_support(monkeypatch):
+    # The independence test of the final states on the support and their
+    # duals read one Gram matrix and one shifted Cholesky of it; the
+    # expansion is span_duals' bit for bit.
+    base, image, q = unitary_probe_instance()
+    ks = synthesize(base, image)
+    counts = count_calls(
+        monkeypatch, (states, "gram"), (coherence, "gram"), (np.linalg, "cholesky")
+    )
+    report = coherence_probe(ks, base, q, final=image)
+    assert (counts["gram"], counts["cholesky"]) == (1, 1)
+    expected = span_duals(image).conj() @ report.output_state
+    np.testing.assert_array_equal(report.output_coefficients, expected, strict=True)
 
 
 # ------------------------------------------------------- unitary_relation_test
@@ -302,7 +325,7 @@ def test_phase_sync_reproduces_every_defined_ratio(instance):
     assert report.verdict == UNITARY_RELATED
     phi = report.phases
     assert phi[0] == 0.0
-    m = build_ratio_matrix(initial, final)
+    m = feasibility_check(initial, final).ratio_matrix
     reference = phase_sync_reference(m.entries, m.defined)
     np.testing.assert_allclose(phi, reference, rtol=0, atol=1e-13)
     g1 = initial.states @ initial.states.conj().T
@@ -385,7 +408,7 @@ def test_roundtrip_requires_independent_sets():
 def test_ratio_trace_is_support_size_on_subsets():
     initial, final = subset_instance()
     for support in [(0, 1), (0, 2), (1, 2), (0, 1, 2)]:
-        m = build_ratio_matrix(initial.subset(support), final.subset(support))
+        m = feasibility_check(initial.subset(support), final.subset(support)).ratio_matrix
         assert np.trace(m.entries).real == pytest.approx(len(support), abs=1e-12)
 
 
@@ -427,10 +450,9 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         (coherence, "gram"),
         (coherence, "apply_channel"),
         (coherence, "_ratio_matrix"),
-        (feasibility, "build_ratio_matrix"),
-        (coherence, "span_duals"),
+        (states, "span_duals"),
         (coherence, "_span_duals"),
-        (coherence, "linear_independence"),
+        (states, "linear_independence"),
         (synthesis, "_span_duals"),
         (feasibility, "_overlap_inverse"),
         (coherence, "_overlap_inverse"),
@@ -446,7 +468,7 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         assert work == expected
         assert counts["cond"] == 0 and counts["svd"] <= 1
         assert counts["apply_channel"] == 1
-        assert (counts["build_ratio_matrix"], counts["_ratio_matrix"]) == (0, 0)
+        assert counts["_ratio_matrix"] == 0
         # One initial-dual construction (synthesis) and, per pure output,
         # one final-dual construction; no public re-entry, no least squares.
         pure = verdict == UNITARY_RELATED
@@ -471,7 +493,7 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         expected = (2, 0, 2, 2) if verdict == UNITARY_RELATED else (1, 0, 2, 2)
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == expected
-        assert (counts["build_ratio_matrix"], counts["_ratio_matrix"]) == (0, 1)
+        assert counts["_ratio_matrix"] == 1
         assert (counts["linear_independence"], counts["span_duals"]) == (0, 0)
         pure = verdict == UNITARY_RELATED
         assert counts["_span_duals"] == counts["_overlap_inverse"] == 1 + pure
@@ -493,10 +515,10 @@ def assert_same_unitary_on_span(test, ref, sub):
 
 
 def test_roundtrip_hashes_nothing_and_forms_each_gram_once(monkeypatch):
-    # A roundtrip forms the check's two Grams and nothing else does; the
-    # probe reads its top eigenvector with one plain eigh of the exactly
-    # Hermitian output, and the channel it probes, built from these very
-    # sets, is neither fingerprinted nor checked against them.
+    # A roundtrip forms the check's two Grams and nothing else does, and the
+    # channel it probes, built from these very sets, is neither fingerprinted
+    # nor checked against them.  (The probe's one plain eigh of the exactly
+    # Hermitian output is counted in ``test_spectral_work_per_roundtrip``.)
     rng = np.random.default_rng(97)
     base = random_state_set(6, 6, sub_seed(rng), mode="independent")
     image = random_state_set(6, 6, sub_seed(rng), mode="unitary_image", base=base)
@@ -507,7 +529,7 @@ def test_roundtrip_hashes_nothing_and_forms_each_gram_once(monkeypatch):
         *[
             (module, name)
             for module in (numerics, states, feasibility, synthesis, coherence)
-            for name in ("gram", "hermitian_eig", "fingerprint")
+            for name in ("gram", "fingerprint")
             if hasattr(module, name)
         ],
     )
@@ -515,7 +537,7 @@ def test_roundtrip_hashes_nothing_and_forms_each_gram_once(monkeypatch):
         counts.clear()
         rec = coherence_roundtrip(a, b, bounded_complete_coefficients(rng, a.n))
         assert rec.agree and rec.test.verdict == verdict
-        assert (counts["gram"], counts["hermitian_eig"], counts["fingerprint"]) == (2, 0, 0)
+        assert (counts["gram"], counts["fingerprint"]) == (2, 0)
 
 
 def lstsq_coefficients(final, probe):

@@ -16,30 +16,29 @@ from detchan import (
     SizeMismatchError,
     StateSet,
     UNDETERMINED,
-    build_ratio_matrix,
     distinguishability_audit,
     feasibility_check,
     gram,
     linear_independence,
-    psd_check,
-    psd_factor,
     random_state_set,
     synthesize,
-    transform_report,
 )
 from detchan.feasibility import _check
-from detchan.numerics import numerical_rank
+from detchan.numerics import _psd_verdict, numerical_rank
 from detchan.states import _overlap_inverse
 from helpers import (
     FREE_UNDETERMINED,
     channel_residuals,
     count_calls,
+    descending_eig,
     embedded,
     feasible_pair,
     haar_unitary,
     pair_witness,
     product_pair,
+    spectral_factor,
     sub_seed,
+    transforms,
 )
 
 INV_SQRT2 = 2**-0.5
@@ -73,12 +72,12 @@ def cos_family_final(cos_theta):
     return StateSet.from_vectors([[1, 0], [cos_theta, np.sqrt(1 - cos_theta**2)]])
 
 
-# ------------------------------------------------------------ build_ratio_matrix
+# ------------------------------------------------------------ ratio matrix
 
 
 def test_ratio_matrix_identity_pair_is_all_ones():
     s = zero_plus()
-    m = build_ratio_matrix(s, s)
+    m = feasibility_check(s, s).ratio_matrix
     assert m.fully_defined
     np.testing.assert_allclose(m.entries, np.ones((2, 2)), atol=1e-12)
 
@@ -86,13 +85,13 @@ def test_ratio_matrix_identity_pair_is_all_ones():
 def test_ratio_matrix_orthonormal_initial_is_identity():
     basis = StateSet.from_vectors(np.eye(2))
     final = StateSet.from_vectors([[1, 0], [0.6, 0.8]])
-    m = build_ratio_matrix(basis, final)
+    m = feasibility_check(basis, final).ratio_matrix
     assert m.fully_defined
     np.testing.assert_allclose(m.entries, np.eye(2), atol=1e-12)
 
 
 def test_ratio_matrix_cos_half_offdiagonal():
-    m = build_ratio_matrix(zero_plus(), cos_family_final(0.5))
+    m = feasibility_check(zero_plus(), cos_family_final(0.5)).ratio_matrix
     assert m.entries[0, 1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
@@ -100,11 +99,11 @@ def test_ratio_matrix_undefined_entries():
     # final pair orthogonal, initial pair not: forbidden
     initial = zero_plus()
     final = StateSet.from_vectors(np.eye(2))
-    m = build_ratio_matrix(initial, final)
+    m = feasibility_check(initial, final).ratio_matrix
     assert not m.fully_defined
     assert m.undefined_nonzero_pairs == ((0, 1),)
     # both orthogonal: unconstrained
-    m2 = build_ratio_matrix(final, final)
+    m2 = feasibility_check(final, final).ratio_matrix
     assert m2.free_pairs == ((0, 1),)
     assert m2.undefined_nonzero_pairs == ()
 
@@ -113,10 +112,11 @@ def test_ratio_matrix_shape_errors():
     two = zero_plus()
     one = StateSet.from_vectors([[1, 0]])
     three_dim = StateSet.from_vectors([[1, 0, 0], [0, 1, 0]])
+    # The ratio matrix comes from a check, which refuses mismatched sets.
     with pytest.raises(SizeMismatchError):
-        build_ratio_matrix(two, one)
+        feasibility_check(two, one)
     with pytest.raises(DimensionMismatchError):
-        build_ratio_matrix(two, three_dim)
+        feasibility_check(two, three_dim)
 
 
 def test_ratio_matrix_trace_equals_n():
@@ -124,7 +124,7 @@ def test_ratio_matrix_trace_equals_n():
     for _ in range(10):
         n = int(rng.integers(2, 7))
         initial, final, _ = feasible_pair(rng, n)
-        m = build_ratio_matrix(initial, final)
+        m = feasibility_check(initial, final).ratio_matrix
         assert np.trace(m.entries).real == pytest.approx(n, abs=1e-12)
         assert np.trace(m.entries).imag == pytest.approx(0.0, abs=1e-12)
 
@@ -227,8 +227,8 @@ def test_free_entries_completed_with_one_are_feasible():
     assert report.verdict == FEASIBLE
     assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
     ks = synthesize(initial, final)
-    for rec in transform_report(ks, initial, final):
-        assert rec.fidelity == pytest.approx(1.0, abs=1e-12)
+    fidelities, _ = transforms(ks, initial, final)
+    np.testing.assert_allclose(fidelities, 1.0, rtol=0, atol=1e-12)
 
 
 def test_unitary_image_pairs_are_feasible():
@@ -335,7 +335,7 @@ def test_witness_on_identity_matrix():
     final = StateSet.from_vectors(
         [[1, 0, 0], [0.6, 0.8, 0], [0.6, 0, 0.8]]
     )
-    m = build_ratio_matrix(basis, final)
+    m = feasibility_check(basis, final).ratio_matrix
     for j in range(3):
         for k in range(3):
             if j != k:
@@ -344,15 +344,14 @@ def test_witness_on_identity_matrix():
 
 def test_witness_on_all_ones():
     s = zero_plus()
-    m = build_ratio_matrix(s, s)
+    m = feasibility_check(s, s).ratio_matrix
     assert pair_witness(m, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_witness_flags_cos_half():
-    initial, final = zero_plus(), cos_family_final(0.5)
-    m = build_ratio_matrix(initial, final)
-    assert pair_witness(m, 0, 1) == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
-    assert [(p.j, p.k) for p in feasibility_check(initial, final).violating_pairs] == [(0, 1)]
+    report = feasibility_check(zero_plus(), cos_family_final(0.5))
+    assert pair_witness(report.ratio_matrix, 0, 1) == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-12)
+    assert [(p.j, p.k) for p in report.violating_pairs] == [(0, 1)]
 
 
 def test_witness_equals_one_minus_modulus_everywhere():
@@ -363,7 +362,7 @@ def test_witness_equals_one_minus_modulus_everywhere():
         n = int(rng.integers(2, 7))
         initial = random_state_set(n, n, sub_seed(rng), mode="independent")
         final = random_state_set(n, n, sub_seed(rng), mode="independent")
-        m = build_ratio_matrix(initial, final)
+        m = feasibility_check(initial, final).ratio_matrix
         for j in range(n):
             for k in range(n):
                 if j != k and m.defined[j, k]:
@@ -539,7 +538,7 @@ def test_only_feasible_reports_keep_the_certifying_spectrum(case):
     c, inverse = report._pair.c, report._pair.inverse
     assert not c.flags.writeable and not inverse.flags.writeable
     np.testing.assert_allclose(c @ c.conj().T, certified, atol=1e-12)
-    np.testing.assert_array_equal(c, psd_factor(certified), strict=True)
+    np.testing.assert_array_equal(c, spectral_factor(certified), strict=True)
     np.testing.assert_array_equal(synthesize(a, b).c_factor, c, strict=True)
 
 
@@ -629,7 +628,7 @@ def test_feasibility_check_agrees_with_public_pieces(instance):
     assert_same_records(report.violating_pairs, audit[audit["violation"]])
     assert report.initial_independent == linear_independence(a)
     assert report.final_independent == linear_independence(b)
-    m = build_ratio_matrix(a, b)
+    m = report.ratio_matrix
     assert (m.undefined_nonzero_pairs, m.free_pairs) == (nonzero, free)
     if m.undefined_nonzero_pairs:
         pairs = ", ".join(f"({j}, {k})" for j, k in m.undefined_nonzero_pairs)
@@ -948,10 +947,10 @@ def rank_deficient_instances(draw):
 
     a = rows()
     b = rows() if draw(st.booleans()) else StateSet(d, a.states @ haar_unitary(d, sub_seed(rng)).T)
-    m = build_ratio_matrix(a, b)
+    m = feasibility_check(a, b).ratio_matrix
     completion = np.where(m.defined, m.entries, 1.0)
-    if psd_check(completion)[0] and draw(st.booleans()):
-        return a, b, psd_factor(completion)
+    if _psd_verdict(descending_eig(completion)[0], DEFAULT_TOL)[0] and draw(st.booleans()):
+        return a, b, spectral_factor(completion)
     c = gaussian(n, draw(st.integers(min_value=1, max_value=n)))
     return a, b, c / np.linalg.norm(c, axis=1, keepdims=True)
 
@@ -968,10 +967,10 @@ def test_eigenbasis_completeness_is_the_pseudo_inverse_formula(instance):
 def test_eigenbasis_completeness_is_the_pseudo_inverse_formula_on_the_boundary_grids():
     compared = 0
     for a, b in boundary_instances():
-        m = build_ratio_matrix(a, b)
+        m = feasibility_check(a, b).ratio_matrix
         completion = np.where(m.defined, m.entries, 1.0)
-        if psd_check(completion)[0]:
-            assert_completeness_formulas_agree(a, b, psd_factor(completion))
+        if _psd_verdict(descending_eig(completion)[0], DEFAULT_TOL)[0]:
+            assert_completeness_formulas_agree(a, b, spectral_factor(completion))
             compared += 1
     assert compared > 400
 
@@ -1191,7 +1190,7 @@ def test_ratio_entries_are_the_symmetrized_quotient_bit_for_bit():
     )
     for a, b, tol in instances:
         g1, g2 = gram(a), gram(b)
-        m = build_ratio_matrix(a, b, tol)
+        m = feasibility_check(a, b, tol).ratio_matrix
         q = raw_quotient(g1, g2, m.defined)
         assert m.entries.tobytes() == ((q + q.conj().T) / 2.0).tobytes()
         np.testing.assert_array_equal(m.entries, m.entries.conj().T)

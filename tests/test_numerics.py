@@ -4,23 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detchan import (
+    DEFAULT_TOL,
     NotFiniteError,
     NotHermitianError,
     NotPSDError,
-    hermitian_eig,
-    psd_check,
-    psd_factor,
 )
 from detchan.numerics import (
     _certifies_full_rank,
     _hermitian_part,
+    _psd_verdict,
     frobenius,
     hermitian_rank,
     numerical_rank,
     phase_pin,
     pin_column_phases,
 )
-from helpers import haar_unitary
+from helpers import descending_eig, haar_unitary, spectral_factor
 
 
 def rand_hermitian(rng, n, scale=1.0):
@@ -43,42 +42,44 @@ def char_poly_roots(h):
     return np.sort(roots.real)[::-1]
 
 
-# ---------------------------------------------------------------- hermitian_eig
+# ---------------------------------------------------------------- _hermitian_part
+# ``descending_eig`` is eigh of ``_hermitian_part``, in the order
+# ``_spectral_factor`` reads the spectrum.
 
 
 def test_eig_identity():
-    w, v = hermitian_eig(np.eye(2))
+    w, v = descending_eig(np.eye(2))
     np.testing.assert_allclose(w, [1.0, 1.0])
     np.testing.assert_allclose(v.conj().T @ v, np.eye(2), atol=1e-14)
 
 
 def test_eig_rank_one_all_ones():
-    w, _ = hermitian_eig(np.ones((2, 2)))
+    w, _ = descending_eig(np.ones((2, 2)))
     np.testing.assert_allclose(w, [2.0, 0.0], atol=1e-14)
 
 
 def test_eig_matches_companion_matrix_oracle():
     rng = np.random.default_rng(42)
     h = rand_hermitian(rng, 5)
-    w, _ = hermitian_eig(h)
+    w, _ = descending_eig(h)
     np.testing.assert_allclose(w, char_poly_roots(h), atol=1e-8)
 
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
-        hermitian_eig([[0.0, 1.0], [0.0, 0.0]])
+        _hermitian_part([[0.0, 1.0], [0.0, 0.0]], DEFAULT_TOL)
 
 
 def test_eig_rejects_nan():
     with pytest.raises(NotFiniteError):
-        hermitian_eig([[np.nan, 0.0], [0.0, 1.0]])
+        _hermitian_part([[np.nan, 0.0], [0.0, 1.0]], DEFAULT_TOL)
 
 
 def test_eig_reconstruction_and_orthonormality_up_to_dim_16():
     rng = np.random.default_rng(7)
     for n in [1, 2, 3, 5, 8, 13, 16]:
         h = rand_hermitian(rng, n, scale=rng.uniform(0.1, 10.0))
-        w, v = hermitian_eig(h)
+        w, v = descending_eig(h)
         scale = max(1.0, frobenius(h))
         assert frobenius(v @ np.diag(w) @ v.conj().T - h) <= 1e-10 * scale
         assert frobenius(v.conj().T @ v - np.eye(n)) <= 1e-10 * scale
@@ -93,29 +94,34 @@ def test_eig_reconstruction_and_orthonormality_up_to_dim_16():
 )
 def test_eig_invariants_property(n, seed, scale):
     h = rand_hermitian(np.random.default_rng(seed), n, scale=scale)
-    w, v = hermitian_eig(h)
+    w, v = descending_eig(h)
     bound = 1e-10 * max(1.0, frobenius(h))
     assert frobenius(v @ np.diag(w) @ v.conj().T - h) <= bound
     assert frobenius(v.conj().T @ v - np.eye(n)) <= bound
 
 
-# ---------------------------------------------------------------- psd_check
+# ---------------------------------------------------------------- _psd_verdict
+
+
+def psd_verdict(h):
+    # The rule a check and ``validate_density`` apply to a descending spectrum.
+    return _psd_verdict(descending_eig(h)[0], DEFAULT_TOL)
 
 
 def test_psd_identity():
-    ok, min_eig = psd_check(np.eye(3))
+    ok, min_eig = psd_verdict(np.eye(3))
     assert ok and min_eig == pytest.approx(1.0)
 
 
 def test_psd_indefinite_two_by_two():
     # eigenvalues are 1 +- sqrt(2)
-    ok, min_eig = psd_check([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]])
+    ok, min_eig = psd_verdict([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]])
     assert not ok
     assert min_eig == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-14)
 
 
 def test_psd_boundary_rank_one():
-    ok, min_eig = psd_check(np.ones((2, 2)))
+    ok, min_eig = psd_verdict(np.ones((2, 2)))
     assert ok and min_eig == pytest.approx(0.0, abs=1e-14)
 
 
@@ -134,24 +140,24 @@ def test_psd_agrees_with_sylvester_minor_oracle():
         minors_positive = all(
             np.linalg.det(h[: k + 1, : k + 1]).real > 0.0 for k in range(n)
         )
-        ok, _ = psd_check(h)
+        ok, _ = psd_verdict(h)
         assert ok == minors_positive
         checked += 1
     assert checked > 300
 
 
-# ---------------------------------------------------------------- psd_factor
+# ---------------------------------------------------------------- _spectral_factor
 
 
 def test_factor_identity():
-    c = psd_factor(np.eye(4))
+    c = spectral_factor(np.eye(4))
     assert c.shape == (4, 4)
     np.testing.assert_allclose(c @ c.conj().T, np.eye(4), atol=1e-12)
 
 
 def test_factor_all_ones_is_single_unit_column():
     n = 5
-    c = psd_factor(np.ones((n, n)))
+    c = spectral_factor(np.ones((n, n)))
     assert c.shape == (n, 1)
     np.testing.assert_allclose(np.abs(c[:, 0]), np.ones(n), atol=1e-12)
     np.testing.assert_allclose(c @ c.conj().T, np.ones((n, n)), atol=1e-12)
@@ -161,19 +167,19 @@ def test_factor_roundtrip_rank_two():
     rng = np.random.default_rng(3)
     b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     m = b @ b.conj().T
-    c = psd_factor(m)
+    c = spectral_factor(m)
     assert c.shape == (4, 2)
     assert frobenius(c @ c.conj().T - m) <= 1e-10
 
 
 def test_factor_rejects_indefinite():
     with pytest.raises(NotPSDError):
-        psd_factor([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]])
+        spectral_factor([[1.0, np.sqrt(2.0)], [np.sqrt(2.0), 1.0]])
 
 
 def test_factor_clamps_tiny_negatives():
     m = np.ones((2, 2)) + np.diag([1e-13, -1e-13])
-    c = psd_factor(m)
+    c = spectral_factor(m)
     assert frobenius(c @ c.conj().T - m) <= 1e-10
 
 
@@ -187,7 +193,7 @@ def test_factor_roundtrip_property(n, k, seed):
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     m = b @ b.conj().T
-    c = psd_factor(m)
+    c = spectral_factor(m)
     assert frobenius(c @ c.conj().T - m) <= 1e-10 * max(1.0, frobenius(m))
     assert c.shape[1] <= min(n, k)
 
@@ -219,7 +225,7 @@ def test_pin_column_phases_matches_the_column_loop_bitwise():
     rng = np.random.default_rng(17)
     for trial in range(200):
         n = int(rng.integers(1, 40))
-        _, v = hermitian_eig(rand_hermitian(rng, n))
+        _, v = descending_eig(rand_hermitian(rng, n))
         keep = rng.random(n) < 0.8
         c = v[:, keep] * 10.0 ** rng.uniform(-100, 100, int(keep.sum()))
         if trial % 5 == 0 and c.shape[1]:

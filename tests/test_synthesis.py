@@ -18,14 +18,11 @@ from detchan import (
     SizeMismatchError,
     StateSet,
     apply_channel,
-    build_ratio_matrix,
-    choi_output_trace,
     coherence_roundtrip,
     feasibility_check,
     kraus_to_choi,
     state_to_density,
     synthesize,
-    transform_report,
     validate_density,
     verify_completeness,
 )
@@ -39,8 +36,10 @@ from helpers import (
     feasible_pair,
     haar_unitary,
     near_parallel_pair,
+    output_trace,
     product_pair,
     sub_seed,
+    transforms,
     well_conditioned_set,
 )
 
@@ -107,9 +106,9 @@ def test_kraus_set_rejects_non_finite_entries():
         KrausSet.from_operators([np.eye(2), op])
 
 
-def per_operator_reference(ops, initial, final, rho):
+def per_operator_reference(ops, rho):
     """Per-operator loops for the completeness residual, the channel
-    output, the Choi matrix and the transform coefficients c_jk."""
+    output and the Choi matrix."""
     d = ops[0].shape[0]
     completeness = np.zeros((d, d), dtype=complex)
     out = np.zeros((d, d), dtype=complex)
@@ -119,10 +118,7 @@ def per_operator_reference(ops, initial, final, rho):
         out += op @ rho @ op.conj().T
         w = op.T.reshape(-1)
         choi += np.outer(w, w.conj())
-    coefficients = np.array(
-        [[psi2.conj() @ (op @ psi1) for op in ops] for psi1, psi2 in zip(initial.states, final.states)]
-    )
-    return frobenius(completeness - np.eye(d)), (out + out.conj().T) / 2.0, choi, coefficients
+    return frobenius(completeness - np.eye(d)), (out + out.conj().T) / 2.0, choi
 
 
 def random_rows(rng, n, d):
@@ -140,18 +136,12 @@ def test_tensor_kernels_match_per_operator_loops(shape, seed):
     rng = np.random.default_rng(seed)
     isometry, _ = np.linalg.qr(random_rows(rng, k * d, d))
     ks = KrausSet.from_operators(isometry.reshape(k, d, d))
-    initial = StateSet.from_vectors(random_rows(rng, 3, d), normalize=True)
-    final = StateSet.from_vectors(random_rows(rng, 3, d), normalize=True)
     psi = random_rows(rng, 1, d)[0]
     rho = state_to_density(psi / np.linalg.norm(psi))
-    completeness, out, choi, coefficients = per_operator_reference(
-        list(ks.operators), initial, final, rho
-    )
+    completeness, out, choi = per_operator_reference(list(ks.operators), rho)
     assert abs(verify_completeness(ks) - completeness) <= 1e-12
     np.testing.assert_allclose(apply_channel(ks, rho), out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(kraus_to_choi(ks), choi, rtol=0, atol=1e-12)
-    recovered = np.array([rec.coefficients for rec in transform_report(ks, initial, final)])
-    np.testing.assert_allclose(recovered, coefficients, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- factored sets
@@ -422,9 +412,9 @@ def test_full_pipeline_cos09():
     ks = synthesize(initial, final)
     assert ks.kraus_count == 2
     assert verify_completeness(ks) <= 1e-9
-    for rec in transform_report(ks, initial, final):
-        assert rec.fidelity >= 1.0 - 1e-9
-        assert rec.total_probability == pytest.approx(1.0, abs=1e-9)
+    fidelities, coefficients = transforms(ks, initial, final)
+    assert np.all(fidelities >= 1.0 - 1e-9)
+    np.testing.assert_allclose(np.sum(np.abs(coefficients) ** 2, axis=1), 1.0, rtol=0, atol=1e-9)
 
 
 def test_synthesize_refuses_infeasible():
@@ -463,7 +453,7 @@ def test_spectral_work_per_synthesize(monkeypatch):
         *[
             (module, name)
             for module in (feasibility, states, synthesis)
-            for name in ("gram", "build_ratio_matrix")
+            for name in ("gram", "_ratio_matrix")
             if hasattr(module, name)
         ],
     )
@@ -471,7 +461,7 @@ def test_spectral_work_per_synthesize(monkeypatch):
     assert counts["eigh"] == 1
     assert (counts["cond"], counts["svd"]) == (0, 0)
     assert counts["gram"] == 2
-    assert counts["build_ratio_matrix"] == 0
+    assert counts["_ratio_matrix"] == 1
 
 
 def test_dependent_synthesis_takes_no_more_eigh_than_its_check(monkeypatch):
@@ -531,12 +521,9 @@ def test_coefficient_products_reproduce_ratio_matrix():
     rng = np.random.default_rng(8)
     initial, final, _ = feasible_pair(rng, 5)
     ks = synthesize(initial, final)
-    m = build_ratio_matrix(initial, final)
-    recovered = np.zeros((5, 5), dtype=complex)
-    records = transform_report(ks, initial, final)
-    for j in range(5):
-        for k in range(5):
-            recovered[j, k] = np.sum(records[j].coefficients * records[k].coefficients.conj())
+    m = feasibility_check(initial, final).ratio_matrix
+    _, coefficients = transforms(ks, initial, final)
+    recovered = coefficients @ coefficients.conj().T
     np.testing.assert_allclose(recovered, m.entries, atol=1e-9)
 
 
@@ -557,8 +544,7 @@ def test_non_spanning_synthesis_completes_identity():
     ks = synthesize(initial, final)
     assert ks.kraus_count <= 3
     assert verify_completeness(ks) <= 1e-9
-    for rec in transform_report(ks, initial, final):
-        assert rec.fidelity >= 1.0 - 1e-9
+    assert np.all(transforms(ks, initial, final)[0] >= 1.0 - 1e-9)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -582,11 +568,10 @@ def test_non_spanning_synthesis_is_complete(shape, unitary, seed):
         initial, final = embedded(initial, rng, d), embedded(final, rng, d)
     ks = synthesize(initial, final)
     assert verify_completeness(ks) <= 1e-9
-    for rec in transform_report(ks, initial, final):
-        assert rec.fidelity >= 1.0 - 1e-9
-    trace = choi_output_trace(kraus_to_choi(ks), d)
+    assert np.all(transforms(ks, initial, final)[0] >= 1.0 - 1e-9)
+    trace = output_trace(kraus_to_choi(ks), d)
     assert frobenius(trace - np.eye(d)) <= 1e-9
-    w = np.linalg.eigvalsh(build_ratio_matrix(initial, final).entries)
+    w = np.linalg.eigvalsh(feasibility_check(initial, final).ratio_matrix.entries)
     rank = int(np.sum(w > 1e-10 * w[-1]))
     assert ks.kraus_count == rank + 1 <= d
 
@@ -600,8 +585,7 @@ def test_near_parallel_pair_synthesizes():
     ks = synthesize(s, s)
     assert ks.kraus_count == 2
     assert verify_completeness(ks) <= 1e-6
-    for rec in transform_report(ks, s, s):
-        assert rec.fidelity >= 1.0 - 1e-6
+    assert np.all(transforms(ks, s, s)[0] >= 1.0 - 1e-6)
 
 
 # ---------------------------------------------------------- verify_completeness
@@ -662,24 +646,20 @@ def test_channel_output_is_valid_density():
     validate_density(out)  # hermitian, unit trace, PSD
 
 
-# ---------------------------------------------------------------- transform_report
+# ---------------------------------------------------------------- coefficients c_jk
 
 
 def test_identity_channel_coefficients_are_one():
     s = zero_plus()
     ks = synthesize(s, s)
     assert ks.kraus_count == 1
-    for rec in transform_report(ks, s, s):
-        assert rec.coefficients[0] == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(transforms(ks, s, s)[1], 1.0, rtol=0, atol=1e-9)
 
 
 def test_measurement_channel_coefficients_are_kronecker():
     basis = StateSet.from_vectors(np.eye(2))
     ks = measurement_channel(2, initial=basis, final=basis)
-    for rec in transform_report(ks, basis, basis):
-        expected = np.zeros(2)
-        expected[rec.index] = 1.0
-        np.testing.assert_allclose(rec.coefficients, expected, atol=1e-14)
+    np.testing.assert_allclose(transforms(ks, basis, basis)[1], np.eye(2), rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------- Choi matrix
@@ -690,7 +670,7 @@ def test_choi_of_identity_channel():
     choi = kraus_to_choi(ks)
     w = np.linalg.eigvalsh(choi)
     np.testing.assert_allclose(np.sort(w), [0, 0, 0, 2], atol=1e-12)
-    np.testing.assert_allclose(choi_output_trace(choi, 2), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(output_trace(choi, 2), np.eye(2), atol=1e-12)
 
 
 def test_choi_of_measurement_channel_is_diagonal():
@@ -717,4 +697,4 @@ def test_choi_psd_and_trace_preserving_for_synthesized_channels():
         choi = kraus_to_choi(ks)
         w = np.linalg.eigvalsh(choi)
         assert w[0] >= -1e-9 * max(1.0, w[-1])
-        assert frobenius(choi_output_trace(choi, n) - np.eye(n)) <= 1e-9
+        assert frobenius(output_trace(choi, n) - np.eye(n)) <= 1e-9
