@@ -51,7 +51,8 @@ class RatioMatrix:
     ``undefined_nonzero_pairs``; they rule out any deterministic channel.
     A final overlap below 2^-1000 of the initial one counts as vanishing.
     Pairs where both overlaps vanish are unconstrained (``free_pairs``).
-    The diagonal is always defined and exactly 1.
+    The diagonal is always defined and exactly 1.  Read-only arrays owning
+    their data (the check's) are kept; anything else is copied and frozen.
     """
 
     entries: np.ndarray
@@ -61,9 +62,11 @@ class RatioMatrix:
 
     def __post_init__(self):
         for name in ("entries", "defined"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if not (isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable):
+                arr = np.array(arr)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def fully_defined(self) -> bool:
@@ -149,16 +152,16 @@ def _ratio_matrix(g1, g2, abs1, abs2, tol: float) -> RatioMatrix:
     np.fill_diagonal(defined, True)
     entries = np.divide(g1, g2, out=np.zeros_like(g1), where=defined)
     np.fill_diagonal(entries, 1.0)
-    entries = (entries + entries.conj().T) / 2.0  # sets the signs of zeros, which eigh sees
+    entries += entries.conj().T  # with the halving, sets the signs of zeros, which eigh sees
+    entries /= 2.0
+    entries.setflags(write=False)
+    defined.setflags(write=False)
     j, k = np.divmod(np.flatnonzero(~defined), len(defined))  # row by row: (j, k) order
     j, k = j[j < k], k[j < k]
     nonzero = abs1[j, k] > tol
-    return RatioMatrix(
-        entries,
-        defined,
-        tuple(zip(j[nonzero].tolist(), k[nonzero].tolist())),
-        tuple(zip(j[~nonzero].tolist(), k[~nonzero].tolist())),
-    )
+    undefined_nonzero = tuple(zip(j[nonzero].tolist(), k[nonzero].tolist()))
+    free = tuple(zip(j[~nonzero].tolist(), k[~nonzero].tolist()))
+    return RatioMatrix(entries, defined, undefined_nonzero, free)
 
 
 def _pair_overlaps(abs1, abs2, j, k, tol: float) -> np.recarray:
@@ -182,12 +185,12 @@ def feasibility_check(
     pair orthogonal while its initial pair is not, or a final span exceeding
     the initial span, yields ``Infeasible``.  A completion that is not PSD
     yields ``Infeasible`` when the ratio matrix is fully defined or a pair is
-    made strictly more distinguishable, and ``Undetermined`` otherwise.  A
-    PSD one yields ``Feasible`` exactly when the channel ``synthesize``
-    builds passes its guard: at once for a certified set without free
-    pairs whose factor drops no ratio eigenvalue, at
-    tol >= 1e-9 (one Cholesky of the completion proves it); else when both
-    exact ``_guard_residuals`` are within half the guard, and
+    made strictly more distinguishable, and ``Undetermined`` otherwise.  A PSD
+    one yields ``Feasible`` exactly when the channel ``synthesize`` builds
+    passes its guard: at once for a certified set without free pairs whose
+    factor drops no ratio eigenvalue, at tol >= 1e-9 (one Cholesky of the
+    completion proves it; none is tried once a pair is flagged); else when
+    both exact ``_guard_residuals`` are within half the guard, and
     ``Undetermined`` otherwise.  A completion counts as PSD when its smallest
     eigenvalue is at least -tol * max(1, spectral radius), so an instance
     infeasible by less than that is never ``Infeasible``: it is ``Feasible``
@@ -208,6 +211,9 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
     g1, g2 = gram(initial), gram(final)
     abs1, abs2 = np.abs(g1), np.abs(g2)
     m = _ratio_matrix(g1, g2, abs1, abs2, tol)
+    j, k = np.divmod(np.flatnonzero(abs1 > abs2 + tol), n)  # row by row: (j, k) order
+    violations = _pair_overlaps(abs1, abs2, j[j < k], k[j < k], tol)
+    del abs1, abs2  # freed before any factorization
     # gram() is exactly Hermitian, so no hermitian_rank check.  A dependent
     # initial set, or one with a free pair, keeps G1's eigenpairs for the
     # residuals and the duals.  No Cholesky is tried where it cannot serve a
@@ -218,8 +224,6 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
     rank1 = n if eig1 is None else numerical_rank(eig1[0], tol)
     certified2 = rank1 == n and _certifies_full_rank(g2, tol)
     rank2 = n if certified2 else numerical_rank(np.linalg.eigvalsh(g2), tol)
-    j, k = np.divmod(np.flatnonzero(abs1 > abs2 + tol), n)  # row by row: (j, k) order
-    violations = _pair_overlaps(abs1, abs2, j[j < k], k[j < k], tol)
     notes: list[str] = []
     for name, rank in (("initial", rank1), ("final", rank2)):
         if rank < n:
@@ -250,15 +254,18 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
     # with 0/0 overlaps leave M free; completing them with 1 keeps the
     # unitary channel of equal Gram matrices.  The completion is exactly
     # Hermitian and finite by construction, so eigh reads it unchecked.
-    completion = np.where(m.defined, m.entries, 1.0)
+    completion = m.entries if m.fully_defined else np.where(m.defined, m.entries, 1.0)
     # A factor that drops nothing leaves the built channel only rounding, below
     # 1.4 eps kappa(G1) < 1.4 eps / tol (the certificate): within half the guard,
     # 500 tol, for tol >= 1e-9; a shifted Cholesky proves it with a margin over eigh.
-    fast = certified and tol >= 1e-9
+    # No Cholesky once a pair is flagged: its ratio is defined (the check returned otherwise),
+    # so |mu| > 1 + tol, and its 2x2 minor, hence by interlacing the completion, has an
+    # eigenvalue below -tol, past the backward error (n + 1) eps trace (4e-12 at n = 128).
+    fast = certified and tol >= 1e-9 and not len(violations)
     if fast and not build and _certifies_full_rank(completion, DEFAULT_RANK_TOL):
         return report(FEASIBLE, float(np.linalg.eigvalsh(completion)[0]))
     w, v = np.linalg.eigh(completion)
-    spectrum = (w[::-1].copy(), v[:, ::-1].copy())  # descending
+    spectrum = (w[::-1], v[:, ::-1])  # descending views
     ok, min_eig = _psd_verdict(spectrum[0], tol)
     if ok:
         if m.free_pairs:
@@ -313,15 +320,8 @@ def _guard_residuals(g1, g2, c, inverse, eig1, rank1: int, tol: float):
     is y^dag (V_d^dag T V_d + diag(w_d)) y with y = V_d^dag e_j for G1's
     dropped eigenpairs (V_d, w_d; w_d is the sink's share), 0 if none.
     """
-    t = (c @ c.conj().T) * g2
-    if eig1 is None:
-        x = inverse @ (t - g1).conj()
-        completeness = np.sqrt(max(float(np.sum(x * x.T).real), 0.0))  # NaN stays NaN
-    else:
-        w, v = _kept_spectrum(*eig1, tol)
-        y = v.conj().T @ (t - g1) @ v
-        squares = np.sum((y.real**2 + y.imag**2) / np.outer(w, w))  # |y_jk|^2 / (w_j w_k)
-        completeness = np.sqrt(max(float(squares), 0.0))  # NaN stays NaN
+    t = c @ c.conj().T
+    t *= g2
     per_state = 0.0
     k = len(g1) - rank1
     if k:
@@ -330,4 +330,13 @@ def _guard_residuals(g1, g2, c, inverse, eig1, rank1: int, tol: float):
         b = y @ t @ y.conj().T + np.diag(w[:k])
         squares = np.sum(y.conj() * (b @ y), axis=0).real  # y_j^dag b y_j
         per_state = np.sqrt(max(float(np.max(squares)), 0.0))
+    t -= g1  # T - G1; T is not read again
+    if eig1 is None:
+        x = inverse @ t.conj()
+        completeness = np.sqrt(max(float(np.sum(x * x.T).real), 0.0))  # NaN stays NaN
+    else:
+        w, v = _kept_spectrum(*eig1, tol)
+        y = v.conj().T @ t @ v
+        squares = np.sum((y.real**2 + y.imag**2) / np.outer(w, w))  # |y_jk|^2 / (w_j w_k)
+        completeness = np.sqrt(max(float(squares), 0.0))  # NaN stays NaN
     return float(per_state), float(completeness)

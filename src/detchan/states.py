@@ -98,12 +98,14 @@ class StateSet:
 
 
 def gram(s: StateSet) -> np.ndarray:
-    """Gram matrix with entry (j, k) = <psi_k | psi_j>.
+    """Gram matrix with entry (j, k) = <psi_k | psi_j>, a fresh array.
 
-    Hermitian and PSD with unit diagonal for unit-norm states.
+    Its Hermitian part is formed in place; PSD with unit diagonal for unit-norm states.
     """
     g = s.states @ s.states.conj().T
-    return (g + g.conj().T) / 2.0
+    g += g.conj().T
+    g /= 2.0
+    return g
 
 
 def linear_independence(s: StateSet, tol: float = DEFAULT_TOL) -> bool:

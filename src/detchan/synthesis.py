@@ -246,12 +246,14 @@ def _verify_synthesis(f: _Factor, initial: StateSet, g2, tol: float) -> tuple[fl
     # (nonzero when a near-null direction was dropped) adds to that sum.
     mid = np.conj(f.m * g2)
     acc = f.bras.conj().T @ mid @ f.bras
-    e = f.bras @ initial.states.T - np.eye(initial.n)
+    e = f.bras @ initial.states.T
+    e -= np.eye(initial.n)
     per_state = np.real(np.sum(e.conj() * (mid @ e), axis=0))
     if f.sink is not None:
         acc += f.sink.conj().T @ f.sink
         per_state += np.sum(np.abs(initial.states @ f.sink.T) ** 2, axis=1)
-    completeness = frobenius(acc - np.eye(acc.shape[0]))
+    acc -= np.eye(acc.shape[0])
+    completeness = frobenius(acc)
     worst = float(np.sqrt(max(float(np.max(per_state)), 0.0)))
     # Written so that a NaN residual fails the guard too.
     if not (worst <= 1e3 * tol and completeness <= 1e3 * tol):
@@ -299,7 +301,9 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
         out = f.targets @ inner @ f.targets.conj().T
         if f.sink is not None:
             out += f.sink @ r @ f.sink.conj().T
-    return (out + out.conj().T) / 2.0
+    out += out.conj().T
+    out /= 2.0
+    return out
 
 
 def state_to_density(state) -> np.ndarray:

@@ -233,6 +233,24 @@ def subset_instance(seed: int = 101, theta: float = 0.7, beta: float = 0.3):
     return initial, final
 
 
+def check_mix(seed: int, n: int = 64, rank: int = 48):
+    """Three seeded (initial, final) pairs of N = D = ``n`` states, the kinds a
+    large-N check benchmark mixes, built with plain numpy: a pair feasible by
+    construction (G1 = M o G2 with M = 0.8 C C^dag + 0.2 I, C unit rows, so
+    every |mu_jk| <= 0.8), its reverse (ratios 1 / M: every pair flagged, a
+    fully defined Infeasible check) and a rank-``rank`` set onto its image
+    under a Haar unitary (a dependent Feasible check)."""
+    rng = np.random.default_rng(seed)
+    final, c = unit_row_factor(rng, n, n), unit_row_factor(rng, n, n)
+    g2 = final @ final.conj().T
+    w, v = np.linalg.eigh((0.8 * (c @ c.conj().T) + 0.2 * np.eye(n)) * g2)
+    initial = v * np.sqrt(w)  # rows with Gram matrix G1
+    dependent = unit_row_factor(rng, n, rank) @ haar_unitary(n, sub_seed(rng))[:rank]
+    image = dependent @ haar_unitary(n, sub_seed(rng)).T
+    sets = [StateSet.from_vectors(a, normalize=True) for a in (initial, final, dependent, image)]
+    return [(sets[0], sets[1]), (sets[1], sets[0]), (sets[2], sets[3])]
+
+
 def count_calls(monkeypatch, *targets) -> Counter:
     """Wrap each ``(module, name)`` target in a call counter; the returned
     Counter is keyed by name and updates live."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,6 +15,7 @@ from detchan import (
     IllConditionedError,
     InvalidToleranceError,
     NotFeasibleError,
+    RatioMatrix,
     SizeMismatchError,
     StateSet,
     UNDETERMINED,
@@ -24,11 +27,12 @@ from detchan import (
     synthesize,
 )
 from detchan.feasibility import _check
-from detchan.numerics import _psd_verdict, numerical_rank
+from detchan.numerics import DEFAULT_RANK_TOL, _certifies_full_rank, _psd_verdict, numerical_rank
 from detchan.states import _overlap_inverse
 from helpers import (
     FREE_UNDETERMINED,
     channel_residuals,
+    check_mix,
     count_calls,
     descending_eig,
     embedded,
@@ -39,6 +43,7 @@ from helpers import (
     spectral_factor,
     sub_seed,
     transforms,
+    unit_row_factor,
 )
 
 INV_SQRT2 = 2**-0.5
@@ -106,6 +111,28 @@ def test_ratio_matrix_undefined_entries():
     m2 = feasibility_check(final, final).ratio_matrix
     assert m2.free_pairs == ((0, 1),)
     assert m2.undefined_nonzero_pairs == ()
+
+
+def test_ratio_matrix_copies_what_callers_hand_it():
+    entries = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    defined = np.ones((2, 2), dtype=bool)
+    view = entries.view()  # read-only, but its base stays writable
+    view.setflags(write=False)
+    built = [
+        RatioMatrix(entries, defined, (), ()),
+        RatioMatrix(view, defined, (), ()),
+        RatioMatrix(entries.tolist(), defined.tolist(), (), ()),
+    ]
+    entries[0, 1] = 7.0
+    defined[0, 1] = False
+    for m in built:
+        assert m.entries[0, 1] == 0.5j
+        assert m.defined[0, 1]
+        assert not m.entries.flags.writeable and not m.defined.flags.writeable
+    # The check hands over the arrays it built: frozen, owning their data.
+    kept = feasibility_check(zero_plus(), zero_plus()).ratio_matrix
+    for arr in (kept.entries, kept.defined):
+        assert arr.flags.owndata and not arr.flags.writeable
 
 
 def test_ratio_matrix_shape_errors():
@@ -1068,9 +1095,11 @@ def test_spectral_work_per_check(monkeypatch):
     # One Gram product per set and one shifted Cholesky per set certifying
     # its full rank.  A certified feasible check then proves its fast accept
     # with a third shifted Cholesky, of the completed ratio matrix, and reads
-    # min_eigenvalue with one eigvalsh: no eigenvectors.  Where that Cholesky
-    # fails (a fully defined Infeasible pair) one full eigh decides, and a
-    # build check, whose spectrum it factors for synthesis, takes that eigh at once.
+    # min_eigenvalue with one eigvalsh: no eigenvectors.  A fully defined
+    # Infeasible pair flags a pair in the audit, so its completion has an
+    # eigenvalue below -tol and no Cholesky of it is tried (it could not
+    # succeed): one full eigh decides.  A build check, whose spectrum it
+    # factors for synthesis, takes that eigh at once.
     # Only a dependent set takes more: the initial set's eigenpairs (one
     # eigh, which also gives the built channel's residuals; with a free
     # pair, as in this one, no Cholesky is tried first), the final set's
@@ -1094,8 +1123,92 @@ def test_spectral_work_per_check(monkeypatch):
 
     assert work(feasibility_check(initial, final), FEASIBLE) == (2, 3, 1, 0)
     assert work(_check(initial, final, DEFAULT_TOL, build=True), FEASIBLE) == (2, 2, 0, 1)
-    assert work(feasibility_check(final, initial), INFEASIBLE) == (2, 3, 0, 1)
+    assert work(feasibility_check(final, initial), INFEASIBLE) == (2, 2, 0, 1)
     assert work(feasibility_check(dependent, dependent), FEASIBLE) == (2, 0, 1, 2)
+
+
+def flagged_pairs(rng: np.random.Generator, n: int, tol: float, near: bool):
+    """Two independent sets of n states in C^n: at random (clearly infeasible)
+    or, ``near`` the boundary, feasible but for one pair whose ratio modulus
+    is pushed just past 1 (|G1_jk| - |G2_jk| between 0.5 tol and 2.5 tol, so
+    flagged or just not)."""
+    final = unit_row_factor(rng, n, n)
+    if not near:
+        return StateSet.from_vectors(unit_row_factor(rng, n, n)), StateSet.from_vectors(final)
+    g2 = final @ final.conj().T
+    c = unit_row_factor(rng, n, n)
+    m = 0.5 * (c @ c.conj().T) + 0.5 * np.eye(n)
+    j, k = rng.choice(n, 2, replace=False)
+    modulus = 1.0 + (0.5 + 2.0 * rng.random()) * tol / abs(g2[j, k])
+    m[j, k] = modulus * np.exp(2j * np.pi * rng.random())
+    m[k, j] = np.conj(m[j, k])
+    w, v = np.linalg.eigh(m * g2)
+    initial = v * np.sqrt(np.clip(w, 0.0, None))  # rows with Gram matrix M o G2
+    return StateSet.from_vectors(initial, normalize=True), StateSet.from_vectors(final)
+
+
+def test_no_completion_cholesky_could_certify_a_flagged_pair():
+    # A bare check with a certified G1 tries no shifted Cholesky of the
+    # completion once the audit flags a pair.  That factorization could
+    # never succeed: with no undefined nonzero pair the flagged ratio is
+    # defined with |mu| > 1 + tol, so the completion has an eigenvalue below
+    # -tol, far past the factorization's backward error.
+    rng = np.random.default_rng(2103)
+    sizes = [n for n in range(3, 9) for _ in range(20)] + [64]
+    skipped = {False: 0, True: 0}  # by near
+    for n in sizes:
+        for tol in (1e-9, 1e-6, 1e-3):
+            for near in (False, True):
+                initial, final = flagged_pairs(rng, n, tol, near)
+                report = feasibility_check(initial, final, tol)
+                m = report.ratio_matrix
+                if not len(report.violating_pairs) or m.undefined_nonzero_pairs:
+                    continue
+                completion = np.where(m.defined, m.entries, 1.0)
+                assert not _certifies_full_rank(completion, DEFAULT_RANK_TOL)
+                certified = not m.free_pairs and _certifies_full_rank(report._pair.g1, tol)
+                skipped[near] += certified
+    assert min(skipped.values()) >= 200, skipped
+
+
+def traced_bare_check(initial, final):
+    """A bare check's report, and the traced peak and retained memory of the
+    call (tracemalloc sees numpy's array data), in units of N^2 complex128."""
+    feasibility_check(initial, final)  # warm-up: lazy imports and caches
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = feasibility_check(initial, final)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    unit = initial.n**2 * 16
+    return report, (peak - base) / unit, (kept - base) / unit
+
+
+def test_bare_check_allocation_budget():
+    # Each N x N array is built once and dies once dead: the Gram matrices'
+    # and the ratio matrix's Hermitian parts are formed in place, the report
+    # keeps the ratio matrix's own arrays, a fully defined completion is the
+    # ratio matrix, |G1| and |G2| die before any factorization, and a flagged
+    # pair skips the completion's Cholesky.  The report keeps G1, G2 and the
+    # ratio matrix, plus the audit records (about one unit for the
+    # infeasible pair, which flags all 2016).
+    budgets = {  # verdict, independent, peak at most, kept within
+        "feasible": (FEASIBLE, True, 6.25, (3.0, 3.2)),
+        "reversed": (INFEASIBLE, True, 7.5, (4.0, 4.2)),
+        "dependent": (FEASIBLE, False, 8.25, (3.0, 3.2)),
+    }
+    for (initial, final), (kind, budget) in zip(check_mix(6401), budgets.items()):
+        verdict, independent, most, (low, high) = budget
+        report, peak, kept = traced_bare_check(initial, final)
+        assert (report.verdict, report.initial_independent) == (verdict, independent), kind
+        assert peak <= most, kind
+        assert low <= kept <= high, kind
 
 
 # ------------------------------------- decide-only and build checks agree
