@@ -23,17 +23,10 @@ from .errors import (
     NotIndependentError,
     SupportTooSmallError,
 )
-from .numerics import (
-    DEFAULT_PURITY_TOL,
-    DEFAULT_TOL,
-    _certifies_full_rank,
-    _check_tolerances,
-    hermitian_rank,
-    numerical_rank,
-    phase_pin,
-)
+from .numerics import DEFAULT_PURITY_TOL, DEFAULT_TOL, _check_tolerances, phase_pin
 from .states import (
     StateSet,
+    _gram_rank,
     _overlap_inverse,
     _span_duals,
     fingerprint,
@@ -109,8 +102,9 @@ def coherence_probe(
     ``final`` when supplied).  At least two coefficients must be nonzero.
     For a pure output the state is recovered as the top eigenvector of
     the output density matrix; when the final set is available and
-    independent on the support, the output is additionally expanded in
-    the final states, r = Psi2^+ output_state with Psi2^+ their conjugated
+    independent on the support (``_gram_rank``, whose certificate also
+    serves the duals), the output is additionally expanded in the final
+    states, r = Psi2^+ output_state with Psi2^+ their conjugated
     ``span_duals`` on the support, to recover its combination coefficients.
     ``coherence_roundtrip`` skips the fingerprint and dimension checks.
     """
@@ -123,11 +117,20 @@ def coherence_probe(
         raise DimensionMismatchError(
             f"state dimension {initial.dimension} != channel dimension {ks.dimension}"
         )
-    return _probe(ks, initial, coefficients, purity_tol, final, tol)
+    probe = _probe(ks, initial, coefficients, purity_tol, tol)
+    if probe.is_pure and final is not None:
+        sub = final.subset(probe.support)
+        # One Gram and one shifted Cholesky serve the rank test and the duals.
+        g = gram(sub)
+        rank, certified = _gram_rank(g, tol)
+        if rank == len(g):
+            bras = _span_duals(sub.states, _overlap_inverse(g, tol, certified)).conj()
+            probe = _expanded(probe, bras)
+    return probe
 
 
-def _probe(ks: KrausSet, initial: StateSet, coefficients, purity_tol, final, tol):
-    # ``coherence_probe`` on a channel known to act on ``initial``.
+def _probe(ks: KrausSet, initial: StateSet, coefficients, purity_tol, tol):
+    # The purity side of ``coherence_probe``, on a channel known to act on ``initial``.
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     vec, support = superpose(initial, q, tol)
     if len(support) < 2:
@@ -141,7 +144,7 @@ def _probe(ks: KrausSet, initial: StateSet, coefficients, purity_tol, final, tol
         # reads it unchecked; eigh sorts ascending.
         top = np.linalg.eigh(rho)[1][:, -1]
         output_state = top * phase_pin(top)
-    probe = CoherenceReport(
+    return CoherenceReport(
         coefficients=q,
         support=support,
         output_density=rho,
@@ -150,15 +153,6 @@ def _probe(ks: KrausSet, initial: StateSet, coefficients, purity_tol, final, tol
         output_state=output_state,
         verdict=UNITARY_RELATED if is_pure else DECOHERING,
     )
-    if is_pure and final is not None:
-        sub = final.subset(support)
-        # One Gram and one shifted Cholesky serve the rank test and the duals.
-        g = gram(sub)
-        certified = _certifies_full_rank(g, tol)
-        if certified or numerical_rank(np.linalg.eigvalsh(g), tol) == len(g):
-            bras = _span_duals(sub.states, _overlap_inverse(g, tol, certified)).conj()
-            probe = _expanded(probe, bras)
-    return probe
 
 
 def _expanded(probe: CoherenceReport, bras) -> CoherenceReport:
@@ -204,9 +198,9 @@ def unitary_relation_test(
         raise SupportTooSmallError("support must contain at least two states")
     sub1, sub2 = initial.subset(support), final.subset(support)
     g1, g2 = gram(sub1), gram(sub2)
-    if hermitian_rank(g1, tol) < len(g1):
+    if _gram_rank(g1, tol)[0] < len(g1):
         raise NotIndependentError("initial states are dependent on the support")
-    if hermitian_rank(g2, tol) < len(g2):
+    if _gram_rank(g2, tol)[0] < len(g2):
         raise NotIndependentError(
             "final states are dependent on the support; no unitary produces a dependent image"
         )
@@ -306,7 +300,7 @@ def coherence_roundtrip(
         raise NotIndependentError("final set must be linearly independent")
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     ks = _synthesize_from(report, initial, final, tol)
-    probe = _probe(ks, initial, q, purity_tol, None, tol)  # expanded below
+    probe = _probe(ks, initial, q, purity_tol, tol)  # expanded below
     pair = report._pair
     support = probe.support
     if len(support) == initial.n:

@@ -26,7 +26,7 @@ from .numerics import (
     _spectral_factor,
     numerical_rank,
 )
-from .states import StateSet, _kept_spectrum, _overlap_inverse, gram
+from .states import StateSet, _certified, _gram_rank, _kept_spectrum, _overlap_inverse, gram
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -74,9 +74,9 @@ class RatioMatrix:
 
 
 class _PairAnalysis(NamedTuple):
-    """The check's read-only G1, G2, ``_certifies_full_rank(G2, tol)`` (False
-    also when not tried, as for a dependent G1) and, for a Feasible verdict,
-    the ratio matrix's factor C (None after a bare fast accept) and G1's
+    """The check's read-only G1, G2, ``_certified(G2, tol)`` (False also when
+    not tried, as for a dependent G1) and, for a Feasible verdict, the ratio
+    matrix's factor C (None after a bare fast accept) and G1's
     ``_overlap_inverse`` (formed for a build check only)."""
 
     g1: np.ndarray
@@ -191,13 +191,14 @@ def feasibility_check(
     factor drops no ratio eigenvalue, at tol >= 1e-9 (one Cholesky of the
     completion proves it; none is tried once a pair is flagged); else when
     both exact ``_guard_residuals`` are within half the guard, and
-    ``Undetermined`` otherwise.  A completion counts as PSD when its smallest
-    eigenvalue is at least -tol * max(1, spectral radius), so an instance
-    infeasible by less than that is never ``Infeasible``: it is ``Feasible``
-    only by the residuals, else ``Undetermined``.  The residuals of a set
-    the Cholesky cannot certify come from G1's eigenpairs, with no inverse
-    formed.  Duals over the 1e12 condition ceiling (only for tol < 1e-12)
-    raise ``IllConditionedError``, as in ``synthesize``.
+    ``Undetermined`` otherwise, with a note that blames G1's rank cut when
+    the per-state residual fails.  A completion counts as PSD when its
+    smallest eigenvalue is at least -tol * max(1, spectral radius), so an
+    instance infeasible by less than that is never ``Infeasible``: it is
+    ``Feasible`` only by the residuals, else ``Undetermined``.  Gram matrices
+    are certified as in ``span_duals``; the residuals of a G1 that is not
+    come from its eigenpairs, with no inverse formed.  Duals over the 1e12
+    condition ceiling (only for tol < 1e-12) raise ``IllConditionedError``.
     """
     return _check(initial, final, tol, build=False)
 
@@ -214,16 +215,15 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
     j, k = np.divmod(np.flatnonzero(abs1 > abs2 + tol), n)  # row by row: (j, k) order
     violations = _pair_overlaps(abs1, abs2, j[j < k], k[j < k], tol)
     del abs1, abs2  # freed before any factorization
-    # gram() is exactly Hermitian, so no hermitian_rank check.  A dependent
-    # initial set, or one with a free pair, keeps G1's eigenpairs for the
-    # residuals and the duals.  No Cholesky is tried where it cannot serve a
-    # Feasible verdict: rank(G1) <= D, and a Feasible pair has rank(G2) <=
+    # gram() is exactly Hermitian: eigh and the certificates read it as is.  A
+    # dependent initial set, or one with a free pair, keeps G1's eigenpairs for
+    # the residuals and the duals.  No Cholesky is tried where it cannot serve
+    # a Feasible verdict: rank(G1) <= D, and a Feasible pair has rank(G2) <=
     # rank(G1), so a dependent G1 leaves G2's rank to its eigenvalues.
-    certified = not m.free_pairs and n <= initial.dimension and _certifies_full_rank(g1, tol)
+    certified = not m.free_pairs and n <= initial.dimension and _certified(g1, tol)
     eig1 = None if certified else np.linalg.eigh(g1)
     rank1 = n if eig1 is None else numerical_rank(eig1[0], tol)
-    certified2 = rank1 == n and _certifies_full_rank(g2, tol)
-    rank2 = n if certified2 else numerical_rank(np.linalg.eigvalsh(g2), tol)
+    rank2, certified2 = _gram_rank(g2, tol, certify=rank1 == n)
     notes: list[str] = []
     for name, rank in (("initial", rank1), ("final", rank2)):
         if rank < n:
@@ -273,24 +273,25 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
                 f"{len(m.free_pairs)} state pair(s) orthogonal in both sets leave "
                 "their ratio free; completed with 1"
             )
-        # A fast accept reads no residuals, but a build check still keeps
-        # the factor and G1's inverse that synthesis builds from.
+        # A fast accept reads no residuals, but still keeps the factor (and,
+        # in a build check, G1's inverse) that synthesis builds from.
         accept = fast and min_eig > DEFAULT_RANK_TOL * w[-1]
-        if accept and not build:
-            return report(FEASIBLE, min_eig)
         c = _spectral_factor(*spectrum, tol)
-        # A certified G1's residuals read its inverse; any other G1's come from
-        # its eigenpairs, and only a Feasible build check inverts them.
-        inverse = _overlap_inverse(g1, tol, certified) if eig1 is None else None
+        # Residuals of a certified G1, and a build check, read its inverse; any other
+        # G1's residuals come from its eigenpairs, and only a Feasible build inverts them.
+        needs_inverse = eig1 is None and (build or not accept)
+        inverse = _overlap_inverse(g1, tol, certified) if needs_inverse else None
         residuals = () if accept else _guard_residuals(g1, g2, c, inverse, eig1, rank1, tol)
         if all(residual <= 0.5e3 * tol for residual in residuals):  # NaN fails too
             if build and inverse is None:
                 inverse = _overlap_inverse(g1, tol, certified, eig1)
             return report(FEASIBLE, min_eig, c, inverse if build else None)
-        notes.append(
-            "the completion with 1 is PSD only to within tol: its channel's residuals "
-            "(per-state {:.3e}, completeness {:.3e}) exceed half the guard".format(*residuals)
-        )
+        # A per-state residual is nonzero only where G1's rank cut drops eigenpairs.
+        cause = ("the initial set's rank cut drops directions the channel must map"
+                 if residuals[0] > 0.5e3 * tol
+                 else "the completion with 1 is PSD only to within tol")
+        notes.append(cause + ": its channel's residuals (per-state {:.3e}, completeness {:.3e}) "
+                     "exceed half the guard".format(*residuals))
         return report(UNDETERMINED, min_eig)
     if m.fully_defined:
         notes.append(f"ratio matrix has negative eigenvalue {min_eig:.6e}")

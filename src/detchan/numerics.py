@@ -1,7 +1,8 @@
-"""Dense complex-matrix kernels: Hermitian parts, numerical rank, positivity
-verdicts and the rank-revealing PSD factor of a descending spectrum.
+"""Dense complex-matrix kernels: numerical rank, its Cholesky certificate,
+positivity verdicts and the rank-revealing PSD factor of a descending
+spectrum.
 
-All decisions (Hermiticity, positivity, rank) are made relative to the
+All decisions (positivity, rank) are made relative to the
 spectral scale of the input; nothing here assumes exact arithmetic.
 Matrices are plain ``numpy.ndarray`` values with ``complex128`` entries.
 Every function is pure, so concurrent use needs no locking.
@@ -11,13 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    InvalidToleranceError,
-    NotFiniteError,
-    NotHermitianError,
-    NotPSDError,
-    SizeMismatchError,
-)
+from .errors import InvalidToleranceError, NotPSDError
 
 #: Relative tolerance for Hermiticity and positivity decisions.
 DEFAULT_TOL = 1e-9
@@ -26,16 +21,6 @@ DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-10
 #: A state counts as pure when 1 - Tr(rho^2) is at most this.
 DEFAULT_PURITY_TOL = 1e-9
-
-
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a finite 2-D complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise SizeMismatchError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NotFiniteError(f"{name} contains NaN or Inf entries")
-    return m
 
 
 def _check_tolerances(**tolerances: float) -> None:
@@ -49,16 +34,6 @@ def _check_tolerances(**tolerances: float) -> None:
 
 def frobenius(a) -> float:
     return float(np.linalg.norm(a, "fro"))
-
-
-def hermitian_rank(h, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank of a Hermitian matrix (checked by ``_hermitian_part``):
-    n when one shifted Cholesky proves it (``_certifies_full_rank``), else
-    ``numerical_rank`` of its eigenvalues."""
-    m = _hermitian_part(h, tol)
-    if _certifies_full_rank(m, tol):
-        return len(m)
-    return numerical_rank(np.linalg.eigvalsh(m), tol)
 
 
 def numerical_rank(w: np.ndarray, tol: float) -> int:
@@ -89,22 +64,6 @@ def _certifies_full_rank(m: np.ndarray, tol: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _hermitian_part(h, tol: float) -> np.ndarray:
-    """Finite, square, Hermitian within ``tol * max(1, ||h||_F)``; returns
-    the exactly Hermitian part ``(h + h^dag) / 2``."""
-    _check_tolerances(tol=tol)
-    m = as_complex_matrix(h, name="h")
-    if m.shape[0] != m.shape[1]:
-        raise SizeMismatchError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, frobenius(m))
-    sym_residual = frobenius(m - m.conj().T)
-    if sym_residual > tol * scale:
-        raise NotHermitianError(
-            f"symmetry residual {sym_residual:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        )
-    return (m + m.conj().T) / 2.0
 
 
 def _psd_verdict(w: np.ndarray, tol: float) -> tuple[bool, float]:

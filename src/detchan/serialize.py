@@ -29,6 +29,10 @@ if TYPE_CHECKING:
     from .synthesis import KrausSet
 
 
+#: Spaces per nesting level of ``dumps``.
+_INDENT = 2
+
+
 def format_float(x) -> str:
     v = float(x)
     if not math.isfinite(v):
@@ -49,18 +53,18 @@ def _flat(seq) -> bool:
     return True
 
 
-def _emit(obj, out: list[str], level: int, indent: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _emit(obj, out: list[str], level: int) -> None:
+    pad = " " * (_INDENT * level)
+    inner = " " * (_INDENT * (level + 1))
     keyed = isinstance(obj, dict)
     if isinstance(obj, np.ndarray) and obj.dtype == np.complex128 and obj.ndim:
-        _emit_complex(obj, out, level, indent)
+        _emit_complex(obj, out, level)
     elif (keyed or isinstance(obj, (list, tuple))) and not obj:
         out.append("{}" if keyed else "[]")
     elif isinstance(obj, (list, tuple)) and _flat(obj):
         out.append("[")
         for i, value in enumerate(obj):
-            _emit(value, out, level, indent)
+            _emit(value, out, level)
             if i < len(obj) - 1:
                 out.append(", ")
         out.append("]")
@@ -69,7 +73,7 @@ def _emit(obj, out: list[str], level: int, indent: int) -> None:
         out.append("{\n" if keyed else "[\n")
         for i, (key, value) in enumerate(obj.items() if keyed else enumerate(obj)):
             out.append(inner + (f"{json.dumps(str(key))}: " if keyed else ""))
-            _emit(value, out, level + 1, indent)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + ("}" if keyed else "]"))
     elif isinstance(obj, str):
@@ -86,11 +90,11 @@ def _emit(obj, out: list[str], level: int, indent: int) -> None:
         raise SchemaError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def _emit_complex(arr: np.ndarray, out: list[str], level: int, indent: int) -> None:
+def _emit_complex(arr: np.ndarray, out: list[str], level: int) -> None:
     """A complex128 array laid out as its nested [re, im] lists: each row of
     pairs on one line, every outer axis one item per line."""
     if not arr.size:  # no number in it: written as its (empty) nested lists
-        return _emit(arr.tolist(), out, level, indent)
+        return _emit(arr.tolist(), out, level)
     floats = np.ascontiguousarray(arr).view(np.float64)
     finite = np.isfinite(floats)
     if not finite.all():
@@ -100,17 +104,18 @@ def _emit_complex(arr: np.ndarray, out: list[str], level: int, indent: int) -> N
     pairs, width = map(", ".join, zip(cells, cells)), arr.shape[-1]
     items = ["[[" + "], [".join(islice(pairs, width)) + "]]" for _ in range(arr.size // width)]
     for depth, count in enumerate(reversed(arr.shape[:-1])):
-        pad = " " * (indent * (level + arr.ndim - 2 - depth))
-        inner = pad + " " * indent
+        pad = " " * (_INDENT * (level + arr.ndim - 2 - depth))
+        inner = pad + " " * _INDENT
         items = [f"[\n{inner}" + f",\n{inner}".join(items[i : i + count]) + f"\n{pad}]"
                  for i in range(0, len(items), count)]
     out.append(items[0])
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize to deterministic, diff-friendly JSON (trailing newline)."""
+def dumps(obj) -> str:
+    """Serialize to deterministic, diff-friendly JSON, indented by two spaces
+    per level (trailing newline)."""
     out: list[str] = []
-    _emit(obj, out, 0, indent)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 

@@ -17,13 +17,7 @@ from .errors import (
     SizeMismatchError,
     ZeroVectorError,
 )
-from .numerics import (
-    DEFAULT_TOL,
-    _certifies_full_rank,
-    _check_tolerances,
-    hermitian_rank,
-    numerical_rank,
-)
+from .numerics import DEFAULT_TOL, _certifies_full_rank, _check_tolerances, numerical_rank
 
 #: States must be normalized this tightly at construction time.
 UNIT_NORM_TOL = 1e-12
@@ -110,8 +104,24 @@ def gram(s: StateSet) -> np.ndarray:
 
 def linear_independence(s: StateSet, tol: float = DEFAULT_TOL) -> bool:
     """True when the Gram matrix has full numerical rank N
-    (``hermitian_rank``: one shifted Cholesky for a well-conditioned set)."""
-    return hermitian_rank(gram(s), tol) == s.n
+    (``_gram_rank``: one shifted Cholesky for a well-conditioned set)."""
+    _check_tolerances(tol=tol)
+    return _gram_rank(gram(s), tol)[0] == s.n
+
+
+def _certified(g: np.ndarray, tol: float) -> bool:
+    """The Gram certificate, ``_certifies_full_rank`` at the cutoff max(tol,
+    1e-12): when it passes, g has rank n at ``tol`` and condition <= 1e12."""
+    return _certifies_full_rank(g, max(tol, 1.0 / _COND_CEILING))
+
+
+def _gram_rank(g: np.ndarray, tol: float, certify: bool = True) -> tuple[int, bool]:
+    """``(rank, certified)`` of the exactly Hermitian ``gram()`` output ``g`` at
+    ``tol``: n and True when ``_certified`` proves it (tried only if
+    ``certify``), else ``numerical_rank`` of its eigenvalues and False."""
+    if certify and _certified(g, tol):
+        return len(g), True
+    return numerical_rank(np.linalg.eigvalsh(g), tol), False
 
 
 def span_duals(s: StateSet, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -123,17 +133,18 @@ def span_duals(s: StateSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     identity when the set spans C^D).  For an independent set this means
     <w_j|psi_k> = delta_jk.  This is the package's one dual constructor.
 
-    One shifted Cholesky proves full rank N and condition <= 1e12 at the
-    cutoff max(tol, 1e-12); Psi^+ then comes from one linear solve with
-    the Gram matrix.  Any other set takes one ``eigh`` of its Gram matrix
-    and inverts the ``numerical_rank`` eigenvalues above the cutoff
+    One shifted Cholesky (``_certified``) proves full rank N and condition
+    <= 1e12 at the cutoff max(tol, 1e-12); Psi^+ then comes from one linear
+    solve with the Gram matrix.  Any other set takes one ``eigh`` of its
+    Gram matrix and inverts the ``numerical_rank`` eigenvalues above the cutoff
     ``tol * lambda_max``, which drops a dependent direction and every
     condition above 1 / tol (1e9 at the default ``tol``).  The fixed 1e12
     ceiling on the kept eigenvalues raises ``IllConditionedError`` only for
     ``tol`` below 1e-12.
     """
     _check_tolerances(tol=tol)
-    return _span_duals(s.states, _overlap_inverse(gram(s), tol))
+    g = gram(s)
+    return _span_duals(s.states, _overlap_inverse(g, tol, _certified(g, tol)))
 
 
 def _span_duals(states: np.ndarray, inverse: np.ndarray) -> np.ndarray:
@@ -141,20 +152,17 @@ def _span_duals(states: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return (states.T @ inverse).T
 
 
-def _overlap_inverse(g: np.ndarray, tol: float, certified=None, eig=None) -> np.ndarray:
+def _overlap_inverse(g: np.ndarray, tol: float, certified: bool, eig=None) -> np.ndarray:
     """Inverse, or pseudo-inverse at the rank cutoff, of the overlap matrix
     Psi^dag Psi = conj(g) of states with Gram matrix ``g``, as ``span_duals``.
 
-    ``certified`` is the outcome of ``_certifies_full_rank(g, tol)`` when the
-    caller took it (None otherwise); it stands for the certificate at the
-    cutoff max(tol, 1e-12) only when tol >= 1e-12.  ``eig`` is g's ascending
-    eigh when the caller took it; its conjugate is the eigh of conj(g)
-    (bitwise so with numpy 2.4's LAPACK on 210 random Gram matrices), so the
-    inverse matches that of a fresh eigh here.
+    ``certified`` is ``_certified(g, tol)``, taken by the caller: a solve
+    inverts a certified g.  ``eig`` is g's ascending eigh when the caller
+    took it; its conjugate is the eigh of conj(g) (bitwise so with numpy
+    2.4's LAPACK on 210 random Gram matrices), so the inverse matches that
+    of a fresh eigh here.
     """
     overlap = g.conj()  # entry (j, k) = <psi_j | psi_k>
-    if certified is None or tol < 1.0 / _COND_CEILING:
-        certified = eig is None and _certifies_full_rank(overlap, max(tol, 1.0 / _COND_CEILING))
     if certified:
         return np.linalg.solve(overlap, np.eye(len(g), dtype=np.complex128))
     w, v = np.linalg.eigh(overlap) if eig is None else (eig[0], eig[1].conj())  # ascending

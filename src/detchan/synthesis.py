@@ -12,12 +12,13 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
     NotFiniteError,
+    NotHermitianError,
     NotPSDError,
     NotFeasibleError,
     SizeMismatchError,
 )
 from .feasibility import FEASIBLE, FeasibilityReport, _check
-from .numerics import DEFAULT_TOL, _hermitian_part, _psd_verdict, as_complex_matrix, frobenius
+from .numerics import DEFAULT_TOL, _psd_verdict, frobenius
 from .states import StateSet, _span_duals, fingerprint
 
 
@@ -321,15 +322,23 @@ def purity(rho) -> float:
 
 
 def validate_density(rho) -> np.ndarray:
-    """Check a density matrix and return it as given: Hermitian and of unit
-    trace within 1e-12 * max(1, ||rho||_F), and PSD within 1e-10
-    (``_psd_verdict``'s relative rule)."""
-    r = as_complex_matrix(rho, name="density matrix")
-    h = _hermitian_part(r, 1e-12)
+    """Check a density matrix and return it as a complex128 array: square
+    and finite, Hermitian and of unit trace within 1e-12 * max(1, ||rho||_F),
+    and PSD within 1e-10 (``_psd_verdict``'s relative rule, read off the
+    exactly Hermitian part)."""
+    r = np.asarray(rho, dtype=np.complex128)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise SizeMismatchError(f"density matrix must be square, got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise NotFiniteError("density matrix contains NaN or Inf entries")
+    scale = max(1.0, frobenius(r))
+    residual = frobenius(r - r.conj().T)
+    if residual > 1e-12 * scale:
+        raise NotHermitianError(f"symmetry residual {residual:.3e} exceeds 1.0e-12 * {scale:.3e}")
     tr = complex(np.trace(r))
-    if abs(tr - 1.0) > 1e-12 * max(1.0, frobenius(r)):
+    if abs(tr - 1.0) > 1e-12 * scale:
         raise SizeMismatchError(f"density matrix trace {tr:.12g} != 1")
-    ok, min_eig = _psd_verdict(np.linalg.eigvalsh(h)[::-1], 1e-10)
+    ok, min_eig = _psd_verdict(np.linalg.eigvalsh((r + r.conj().T) / 2.0)[::-1], 1e-10)
     if not ok:
         raise NotPSDError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return r

@@ -23,7 +23,7 @@ from detchan import (
     random_state_set,
     state_to_density,
 )
-from detchan.numerics import _hermitian_part, _spectral_factor
+from detchan.numerics import _spectral_factor
 
 # Gram matrices with smallest eigenvalue below this are re-drawn: dual
 # vectors scale with the inverse Gram, and the 1e-9 residual targets are
@@ -67,18 +67,19 @@ def pair_witness(m, j: int, k: int) -> float:
     return float(np.linalg.eigvalsh(m.entries[np.ix_(idx, idx)])[0])
 
 
-def descending_eig(h, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def descending_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and eigenvectors of the exactly Hermitian part
     ``(h + h^dag) / 2`` of a complex128 matrix: the spectrum, in the order a
     build check hands it to ``_spectral_factor``."""
-    w, v = np.linalg.eigh(_hermitian_part(h, tol))
+    m = np.asarray(h, dtype=np.complex128)
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def spectral_factor(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Rank-revealing, phase-pinned factor C with ``m = C @ C^dag``, as the
     library factors a ratio matrix (``NotPSDError`` for a non-PSD ``m``)."""
-    return _spectral_factor(*descending_eig(m, tol), tol)
+    return _spectral_factor(*descending_eig(m), tol)
 
 
 def transforms(ks, initial: StateSet, final: StateSet) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +187,7 @@ def embedded(s: StateSet, rng: np.random.Generator, d: int) -> StateSet:
 def near_parallel_pair() -> StateSet:
     """Two independent states in C^4 with Gram condition about 1.8e8,
     below the 1e9 rank cutoff.  I - P on their span is not Hermitian to
-    ``_hermitian_part``'s default tolerance, so no path may eigensolve it."""
+    within 1e-9, so no path may eigensolve it."""
     rng = np.random.default_rng(2)
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     a = a / np.linalg.norm(a)

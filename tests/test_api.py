@@ -91,6 +91,12 @@ assert "__all__" in dir(detchan) and set(detchan.__all__) <= set(dir(detchan))
 """
 
 
+def test_dir_lists_every_public_name_and_module():
+    names = dir(detchan)
+    assert names == sorted(names)
+    assert set(PUBLIC_NAMES) | {"coherence", "feasibility", "synthesis"} <= set(names)
+
+
 def test_public_names_are_pinned_and_resolve():
     assert sorted(detchan.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:

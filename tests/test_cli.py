@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -406,6 +407,33 @@ def test_apply_rejects_a_density_dimension_that_is_not_the_matrix_size(
     assert err.startswith("error: ") and reason in err
 
 
+@pytest.mark.parametrize(
+    "document, reason",
+    [
+        ({"states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, "single state, got 2"),
+        ({"vectors": [[[1, 0], [0, 0]]]}, "StateSet or density-matrix document"),
+    ],
+    ids=["two-states", "neither"],
+)
+def test_apply_rejects_an_input_that_is_not_one_state(capsys, tmp_path, document, reason):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(document))
+    code, out, err = run(capsys, ["apply", fx("kraus_measure2.json"), str(state)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize(
+    "coeffs, reason",
+    [("1,one", "unparseable coefficient list"), ("1,1,1", "3 coefficients for 2 states")],
+    ids=["unparseable", "count"],
+)
+def test_coherence_rejects_bad_coefficients(capsys, coeffs, reason):
+    argv = ["coherence", fx("basis2.json"), fx("basis2.json"), "--coeffs", coeffs]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and reason in err
+
+
 def test_coherence_single_nonzero_coefficient_exits_2(capsys):
     code, _, err = run(
         capsys,
@@ -647,6 +675,44 @@ def test_sweep_rejects_expressions_outside_the_grammar(capsys, tmp_path, express
     )
     code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
     assert code == 2 and out == "" and "template expression" in err
+
+
+@pytest.mark.parametrize(
+    "expression, theta, value",
+    [("pi", 0.5, math.pi), ("-theta", 0.5, -0.5), ("+cos(pi / 3)", 0.0, math.cos(math.pi / 3)),
+     ("2 ** -theta", 1.0, 0.5)],
+)
+def test_template_grammar_reads_pi_and_unary_signs(expression, theta, value):
+    # README lists pi and unary signs among the forms a template may use.
+    assert cli._compile_component(expression, "theta")(theta) == value
+
+
+def test_sweep_with_pi_and_signs_reproduces_the_golden_sweep(capsys, tmp_path):
+    # sweep_template.json with cos(theta) written as -(-cos(theta + 0 * pi))
+    # and sin(theta) as +sin(theta): exact rewrites, so the same bytes.
+    tpl = json.loads((FIXTURES / "sweep_template.json").read_text())
+    tpl["final"][1] = [["-(-cos(theta + 0 * pi))", 0], ["+sin(theta)", 0]]
+    path = tmp_path / "tpl.json"
+    path.write_text(json.dumps(tpl))
+    code, out, _ = run(capsys, [SWEEP_ARGV[0], str(path), *SWEEP_ARGV[2:]])
+    assert code == 0
+    assert_golden(out, "sweep_cos.csv")
+
+
+@pytest.mark.parametrize(
+    "document, reason",
+    [
+        ({"dimension": 2, "initial": [[[1, 0], [0, 0]]]}, "needs 'initial' and 'final'"),
+        ({"dimension": 2, "initial": [], "final": [[[1, 0], [0, 0]]]}, "non-empty list"),
+        ({"dimension": 2, "initial": [[[1, 0], [0, 0]]], "final": "cos(theta)"}, "non-empty list"),
+    ],
+    ids=["no-final", "empty", "string"],
+)
+def test_sweep_rejects_a_malformed_template(capsys, tmp_path, document, reason):
+    tpl = tmp_path / "tpl.json"
+    tpl.write_text(json.dumps(document))
+    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
+    assert (code, out) == (2, "") and reason in err
 
 
 #: A 401-digit JSON integer: valid JSON, but too large for a double.

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from detchan import (
     DECOHERING,
+    DimensionMismatchError,
     FingerprintMismatchError,
+    KrausSet,
     NotIndependentError,
     StateSet,
     SupportTooSmallError,
@@ -114,6 +116,17 @@ def test_probe_fingerprint_mismatch():
         coherence_probe(ks, other, [1, 1])
 
 
+def test_probe_final_fingerprint_and_dimension_mismatch():
+    s = zero_plus()
+    with pytest.raises(FingerprintMismatchError, match="onto this final set"):
+        coherence_probe(synthesize(s, s), s, [1, 1], final=cos09_final())
+    # A hand-assembled 3-dimensional channel that carries the fingerprint of
+    # a 2-dimensional set.
+    ks = KrausSet.from_operators([np.eye(3)], initial=s)
+    with pytest.raises(DimensionMismatchError, match="channel dimension 3"):
+        coherence_probe(ks, s, [1, 1])
+
+
 def test_probe_needs_two_support_states():
     s = zero_plus()
     ks = synthesize(s, s)
@@ -189,6 +202,21 @@ def test_orthonormal_bases_are_unitary_related():
         np.testing.assert_allclose(
             np.abs(u @ basis.states[j]), np.abs(shuffled.states[j]), atol=1e-8
         )
+
+
+def test_dependent_initial_set_on_the_support_refused():
+    initial = StateSet.from_vectors([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
+    final = StateSet.from_vectors(np.eye(3))
+    with pytest.raises(NotIndependentError, match="initial states are dependent"):
+        unitary_relation_test(initial, final, support=[0, 1])
+    assert unitary_relation_test(initial, final, support=[1, 2]).verdict == UNITARY_RELATED
+
+
+@pytest.mark.parametrize("support", [[0, 2], [-1, 0]])
+def test_support_out_of_range_refused(support):
+    s = zero_plus()
+    with pytest.raises(IndexError, match="out of range for 2 states"):
+        unitary_relation_test(s, s, support=support)
 
 
 def test_dependent_final_set_refused():

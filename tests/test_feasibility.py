@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from detchan import (
     gram,
     linear_independence,
     random_state_set,
+    span_duals,
     synthesize,
 )
 from detchan.feasibility import _check
@@ -306,6 +308,11 @@ def test_audit_orthonormal_initial_never_violates():
     basis = StateSet.from_vectors(np.eye(2))
     final = StateSet.from_vectors([[1, 0], [0.6, 0.8]])
     assert all(not p.violation for p in distinguishability_audit(basis, final))
+
+
+def test_audit_needs_one_final_state_per_initial_state():
+    with pytest.raises(SizeMismatchError, match="2 initial states vs 1 final states"):
+        distinguishability_audit(zero_plus(), StateSet.from_vectors([[1, 0]]))
 
 
 def test_audit_flags_cos_half_pair():
@@ -742,6 +749,9 @@ def test_dependent_product_instances_are_feasible_and_built(instance):
 
 GUARD = 1e3 * 1e-9
 RESIDUALS_NOTE = "the completion with 1 is PSD only to within tol: its channel's residuals"
+RANK_CUT_NOTE = (
+    "the initial set's rank cut drops directions the channel must map: its channel's residuals"
+)
 
 
 def tilted(theta):
@@ -758,8 +768,9 @@ def test_near_dependent_pairs_are_feasible_only_when_built():
         verdicts[theta] = report.verdict
         assert report.verdict in (FEASIBLE, UNDETERMINED)
         if report.verdict == UNDETERMINED:
+            # The completion is all ones: only the dropped direction costs.
             assert not report.initial_independent
-            assert report.notes[-1].startswith(RESIDUALS_NOTE)
+            assert report.notes[-1].startswith(RANK_CUT_NOTE)
             assert report.min_eigenvalue is not None and report._pair.c is None
         assert_feasible_iff_built(s, s, GUARD)
     # The dropped direction costs a per-state residual of about
@@ -769,6 +780,28 @@ def test_near_dependent_pairs_are_feasible_only_when_built():
     assert all(v == FEASIBLE for t, v in verdicts.items() if t < 7e-7 or t > 7e-5)
     assert all(v == UNDETERMINED for t, v in verdicts.items() if 7.5e-7 < t < 6e-5)
     assert feasibility_check(tilted(2e-5), tilted(2e-5)).verdict == UNDETERMINED
+
+
+def test_residual_note_names_the_rank_cut_when_the_per_state_residual_fails():
+    # An N = D = 16 set mapped onto itself whose Gram eigenvalues are spaced
+    # logarithmically from 1e-10 to 1 before the diagonal is normalized: the
+    # ratio matrix is all ones, PSD but for rounding, yet G1's rank cut keeps
+    # 14 of 16 directions, and the channel cannot map the two it drops.
+    n = 16
+    v = haar_unitary(n, 3)
+    g = (v * np.logspace(-10, 0, n)) @ v.conj().T
+    scale = 1.0 / np.sqrt(np.diag(g).real)
+    g *= np.outer(scale, scale)
+    w, u = np.linalg.eigh((g + g.conj().T) / 2.0)
+    s = StateSet.from_vectors(u * np.sqrt(np.clip(w, 0.0, None)), normalize=True)
+    report = feasibility_check(s, s)
+    assert report.verdict == UNDETERMINED
+    assert report.notes[0] == "initial set is linearly dependent (rank 14 of 16)"
+    assert abs(report.min_eigenvalue) < 1e-13
+    assert report.notes[-1].startswith(RANK_CUT_NOTE)
+    per_state, completeness = map(float, re.findall(r"\d\.\d{3}e[-+]\d+", report.notes[-1]))
+    assert per_state > 0.5 * GUARD >= completeness
+    assert_feasible_iff_built(s, s, GUARD)
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-10, 3e-10, 1e-9])
@@ -1014,6 +1047,30 @@ def test_duals_above_the_condition_ceiling_raise_in_the_check():
         synthesize(s, s, 1e-15)
 
 
+def test_a_gram_condition_between_the_ceiling_and_one_over_tol_takes_one_cholesky_each(
+    monkeypatch,
+):
+    # Gram condition about 1e13 at tol = 1e-15: every Gram certificate is
+    # taken at max(tol, 1e-12), so it fails once per Gram matrix and the
+    # ranks come from eigenvalues; no certificate is taken twice.  The check
+    # still raises where synthesize does, and the set still counts as
+    # independent at tol.
+    s = tilted(6.3e-7)
+    counts = count_calls(
+        monkeypatch, *((np.linalg, name) for name in ("cholesky", "eigh", "eigvalsh", "solve"))
+    )
+    with pytest.raises(IllConditionedError):
+        feasibility_check(s, s, 1e-15)
+    assert (counts["cholesky"], counts["eigh"], counts["eigvalsh"]) == (2, 2, 1)
+    counts.clear()
+    assert linear_independence(s, 1e-15)
+    assert (counts["cholesky"], counts["eigvalsh"]) == (1, 1)
+    counts.clear()
+    with pytest.raises(IllConditionedError):
+        span_duals(s, 1e-15)
+    assert (counts["cholesky"], counts["eigh"], counts["solve"]) == (1, 1, 0)
+
+
 def test_dependent_duals_above_the_condition_ceiling_raise_in_the_check():
     # tilted(6e-7) with its first state repeated: rank 2 of 3 at tol = 1e-14,
     # and the kept eigenvalues, 3 and about 2.4e-13, have condition about
@@ -1033,6 +1090,41 @@ def test_dependent_duals_above_the_condition_ceiling_raise_in_the_check():
     assert not report.initial_independent and report.verdict == UNDETERMINED
     with pytest.raises(NotFeasibleError):
         synthesize(s, s, 1e-13)
+
+
+def test_a_bare_accept_between_the_cholesky_and_the_rank_cut_keeps_the_factor(monkeypatch):
+    # N = 8: a well-conditioned final set and a unit-diagonal M whose
+    # smallest eigenvalue, about 5.3e-10, lies between the factor's cutoff
+    # 1e-10 lambda_max and the shift of the completion's certificate, with
+    # G1 = M o G2 (certified: lambda_min(M o G2) >= lambda_min(G2), Schur).
+    # The completion's Cholesky fails, so the bare check accepts on eigh,
+    # without residuals, and keeps the factor C as a build check does, but
+    # solves nothing: G1's inverse is for residuals and synthesis only.
+    n, seed = 8, 10
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(n, seed)
+    w = rng.uniform(0.5, 1.5, n)
+    w[0] = 10 ** rng.uniform(-10.5, -8)
+    m = (v * w) @ v.conj().T
+    scale = 1.0 / np.sqrt(np.diag(m).real)
+    m *= np.outer(scale, scale)
+    final = random_state_set(n, n, seed, mode="independent")
+    g1 = m * gram(final)
+    g1 = (g1 + g1.conj().T) / 2.0
+    w1, v1 = np.linalg.eigh(g1)
+    initial = StateSet.from_vectors(v1 * np.sqrt(w1), normalize=True)
+    counts = count_calls(monkeypatch, (np.linalg, "solve"))
+    bare = feasibility_check(initial, final)
+    assert counts["solve"] == 0
+    built = _check(initial, final, DEFAULT_TOL, build=True)
+    completion = bare.ratio_matrix.entries
+    assert not _certifies_full_rank(completion, DEFAULT_RANK_TOL)
+    lam = np.linalg.eigvalsh(completion)
+    assert DEFAULT_RANK_TOL * lam[-1] < lam[0] < DEFAULT_RANK_TOL * n
+    assert bare.verdict == built.verdict == FEASIBLE and bare.notes == ()
+    assert bare.min_eigenvalue == built.min_eigenvalue
+    assert bare._pair.c is not None and bare._pair.inverse is None
+    np.testing.assert_array_equal(bare._pair.c, built._pair.c, strict=True)
 
 
 def test_only_a_build_check_keeps_the_inverse():

@@ -8,17 +8,17 @@ from detchan import (
     NotFiniteError,
     NotHermitianError,
     NotPSDError,
+    validate_density,
 )
 from detchan.numerics import (
     _certifies_full_rank,
-    _hermitian_part,
     _psd_verdict,
     frobenius,
-    hermitian_rank,
     numerical_rank,
     phase_pin,
     pin_column_phases,
 )
+from detchan.states import _gram_rank
 from helpers import descending_eig, haar_unitary, spectral_factor
 
 
@@ -42,9 +42,10 @@ def char_poly_roots(h):
     return np.sort(roots.real)[::-1]
 
 
-# ---------------------------------------------------------------- _hermitian_part
-# ``descending_eig`` is eigh of ``_hermitian_part``, in the order
-# ``_spectral_factor`` reads the spectrum.
+# ---------------------------------------------------------------- descending_eig
+# ``descending_eig`` is eigh of the Hermitian part, in the order
+# ``_spectral_factor`` reads the spectrum; ``validate_density`` checks a
+# density matrix before it reads one.
 
 
 def test_eig_identity():
@@ -66,13 +67,13 @@ def test_eig_matches_companion_matrix_oracle():
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        _hermitian_part([[0.0, 1.0], [0.0, 0.0]], DEFAULT_TOL)
+    with pytest.raises(NotHermitianError, match="symmetry residual"):
+        validate_density([[0.5, 1.0], [0.0, 0.5]])
 
 
 def test_eig_rejects_nan():
     with pytest.raises(NotFiniteError):
-        _hermitian_part([[np.nan, 0.0], [0.0, 1.0]], DEFAULT_TOL)
+        validate_density([[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_eig_reconstruction_and_orthonormality_up_to_dim_16():
@@ -237,7 +238,7 @@ def test_pin_column_phases_matches_the_column_loop_bitwise():
         assert pinned.flags.f_contiguous == reference.flags.f_contiguous
 
 
-# ------------------------------------------------------------ hermitian_rank
+# ------------------------------------------------------------ _gram_rank
 
 
 def rank_grid_spectra(rng, n):
@@ -258,19 +259,23 @@ def rank_grid_spectra(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 64, 128, 256])
 def test_hermitian_rank_equals_the_eigenvalue_rule(n, tol):
     # The Cholesky certificate may only ever answer what the eigenvalue rule
-    # answers; on the sweep it decides the clearly full-rank half.
+    # answers; on the sweep it decides the clearly full-rank half.  The Gram
+    # rank takes it at max(tol, 1e-12), which proves rank n at tol too.
     seed = 100 * n + int(-np.log10(tol))
     rng = np.random.default_rng(seed)
     v = haar_unitary(n, seed)
     certified = 0
     for w in rank_grid_spectra(rng, n):
         h = (v * w) @ v.conj().T
-        m = _hermitian_part(h, tol)
+        m = (h + h.conj().T) / 2.0
         expected = numerical_rank(np.linalg.eigvalsh(m), tol)
-        assert hermitian_rank(h, tol) == expected
+        rank, gram_certified = _gram_rank(m, tol)
+        assert rank == expected
         if _certifies_full_rank(m, tol):
             assert expected == n
             certified += 1
+        if gram_certified:
+            assert expected == n
     assert certified > 0
 
 
@@ -290,7 +295,8 @@ def test_certificate_factors_m_minus_shift_times_identity_bit_for_bit(monkeypatc
     for n, tol in ((1, 1e-9), (3, 0.0), (16, 1e-10), (64, 1e-9)):
         v = haar_unitary(n, n)
         for w in rank_grid_spectra(rng, n):
-            m = _hermitian_part((v * w) @ v.conj().T, 1e-9)
+            h = (v * w) @ v.conj().T
+            m = (h + h.conj().T) / 2.0
             kept = m.copy()
             factored.clear()
             _certifies_full_rank(m, tol)

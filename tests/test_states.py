@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detchan.states
 from detchan import (
     IllConditionedError,
     InvalidDimensionsError,
+    NotFiniteError,
+    NotIndependentError,
     NotNormalizedError,
     SizeMismatchError,
     StateSet,
@@ -16,7 +20,8 @@ from detchan import (
     span_duals,
     superpose,
 )
-from detchan.numerics import hermitian_rank
+from detchan.numerics import DEFAULT_TOL
+from detchan.states import _gram_rank
 from helpers import count_calls
 
 INV_SQRT2 = 2**-0.5
@@ -48,6 +53,26 @@ def test_stateset_rejects_empty_and_mismatched():
         StateSet(dimension=3, states=np.eye(2))
     with pytest.raises(SizeMismatchError):
         StateSet.from_vectors(np.eye(2), labels=["only-one"])
+
+
+@pytest.mark.parametrize(
+    "dimension, states, error, reason",
+    [
+        (2, [1.0, 0.0], InvalidDimensionsError, "must be 2-D"),
+        (2, np.zeros((0, 2)), InvalidDimensionsError, "need N >= 1 and D >= 1"),
+        (2, [[np.nan, 1.0]], NotFiniteError, "NaN or Inf"),
+        (2, [[np.inf, 0.0]], NotFiniteError, "NaN or Inf"),
+    ],
+    ids=["1-D", "no-states", "nan", "inf"],
+)
+def test_stateset_rejects_malformed_amplitudes(dimension, states, error, reason):
+    with pytest.raises(error, match=reason):
+        StateSet(dimension, states)
+
+
+def test_from_vectors_refuses_to_normalize_a_zero_vector():
+    with pytest.raises(ZeroVectorError, match="cannot normalize a zero vector"):
+        StateSet.from_vectors([[1.0, 0.0], [0.0, 0.0]], normalize=True)
 
 
 def test_stateset_is_readonly():
@@ -104,6 +129,28 @@ def test_gram_is_the_symmetrized_product_bit_for_bit():
         assert gram(s).tobytes() == ((g + g.conj().T) / 2.0).tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    kind=st.sampled_from(["complex", "real", "integer"]),
+    seed=st.integers(0, 2**31),
+)
+def test_gram_is_its_own_hermitian_part_bit_for_bit(shape, kind, seed):
+    # The Gram rank, the certificates and eigh read gram() output as exactly
+    # Hermitian, unchecked: symmetrizing it again changes no bit, also for
+    # integer and real amplitudes whose overlaps have exact zeros.
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        rows = rng.integers(-2, 3, shape).astype(float) + 1j * rng.integers(-2, 3, shape)
+    else:
+        rows = rng.standard_normal(shape) * (rng.random(shape) < 0.6)
+        if kind == "complex":
+            rows = rows + 1j * rng.standard_normal(shape) * (rng.random(shape) < 0.6)
+    rows[:, 0] += np.all(rows == 0, axis=1)  # no zero vector to normalize
+    g = gram(StateSet.from_vectors(rows, normalize=True))
+    assert ((g + g.conj().T) / 2.0).tobytes() == g.tobytes()
+
+
 def test_gram_unit_diagonal_psd_property():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -119,19 +166,19 @@ def test_gram_unit_diagonal_psd_property():
 
 def test_independence_orthonormal():
     assert linear_independence(basis(4)) is True
-    assert hermitian_rank(gram(basis(4))) == 4
+    assert _gram_rank(gram(basis(4)), DEFAULT_TOL)[0] == 4
 
 
 def test_dependence_three_states_in_two_dims():
     s = StateSet.from_vectors([[1, 0], [0, 1], [INV_SQRT2, INV_SQRT2]])
     assert linear_independence(s) is False
-    assert hermitian_rank(gram(s)) == 2
+    assert _gram_rank(gram(s), DEFAULT_TOL)[0] == 2
 
 
 def test_dependence_two_identical_states():
     s = StateSet.from_vectors([[1, 0], [1, 0]])
     assert linear_independence(s) is False
-    assert hermitian_rank(gram(s)) == 1
+    assert _gram_rank(gram(s), DEFAULT_TOL)[0] == 1
 
 
 def test_more_states_than_dimensions_are_dependent():
@@ -141,7 +188,7 @@ def test_more_states_than_dimensions_are_dependent():
         n = d + int(rng.integers(1, 3))
         s = random_state_set(d, n, int(rng.integers(2**31)))
         assert linear_independence(s) is False
-        assert hermitian_rank(gram(s)) <= d
+        assert _gram_rank(gram(s), DEFAULT_TOL)[0] <= d
 
 
 def test_linear_independence_takes_one_cholesky_unless_dependent(monkeypatch):
@@ -277,6 +324,18 @@ def test_superpose_cancellation_gives_minus_one_state():
     np.testing.assert_allclose(vec, [0.0, -1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "coefficients, error, reason",
+    [
+        ([1.0, 1.0, 1.0], SizeMismatchError, "3 coefficients for 2 states"),
+        ([1.0, np.nan], NotFiniteError, "NaN or Inf"),
+    ],
+)
+def test_superpose_rejects_malformed_coefficients(coefficients, error, reason):
+    with pytest.raises(error, match=reason):
+        superpose(zero_plus(), coefficients)
+
+
 def test_superpose_zero_vector_raises():
     s = StateSet.from_vectors([[1, 0], [1, 0]])
     with pytest.raises(ZeroVectorError):
@@ -302,6 +361,32 @@ def test_random_independent_has_full_rank():
 def test_random_independent_rejects_n_above_d():
     with pytest.raises(InvalidDimensionsError):
         random_state_set(2, 3, seed=0, mode="independent")
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, reason",
+    [
+        ((0, 2, 1), {}, "need D >= 1 and N >= 1"),
+        ((2, 0, 1), {}, "need D >= 1 and N >= 1"),
+        ((2, 2, 1), {"mode": "unitary_image"}, "requires a base set"),
+        ((3, 2, 1), {"mode": "unitary_image", "base": basis(2)}, "must match the base set"),
+        ((2, 3, 1), {"mode": "unitary_image", "base": basis(2)}, "must match the base set"),
+        ((2, 2, 1), {"mode": "orthonormal"}, "unknown mode 'orthonormal'"),
+    ],
+)
+def test_random_state_set_rejects_bad_requests(args, kwargs, reason):
+    with pytest.raises(InvalidDimensionsError, match=reason):
+        random_state_set(*args, **kwargs)
+
+
+def test_random_independent_gives_up_after_its_draw_limit(monkeypatch):
+    # Every draw is refused, so the mode stops after its 1000 draws of one
+    # 1 x 1 set each, rather than looping.
+    counts = count_calls(monkeypatch, (detchan.states, "_sphere_points"))
+    monkeypatch.setattr(detchan.states, "linear_independence", lambda s, tol: False)
+    with pytest.raises(NotIndependentError, match="after 1000 attempts"):
+        random_state_set(1, 1, 0, mode="independent")
+    assert counts["_sphere_points"] == 1000
 
 
 def test_unitary_image_preserves_gram():

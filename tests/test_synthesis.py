@@ -21,6 +21,7 @@ from detchan import (
     coherence_roundtrip,
     feasibility_check,
     kraus_to_choi,
+    purity,
     state_to_density,
     synthesize,
     validate_density,
@@ -173,6 +174,8 @@ def test_kraus_set_is_immutable_and_takes_one_source():
         ks.c_factor = None
     with pytest.raises(AttributeError):
         ks.operators = np.eye(2)[None]
+    with pytest.raises(AttributeError, match="cannot delete 'c_factor'"):
+        del ks.c_factor
     with pytest.raises(TypeError):
         KrausSet()
     with pytest.raises(TypeError):
@@ -634,6 +637,32 @@ def test_apply_channel_dimension_mismatch():
     ks = KrausSet.from_operators([np.eye(2)])
     with pytest.raises(DimensionMismatchError):
         apply_channel(ks, np.eye(3) / 3.0)
+
+
+def test_apply_channel_rejects_a_non_finite_density():
+    ks = KrausSet.from_operators([np.eye(2)])
+    with pytest.raises(NotFiniteError, match="NaN or Inf"):
+        apply_channel(ks, [[0.5, np.nan], [np.nan, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "rho", [np.eye(2)[:1], np.ones(2) / 2.0, np.ones((1, 2, 2))], ids=["1x2", "1-D", "3-D"]
+)
+def test_density_checks_need_a_square_matrix(rho):
+    # purity and validate_density refuse anything but a square matrix, the
+    # latter with one check of both the rank and the shape.
+    with pytest.raises(SizeMismatchError, match="density matrix must be square"):
+        purity(rho)
+    with pytest.raises(SizeMismatchError, match="density matrix must be square"):
+        validate_density(rho)
+
+
+def test_validate_density_returns_the_complex_matrix_it_checked():
+    rho = validate_density([[0.75, 0.25], [0.25, 0.25]])
+    assert rho.dtype == np.complex128
+    np.testing.assert_array_equal(rho, [[0.75, 0.25], [0.25, 0.25]])
+    with pytest.raises(NotFiniteError, match="density matrix contains NaN or Inf"):
+        validate_density([[1.0, 0.0], [0.0, np.inf]])
 
 
 def test_channel_output_is_valid_density():
