@@ -305,14 +305,14 @@ def coherence_roundtrip(
     support = probe.support
     if len(support) == initial.n:
         # The report's ratio matrix covers exactly this support.
-        sub1, sub2, g2, m = initial, final, pair.g2, report.ratio_matrix
+        sub1, sub2, g2, m, mu = initial, final, pair.g2, report.ratio_matrix, pair.completion
     else:
         # Principal submatrices of the check's Gram matrices: by Cauchy
         # interlacing they keep the smallest eigenvalue no lower and the trace
         # no larger, so the report's flags and G2's certificate hold for them.
         block = np.ix_(support, support)
         sub1, sub2 = initial.subset(support), final.subset(support)
-        g1, g2 = pair.g1[block], pair.g2[block]
+        g1, g2, mu = pair.g1[block], pair.g2[block], pair.completion[block]
         m = _ratio_matrix(g1, g2, np.abs(g1), np.abs(g2), tol)
     test = _unitary_relation(sub1, sub2, support, m)
     agree = bool(probe.is_pure) == (test.verdict == UNITARY_RELATED)
@@ -322,7 +322,6 @@ def coherence_roundtrip(
         bras = _span_duals(sub2.states, _overlap_inverse(g2, tol, pair.certified2)).conj()
         probe = _expanded(probe, bras)
         support = list(support)
-        mu = np.where(m.defined, m.entries, 1.0)
         # Effective coefficients of the normalized input superposition.
         q_eff = q / float(np.linalg.norm(q @ initial.states))
         qs = q_eff[support]

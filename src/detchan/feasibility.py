@@ -32,6 +32,8 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 UNDETERMINED = "Undetermined"
 
+#: Synthesis guard on a built channel's residuals, in units of tol; Feasible needs half.
+_GUARD = 1e3
 #: One record of the distinguishability audit (a record dtype, so that a
 #: record array views it without converting, and records answer ``p.j``).
 _AUDIT_RECORD = np.dtype(
@@ -75,13 +77,15 @@ class RatioMatrix:
 
 class _PairAnalysis(NamedTuple):
     """The check's read-only G1, G2, ``_certified(G2, tol)`` (False also when
-    not tried, as for a dependent G1) and, for a Feasible verdict, the ratio
-    matrix's factor C (None after a bare fast accept) and G1's
-    ``_overlap_inverse`` (formed for a build check only)."""
+    not tried, as for a dependent G1), the completed ratio matrix (``m.entries``
+    itself when fully defined) and, for a Feasible verdict, the completion's
+    factor C (None after a bare fast accept) and G1's ``_overlap_inverse``
+    (formed for a build check only)."""
 
     g1: np.ndarray
     g2: np.ndarray
     certified2: bool
+    completion: np.ndarray
     c: np.ndarray | None
     inverse: np.ndarray | None
 
@@ -165,11 +169,8 @@ def _ratio_matrix(g1, g2, abs1, abs2, tol: float) -> RatioMatrix:
 
 
 def _pair_overlaps(abs1, abs2, j, k, tol: float) -> np.recarray:
-    # One record per index pair (j, k), filled column by column.
     initial, final = abs1[j, k], abs2[j, k]
-    records = np.empty(len(j), _AUDIT_RECORD).view(np.recarray)
-    for name, column in zip(_AUDIT_RECORD.names, (j, k, initial, final, initial > final + tol)):
-        records[name] = column
+    records = np.rec.fromarrays((j, k, initial, final, initial > final + tol), _AUDIT_RECORD)
     records.setflags(write=False)
     return records
 
@@ -229,11 +230,17 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
         if rank < n:
             notes.append(f"{name} set is linearly dependent (rank {rank} of {n})")
 
+    # A channel exists iff G1 = M o G2 for a PSD, unit-diagonal M.  Entries
+    # with 0/0 overlaps leave M free; completing them with 1 keeps the
+    # unitary channel of equal Gram matrices.  The completion is exactly
+    # Hermitian and finite by construction, so eigh reads it unchecked.
+    completion = m.entries if m.fully_defined else np.where(m.defined, m.entries, 1.0)
+
     def report(verdict, min_eig, c=None, inverse=None):
-        for part in (g1, g2, c, inverse):
+        for part in (g1, g2, completion, c, inverse):
             if part is not None:
                 part.setflags(write=False)
-        pair = _PairAnalysis(g1, g2, certified2, c, inverse)
+        pair = _PairAnalysis(g1, g2, certified2, completion, c, inverse)
         return FeasibilityReport(
             verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m, pair
         )
@@ -250,11 +257,6 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
         )
         return report(INFEASIBLE, None)
 
-    # A channel exists iff G1 = M o G2 for a PSD, unit-diagonal M.  Entries
-    # with 0/0 overlaps leave M free; completing them with 1 keeps the
-    # unitary channel of equal Gram matrices.  The completion is exactly
-    # Hermitian and finite by construction, so eigh reads it unchecked.
-    completion = m.entries if m.fully_defined else np.where(m.defined, m.entries, 1.0)
     # A factor that drops nothing leaves the built channel only rounding, below
     # 1.4 eps kappa(G1) < 1.4 eps / tol (the certificate): within half the guard,
     # 500 tol, for tol >= 1e-9; a shifted Cholesky proves it with a margin over eigh.
@@ -282,13 +284,13 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
         needs_inverse = eig1 is None and (build or not accept)
         inverse = _overlap_inverse(g1, tol, certified) if needs_inverse else None
         residuals = () if accept else _guard_residuals(g1, g2, c, inverse, eig1, rank1, tol)
-        if all(residual <= 0.5e3 * tol for residual in residuals):  # NaN fails too
+        if all(residual <= _GUARD / 2 * tol for residual in residuals):  # NaN fails too
             if build and inverse is None:
                 inverse = _overlap_inverse(g1, tol, certified, eig1)
             return report(FEASIBLE, min_eig, c, inverse if build else None)
         # A per-state residual is nonzero only where G1's rank cut drops eigenpairs.
         cause = ("the initial set's rank cut drops directions the channel must map"
-                 if residuals[0] > 0.5e3 * tol
+                 if residuals[0] > _GUARD / 2 * tol
                  else "the completion with 1 is PSD only to within tol")
         notes.append(cause + ": its channel's residuals (per-state {:.3e}, completeness {:.3e}) "
                      "exceed half the guard".format(*residuals))

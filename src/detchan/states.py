@@ -207,14 +207,17 @@ def fingerprint(s: StateSet) -> str:
     """Stable identity of a state set (dimension plus exact amplitudes).
 
     Labels are deliberately excluded; negative zeros are normalized so the
-    fingerprint survives serialization round trips.
+    fingerprint survives serialization round trips.  Each (immutable) set is
+    hashed once and keeps its digest, stored atomically with setdefault.
     """
-    import hashlib  # loads OpenSSL: paid only by the callers that fingerprint
-
-    h = hashlib.sha256()
-    h.update(f"stateset:{s.n}:{s.dimension}:".encode())
-    h.update(np.ascontiguousarray(s.states + (0.0 + 0.0j)).tobytes())
-    return h.hexdigest()
+    digest = s.__dict__.get("_fingerprint")
+    if digest is None:
+        import hashlib  # loads OpenSSL: paid only by the callers that fingerprint
+        h = hashlib.sha256()
+        h.update(f"stateset:{s.n}:{s.dimension}:".encode())
+        h.update(np.ascontiguousarray(s.states + (0.0 + 0.0j)).tobytes())
+        digest = s.__dict__.setdefault("_fingerprint", h.hexdigest())
+    return digest
 
 
 def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

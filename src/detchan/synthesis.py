@@ -17,7 +17,7 @@ from .errors import (
     NotFeasibleError,
     SizeMismatchError,
 )
-from .feasibility import FEASIBLE, FeasibilityReport, _check
+from .feasibility import _GUARD, FEASIBLE, FeasibilityReport, _check
 from .numerics import DEFAULT_TOL, _psd_verdict, frobenius
 from .states import StateSet, _span_duals, fingerprint
 
@@ -53,8 +53,8 @@ class KrausSet:
     states (their conjugated reciprocal states).  Its (K, D, D)
     ``operators`` array is built from the factor on first read, checked
     like a constructor argument and kept; ``apply_channel`` and the
-    synthesis guard never read it; its fingerprints are hashed from its two
-    state sets on first read.  ``dimension`` (D) and ``kraus_count`` (K)
+    synthesis guard never read it; its fingerprints are those of its two
+    state sets, each hashed once.  ``dimension`` (D) and ``kraus_count`` (K)
     come from the factor or the array and never build it.
 
     Instances are immutable and safe to share across threads: each lazy
@@ -101,10 +101,7 @@ class KrausSet:
             fields["kraus_count"] = _factor.c.shape[1] + (_factor.sink is not None)
             c_factor = _factor.c
         fields["c_factor"] = c_factor
-        fields["_sources"] = _sources
-        if _sources is None:
-            fields["_initial_fingerprint"] = initial_fingerprint
-            fields["_final_fingerprint"] = final_fingerprint
+        fields["_sources"] = _sources or (initial_fingerprint, final_fingerprint)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"KrausSet is immutable; cannot set {name!r}")
@@ -129,14 +126,9 @@ class KrausSet:
             ops = self.__dict__.setdefault("_operators", _checked_operators(built))
         return ops
 
-    def _fingerprint(self, key: str, side: int) -> str:
-        # Stored atomically, as ``operators`` is: every reader gets the first string.
-        if key not in self.__dict__:
-            self.__dict__.setdefault(key, fingerprint(self._sources[side]))
-        return self.__dict__[key]
-
-    initial_fingerprint = property(lambda self: self._fingerprint("_initial_fingerprint", 0))
-    final_fingerprint = property(lambda self: self._fingerprint("_final_fingerprint", 1))
+    # ``_sources``: the two given strings, or the two source sets (each hashed once).
+    initial_fingerprint = property(lambda self: _fingerprint_of(self._sources[0]))
+    final_fingerprint = property(lambda self: _fingerprint_of(self._sources[1]))
 
     @classmethod
     def from_operators(cls, operators, initial: StateSet | None = None,
@@ -145,6 +137,10 @@ class KrausSet:
         state sets are supplied."""
         fingerprints = (fingerprint(s) if s is not None else "" for s in (initial, final))
         return cls(operators, None, *fingerprints)
+
+
+def _fingerprint_of(source: StateSet | str) -> str:
+    return source if isinstance(source, str) else fingerprint(source)
 
 
 def _checked_operators(ops: np.ndarray) -> np.ndarray:
@@ -257,7 +253,7 @@ def _verify_synthesis(f: _Factor, initial: StateSet, g2, tol: float) -> tuple[fl
     completeness = frobenius(acc)
     worst = float(np.sqrt(max(float(np.max(per_state)), 0.0)))
     # Written so that a NaN residual fails the guard too.
-    if not (worst <= 1e3 * tol and completeness <= 1e3 * tol):
+    if not (worst <= _GUARD * tol and completeness <= _GUARD * tol):
         raise IllConditionedError(
             f"synthesis residuals too large (per-state {worst:.3e}, "
             f"completeness {completeness:.3e}); Gram matrix too ill-conditioned"

@@ -12,6 +12,7 @@ overlap-ratio matrix equals M up to roundoff.
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,63 @@ from detchan import (
     state_to_density,
 )
 from detchan.numerics import _spectral_factor
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def fx(name) -> str:
+    return str(FIXTURES / name)
+
+
+#: The 50-point sweep of sweep_cos.csv.
+SWEEP_ARGV = [
+    "sweep", fx("sweep_template.json"), "--start", "0.02", "--stop", "1.55", "--steps", "50"
+]
+
+#: The one list of CLI golden files: each file in ``GOLDEN`` with the argv
+#: that writes it and the exit code.  The in-process golden test, acceptance
+#: criterion 10 and the console entry point test all read it, and a test
+#: fails when it and the directory disagree.
+GOLDEN_CASES = [
+    (["check", fx("plus_pair.json"), fx("target_09.json")], 0, "check_feasible.json"),
+    (["check", fx("plus_pair.json"), fx("target_half.json")], 1, "check_infeasible.json"),
+    (
+        ["check", fx("dependent_pair.json"), fx("dependent_pair.json")],
+        0,
+        "check_dependent_pair.json",
+    ),
+    (["synth", fx("basis2.json"), fx("basis2.json")], 0, "synth_identity.json"),
+    (["synth", fx("basis2.json"), fx("target_09.json")], 0, "synth_basis_to_target.json"),
+    (
+        ["apply", fx("kraus_measure2.json"), fx("plus_state.json")],
+        0,
+        "apply_measure_plus.json",
+    ),
+    (
+        ["coherence", fx("basis2.json"), fx("swapped_basis.json"), "--coeffs", "1,1"],
+        0,
+        "coherence_unitary.json",
+    ),
+    (
+        ["coherence", fx("plus_pair.json"), fx("target_09.json"), "--coeffs", "1,1"],
+        1,
+        "coherence_decohering.json",
+    ),
+    (SWEEP_ARGV, 0, "sweep_cos.csv"),
+    (["gen", "2", "2", "--mode", "independent", "--seed", "7"], 0, "gen_2x2_seed7.json"),
+    (
+        ["synth", fx("dependent_pair.json"), fx("dependent_pair.json")],
+        0,
+        "synth_dependent_pair.json",
+    ),
+    (
+        ["check", fx("equiangular_half.json"), fx("equiangular_quarter.json")],
+        1,
+        "check_infeasible_all_pairs.json",
+    ),
+]
+
 
 # Gram matrices with smallest eigenvalue below this are re-drawn: dual
 # vectors scale with the inverse Gram, and the 1e-9 residual targets are

@@ -28,6 +28,8 @@ from detchan import (
 from detchan import cli
 from detchan.numerics import frobenius
 from helpers import (
+    GOLDEN,
+    GOLDEN_CASES,
     bounded_complete_coefficients,
     descending_eig,
     feasible_pair,
@@ -282,44 +284,21 @@ def test_criterion_09_dual_identity_resolution():
     record(9, "reciprocal-state identity resolution", worst <= 1e-9, f"max residual {worst:.3e}")
 
 
-def test_criterion_10_cli_determinism(capsys, tmp_path):
-    import pathlib
-
-    fixtures = pathlib.Path(__file__).parent / "fixtures"
-    golden = pathlib.Path(__file__).parent / "golden"
-    commands = [
-        (["check", str(fixtures / "plus_pair.json"), str(fixtures / "target_09.json")],
-         "check_feasible.json"),
-        (["check", str(fixtures / "plus_pair.json"), str(fixtures / "target_half.json")],
-         "check_infeasible.json"),
-        (["check", str(fixtures / "equiangular_half.json"),
-          str(fixtures / "equiangular_quarter.json")], "check_infeasible_all_pairs.json"),
-        (["check", str(fixtures / "dependent_pair.json"), str(fixtures / "dependent_pair.json")],
-         "check_dependent_pair.json"),
-        (["synth", str(fixtures / "dependent_pair.json"), str(fixtures / "dependent_pair.json")],
-         "synth_dependent_pair.json"),
-        (["synth", str(fixtures / "basis2.json"), str(fixtures / "target_09.json")],
-         "synth_basis_to_target.json"),
-        (["apply", str(fixtures / "kraus_measure2.json"), str(fixtures / "plus_state.json")],
-         "apply_measure_plus.json"),
-        (["coherence", str(fixtures / "basis2.json"), str(fixtures / "swapped_basis.json"),
-          "--coeffs", "1,1"], "coherence_unitary.json"),
-        (["sweep", str(fixtures / "sweep_template.json"),
-          "--start", "0.02", "--stop", "1.55", "--steps", "50"], "sweep_cos.csv"),
-        (["gen", "2", "2", "--mode", "independent", "--seed", "7"], "gen_2x2_seed7.json"),
-    ]
+def test_criterion_10_cli_determinism(capsys):
     ok = True
     details = []
-    for argv, golden_name in commands:
-        cli.main(argv)
+    for argv, expect_code, golden_name in GOLDEN_CASES:
+        code = cli.main(argv)
         first = capsys.readouterr().out
-        cli.main(argv)
+        code2 = cli.main(argv)
         second = capsys.readouterr().out
-        expected = (golden / golden_name).read_text()
+        if (code, code2) != (expect_code, expect_code):
+            ok = False
+            details.append(f"{golden_name}: exit codes {code}, {code2}, expected {expect_code}")
         if first != second:
             ok = False
             details.append(f"{golden_name}: nondeterministic")
-        if first != expected:
+        if first != (GOLDEN / golden_name).read_text():
             ok = False
             details.append(f"{golden_name}: differs from golden")
-    record(10, "CLI golden files byte-identical", ok, "; ".join(details))
+    record(10, "CLI golden files byte-identical, with their exit codes", ok, "; ".join(details))

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,14 +13,16 @@ import pytest
 import detchan
 from detchan import DEFAULT_PURITY_TOL, StateSet, cli, coherence, states, synthesis
 from detchan import serialize as ser
-from helpers import FREE_UNDETERMINED, count_calls, feasible_pair
-
-FIXTURES = Path(__file__).parent / "fixtures"
-GOLDEN = Path(__file__).parent / "golden"
-
-
-def fx(name) -> str:
-    return str(FIXTURES / name)
+from helpers import (
+    FIXTURES,
+    FREE_UNDETERMINED,
+    GOLDEN,
+    GOLDEN_CASES,
+    SWEEP_ARGV,
+    count_calls,
+    feasible_pair,
+    fx,
+)
 
 
 def run(capsys, argv):
@@ -36,45 +39,8 @@ def assert_golden(text, name):
 # ---------------------------------------------------------------- golden files
 
 
-#: The 50-point sweep of sweep_cos.csv.
-SWEEP_ARGV = [
-    "sweep", fx("sweep_template.json"), "--start", "0.02", "--stop", "1.55", "--steps", "50"
-]
-
-#: Every golden file with the argv that writes it and the exit code.
-GOLDEN_CASES = [
-    (["check", fx("plus_pair.json"), fx("target_09.json")], 0, "check_feasible.json"),
-    (["check", fx("plus_pair.json"), fx("target_half.json")], 1, "check_infeasible.json"),
-    (
-        ["check", fx("dependent_pair.json"), fx("dependent_pair.json")],
-        0,
-        "check_dependent_pair.json",
-    ),
-    (["synth", fx("basis2.json"), fx("basis2.json")], 0, "synth_identity.json"),
-    (["synth", fx("basis2.json"), fx("target_09.json")], 0, "synth_basis_to_target.json"),
-    (
-        ["apply", fx("kraus_measure2.json"), fx("plus_state.json")],
-        0,
-        "apply_measure_plus.json",
-    ),
-    (
-        ["coherence", fx("basis2.json"), fx("swapped_basis.json"), "--coeffs", "1,1"],
-        0,
-        "coherence_unitary.json",
-    ),
-    (
-        ["coherence", fx("plus_pair.json"), fx("target_09.json"), "--coeffs", "1,1"],
-        1,
-        "coherence_decohering.json",
-    ),
-    (SWEEP_ARGV, 0, "sweep_cos.csv"),
-    (["gen", "2", "2", "--mode", "independent", "--seed", "7"], 0, "gen_2x2_seed7.json"),
-    (
-        ["synth", fx("dependent_pair.json"), fx("dependent_pair.json")],
-        0,
-        "synth_dependent_pair.json",
-    ),
-]
+def test_golden_table_names_every_golden_file_once():
+    assert sorted(name for _, _, name in GOLDEN_CASES) == sorted(os.listdir(GOLDEN))
 
 
 @pytest.mark.parametrize("argv, expect_code, golden", GOLDEN_CASES)
@@ -85,6 +51,19 @@ def test_golden_outputs_and_exit_codes(capsys, argv, expect_code, golden):
     # byte-identical on a second run
     code2, out2, _ = run(capsys, argv)
     assert code2 == code and out2 == out
+
+
+@pytest.mark.parametrize("argv, expect_code, golden", GOLDEN_CASES)
+def test_console_entry_point_reproduces_the_goldens(tmp_path, argv, expect_code, golden):
+    # In a fresh process, through the installed `detchan` script when there
+    # is one, else `python -m detchan.cli`, importing the package under test:
+    # the same bytes and exit code, and nothing on stderr.
+    script = shutil.which("detchan")
+    command = [script] if script else [sys.executable, "-m", "detchan.cli"]
+    env = {**os.environ, "PYTHONPATH": str(Path(detchan.__file__).resolve().parents[1])}
+    done = subprocess.run(command + argv, env=env, cwd=tmp_path, capture_output=True)
+    assert (done.returncode, done.stderr.decode()) == (expect_code, "")
+    assert done.stdout == (GOLDEN / golden).read_bytes(), f"output differs from golden {golden}"
 
 
 #: uniform_purity column of sweep_cos.csv as the per-operator channel sum
@@ -517,8 +496,8 @@ def test_check_exits_0_exactly_when_synth_succeeds_on_every_fixture_pair(capsys)
 def test_certified_check_accepts_without_eigenvectors(capsys, monkeypatch):
     # A certified N = 4 pair whose check accepts on one shifted Cholesky of
     # the completed ratio matrix and reads min_eigenvalue (exactly 1/2) with
-    # eigvalsh, whose last bits at N >= 3 may differ between LAPACK builds;
-    # the console-script step of CI runs the same comparison.
+    # eigvalsh, whose last bits at N >= 3 may differ between LAPACK builds,
+    # so it is compared within 1e-12, not byte for byte.
     counts = count_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"))
     pair = [fx("equiangular_quarter.json"), fx("equiangular_half.json")]
     code, out, _ = run(capsys, ["check", *pair])

@@ -552,11 +552,16 @@ def test_only_feasible_reports_keep_the_certifying_spectrum(case):
     # G1, for either rank.  A bare check keeps no inverse: one that accepts
     # at once (here the two certified cases without a dependent set or a free
     # pair) keeps no C either; any other computed C for the residuals and
-    # keeps the same one.
+    # keeps the same one.  Every record keeps the completion itself, read-only,
+    # and no copy of a fully defined ratio matrix.
     a, b = unit_rows(BRANCH_CASES[case][0]), unit_rows(BRANCH_CASES[case][1])
     report = _check(a, b, DEFAULT_TOL, build=True)
     bare = feasibility_check(a, b)
     assert not hasattr(report, "spectrum") and not hasattr(report._pair, "spectrum")
+    for r in (report, bare):
+        m, completion = r.ratio_matrix, r._pair.completion
+        np.testing.assert_array_equal(completion, np.where(m.defined, m.entries, 1.0), strict=True)
+        assert not completion.flags.writeable and (completion is m.entries) == m.fully_defined
     if report.verdict != FEASIBLE:
         for pair in (report._pair, bare._pair):
             assert pair.c is None and pair.inverse is None

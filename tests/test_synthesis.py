@@ -1,7 +1,7 @@
+import hashlib
 import itertools
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detchan import (
+    DetchanError,
     DimensionMismatchError,
     FEASIBLE,
     IllConditionedError,
@@ -17,7 +18,9 @@ from detchan import (
     NotFiniteError,
     SizeMismatchError,
     StateSet,
+    UNDETERMINED,
     apply_channel,
+    coherence_probe,
     coherence_roundtrip,
     feasibility_check,
     kraus_to_choi,
@@ -30,6 +33,7 @@ from detchan import (
 from detchan import feasibility, serialize, states, synthesis
 from detchan.numerics import frobenius
 from helpers import (
+    FIXTURES,
     bounded_complete_coefficients,
     channel_residuals,
     count_calls,
@@ -45,7 +49,6 @@ from helpers import (
 )
 
 INV_SQRT2 = 2**-0.5
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def zero_plus():
@@ -220,26 +223,31 @@ def test_concurrent_first_reads_share_one_array():
 
 
 def test_synthesized_fingerprints_are_hashed_on_first_read(monkeypatch):
-    # synthesize hashes neither set; each fingerprint is hashed once, when
-    # first read, and equals the fingerprint of the set the channel was
-    # built from.  A hand-assembled set keeps the strings it was given.
+    # synthesize hashes neither set; each set is hashed once, when its
+    # fingerprint is first read through the channel or directly, and keeps
+    # the digest: probing the channel against its two sets hashes nothing
+    # more.  A hand-assembled set keeps the strings it was given.
     initial, final = zero_plus(), cos09_final()
-    counts = count_calls(monkeypatch, (synthesis, "fingerprint"))
+    hashes = count_calls(monkeypatch, (hashlib, "sha256"))
     ks = synthesize(initial, final)
-    assert counts["fingerprint"] == 0
+    assert hashes["sha256"] == 0
     assert ks.initial_fingerprint == states.fingerprint(initial)
     assert ks.final_fingerprint == states.fingerprint(final)
     assert ks.initial_fingerprint != ks.final_fingerprint  # read again, not hashed again
-    assert counts["fingerprint"] == 2
+    assert hashes["sha256"] == 2
+    for _ in range(2):
+        coherence_probe(ks, initial, [1, 1], final=final)
     given = KrausSet(ks.operators, None, "a", "b")
     assert (given.initial_fingerprint, given.final_fingerprint) == ("a", "b")
     assert KrausSet(_factor=ks._factor).initial_fingerprint == ""
-    assert counts["fingerprint"] == 2
+    assert hashes["sha256"] == 2
     with pytest.raises(AttributeError):
         ks.initial_fingerprint = "x"
 
 
 def test_concurrent_first_fingerprint_reads_share_one_string():
+    # Each round reads the fingerprint of a fresh, never hashed copy of the
+    # initial set from four threads at once.
     rng = np.random.default_rng(10)
     initial, final, _ = feasible_pair(rng, 8)
     expected = states.fingerprint(initial)
@@ -247,7 +255,7 @@ def test_concurrent_first_fingerprint_reads_share_one_string():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            ks = synthesize(initial, final)
+            ks = synthesize(StateSet(initial.dimension, initial.states), final)
             barrier = threading.Barrier(4)
             seen = []
 
@@ -589,6 +597,45 @@ def test_near_parallel_pair_synthesizes():
     assert ks.kraus_count == 2
     assert verify_completeness(ks) <= 1e-6
     assert np.all(transforms(ks, s, s)[0] >= 1.0 - 1e-6)
+
+
+def unitary_related_pair(n: int, lambda_min: float, seed: int):
+    """Independent pair in C^n with psi2_j = e^{i phi_j} U psi1_j: the rows of
+    Q diag(sqrt(w)) V, normalized, with w log-spaced from ``lambda_min`` up to
+    1 (G1's eigenvalues before the rows are normalized) and Q, V, U Haar.
+    The seed fixes Q, V, U and the phases, so only ``lambda_min`` varies
+    across a column."""
+    rng = np.random.default_rng([n, seed])
+    q, v, u = (haar_unitary(n, sub_seed(rng)) for _ in range(3))
+    w = np.logspace(np.log10(lambda_min), 0.0, n)
+    initial = StateSet.from_vectors((q * np.sqrt(w)) @ v, normalize=True)
+    phases = np.exp(2j * np.pi * rng.random(n))
+    return initial, StateSet.from_vectors(phases[:, None] * (initial.states @ u.T))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("lambda_min", [1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12, 1e-14])
+def test_unitary_related_envelope(n, lambda_min):
+    # A unitary channel maps every such pair, but today's construction needs
+    # G1's inverse: once G1's rank cut drops eigenpairs (lambda_min <= 1e-10)
+    # the sink's per-state residual fails the guard, and the pair is
+    # Undetermined.  At 1e-9, the boundary, the three draws may go either
+    # way (at N = 16 one of them is Undetermined).  In every cell the check
+    # is Feasible exactly when synthesize builds.
+    outcomes = []
+    for seed in range(3):
+        initial, final = unitary_related_pair(n, lambda_min, seed)
+        try:
+            synthesize(initial, final)
+            error = None
+        except DetchanError as exc:
+            error = type(exc).__name__
+        outcomes.append((feasibility_check(initial, final).verdict, error))
+    assert all((verdict == FEASIBLE) == (error is None) for verdict, error in outcomes)
+    if lambda_min >= 1e-8:
+        assert outcomes == [(FEASIBLE, None)] * 3
+    elif lambda_min <= 1e-10:
+        assert outcomes == [(UNDETERMINED, "NotFeasibleError")] * 3
 
 
 # ---------------------------------------------------------- verify_completeness
