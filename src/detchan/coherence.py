@@ -14,6 +14,7 @@ tolerances are the module constants ``PHASE_TOL`` and ``UNITARY_TOL``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import index
 
 import numpy as np
 
@@ -109,6 +110,7 @@ def coherence_probe(
     ``coherence_roundtrip`` skips the fingerprint and dimension checks.
     """
     _check_tolerances(purity_tol=purity_tol)
+    q, vec, support = _superposition(initial, coefficients, tol)
     if fingerprint(initial) != ks.initial_fingerprint:
         raise FingerprintMismatchError("Kraus set was not synthesized from this initial set")
     if final is not None and ks.final_fingerprint and fingerprint(final) != ks.final_fingerprint:
@@ -117,9 +119,9 @@ def coherence_probe(
         raise DimensionMismatchError(
             f"state dimension {initial.dimension} != channel dimension {ks.dimension}"
         )
-    probe = _probe(ks, initial, coefficients, purity_tol, tol)
+    probe = _probe(ks, q, vec, support, purity_tol)
     if probe.is_pure and final is not None:
-        sub = final.subset(probe.support)
+        sub = final.subset(support)
         # One Gram and one shifted Cholesky serve the rank test and the duals.
         g = gram(sub)
         rank, certified = _gram_rank(g, tol)
@@ -129,12 +131,17 @@ def coherence_probe(
     return probe
 
 
-def _probe(ks: KrausSet, initial: StateSet, coefficients, purity_tol, tol):
-    # The purity side of ``coherence_probe``, on a channel known to act on ``initial``.
+def _superposition(initial: StateSet, coefficients, tol):
+    # q, its normalized superposition and support, checked before any Gram work.
     q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     vec, support = superpose(initial, q, tol)
     if len(support) < 2:
         raise SupportTooSmallError("need at least two nonzero coefficients")
+    return q, vec, support
+
+
+def _probe(ks: KrausSet, q, vec, support, purity_tol):
+    # The purity side of ``coherence_probe``, for the checked superposition vec.
     rho = apply_channel(ks, state_to_density(vec))
     p = purity(rho)
     is_pure = (1.0 - p) <= purity_tol
@@ -191,7 +198,7 @@ def unitary_relation_test(
     """
     _check_shapes(initial, final, tol)
     n = initial.n
-    support = tuple(range(n)) if support is None else tuple(sorted({int(i) for i in support}))
+    support = tuple(range(n)) if support is None else tuple(sorted(set(map(index, support))))
     if any(i < 0 or i >= n for i in support):
         raise IndexError(f"support {support} out of range for {n} states")
     if len(support) < 2:
@@ -293,16 +300,15 @@ def coherence_roundtrip(
     Its probe skips ``coherence_probe``'s fingerprint and dimension checks.
     """
     _check_tolerances(tol=tol, purity_tol=purity_tol)
+    q, vec, support = _superposition(initial, coefficients, tol)
     report = _check(initial, final, tol, build=True)
     if not report.initial_independent:
         raise NotIndependentError("initial set must be linearly independent")
     if not report.final_independent:
         raise NotIndependentError("final set must be linearly independent")
-    q = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     ks = _synthesize_from(report, initial, final, tol)
-    probe = _probe(ks, initial, q, purity_tol, tol)  # expanded below
+    probe = _probe(ks, q, vec, support, purity_tol)  # expanded below
     pair = report._pair
-    support = probe.support
     if len(support) == initial.n:
         # The report's ratio matrix covers exactly this support.
         sub1, sub2, g2, m, mu = initial, final, pair.g2, report.ratio_matrix, pair.completion

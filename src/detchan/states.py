@@ -247,11 +247,13 @@ def random_state_set(
         Generic draws re-sampled (at most 1000 draws) until the Gram
         matrix has full rank N; requires N <= D.
     unitary_image
-        Returns {U |psi_j>} for a Haar-random U applied to ``base``;
-        ``dimension``/``n_states`` must match the base set.
+        Returns {U |psi_j>} for a Haar-random U applied to ``base`` (only this
+        mode takes one); ``dimension``/``n_states`` must match the base set.
     """
     if dimension < 1 or n_states < 1:
         raise InvalidDimensionsError(f"need D >= 1 and N >= 1, got D={dimension}, N={n_states}")
+    if (base is None) == (mode == "unitary_image"):
+        raise InvalidDimensionsError("unitary_image mode requires a base set; others take none")
     rng = np.random.default_rng(seed)
     if mode == "generic":
         return StateSet.from_vectors(_sphere_points(rng, n_states, dimension))
@@ -269,8 +271,6 @@ def random_state_set(
             f"after {_MAX_ATTEMPTS} attempts"
         )
     if mode == "unitary_image":
-        if base is None:
-            raise InvalidDimensionsError("unitary_image mode requires a base set")
         if dimension != base.dimension or n_states != base.n:
             raise InvalidDimensionsError(
                 f"unitary_image dimensions ({n_states}, {dimension}) must match "

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import detchan
-from detchan import DEFAULT_PURITY_TOL, StateSet, cli, coherence, states, synthesis
+from detchan import DEFAULT_PURITY_TOL, StateSet, cli, coherence, feasibility, states, synthesis
 from detchan import serialize as ser
 from helpers import (
     FIXTURES,
@@ -285,14 +286,11 @@ SUBCOMMAND_ARGV = {
     "sweep": ["sweep", fx("sweep_template.json"), "--start", "0", "--stop", "1", "--steps", "2"],
     "gen": ["gen", "2", "2"],
 }
-#: The optional flags the README documents for each subcommand.
-DOCUMENTED_FLAGS = {
-    "check": {"--tol", "--out"},
-    "synth": {"--tol", "--out"},
-    "apply": {"--out"},
-    "coherence": {"--tol", "--purity-tol", "--out"},
-    "sweep": {"--tol", "--out"},
-    "gen": {"--seed", "--out"},
+README = Path(__file__).resolve().parents[1] / "README.md"
+#: Per subcommand, the flags its row of README's CLI table lists.
+README_FLAGS = {
+    command: set(re.findall(r"--[a-z-]+", flags))
+    for command, flags in re.findall(r"^\| `(\w+)` +\|(.*)\|$", README.read_text("utf-8"), re.M)
 }
 FLAG_VALUES = {
     "--tol": ("1e-6", 1e-6),
@@ -309,7 +307,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag):
     # A flag a subcommand would ignore is a usage error, never silently accepted.
     text, value = FLAG_VALUES[flag]
     argv = SUBCOMMAND_ARGV[command] + [flag, text]
-    if flag in DOCUMENTED_FLAGS[command]:
+    if flag in README_FLAGS[command]:
         args = cli._build_parser().parse_args(argv)
         assert getattr(args, flag[2:].replace("-", "_")) == value
     else:
@@ -317,6 +315,24 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag):
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def help_text(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_subcommand_help_lists_exactly_the_flags_of_its_readme_row(capsys, command):
+    listed = set(re.findall(r"--[a-z][a-z-]*", help_text(capsys, [command, "--help"])))
+    assert listed - {"--help"} == README_FLAGS[command]
+
+
+def test_root_help_names_the_six_subcommands_of_the_readme_table(capsys):
+    choices = re.search(r"\{([a-z,]+)\}", help_text(capsys, ["--help"])).group(1)
+    assert sorted(choices.split(",")) == sorted(README_FLAGS) == sorted(SUBCOMMAND_ARGV)
 
 
 def test_purity_tol_default_is_the_library_default():
@@ -404,13 +420,27 @@ def test_apply_rejects_an_input_that_is_not_one_state(capsys, tmp_path, document
 
 @pytest.mark.parametrize(
     "coeffs, reason",
-    [("1,one", "unparseable coefficient list"), ("1,1,1", "3 coefficients for 2 states")],
-    ids=["unparseable", "count"],
+    [
+        ("1,one", "unparseable coefficient list"),
+        ("1,1,1", "3 coefficients for 2 states"),
+        ("1,nan", "coefficients contain NaN or Inf"),
+        ("1,0", "need at least two nonzero coefficients"),
+    ],
+    ids=["unparseable", "count", "nan", "support"],
 )
-def test_coherence_rejects_bad_coefficients(capsys, coeffs, reason):
+def test_coherence_rejects_bad_coefficients(capsys, monkeypatch, coeffs, reason):
+    # The library's coefficient checks, the only copy, run before any Gram work.
+    counts = count_calls(
+        monkeypatch,
+        (states, "gram"),
+        (coherence, "gram"),
+        (feasibility, "gram"),
+        (np.linalg, "cholesky"),
+    )
     argv = ["coherence", fx("basis2.json"), fx("basis2.json"), "--coeffs", coeffs]
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "") and reason in err
+    assert not counts
 
 
 def test_coherence_single_nonzero_coefficient_exits_2(capsys):
@@ -762,6 +792,14 @@ def test_sweep_rejects_a_malformed_amplitude(capsys, tmp_path, first_pair, messa
 def test_gen_invalid_dimensions_exit_2(capsys):
     code, _, _ = run(capsys, ["gen", "2", "3", "--mode", "independent", "--seed", "0"])
     assert code == 2
+
+
+def test_gen_refuses_a_base_outside_unitary_image_mode(capsys):
+    # README: a subcommand rejects any flag it does not read; only
+    # unitary_image mode reads --base.
+    for mode in ([], ["--mode", "generic"], ["--mode", "independent"]):
+        code, out, err = run(capsys, ["gen", "2", "2", "--base", fx("basis2.json"), *mode])
+        assert (code, out) == (2, "") and "others take none" in err
 
 
 def test_gen_unitary_image_preserves_gram(capsys):

@@ -8,10 +8,13 @@ from detchan import (
     DimensionMismatchError,
     FingerprintMismatchError,
     KrausSet,
+    NotFiniteError,
     NotIndependentError,
+    SizeMismatchError,
     StateSet,
     SupportTooSmallError,
     UNITARY_RELATED,
+    ZeroVectorError,
     coherence_probe,
     coherence_roundtrip,
     feasibility_check,
@@ -134,6 +137,38 @@ def test_probe_needs_two_support_states():
         coherence_probe(ks, s, [1, 0])
 
 
+#: Malformed coefficient lists for a two-state set, with the error each raises.
+MALFORMED_COEFFICIENTS = [
+    ([1, 1, 1], SizeMismatchError, "3 coefficients for 2 states"),
+    ([1, np.nan], NotFiniteError, "coefficients contain NaN or Inf"),
+    ([1, 0], SupportTooSmallError, "need at least two nonzero coefficients"),
+    ([0, 0], ZeroVectorError, "superposition norm 0.000e\\+00 is below tolerance"),
+]
+
+
+@pytest.mark.parametrize("coefficients, error, reason", MALFORMED_COEFFICIENTS)
+def test_malformed_coefficients_are_refused_before_any_gram_work(
+    monkeypatch, coefficients, error, reason
+):
+    # The probe and the roundtrip check the coefficients first: no Gram matrix
+    # is formed, no Cholesky runs and no check starts before they are refused.
+    s = zero_plus()
+    ks = synthesize(s, s)
+    counts = count_calls(
+        monkeypatch,
+        (states, "gram"),
+        (coherence, "gram"),
+        (feasibility, "gram"),
+        (coherence, "_check"),
+        (np.linalg, "cholesky"),
+    )
+    with pytest.raises(error, match=reason):
+        coherence_roundtrip(s, s, coefficients)
+    with pytest.raises(error, match=reason):
+        coherence_probe(ks, s, coefficients, final=s)
+    assert not counts
+
+
 def unitary_probe_instance(seed: int = 67):
     rng = np.random.default_rng(seed)
     base = random_state_set(4, 4, sub_seed(rng), mode="independent")
@@ -217,6 +252,16 @@ def test_support_out_of_range_refused(support):
     s = zero_plus()
     with pytest.raises(IndexError, match="out of range for 2 states"):
         unitary_relation_test(s, s, support=support)
+
+
+def test_support_indices_must_be_integers():
+    # A fractional index is an error, never truncated to a neighbouring state;
+    # numpy integers are indices like any other.
+    s = zero_plus()
+    with pytest.raises(TypeError):
+        unitary_relation_test(s, s, support=[0.2, 1.9])
+    report = unitary_relation_test(s, s, support=np.array([1, 0]))
+    assert report.support == (0, 1) and report.verdict == UNITARY_RELATED
 
 
 def test_dependent_final_set_refused():

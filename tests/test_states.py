@@ -372,6 +372,8 @@ def test_random_independent_rejects_n_above_d():
         ((3, 2, 1), {"mode": "unitary_image", "base": basis(2)}, "must match the base set"),
         ((2, 3, 1), {"mode": "unitary_image", "base": basis(2)}, "must match the base set"),
         ((2, 2, 1), {"mode": "orthonormal"}, "unknown mode 'orthonormal'"),
+        ((2, 2, 1), {"base": basis(2)}, "others take none"),
+        ((2, 2, 1), {"mode": "independent", "base": basis(2)}, "others take none"),
     ],
 )
 def test_random_state_set_rejects_bad_requests(args, kwargs, reason):
