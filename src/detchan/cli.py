@@ -1,9 +1,9 @@
 """Command-line front end: six subcommands, each named with its help and
 arguments in ``_COMMANDS``.  All structured output is deterministic JSON
 (17-significant-digit floats); sweeps emit CSV.  Exit codes: 0 positive
-outcome, 1 negative outcome (infeasible / decohering), 2 input or usage
-error, 3 an ``Undetermined`` check.  Configuration is explicit: flags only,
-no environment variables.
+outcome, 1 negative outcome (infeasible / decohering / synth refused), 2
+input or usage error, 3 an ``Undetermined`` check.  Configuration is
+explicit: flags only, no environment variables.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DetchanError, NotFeasibleError, SchemaError
-from .feasibility import FEASIBLE, INFEASIBLE, _check, feasibility_check
+from .feasibility import FEASIBLE, INFEASIBLE, _check, _upper_pairs, feasibility_check
 from .numerics import DEFAULT_PURITY_TOL, DEFAULT_TOL
 from .states import StateSet, random_state_set, superpose
 
@@ -32,12 +32,19 @@ _EXIT_BY_VERDICT = {FEASIBLE: 0, INFEASIBLE: 1}
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write its outcome: its document, rendered whole,
+    to ``--out`` or stdout, or else one ``error:`` line to stderr."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, document = args.func(args)
+        from . import serialize
+
+        _write(document if isinstance(document, str) else serialize.dumps(document), args.out)
+        return code
     except (DetchanError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # synth refusing a pair that is not Feasible is its negative outcome.
+        return 1 if args.command == "synth" and isinstance(exc, NotFeasibleError) else 2
 
 
 @functools.cache
@@ -89,15 +96,13 @@ _ARGUMENTS = {
 }
 
 
-def _load_state_set(path) -> StateSet:
+def _load_state_sets(*paths) -> tuple[StateSet, ...]:
     from . import serialize
 
-    return serialize.state_set_from_obj(serialize.load_document(path))
+    return tuple(serialize.state_set_from_obj(serialize.load_document(path)) for path in paths)
 
 
 def _write(text: str, out_path) -> None:
-    # The document is fully rendered before any write, so failures never
-    # leave a partial file behind.
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -105,27 +110,20 @@ def _write(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, object]:
     from . import serialize
 
-    initial = _load_state_set(args.initial)
-    final = _load_state_set(args.final)
+    initial, final = _load_state_sets(args.initial, args.final)
     report = feasibility_check(initial, final, args.tol)
-    _write(serialize.dumps(serialize.feasibility_report_to_obj(report)), args.out)
-    return _EXIT_BY_VERDICT.get(report.verdict, 3)
+    return _EXIT_BY_VERDICT.get(report.verdict, 3), serialize.feasibility_report_to_obj(report)
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple[int, object]:
     from . import serialize
     from .synthesis import apply_channel, state_to_density, synthesize, verify_completeness
 
-    initial = _load_state_set(args.initial)
-    final = _load_state_set(args.final)
-    try:
-        ks = synthesize(initial, final, args.tol)
-    except NotFeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    initial, final = _load_state_sets(args.initial, args.final)
+    ks = synthesize(initial, final, args.tol)
     obj = serialize.kraus_set_to_obj(ks)
     # Per state: the fidelity <psi2|L(|psi1><psi1|)|psi2> and sum_k |c_k|^2
     # over the coefficients c_k = <psi2|A_k|psi1>.
@@ -143,11 +141,10 @@ def _cmd_synth(args) -> int:
         "completeness_residual": verify_completeness(ks),
         "states": records,
     }
-    _write(serialize.dumps(obj), args.out)
-    return 0
+    return 0, obj
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> tuple[int, object]:
     from . import serialize
     from .synthesis import apply_channel, purity, state_to_density, validate_density
 
@@ -165,23 +162,21 @@ def _cmd_apply(args) -> int:
     out = apply_channel(ks, rho)
     obj = serialize.density_to_obj(out)
     obj["purity"] = purity(out)
-    _write(serialize.dumps(obj), args.out)
-    return 0
+    return 0, obj
 
 
-def _cmd_coherence(args) -> int:
+def _cmd_coherence(args) -> tuple[int, object]:
     from . import serialize
     from .coherence import UNITARY_RELATED, coherence_roundtrip
 
-    initial = _load_state_set(args.initial)
-    final = _load_state_set(args.final)
+    initial, final = _load_state_sets(args.initial, args.final)
     try:
         coeffs = [complex(tok.strip()) for tok in args.coeffs.split(",")]
     except ValueError as exc:
         raise SchemaError(f"unparseable coefficient list {args.coeffs!r}: {exc}") from exc
     rec = coherence_roundtrip(initial, final, coeffs, args.tol, purity_tol=args.purity_tol)
-    _write(serialize.dumps(serialize.roundtrip_to_obj(rec)), args.out)
-    return 0 if (rec.agree and rec.test.verdict == UNITARY_RELATED) else 1
+    code = 0 if (rec.agree and rec.test.verdict == UNITARY_RELATED) else 1
+    return code, serialize.roundtrip_to_obj(rec)
 
 
 _TEMPLATE_FUNCTIONS = {
@@ -207,15 +202,14 @@ def _compile_component(value, param: str):
     Strings are parsed once into a tree of float operations.  Only number
     literals, ``+ - * / **``, unary signs, the parameter, ``pi`` and
     one-argument calls to the functions above are accepted; nothing else
-    is ever evaluated.  A number, bare or literal, must fit a double.
+    is ever evaluated.  A bare number is read as that literal: a finite double.
     """
     try:
-        # JSON true/false load as bool, a subclass of int; they are not numbers.
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            constant = float(value)
-            return lambda theta: constant
         if isinstance(value, str):
             return _compile_node(ast.parse(value, mode="eval").body, param)
+        # JSON true/false load as bool, a subclass of int; they are not numbers.
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return _compile_node(ast.Constant(value), param)
     # The parser reports nesting too deep for it as MemoryError.
     except (SyntaxError, ValueError, OverflowError, RecursionError, MemoryError) as exc:
         raise SchemaError(f"bad template expression {value!r}: {exc}") from exc
@@ -224,7 +218,9 @@ def _compile_component(value, param: str):
 
 def _compile_node(node, param: str):
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        constant = float(node.value)
+        constant = float(node.value)  # OverflowError for an integer past the doubles
+        if not math.isfinite(constant):
+            raise ValueError(f"number {node.value!r} is not a finite double")
         return lambda theta: constant
     if isinstance(node, ast.Name) and node.id == param:
         return lambda theta: theta
@@ -276,12 +272,17 @@ def _template_state_set(compiled, theta: float) -> StateSet:
     return StateSet.from_vectors(vectors, normalize=True)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, object]:
     from . import serialize
     from .synthesis import _synthesize_from, apply_channel, purity, state_to_density
 
     if args.steps < 2:
         raise SchemaError(f"sweep needs at least 2 steps, got {args.steps}")
+    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(value):
+            raise SchemaError(f"sweep {flag} must be finite, got {value!r}")
+    if not math.isfinite(args.stop - args.start):
+        raise SchemaError(f"sweep range {args.start!r} to {args.stop!r} overflows a double")
     doc = serialize.load_document(args.template)
     if not isinstance(doc, dict) or "initial" not in doc or "final" not in doc:
         raise SchemaError("template needs 'initial' and 'final' state lists")
@@ -299,9 +300,8 @@ def _cmd_sweep(args) -> int:
         final = _template_state_set(final_template, theta)
         report = _check(initial, final, args.tol, build=True)
         m = report.ratio_matrix
-        offdiag = np.array(m.defined)
-        np.fill_diagonal(offdiag, False)
-        max_mu = float(np.max(np.abs(m.entries[offdiag]))) if np.any(offdiag) else None
+        j, k = _upper_pairs(m.defined)  # m is Hermitian: its upper triangle holds every |mu|
+        max_mu = float(np.max(np.abs(m.entries[j, k]))) if len(j) else None
         uniform_purity = None
         if report.verdict == FEASIBLE:
             ks = _synthesize_from(report, initial, final, args.tol)
@@ -310,19 +310,17 @@ def _cmd_sweep(args) -> int:
         cells = [cell(theta), cell(report.min_eigenvalue), report.verdict]
         cells += [cell(max_mu), cell(uniform_purity)]
         rows.append(",".join(cells))
-    _write("\n".join(rows) + "\n", args.out)
-    return 0
+    return 0, "\n".join(rows) + "\n"
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[int, object]:
     from . import serialize
 
-    base = _load_state_set(args.base) if args.base else None
+    base = _load_state_sets(args.base)[0] if args.base else None
     s = random_state_set(
         args.dimension, args.n_states, args.seed, mode=args.mode, base=base
     )
-    _write(serialize.dumps(serialize.state_set_to_obj(s)), args.out)
-    return 0
+    return 0, serialize.state_set_to_obj(s)
 
 
 #: Per subcommand: its help, the function that runs it, and the arguments

@@ -126,8 +126,7 @@ def coherence_probe(
         g = gram(sub)
         rank, certified = _gram_rank(g, tol)
         if rank == len(g):
-            bras = _span_duals(sub.states, _overlap_inverse(g, tol, certified)).conj()
-            probe = _expanded(probe, bras)
+            probe = _expanded(probe, sub.states, g, tol, certified)[0]
     return probe
 
 
@@ -162,11 +161,13 @@ def _probe(ks: KrausSet, q, vec, support, purity_tol):
     )
 
 
-def _expanded(probe: CoherenceReport, bras) -> CoherenceReport:
-    # ``probe`` with its coefficients r = bras @ output_state, bras = Psi2^+.
+def _expanded(probe: CoherenceReport, states, g, tol, certified):
+    # ``probe`` with its coefficients r = Psi2^+ output_state, and Psi2^+: the
+    # conjugated duals of the final ``states`` on the support, of Gram matrix g.
+    bras = _span_duals(states, _overlap_inverse(g, tol, certified)).conj()
     r = np.zeros(len(probe.coefficients), dtype=np.complex128)
     r[list(probe.support)] = bras @ probe.output_state
-    return replace(probe, output_coefficients=r)
+    return replace(probe, output_coefficients=r), bras
 
 
 def unitary_relation_test(
@@ -325,8 +326,7 @@ def coherence_roundtrip(
     law_residual = None
     device_residual = None
     if probe.is_pure:
-        bras = _span_duals(sub2.states, _overlap_inverse(g2, tol, pair.certified2)).conj()
-        probe = _expanded(probe, bras)
+        probe, bras = _expanded(probe, sub2.states, g2, tol, pair.certified2)
         support = list(support)
         # Effective coefficients of the normalized input superposition.
         q_eff = q / float(np.linalg.norm(q @ initial.states))

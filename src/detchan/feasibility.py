@@ -160,17 +160,24 @@ def _ratio_matrix(g1, g2, abs1, abs2, tol: float) -> RatioMatrix:
     entries /= 2.0
     entries.setflags(write=False)
     defined.setflags(write=False)
-    j, k = np.divmod(np.flatnonzero(~defined), len(defined))  # row by row: (j, k) order
-    j, k = j[j < k], k[j < k]
+    j, k = _upper_pairs(~defined)
     nonzero = abs1[j, k] > tol
     undefined_nonzero = tuple(zip(j[nonzero].tolist(), k[nonzero].tolist()))
     free = tuple(zip(j[~nonzero].tolist(), k[~nonzero].tolist()))
     return RatioMatrix(entries, defined, undefined_nonzero, free)
 
 
+def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (j, k), j < k, of a square mask's True entries, in (j, k) order."""
+    j, k = np.divmod(np.flatnonzero(mask), len(mask))
+    return j[j < k], k[j < k]
+
+
 def _pair_overlaps(abs1, abs2, j, k, tol: float) -> np.recarray:
     initial, final = abs1[j, k], abs2[j, k]
-    records = np.rec.fromarrays((j, k, initial, final, initial > final + tol), _AUDIT_RECORD)
+    records = np.empty(len(j), _AUDIT_RECORD).view(np.recarray)  # numpy.rec is not loaded
+    for name, column in zip(_AUDIT_RECORD.names, (j, k, initial, final, initial > final + tol)):
+        records[name] = column
     records.setflags(write=False)
     return records
 
@@ -207,14 +214,13 @@ def feasibility_check(
 def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> FeasibilityReport:
     """``feasibility_check``; ``build`` also keeps, for a Feasible verdict,
     the factor C and G1's inverse that ``_synthesize_from`` builds from
-    (for a dependent G1, formed from its eigenpairs only then)."""
+    (for a dependent G1, formed from its eigenpairs)."""
     _check_shapes(initial, final, tol)
     n = initial.n
     g1, g2 = gram(initial), gram(final)
     abs1, abs2 = np.abs(g1), np.abs(g2)
     m = _ratio_matrix(g1, g2, abs1, abs2, tol)
-    j, k = np.divmod(np.flatnonzero(abs1 > abs2 + tol), n)  # row by row: (j, k) order
-    violations = _pair_overlaps(abs1, abs2, j[j < k], k[j < k], tol)
+    violations = _pair_overlaps(abs1, abs2, *_upper_pairs(abs1 > abs2 + tol), tol)
     del abs1, abs2  # freed before any factorization
     # gram() is exactly Hermitian: eigh and the certificates read it as is.  A
     # dependent initial set, or one with a free pair, keeps G1's eigenpairs for
@@ -224,7 +230,8 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
     certified = not m.free_pairs and n <= initial.dimension and _certified(g1, tol)
     eig1 = None if certified else np.linalg.eigh(g1)
     rank1 = n if eig1 is None else numerical_rank(eig1[0], tol)
-    rank2, certified2 = _gram_rank(g2, tol, certify=rank1 == n)
+    rank2, certified2 = (_gram_rank(g2, tol) if rank1 == n
+                         else (numerical_rank(np.linalg.eigvalsh(g2), tol), False))
     notes: list[str] = []
     for name, rank in (("initial", rank1), ("final", rank2)):
         if rank < n:
@@ -279,14 +286,12 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
         # in a build check, G1's inverse) that synthesis builds from.
         accept = fast and min_eig > DEFAULT_RANK_TOL * w[-1]
         c = _spectral_factor(*spectrum, tol)
-        # Residuals of a certified G1, and a build check, read its inverse; any other
-        # G1's residuals come from its eigenpairs, and only a Feasible build inverts them.
-        needs_inverse = eig1 is None and (build or not accept)
-        inverse = _overlap_inverse(g1, tol, certified) if needs_inverse else None
+        # A build check keeps G1's inverse, and the residuals of a certified G1
+        # read it; any other G1's residuals come from its eigenpairs.
+        needs_inverse = build or (certified and not accept)
+        inverse = _overlap_inverse(g1, tol, certified, eig1) if needs_inverse else None
         residuals = () if accept else _guard_residuals(g1, g2, c, inverse, eig1, rank1, tol)
         if all(residual <= _GUARD / 2 * tol for residual in residuals):  # NaN fails too
-            if build and inverse is None:
-                inverse = _overlap_inverse(g1, tol, certified, eig1)
             return report(FEASIBLE, min_eig, c, inverse if build else None)
         # A per-state residual is nonzero only where G1's rank cut drops eigenpairs.
         cause = ("the initial set's rank cut drops directions the channel must map"

@@ -78,14 +78,12 @@ def _emit(obj, out: list[str], level: int) -> None:
         out.append(pad + ("}" if keyed else "]"))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
+    elif obj is None or isinstance(obj, (bool, np.bool_)):
+        out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(repr(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(obj))
-    elif obj is None:
-        out.append("null")
     else:
         raise SchemaError(f"cannot serialize value of type {type(obj).__name__}")
 

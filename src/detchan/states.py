@@ -68,7 +68,7 @@ class StateSet:
     def from_vectors(cls, vectors, labels=None, normalize: bool = False) -> "StateSet":
         """Build a set from a sequence of amplitude vectors (rows)."""
         arr = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
-        if normalize:
+        if normalize and np.all(np.isfinite(arr)):  # else refused below, before any norm
             norms = np.linalg.norm(arr, axis=1, keepdims=True)
             if np.any(norms == 0.0):
                 raise ZeroVectorError("cannot normalize a zero vector")
@@ -115,11 +115,11 @@ def _certified(g: np.ndarray, tol: float) -> bool:
     return _certifies_full_rank(g, max(tol, 1.0 / _COND_CEILING))
 
 
-def _gram_rank(g: np.ndarray, tol: float, certify: bool = True) -> tuple[int, bool]:
+def _gram_rank(g: np.ndarray, tol: float) -> tuple[int, bool]:
     """``(rank, certified)`` of the exactly Hermitian ``gram()`` output ``g`` at
-    ``tol``: n and True when ``_certified`` proves it (tried only if
-    ``certify``), else ``numerical_rank`` of its eigenvalues and False."""
-    if certify and _certified(g, tol):
+    ``tol``: n and True when ``_certified`` proves it, else ``numerical_rank``
+    of its eigenvalues and False."""
+    if _certified(g, tol):
         return len(g), True
     return numerical_rank(np.linalg.eigvalsh(g), tol), False
 
@@ -256,14 +256,14 @@ def random_state_set(
         raise InvalidDimensionsError("unitary_image mode requires a base set; others take none")
     rng = np.random.default_rng(seed)
     if mode == "generic":
-        return StateSet.from_vectors(_sphere_points(rng, n_states, dimension))
+        return _sphere_points(rng, n_states, dimension)
     if mode == "independent":
         if n_states > dimension:
             raise InvalidDimensionsError(
                 f"independent draws need N <= D, got N={n_states}, D={dimension}"
             )
         for _ in range(_MAX_ATTEMPTS):
-            candidate = StateSet.from_vectors(_sphere_points(rng, n_states, dimension))
+            candidate = _sphere_points(rng, n_states, dimension)
             if linear_independence(candidate, tol):
                 return candidate
         raise NotIndependentError(
@@ -281,7 +281,6 @@ def random_state_set(
     raise InvalidDimensionsError(f"unknown mode {mode!r}")
 
 
-def _sphere_points(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+def _sphere_points(rng: np.random.Generator, n: int, d: int) -> StateSet:
     vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    return vecs / norms
+    return StateSet.from_vectors(vecs, normalize=True)

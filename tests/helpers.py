@@ -11,6 +11,7 @@ overlap-ratio matrix equals M up to roundoff.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -81,6 +82,184 @@ GOLDEN_CASES = [
         "check_infeasible_all_pairs.json",
     ),
 ]
+
+#: Stands in an ``ERROR_CASES`` argv for the file that holds the row's document.
+DOC = "<document>"
+#: A two-point sweep grid.
+GRID = ["--start", "0", "--stop", "1", "--steps", "2"]
+#: A 401-digit JSON integer: valid JSON, but too large for a double.
+HUGE = "1" + "0" * 400
+#: 100,000 unclosed brackets: deeper than the JSON reader can recurse.
+DEEP = "[" * 100_000
+
+
+def template(pair: str) -> str:
+    """Sweep template text whose second initial state starts with ``pair``,
+    the JSON text of one [re, im] pair."""
+    return ('{"dimension": 2, "initial": [[[1, 0], [0, 0]], [%s, [1, 0]]], '
+            '"final": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}' % pair)
+
+
+def density(rows, dimension=2) -> str:
+    """Density-matrix document text of a real matrix under ``dimension``."""
+    return json.dumps({"dimension": dimension, "matrix": [[[x, 0] for x in row] for row in rows]})
+
+
+#: Argv of each subcommand that takes a tolerance flag, on a feasible pair,
+#: with those flags.
+TOLERANCE_ARGV = {
+    "check": (["check", fx("plus_pair.json"), fx("target_09.json")], ("--tol",)),
+    "synth": (["synth", fx("plus_pair.json"), fx("target_09.json")], ("--tol",)),
+    "coherence": (
+        ["coherence", fx("plus_pair.json"), fx("target_09.json"), "--coeffs", "1,1"],
+        ("--tol", "--purity-tol"),
+    ),
+    "sweep": (["sweep", fx("sweep_template.json"), *GRID], ("--tol",)),
+}
+
+#: The one list of CLI error outcomes.  Per id: the argv, the text of the
+#: row's input document (written to the file ``DOC`` stands for) or None, the
+#: exit code, and the reason the one ``error:`` line on stderr must contain.
+#: Each row runs in process and through the console entry point, with an
+#: ``--out`` file that it must not create.
+ERROR_CASES = {
+    "check-malformed-json": (["check", DOC, fx("basis2.json")], "{not json", 2,
+                             "Expecting property name enclosed in double quotes"),
+    "check-missing-file": (["check", "does-not-exist.json", fx("basis2.json")], None, 2,
+                           "No such file or directory: 'does-not-exist.json'"),
+    "check-size-mismatch": (["check", fx("plus_state.json"), fx("basis2.json")], None, 2,
+                            "1 initial states vs 2 final states"),
+    # Exit 1 would read as Infeasible; an unreadable amplitude exits 2.
+    "check-huge-amplitude": (["check", DOC, fx("plus_pair.json")],
+                             '{"states": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % HUGE, 2,
+                             "amplitude does not fit a double"),
+    "check-deep-document": (["check", DOC, fx("plus_pair.json")], DEEP, 2,
+                            "JSON nested too deeply to read"),
+    "synth-infeasible": (["synth", fx("plus_pair.json"), fx("target_half.json")], None, 1,
+                         "feasibility verdict is Infeasible; synthesis needs Feasible"),
+    "apply-dimension-mismatch": (
+        ["apply", fx("kraus_measure2.json"), DOC],
+        json.dumps({"dimension": 3, "states": [[[1, 0], [0, 0], [0, 0]]]}), 2,
+        "density matrix shape (3, 3) does not match channel dimension 2",
+    ),
+    "apply-not-hermitian": (["apply", fx("kraus_measure2.json"), DOC],
+                            density([[0.5, 0.5], [0.0, 0.5]]), 2, "symmetry residual"),
+    "apply-trace-2": (["apply", fx("kraus_measure2.json"), DOC],
+                      density([[1.0, 0.0], [0.0, 1.0]]), 2, "density matrix trace 2"),
+    "apply-negative-eigenvalue": (["apply", fx("kraus_measure2.json"), DOC],
+                                  density([[1.5, 0.0], [0.0, -0.5]]), 2, "negative eigenvalue"),
+    # A valid density matrix under a wrong "dimension", refused as state-set
+    # and Kraus documents refuse theirs.
+    "apply-density-dimension-3": (["apply", fx("kraus_measure2.json"), DOC],
+                                  density([[0.5, 0.0], [0.0, 0.5]], 3), 2, "does not match"),
+    "apply-density-dimension-string": (["apply", fx("kraus_measure2.json"), DOC],
+                                       density([[0.5, 0.0], [0.0, 0.5]], "two"), 2,
+                                       "'dimension' must be an integer, got 'two'"),
+    "apply-two-states": (["apply", fx("kraus_measure2.json"), DOC],
+                         json.dumps({"states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}), 2,
+                         "apply expects a single state, got 2"),
+    "apply-neither-document": (["apply", fx("kraus_measure2.json"), DOC],
+                               json.dumps({"vectors": [[[1, 0], [0, 0]]]}), 2,
+                               "input must be a StateSet or density-matrix document"),
+    **{
+        f"coherence-{name}": (
+            ["coherence", fx("basis2.json"), fx("basis2.json"), "--coeffs", coeffs], None, 2,
+            reason,
+        )
+        for name, coeffs, reason in [
+            ("unparseable", "1,one", "unparseable coefficient list '1,one'"),
+            ("count", "1,1,1", "3 coefficients for 2 states"),
+            ("nan", "1,nan", "coefficients contain NaN or Inf"),
+            ("support", "1,0", "need at least two nonzero coefficients"),
+        ]
+    },
+    "coherence-dependent-final": (
+        ["coherence", fx("basis2.json"), fx("dependent_pair.json"), "--coeffs", "1,1"], None, 2,
+        "final set must be linearly independent",
+    ),
+    "coherence-infeasible": (
+        ["coherence", fx("plus_pair.json"), fx("target_half.json"), "--coeffs", "1,1"], None, 2,
+        "feasibility verdict is Infeasible; synthesis needs Feasible",
+    ),
+    # A NaN tolerance once made a feasible check print Infeasible, inf ended in
+    # a traceback and a negative one in a bogus symmetry error; at 1 a dependent
+    # set's rank was 0 and its rounding eigenvalue was inverted.
+    **{
+        f"{command}{flag}={value}": (
+            [*argv, f"{flag}={value}"], None, 2,
+            f"error: {flag[2:].replace('-', '_')} must be finite and >= 0, got {float(value)!r}",
+        )
+        for command, (argv, flags) in TOLERANCE_ARGV.items()
+        for flag in flags
+        for value in ("nan", "inf", "-1e-9", "1")
+    },
+    "sweep-single-step": (["sweep", fx("sweep_template.json"), "--start", "0", "--stop", "1",
+                           "--steps", "1"], None, 2, "sweep needs at least 2 steps, got 1"),
+    # Non-finite bounds, or a span past the doubles, never reach np.linspace.
+    **{
+        f"sweep-{name}": (["sweep", fx("sweep_template.json"), *bounds, "--steps", "2"], None, 2,
+                          reason)
+        for name, bounds, reason in [
+            ("start-nan", ["--start", "nan", "--stop", "1"],
+             "sweep --start must be finite, got nan"),
+            ("start-inf", ["--start", "inf", "--stop", "1"],
+             "sweep --start must be finite, got inf"),
+            ("stop-minus-inf", ["--start", "0", "--stop=-inf"],
+             "sweep --stop must be finite, got -inf"),
+            ("span-overflow", ["--start=-1e308", "--stop", "1e308"],
+             "sweep range -1e+308 to 1e+308 overflows a double"),
+        ]
+    },
+    "sweep-no-final": (["sweep", DOC, *GRID], json.dumps({"initial": [[[1, 0], [0, 0]]]}), 2,
+                       "template needs 'initial' and 'final' state lists"),
+    "sweep-empty-initial": (["sweep", DOC, *GRID],
+                            json.dumps({"initial": [], "final": [[[1, 0], [0, 0]]]}), 2,
+                            "template state list must be a non-empty list"),
+    "sweep-string-final": (["sweep", DOC, *GRID],
+                           json.dumps({"initial": [[[1, 0], [0, 0]]], "final": "cos(theta)"}), 2,
+                           "template state list must be a non-empty list"),
+    "sweep-deep-template": (["sweep", DOC, *GRID], '{"dimension": 2, "initial": ' + DEEP, 2,
+                            "JSON nested too deeply to read"),
+    # JSON true/false are not the numbers 1 and 0, as in state documents.
+    "sweep-boolean-component": (["sweep", DOC, *GRID], template("[true, 0]"), 2,
+                                "must be a number or string, got True"),
+    "sweep-short-pair": (["sweep", DOC, *GRID], template("[1]"), 2,
+                         "template states must be lists of [re, im] pairs"),
+    "sweep-object-pair": (["sweep", DOC, *GRID], template('{"re": 1, "im": 0}'), 2,
+                          "template states must be lists of [re, im] pairs"),
+    # Templates are untrusted input: only arithmetic on numbers, the parameter,
+    # pi and the whitelisted one-argument functions is run, in float
+    # arithmetic, so even a huge power fails at once.  A number, bare or
+    # literal, must be a finite double.
+    **{
+        f"sweep-{name}": (["sweep", DOC, *GRID], template(f"[{component}, 0]"), 2, reason)
+        for name, component, reason in [
+            ("unknown-function", '"nope(theta)"', "bad template expression 'nope(theta)'"),
+            ("import", '"__import__(\'os\')"', "bad template expression"),
+            ("class-attribute", '"().__class__"', "bad template expression"),
+            ("theta-attribute", '"theta.real"', "bad template expression"),
+            ("lambda", '"lambda: 0"', "bad template expression"),
+            ("two-arguments", '"cos(theta, 1)"', "bad template expression"),
+            ("unknown-name", '"phi"', "bad template expression 'phi'"),
+            ("huge-power", '"9**9**9"', "template expression failed at 0.0"),
+            ("huge-literal", f'"{HUGE} * theta"', "bad template expression"),
+            ("huge-number", HUGE, "bad template expression"),
+            ("literal-1e400", '"1e400"', "bad template expression '1e400'"),
+            ("number-1e400", "1e400", "bad template expression inf"),
+            ("number-infinity", "Infinity", "bad template expression inf"),
+        ]
+    },
+    "gen-too-many-independent": (["gen", "2", "3", "--mode", "independent", "--seed", "0"], None,
+                                 2, "independent draws need N <= D, got N=3, D=2"),
+    # README: a subcommand rejects any flag it does not read; only
+    # unitary_image mode reads --base.
+    **{
+        f"gen-base-{name}": (["gen", "2", "2", "--base", fx("basis2.json"), *mode], None, 2,
+                             "unitary_image mode requires a base set; others take none")
+        for name, mode in [("default", []), ("generic", ["--mode", "generic"]),
+                           ("independent", ["--mode", "independent"])]
+    },
+}
 
 
 # Gram matrices with smallest eigenvalue below this are re-drawn: dual

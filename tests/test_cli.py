@@ -15,6 +15,8 @@ import detchan
 from detchan import DEFAULT_PURITY_TOL, StateSet, cli, coherence, feasibility, states, synthesis
 from detchan import serialize as ser
 from helpers import (
+    DOC,
+    ERROR_CASES,
     FIXTURES,
     FREE_UNDETERMINED,
     GOLDEN,
@@ -54,15 +56,21 @@ def test_golden_outputs_and_exit_codes(capsys, argv, expect_code, golden):
     assert code2 == code and out2 == out
 
 
+def console(argv, cwd):
+    """``argv`` run in a fresh process with warnings raised as errors: through
+    the installed `detchan` script when there is one, else `python -m
+    detchan.cli`, importing the package under test."""
+    script = shutil.which("detchan")
+    command = [script] if script else [sys.executable, "-W", "error", "-m", "detchan.cli"]
+    src = str(Path(detchan.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error"}
+    return subprocess.run(command + argv, env=env, cwd=cwd, capture_output=True)
+
+
 @pytest.mark.parametrize("argv, expect_code, golden", GOLDEN_CASES)
 def test_console_entry_point_reproduces_the_goldens(tmp_path, argv, expect_code, golden):
-    # In a fresh process, through the installed `detchan` script when there
-    # is one, else `python -m detchan.cli`, importing the package under test:
-    # the same bytes and exit code, and nothing on stderr.
-    script = shutil.which("detchan")
-    command = [script] if script else [sys.executable, "-m", "detchan.cli"]
-    env = {**os.environ, "PYTHONPATH": str(Path(detchan.__file__).resolve().parents[1])}
-    done = subprocess.run(command + argv, env=env, cwd=tmp_path, capture_output=True)
+    # The same bytes and exit code, and nothing on stderr.
+    done = console(argv, tmp_path)
     assert (done.returncode, done.stderr.decode()) == (expect_code, "")
     assert done.stdout == (GOLDEN / golden).read_bytes(), f"output differs from golden {golden}"
 
@@ -228,17 +236,6 @@ def test_out_flag_writes_identical_bytes(capsys, tmp_path):
     assert out_file.read_bytes() == (GOLDEN / "check_feasible.json").read_bytes()
 
 
-def test_synth_failure_writes_no_file(capsys, tmp_path):
-    out_file = tmp_path / "kraus.json"
-    code, _, err = run(
-        capsys,
-        ["synth", fx("plus_pair.json"), fx("target_half.json"), "--out", str(out_file)],
-    )
-    assert code == 1
-    assert "error" in err
-    assert not out_file.exists()
-
-
 def test_synth_output_applies_back(capsys, tmp_path):
     kraus_file = tmp_path / "kraus.json"
     code, _, _ = run(
@@ -343,93 +340,46 @@ def test_purity_tol_default_is_the_library_default():
 # ---------------------------------------------------------------- error paths
 
 
-def test_malformed_json_exits_2(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, ["check", str(bad), fx("basis2.json")])
-    assert code == 2 and "error" in err
+def error_argv(tmp_path, argv, document):
+    """An ``ERROR_CASES`` argv with its document written to a file, and an
+    ``--out`` file in ``tmp_path`` that the error must not create."""
+    path = tmp_path / "input.json"
+    if document is not None:
+        path.write_text(document)
+    return [str(path) if arg == DOC else arg for arg in argv] + ["--out", str(tmp_path / "out")]
 
 
-def test_missing_file_exits_2(capsys):
-    code, _, err = run(capsys, ["check", "does-not-exist.json", fx("basis2.json")])
-    assert code == 2 and "error" in err
+def assert_error_outcome(tmp_path, code, out, err, expect_code, reason):
+    assert (code, out) == (expect_code, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and reason in err, err
+    assert not (tmp_path / "out").exists()
 
 
-def test_size_mismatch_exits_2(capsys):
-    code, _, _ = run(capsys, ["check", fx("plus_state.json"), fx("basis2.json")])
-    assert code == 2
-
-
-def test_apply_dimension_mismatch_exits_2(capsys, tmp_path):
-    three = tmp_path / "three.json"
-    three.write_text(
-        ser.dumps(ser.state_set_to_obj(StateSet.from_vectors([[1, 0, 0]])))
-    )
-    code, _, _ = run(capsys, ["apply", fx("kraus_measure2.json"), str(three)])
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "matrix, reason",
-    [
-        ([[0.5, 0.5], [0.0, 0.5]], "symmetry residual"),  # not Hermitian
-        ([[1.0, 0.0], [0.0, 1.0]], "trace"),
-        ([[1.5, 0.0], [0.0, -0.5]], "negative eigenvalue"),  # Hermitian, trace 1
-    ],
+ERROR_ROWS = pytest.mark.parametrize(
+    "argv, document, expect_code, reason", ERROR_CASES.values(), ids=list(ERROR_CASES)
 )
-def test_apply_rejects_an_invalid_density_matrix(capsys, tmp_path, matrix, reason):
-    rho = tmp_path / "rho.json"
-    rho.write_text(ser.dumps(ser.density_to_obj(np.array(matrix))))
-    code, out, err = run(capsys, ["apply", fx("kraus_measure2.json"), str(rho)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and reason in err
 
 
-@pytest.mark.parametrize(
-    "dimension, reason", [(3, "does not match"), ("two", "must be an integer")]
-)
-def test_apply_rejects_a_density_dimension_that_is_not_the_matrix_size(
-    capsys, tmp_path, dimension, reason
-):
-    # A valid 2 x 2 density matrix under a wrong "dimension", refused as
-    # state-set and Kraus documents refuse theirs.
-    obj = ser.density_to_obj(np.eye(2) / 2.0)
-    obj["dimension"] = dimension
-    rho = tmp_path / "rho.json"
-    rho.write_text(ser.dumps(obj))
-    code, out, err = run(capsys, ["apply", fx("kraus_measure2.json"), str(rho)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and reason in err
+@pytest.mark.filterwarnings("error")
+@ERROR_ROWS
+def test_error_outcomes(capsys, tmp_path, argv, document, expect_code, reason):
+    # The exit code, nothing on stdout or in --out, and one stderr line that
+    # gives the reason; a warning raised on the way fails the row.
+    code, out, err = run(capsys, error_argv(tmp_path, argv, document))
+    assert_error_outcome(tmp_path, code, out, err, expect_code, reason)
 
 
-@pytest.mark.parametrize(
-    "document, reason",
-    [
-        ({"states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, "single state, got 2"),
-        ({"vectors": [[[1, 0], [0, 0]]]}, "StateSet or density-matrix document"),
-    ],
-    ids=["two-states", "neither"],
-)
-def test_apply_rejects_an_input_that_is_not_one_state(capsys, tmp_path, document, reason):
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps(document))
-    code, out, err = run(capsys, ["apply", fx("kraus_measure2.json"), str(state)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and reason in err
+@ERROR_ROWS
+def test_console_entry_point_reports_each_error(tmp_path, argv, document, expect_code, reason):
+    done = console(error_argv(tmp_path, argv, document), tmp_path)
+    out, err = done.stdout.decode(), done.stderr.decode()
+    assert_error_outcome(tmp_path, done.returncode, out, err, expect_code, reason)
 
 
-@pytest.mark.parametrize(
-    "coeffs, reason",
-    [
-        ("1,one", "unparseable coefficient list"),
-        ("1,1,1", "3 coefficients for 2 states"),
-        ("1,nan", "coefficients contain NaN or Inf"),
-        ("1,0", "need at least two nonzero coefficients"),
-    ],
-    ids=["unparseable", "count", "nan", "support"],
-)
-def test_coherence_rejects_bad_coefficients(capsys, monkeypatch, coeffs, reason):
-    # The library's coefficient checks, the only copy, run before any Gram work.
+@pytest.mark.parametrize("name", ["unparseable", "count", "nan", "support"])
+def test_coherence_rejects_bad_coefficients(capsys, monkeypatch, name):
+    # The library's coefficient checks, the only copy, run before any Gram
+    # work; test_error_outcomes checks each row's outcome.
     counts = count_calls(
         monkeypatch,
         (states, "gram"),
@@ -437,44 +387,9 @@ def test_coherence_rejects_bad_coefficients(capsys, monkeypatch, coeffs, reason)
         (feasibility, "gram"),
         (np.linalg, "cholesky"),
     )
-    argv = ["coherence", fx("basis2.json"), fx("basis2.json"), "--coeffs", coeffs]
-    code, out, err = run(capsys, argv)
-    assert (code, out) == (2, "") and reason in err
+    argv, _, expect_code, _ = ERROR_CASES[f"coherence-{name}"]
+    assert run(capsys, argv)[0] == expect_code
     assert not counts
-
-
-def test_coherence_single_nonzero_coefficient_exits_2(capsys):
-    code, _, err = run(
-        capsys,
-        ["coherence", fx("basis2.json"), fx("basis2.json"), "--coeffs", "1,0"],
-    )
-    assert code == 2 and "nonzero" in err
-
-
-#: The tolerance flags each subcommand takes, with a feasible pair's argv.
-TOLERANCE_ARGV = {
-    "check": (["check", fx("plus_pair.json"), fx("target_09.json")], ("--tol",)),
-    "synth": (["synth", fx("plus_pair.json"), fx("target_09.json")], ("--tol",)),
-    "coherence": (
-        ["coherence", fx("plus_pair.json"), fx("target_09.json"), "--coeffs", "1,1"],
-        ("--tol", "--purity-tol"),
-    ),
-    "sweep": (SUBCOMMAND_ARGV["sweep"], ("--tol",)),
-}
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "1"])
-@pytest.mark.parametrize("command", sorted(TOLERANCE_ARGV))
-def test_invalid_tolerances_exit_2_with_a_message(capsys, command, value):
-    # A NaN tolerance once made a feasible check print Infeasible, inf ended
-    # in a traceback and a negative one in a bogus symmetry error; at 1 a
-    # dependent set's rank was 0 and its rounding eigenvalue was inverted.
-    argv, flags = TOLERANCE_ARGV[command]
-    for flag in flags:
-        code, out, err = run(capsys, argv + [f"{flag}={value}"])
-        assert (code, out) == (2, "")
-        name = flag[2:].replace("-", "_")
-        assert err.startswith(f"error: {name} must be finite and >= 0, got ")
 
 
 def test_zero_tolerance_stays_legal(capsys):
@@ -549,22 +464,6 @@ def test_undetermined_check_exits_3(capsys, tmp_path):
     assert (code, json.loads(out)["verdict"]) == (3, "Undetermined")
 
 
-def test_coherence_dependent_final_exits_2(capsys):
-    code, _, _ = run(
-        capsys,
-        ["coherence", fx("basis2.json"), fx("dependent_pair.json"), "--coeffs", "1,1"],
-    )
-    assert code == 2
-
-
-def test_coherence_infeasible_instance_exits_2(capsys):
-    code, _, _ = run(
-        capsys,
-        ["coherence", fx("plus_pair.json"), fx("target_half.json"), "--coeffs", "1,1"],
-    )
-    assert code == 2
-
-
 def test_sweep_two_point_grid_both_feasible(capsys):
     code, out, _ = run(
         capsys,
@@ -633,59 +532,6 @@ def test_sweep_passes_tol_to_superpose(capsys, monkeypatch):
     assert seen and all(tol == 1e-6 for tol in seen)
 
 
-def test_sweep_rejects_single_step(capsys):
-    code, _, _ = run(
-        capsys,
-        ["sweep", fx("sweep_template.json"), "--start", "0", "--stop", "1", "--steps", "1"],
-    )
-    assert code == 2
-
-
-def test_sweep_bad_expression_exits_2(capsys, tmp_path):
-    bad = tmp_path / "tpl.json"
-    bad.write_text(
-        ser.dumps(
-            {
-                "dimension": 2,
-                "initial": [[[1, 0], [0, 0]], [["nope(theta)", 0], [0, 0]]],
-                "final": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-            }
-        )
-    )
-    code, _, err = run(capsys, ["sweep", str(bad), "--start", "0", "--stop", "1", "--steps", "2"])
-    assert code == 2 and "error" in err
-
-
-@pytest.mark.parametrize(
-    "expression",
-    [
-        "__import__('os')",
-        "().__class__",
-        "theta.real",
-        "lambda: 0",
-        "cos(theta, 1)",
-        "phi",
-        "9**9**9",
-    ],
-)
-def test_sweep_rejects_expressions_outside_the_grammar(capsys, tmp_path, expression):
-    # Templates are untrusted input: only arithmetic on numbers, the
-    # parameter, pi and the whitelisted one-argument functions is run, in
-    # float arithmetic, so even a huge power fails at once.
-    tpl = tmp_path / "tpl.json"
-    tpl.write_text(
-        ser.dumps(
-            {
-                "dimension": 2,
-                "initial": [[[1, 0], [0, 0]], [[expression, 0], [1, 0]]],
-                "final": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-            }
-        )
-    )
-    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
-    assert code == 2 and out == "" and "template expression" in err
-
-
 @pytest.mark.parametrize(
     "expression, theta, value",
     [("pi", 0.5, math.pi), ("-theta", 0.5, -0.5), ("+cos(pi / 3)", 0.0, math.cos(math.pi / 3)),
@@ -706,100 +552,6 @@ def test_sweep_with_pi_and_signs_reproduces_the_golden_sweep(capsys, tmp_path):
     code, out, _ = run(capsys, [SWEEP_ARGV[0], str(path), *SWEEP_ARGV[2:]])
     assert code == 0
     assert_golden(out, "sweep_cos.csv")
-
-
-@pytest.mark.parametrize(
-    "document, reason",
-    [
-        ({"dimension": 2, "initial": [[[1, 0], [0, 0]]]}, "needs 'initial' and 'final'"),
-        ({"dimension": 2, "initial": [], "final": [[[1, 0], [0, 0]]]}, "non-empty list"),
-        ({"dimension": 2, "initial": [[[1, 0], [0, 0]]], "final": "cos(theta)"}, "non-empty list"),
-    ],
-    ids=["no-final", "empty", "string"],
-)
-def test_sweep_rejects_a_malformed_template(capsys, tmp_path, document, reason):
-    tpl = tmp_path / "tpl.json"
-    tpl.write_text(json.dumps(document))
-    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
-    assert (code, out) == (2, "") and reason in err
-
-
-#: A 401-digit JSON integer: valid JSON, but too large for a double.
-HUGE = "1" + "0" * 400
-
-
-@pytest.mark.parametrize("component", [f'"{HUGE} * theta"', HUGE], ids=["expression", "number"])
-def test_sweep_rejects_a_literal_too_large_for_a_double(capsys, tmp_path, component):
-    # Inside an expression or as a bare number, the literal is an input
-    # error (exit 2), not a traceback that would exit 1.
-    tpl = tmp_path / "tpl.json"
-    tpl.write_text(
-        '{"dimension": 2, "initial": [[[1, 0], [0, 0]], [[%s, 0], [1, 0]]], '
-        '"final": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}' % component
-    )
-    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
-    assert code == 2 and out == "" and "template expression" in err
-
-
-def test_check_rejects_an_amplitude_too_large_for_a_double(capsys, tmp_path):
-    # Exit 1 would read as Infeasible; an unreadable amplitude exits 2.
-    big = tmp_path / "big.json"
-    big.write_text('{"states": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % HUGE)
-    code, out, err = run(capsys, ["check", str(big), fx("plus_pair.json")])
-    assert (code, out) == (2, "") and "fit a double" in err
-
-
-#: 100,000 unclosed brackets: deeper than the JSON reader can recurse.
-DEEP = "[" * 100_000
-
-
-def test_check_rejects_a_document_nested_too_deeply(capsys, tmp_path):
-    # The reader's RecursionError is an input error (exit 2), not an exit 1
-    # that would read as Infeasible.
-    deep = tmp_path / "deep.json"
-    deep.write_text(DEEP)
-    code, out, err = run(capsys, ["check", str(deep), fx("plus_pair.json")])
-    assert (code, out) == (2, "") and "nested too deeply" in err
-
-
-def test_sweep_rejects_a_template_nested_too_deeply(capsys, tmp_path):
-    tpl = tmp_path / "tpl.json"
-    tpl.write_text('{"dimension": 2, "initial": ' + DEEP)
-    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
-    assert (code, out) == (2, "") and "nested too deeply" in err
-
-
-@pytest.mark.parametrize(
-    "first_pair, message",
-    [
-        # JSON true/false are not the numbers 1 and 0, as in state documents.
-        ("[true, 0]", "must be a number or string, got True"),
-        ("[1]", "lists of [re, im] pairs"),
-        ('{"re": 1, "im": 0}', "lists of [re, im] pairs"),
-    ],
-    ids=["boolean", "short", "object"],
-)
-def test_sweep_rejects_a_malformed_amplitude(capsys, tmp_path, first_pair, message):
-    tpl = tmp_path / "tpl.json"
-    tpl.write_text(
-        '{"dimension": 2, "initial": [[%s, [0, 0]], [[0, 0], [1, 0]]], '
-        '"final": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}' % first_pair
-    )
-    code, out, err = run(capsys, ["sweep", str(tpl), "--start", "0", "--stop", "1", "--steps", "2"])
-    assert (code, out) == (2, "") and message in err
-
-
-def test_gen_invalid_dimensions_exit_2(capsys):
-    code, _, _ = run(capsys, ["gen", "2", "3", "--mode", "independent", "--seed", "0"])
-    assert code == 2
-
-
-def test_gen_refuses_a_base_outside_unitary_image_mode(capsys):
-    # README: a subcommand rejects any flag it does not read; only
-    # unitary_image mode reads --base.
-    for mode in ([], ["--mode", "generic"], ["--mode", "independent"]):
-        code, out, err = run(capsys, ["gen", "2", "2", "--base", fx("basis2.json"), *mode])
-        assert (code, out) == (2, "") and "others take none" in err
 
 
 def test_gen_unitary_image_preserves_gram(capsys):

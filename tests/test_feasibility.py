@@ -1,11 +1,16 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import detchan
 import detchan.feasibility
 import detchan.synthesis
 from detchan import (
@@ -348,6 +353,29 @@ def test_audit_is_one_read_only_record_array():
     clean = feasibility_check(b, a).violating_pairs
     assert len(clean) == 0
     assert_same_records(clean, np.array([], dtype=AUDIT_DTYPE))
+
+
+#: Run in a fresh interpreter: bare checks with and without flagged pairs and
+#: one full audit, then whether numpy.rec was imported on the way.
+REC_PROBE = """
+import sys
+import numpy as np
+import detchan
+a, b = (detchan.StateSet.from_vectors(np.eye(3) + c, normalize=True) for c in (0.5, 0.25))
+for initial, final in ((a, b), (b, a)):
+    detchan.feasibility_check(initial, final)
+detchan.distinguishability_audit(a, b)
+print("numpy.rec" in sys.modules)
+"""
+
+
+def test_audit_records_leave_numpy_rec_unloaded():
+    # The records are one filled array viewed as a record array, the dtype and
+    # bytes np.rec.fromarrays made; that call imported numpy.rec besides.
+    env = {**os.environ, "PYTHONPATH": str(Path(detchan.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", REC_PROBE], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_feasible_implies_no_violations():

@@ -70,6 +70,14 @@ def test_stateset_rejects_malformed_amplitudes(dimension, states, error, reason)
         StateSet(dimension, states)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_from_vectors_refuses_non_finite_amplitudes_before_normalizing(amplitude):
+    # No norm is taken of a NaN or Inf row, so numpy warns of no invalid division.
+    with pytest.raises(NotFiniteError, match="NaN or Inf"):
+        StateSet.from_vectors([[1.0, 0.0], [amplitude, 1.0]], normalize=True)
+
+
 def test_from_vectors_refuses_to_normalize_a_zero_vector():
     with pytest.raises(ZeroVectorError, match="cannot normalize a zero vector"):
         StateSet.from_vectors([[1.0, 0.0], [0.0, 0.0]], normalize=True)
