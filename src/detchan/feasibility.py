@@ -203,7 +203,9 @@ def feasibility_check(
     the per-state residual fails.  A completion counts as PSD when its
     smallest eigenvalue is at least -tol * max(1, spectral radius), so an
     instance infeasible by less than that is never ``Infeasible``: it is
-    ``Feasible`` only by the residuals, else ``Undetermined``.  Gram matrices
+    ``Feasible`` only by the residuals, else ``Undetermined``.  A completion
+    with a flagged pair is read from one ``eigvalsh``, and takes ``eigh``
+    only if it is PSD within tol, for the factor.  Gram matrices
     are certified as in ``span_duals``; the residuals of a G1 that is not
     come from its eigenpairs, with no inverse formed.  Duals over the 1e12
     condition ceiling (only for tol < 1e-12) raise ``IllConditionedError``.
@@ -270,12 +272,18 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
     # No Cholesky once a pair is flagged: its ratio is defined (the check returned otherwise),
     # so |mu| > 1 + tol, and its 2x2 minor, hence by interlacing the completion, has an
     # eigenvalue below -tol, past the backward error (n + 1) eps trace (4e-12 at n = 128).
-    fast = certified and tol >= 1e-9 and not len(violations)
+    # That eigenvalue fails the PSD rule too unless the spectral radius excuses it, so
+    # eigenvalues decide a flagged pair, and only one that passes takes eigh for its factor.
+    flagged = len(violations) > 0
+    fast = certified and tol >= 1e-9 and not flagged
     if fast and not build and _certifies_full_rank(completion, DEFAULT_RANK_TOL):
         return report(FEASIBLE, float(np.linalg.eigvalsh(completion)[0]))
-    w, v = np.linalg.eigh(completion)
-    spectrum = (w[::-1], v[:, ::-1])  # descending views
-    ok, min_eig = _psd_verdict(spectrum[0], tol)
+    if flagged:
+        ok, min_eig = _psd_verdict(np.linalg.eigvalsh(completion)[::-1], tol)
+    if not flagged or ok:
+        w, v = np.linalg.eigh(completion)
+        spectrum = (w[::-1], v[:, ::-1])  # descending views
+        ok, min_eig = _psd_verdict(spectrum[0], tol)
     if ok:
         if m.free_pairs:
             notes.append(

@@ -53,7 +53,8 @@ class StateSet:
             )
         if not np.all(np.isfinite(arr)):
             raise NotFiniteError("state amplitudes contain NaN or Inf")
-        worst = float(np.max(np.abs(np.linalg.norm(arr, axis=1) - 1.0)))
+        with np.errstate(over="ignore"):  # a norm past the largest double reads inf
+            worst = float(np.max(np.abs(np.linalg.norm(arr, axis=1) - 1.0)))
         if worst > UNIT_NORM_TOL:
             raise NotNormalizedError(f"state norms deviate from 1 by up to {worst:.3e}")
         if self.labels is not None:
@@ -69,7 +70,13 @@ class StateSet:
         """Build a set from a sequence of amplitude vectors (rows)."""
         arr = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
         if normalize and np.all(np.isfinite(arr)):  # else refused below, before any norm
-            norms = np.linalg.norm(arr, axis=1, keepdims=True)
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(arr, axis=1, keepdims=True)
+            huge = np.isinf(norms[:, 0])  # squares past the largest double: scaled down first
+            if huge.any():
+                arr = arr.copy()
+                arr[huge] /= np.max(np.abs(arr[huge]), axis=1, keepdims=True)
+                norms[huge] = np.linalg.norm(arr[huge], axis=1, keepdims=True)
             if np.any(norms == 0.0):
                 raise ZeroVectorError("cannot normalize a zero vector")
             arr = arr / norms

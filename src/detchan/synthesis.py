@@ -333,7 +333,7 @@ def validate_density(rho) -> np.ndarray:
         raise NotHermitianError(f"symmetry residual {residual:.3e} exceeds 1.0e-12 * {scale:.3e}")
     tr = complex(np.trace(r))
     if abs(tr - 1.0) > 1e-12 * scale:
-        raise SizeMismatchError(f"density matrix trace {tr:.12g} != 1")
+        raise SizeMismatchError(f"density matrix trace {tr.real:.12g} != 1")
     ok, min_eig = _psd_verdict(np.linalg.eigvalsh((r + r.conj().T) / 2.0)[::-1], 1e-10)
     if not ok:
         raise NotPSDError(f"density matrix has negative eigenvalue {min_eig:.3e}")

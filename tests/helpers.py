@@ -133,6 +133,10 @@ ERROR_CASES = {
     "check-huge-amplitude": (["check", DOC, fx("plus_pair.json")],
                              '{"states": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % HUGE, 2,
                              "amplitude does not fit a double"),
+    # An amplitude whose square overflows a double is refused with no numpy warning.
+    "check-overflowing-amplitude": (["check", DOC, fx("plus_pair.json")],
+                                    '{"states": [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]}', 2,
+                                    "state norms deviate from 1 by up to inf"),
     "check-deep-document": (["check", DOC, fx("plus_pair.json")], DEEP, 2,
                             "JSON nested too deeply to read"),
     "synth-infeasible": (["synth", fx("plus_pair.json"), fx("target_half.json")], None, 1,
@@ -145,7 +149,7 @@ ERROR_CASES = {
     "apply-not-hermitian": (["apply", fx("kraus_measure2.json"), DOC],
                             density([[0.5, 0.5], [0.0, 0.5]]), 2, "symmetry residual"),
     "apply-trace-2": (["apply", fx("kraus_measure2.json"), DOC],
-                      density([[1.0, 0.0], [0.0, 1.0]]), 2, "density matrix trace 2"),
+                      density([[1.0, 0.0], [0.0, 1.0]]), 2, "density matrix trace 2 != 1"),
     "apply-negative-eigenvalue": (["apply", fx("kraus_measure2.json"), DOC],
                                   density([[1.5, 0.0], [0.0, -0.5]]), 2, "negative eigenvalue"),
     # A valid density matrix under a wrong "dimension", refused as state-set

@@ -554,6 +554,26 @@ def test_sweep_with_pi_and_signs_reproduces_the_golden_sweep(capsys, tmp_path):
     assert_golden(out, "sweep_cos.csv")
 
 
+def test_sweep_of_a_scaled_row_matches_the_unscaled_sweep(capsys, tmp_path):
+    # cos(theta) and sin(theta) times 1e200 square past the largest double,
+    # so normalizing divides that row by its largest modulus first: the same
+    # states to rounding, hence the same verdicts and numbers to 1e-12.
+    tpl = json.loads((FIXTURES / "sweep_template.json").read_text())
+    tpl["final"][1] = [["1e200*cos(theta)", 0], ["1e200*sin(theta)", 0]]
+    path = tmp_path / "tpl.json"
+    path.write_text(json.dumps(tpl))
+    code, out, err = run(capsys, [SWEEP_ARGV[0], str(path), *SWEEP_ARGV[2:]])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()]
+    golden = [line.split(",") for line in (GOLDEN / "sweep_cos.csv").read_text().splitlines()]
+    assert len(rows) == len(golden) == 51 and rows[0] == golden[0]
+    for row, want in zip(rows[1:], golden[1:]):
+        assert (row[0], row[2]) == (want[0], want[2])  # theta, verdict
+        for i in (1, 3, 4):  # min_eig, max_mu, uniform_purity
+            assert (row[i] == "") == (want[i] == "")
+            assert row[i] == "" or abs(float(row[i]) - float(want[i])) <= 1e-12
+
+
 def test_gen_unitary_image_preserves_gram(capsys):
     code, out, _ = run(
         capsys,

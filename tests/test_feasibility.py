@@ -34,7 +34,13 @@ from detchan import (
     synthesize,
 )
 from detchan.feasibility import _check
-from detchan.numerics import DEFAULT_RANK_TOL, _certifies_full_rank, _psd_verdict, numerical_rank
+from detchan.numerics import (
+    DEFAULT_RANK_TOL,
+    _certifies_full_rank,
+    _psd_verdict,
+    _spectral_factor,
+    numerical_rank,
+)
 from detchan.states import _overlap_inverse
 from helpers import (
     FREE_UNDETERMINED,
@@ -51,6 +57,7 @@ from helpers import (
     sub_seed,
     transforms,
     unit_row_factor,
+    well_conditioned_set,
 )
 
 INV_SQRT2 = 2**-0.5
@@ -1220,11 +1227,12 @@ def test_spectral_work_per_check(monkeypatch):
     # One Gram product per set and one shifted Cholesky per set certifying
     # its full rank.  A certified feasible check then proves its fast accept
     # with a third shifted Cholesky, of the completed ratio matrix, and reads
-    # min_eigenvalue with one eigvalsh: no eigenvectors.  A fully defined
-    # Infeasible pair flags a pair in the audit, so its completion has an
-    # eigenvalue below -tol and no Cholesky of it is tried (it could not
-    # succeed): one full eigh decides.  A build check, whose spectrum it
-    # factors for synthesis, takes that eigh at once.
+    # min_eigenvalue with one eigvalsh: no eigenvectors.  A build check of
+    # that pair, whose spectrum it factors for synthesis, takes one eigh at
+    # once.  A fully defined Infeasible pair flags a pair in the audit, so
+    # its completion has an eigenvalue below -tol and no Cholesky of it is
+    # tried (it could not succeed): one eigvalsh decides, bare or build, and
+    # no eigh follows, as the completion fails the PSD rule.
     # Only a dependent set takes more: the initial set's eigenpairs (one
     # eigh, which also gives the built channel's residuals; with a free
     # pair, as in this one, no Cholesky is tried first), the final set's
@@ -1248,7 +1256,8 @@ def test_spectral_work_per_check(monkeypatch):
 
     assert work(feasibility_check(initial, final), FEASIBLE) == (2, 3, 1, 0)
     assert work(_check(initial, final, DEFAULT_TOL, build=True), FEASIBLE) == (2, 2, 0, 1)
-    assert work(feasibility_check(final, initial), INFEASIBLE) == (2, 2, 0, 1)
+    assert work(feasibility_check(final, initial), INFEASIBLE) == (2, 2, 1, 0)
+    assert work(_check(final, initial, DEFAULT_TOL, build=True), INFEASIBLE) == (2, 2, 1, 0)
     assert work(feasibility_check(dependent, dependent), FEASIBLE) == (2, 0, 1, 2)
 
 
@@ -1277,10 +1286,13 @@ def test_no_completion_cholesky_could_certify_a_flagged_pair():
     # completion once the audit flags a pair.  That factorization could
     # never succeed: with no undefined nonzero pair the flagged ratio is
     # defined with |mu| > 1 + tol, so the completion has an eigenvalue below
-    # -tol, far past the factorization's backward error.
+    # -tol, far past the factorization's backward error.  Its eigenvalues
+    # decide instead: where the completion fails the PSD rule, a bare and a
+    # build check both report eigvalsh's smallest eigenvalue, bit for bit.
     rng = np.random.default_rng(2103)
     sizes = [n for n in range(3, 9) for _ in range(20)] + [64]
     skipped = {False: 0, True: 0}  # by near
+    decided = 0
     for n in sizes:
         for tol in (1e-9, 1e-6, 1e-3):
             for near in (False, True):
@@ -1293,7 +1305,61 @@ def test_no_completion_cholesky_could_certify_a_flagged_pair():
                 assert not _certifies_full_rank(completion, DEFAULT_RANK_TOL)
                 certified = not m.free_pairs and _certifies_full_rank(report._pair.g1, tol)
                 skipped[near] += certified
+                w = np.linalg.eigvalsh(completion)
+                if report.min_eigenvalue is None or _psd_verdict(w[::-1], tol)[0]:
+                    continue  # decided before any eigensolve, or PSD within tol
+                note = f"ratio matrix has negative eigenvalue {w[0]:.6e}"
+                for r in (report, _check(initial, final, tol, build=True)):
+                    assert (r.verdict, r.notes[-1], r._pair.c) == (INFEASIBLE, note, None)
+                    assert repr(r.min_eigenvalue) == repr(float(w[0]))
+                decided += 1
     assert min(skipped.values()) >= 200, skipped
+    assert decided >= 400, decided
+
+
+def flagged_psd_pair(rng: np.random.Generator, n: int, tol: float):
+    """Two independent sets of n states in C^n with G1 = G2 but for the pair
+    (j, k) of largest final overlap, whose initial overlap is scaled by
+    1 + eps: the completion is J + eps (E_jk + E_kj), with smallest
+    eigenvalue -eps and spectral radius about n.  eps lies between
+    tol / |G2_jk| (so the pair is flagged) and tol * n (so the completion
+    passes the relative PSD rule); n |G2_jk| > 1 is needed."""
+    final = well_conditioned_set(rng, n, n)
+    g2 = gram(final)
+    off = np.abs(g2) - np.eye(n)
+    j, k = np.unravel_index(np.argmax(off), off.shape)
+    assert n * off[j, k] > 1.0
+    g1 = g2.copy()
+    eps = 0.5 * tol * (1.0 / off[j, k] + n)
+    g1[j, k] *= 1.0 + eps
+    g1[k, j] *= 1.0 + eps
+    return StateSet.from_vectors(spectral_factor(g1), normalize=True), final
+
+
+def test_flagged_completion_psd_within_tol_takes_eigh(monkeypatch):
+    # A flagged completion whose smallest eigenvalue lies in
+    # [-tol max(1, radius), -tol) passes the PSD rule: the check then takes
+    # eigh, as an unflagged one does, and its min_eigenvalue, factor C,
+    # verdict and notes are those of that eigh, bit for bit.  At N = 2
+    # eigh's and eigvalsh's eigenvalues agree bitwise, so these pairs are
+    # N >= 3.
+    rng = np.random.default_rng(2612)
+    counts = count_calls(monkeypatch, (np.linalg, "eigvalsh"), (np.linalg, "eigh"))
+    for n in (3, 4, 6, 8):
+        initial, final = flagged_psd_pair(rng, n, DEFAULT_TOL)
+        for build in (False, True):
+            counts.clear()
+            report = _check(initial, final, DEFAULT_TOL, build)
+            assert (counts["eigvalsh"], counts["eigh"]) == (1, 1)
+            assert len(report.violating_pairs) == 1
+            completion = report._pair.completion
+            w, v = np.linalg.eigh(completion)
+            radius = float(np.max(np.abs(w)))
+            assert -DEFAULT_TOL * radius <= w[0] < -DEFAULT_TOL
+            assert report.verdict == FEASIBLE and report.notes == ()
+            assert repr(report.min_eigenvalue) == repr(float(w[0]))
+            c = _spectral_factor(w[::-1], v[:, ::-1], DEFAULT_TOL)
+            np.testing.assert_array_equal(report._pair.c, c, strict=True)
 
 
 def traced_bare_check(initial, final):

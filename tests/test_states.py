@@ -62,9 +62,12 @@ def test_stateset_rejects_empty_and_mismatched():
         (2, np.zeros((0, 2)), InvalidDimensionsError, "need N >= 1 and D >= 1"),
         (2, [[np.nan, 1.0]], NotFiniteError, "NaN or Inf"),
         (2, [[np.inf, 0.0]], NotFiniteError, "NaN or Inf"),
+        # Its square overflows: the norm reads inf, with no numpy warning.
+        (2, [[1e200, 0.0]], NotNormalizedError, "deviate from 1 by up to inf"),
     ],
-    ids=["1-D", "no-states", "nan", "inf"],
+    ids=["1-D", "no-states", "nan", "inf", "overflow"],
 )
+@pytest.mark.filterwarnings("error")
 def test_stateset_rejects_malformed_amplitudes(dimension, states, error, reason):
     with pytest.raises(error, match=reason):
         StateSet(dimension, states)
@@ -76,6 +79,20 @@ def test_from_vectors_refuses_non_finite_amplitudes_before_normalizing(amplitude
     # No norm is taken of a NaN or Inf row, so numpy warns of no invalid division.
     with pytest.raises(NotFiniteError, match="NaN or Inf"):
         StateSet.from_vectors([[1.0, 0.0], [amplitude, 1.0]], normalize=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_from_vectors_scales_only_rows_whose_squares_overflow():
+    # A row past 1e154 is divided by its largest modulus before its norm is
+    # taken, so it normalizes with no overflow warning to the state of its
+    # unscaled copy (to rounding); every other row keeps its bits.
+    rows = [[1e200 * np.cos(0.3), 1e200j * np.sin(0.3)], [1.5e308, -1.5e308], [3.0, 4.0j]]
+    s = StateSet.from_vectors(rows, normalize=True)
+    plain = StateSet.from_vectors([[np.cos(0.3), 1j * np.sin(0.3)], [1.0, -1.0]], normalize=True)
+    np.testing.assert_allclose(s.states[:2], plain.states, rtol=0, atol=4e-16)
+    np.testing.assert_array_equal(
+        s.states[2], StateSet.from_vectors([rows[2]], normalize=True).states[0], strict=True
+    )
 
 
 def test_from_vectors_refuses_to_normalize_a_zero_vector():
