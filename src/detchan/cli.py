@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DetchanError, NotFeasibleError, SchemaError
-from .feasibility import FEASIBLE, INFEASIBLE, _check, _upper_pairs, feasibility_check
+from .feasibility import FEASIBLE, INFEASIBLE, _check, feasibility_check
 from .numerics import DEFAULT_PURITY_TOL, DEFAULT_TOL
 from .states import StateSet, random_state_set, superpose
 
@@ -39,7 +39,12 @@ def main(argv=None) -> int:
         code, document = args.func(args)
         from . import serialize
 
-        _write(document if isinstance(document, str) else serialize.dumps(document), args.out)
+        text = document if isinstance(document, str) else serialize.dumps(document)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
         return code
     except (DetchanError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -100,14 +105,6 @@ def _load_state_sets(*paths) -> tuple[StateSet, ...]:
     from . import serialize
 
     return tuple(serialize.state_set_from_obj(serialize.load_document(path)) for path in paths)
-
-
-def _write(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_check(args) -> tuple[int, object]:
@@ -300,8 +297,8 @@ def _cmd_sweep(args) -> tuple[int, object]:
         final = _template_state_set(final_template, theta)
         report = _check(initial, final, args.tol, build=True)
         m = report.ratio_matrix
-        j, k = _upper_pairs(m.defined)  # m is Hermitian: its upper triangle holds every |mu|
-        max_mu = float(np.max(np.abs(m.entries[j, k]))) if len(j) else None
+        upper = m.entries[np.triu(m.defined, 1)]  # m is Hermitian: this holds every |mu|
+        max_mu = float(np.max(np.abs(upper))) if upper.size else None
         uniform_purity = None
         if report.verdict == FEASIBLE:
             ks = _synthesize_from(report, initial, final, args.tol)

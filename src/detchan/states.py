@@ -72,13 +72,16 @@ class StateSet:
         if normalize and np.all(np.isfinite(arr)):  # else refused below, before any norm
             with np.errstate(over="ignore"):
                 norms = np.linalg.norm(arr, axis=1, keepdims=True)
-            huge = np.isinf(norms[:, 0])  # squares past the largest double: scaled down first
-            if huge.any():
+            # Squares past the largest double, or so small that they lose
+            # digits or vanish: such a row is divided by its largest modulus first.
+            extreme = np.isinf(norms[:, 0]) | (norms[:, 0] < 1e-150)
+            if extreme.any():
+                peaks = np.max(np.abs(arr[extreme]), axis=1, keepdims=True)
+                if np.any(peaks == 0.0):
+                    raise ZeroVectorError("cannot normalize a zero vector")
                 arr = arr.copy()
-                arr[huge] /= np.max(np.abs(arr[huge]), axis=1, keepdims=True)
-                norms[huge] = np.linalg.norm(arr[huge], axis=1, keepdims=True)
-            if np.any(norms == 0.0):
-                raise ZeroVectorError("cannot normalize a zero vector")
+                arr[extreme] /= peaks
+                norms[extreme] = np.linalg.norm(arr[extreme], axis=1, keepdims=True)
             arr = arr / norms
         return cls(
             dimension=arr.shape[1],

@@ -1,4 +1,6 @@
-"""Shared instance builders for the test suite.
+"""Shared instance builders for the test suite, and the one place each kind
+of pin is made: the kernel tally (``tally``), the golden comparison
+(``matches_golden``) and the allocation probe (``traced_bare_check``).
 
 Random feasible pairs are built constructively rather than by rejection:
 draw a PSD unit-diagonal coefficient matrix ``M = C C^dag`` (rows of C
@@ -12,15 +14,21 @@ overlap-ratio matrix equals M up to roundoff.
 from __future__ import annotations
 
 import json
+import os
+import pkgutil
+import tracemalloc
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
+import detchan
 from detchan import (
     DEFAULT_TOL,
     StateSet,
     apply_channel,
+    feasibility_check,
     gram,
     random_state_set,
     state_to_density,
@@ -29,10 +37,26 @@ from detchan.numerics import _spectral_factor
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+#: The environment of a fresh interpreter that imports the package under test.
+FRESH_ENV = {**os.environ, "PYTHONPATH": str(Path(detchan.__file__).resolve().parents[1])}
 
 
 def fx(name) -> str:
     return str(FIXTURES / name)
+
+
+INV_SQRT2 = 2**-0.5
+
+
+def zero_plus() -> StateSet:
+    """|0> and |+>."""
+    return StateSet.from_vectors([[1, 0], [INV_SQRT2, INV_SQRT2]])
+
+
+def cos09_final() -> StateSet:
+    """|0> and a state of overlap 0.9 with it, whose second amplitude is
+    sqrt(0.19) (1 - 0.9**2 is not 0.19 in floating point)."""
+    return StateSet.from_vectors([[1, 0], [0.9, np.sqrt(0.19)]])
 
 
 #: The 50-point sweep of sweep_cos.csv.
@@ -82,6 +106,28 @@ GOLDEN_CASES = [
         "check_infeasible_all_pairs.json",
     ),
 ]
+
+
+def matches_golden(output: str | bytes, name: str) -> bool:
+    """Whether a CLI output, text or bytes, is the golden file ``name`` byte
+    for byte: the one comparison of an output with a golden file."""
+    data = output if isinstance(output, bytes) else output.encode()
+    return data == (GOLDEN / name).read_bytes()
+
+
+def assert_sweep_near_golden(text: str) -> None:
+    """A sweep's CSV output against sweep_cos.csv: the same header, rows,
+    theta and verdict, and each other number within 1e-12, empty where the
+    golden's is."""
+    rows = [line.split(",") for line in text.splitlines()]
+    golden = [line.split(",") for line in (GOLDEN / "sweep_cos.csv").read_text().splitlines()]
+    assert len(rows) == len(golden) and rows[0] == golden[0]
+    for row, want in zip(rows[1:], golden[1:]):
+        assert (row[0], row[2]) == (want[0], want[2])  # theta, verdict
+        for i in (1, 3, 4):  # min_eig, max_mu, uniform_purity
+            assert (row[i] == "") == (want[i] == "")
+            assert row[i] == "" or abs(float(row[i]) - float(want[i])) <= 1e-12
+
 
 #: Stands in an ``ERROR_CASES`` argv for the file that holds the row's document.
 DOC = "<document>"
@@ -493,15 +539,54 @@ def check_mix(seed: int, n: int = 64, rank: int = 48):
     return [(sets[0], sets[1]), (sets[1], sets[0]), (sets[2], sets[3])]
 
 
+def traced_bare_check(initial, final):
+    """A bare check's report, and the traced peak and retained memory of the
+    call (tracemalloc sees numpy's array data), in units of N^2 complex128."""
+    feasibility_check(initial, final)  # warm-up: lazy imports and caches
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = feasibility_check(initial, final)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    unit = initial.n**2 * 16
+    return report, (peak - base) / unit, (kept - base) / unit
+
+
 def count_calls(monkeypatch, *targets) -> Counter:
-    """Wrap each ``(module, name)`` target in a call counter; the returned
-    Counter is keyed by name and updates live."""
+    """Wrap each ``(module, name)`` target in a call counter.  The returned
+    Counter updates live and is keyed both by name, summed over the targets,
+    and by ``module.name`` with the module's last dotted part (``linalg.eigh``,
+    ``feasibility.gram``)."""
     counts = Counter()
     for owner, name in targets:
+        keys = (name, f"{owner.__name__.rpartition('.')[2]}.{name}")
 
-        def wrapper(*args, _name=name, _fn=getattr(owner, name), **kwargs):
-            counts[_name] += 1
+        def wrapper(*args, _keys=keys, _fn=getattr(owner, name), **kwargs):
+            counts.update(_keys)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
     return counts
+
+
+#: The kernel tally's table: the numpy.linalg kernels it counts, and the
+#: library functions it counts in every detchan module that binds them.
+TALLY_KERNELS = ("cholesky", "eigh", "eigvalsh", "solve", "svd", "cond", "lstsq")
+TALLY_FUNCTIONS = (
+    "gram", "_ratio_matrix", "_overlap_inverse", "_span_duals", "span_duals",
+    "linear_independence", "apply_channel", "fingerprint", "_check",
+)
+
+
+def tally(monkeypatch) -> Counter:
+    """``count_calls`` on every entry of the tally's table, for the rest of
+    the test."""
+    modules = [import_module(f"detchan.{m.name}") for m in pkgutil.iter_modules(detchan.__path__)]
+    bound = [(m, name) for name in TALLY_FUNCTIONS for m in modules if hasattr(m, name)]
+    return count_calls(monkeypatch, *((np.linalg, name) for name in TALLY_KERNELS), *bound)

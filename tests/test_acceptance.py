@@ -6,7 +6,6 @@ fixed here, nothing is calibrated at runtime.
 """
 
 import numpy as np
-import pytest
 
 from detchan import (
     FEASIBLE,
@@ -16,7 +15,6 @@ from detchan import (
     coherence_probe,
     distinguishability_audit,
     feasibility_check,
-    gram,
     kraus_to_choi,
     random_state_set,
     span_duals,
@@ -28,20 +26,21 @@ from detchan import (
 from detchan import cli
 from detchan.numerics import frobenius
 from helpers import (
-    GOLDEN,
     GOLDEN_CASES,
+    INV_SQRT2,
     bounded_complete_coefficients,
     descending_eig,
     feasible_pair,
     haar_unitary,
+    matches_golden,
     pair_witness,
     sub_seed,
     subset_instance,
     transforms,
     well_conditioned_set,
+    zero_plus,
 )
 
-INV_SQRT2 = 2**-0.5
 N_TRIALS = 1000
 
 _feasible_instances = None
@@ -120,7 +119,7 @@ def test_criterion_02_necessity_certificates():
 
 
 def test_criterion_03_two_state_closed_form():
-    initial = StateSet.from_vectors([[1, 0], [INV_SQRT2, INV_SQRT2]])
+    initial = zero_plus()
 
     def final_for(theta):
         return StateSet.from_vectors([[1, 0], [np.cos(theta), np.sin(theta)]])
@@ -298,7 +297,7 @@ def test_criterion_10_cli_determinism(capsys):
         if first != second:
             ok = False
             details.append(f"{golden_name}: nondeterministic")
-        if first != (GOLDEN / golden_name).read_text():
+        if not matches_golden(first, golden_name):
             ok = False
             details.append(f"{golden_name}: differs from golden")
     record(10, "CLI golden files byte-identical, with their exit codes", ok, "; ".join(details))

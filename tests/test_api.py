@@ -1,15 +1,14 @@
 """The public surface of the package, pinned name by name, and the
 tolerance validation every public entry point shares."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import detchan
+from helpers import FRESH_ENV
 
 PUBLIC_NAMES = [
     "CoherenceReport",
@@ -101,9 +100,7 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(detchan.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(detchan, name) is not None
-    src = str(Path(detchan.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", LAZY_PROBE], check=True, env=env)
+    subprocess.run([sys.executable, "-c", LAZY_PROBE], check=True, env=FRESH_ENV)
 
 
 # ------------------------------------------------------------ tolerances

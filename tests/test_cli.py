@@ -6,25 +6,29 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import detchan
-from detchan import DEFAULT_PURITY_TOL, StateSet, cli, coherence, feasibility, states, synthesis
+from detchan import DEFAULT_PURITY_TOL, StateSet, cli, synthesis
 from detchan import serialize as ser
 from helpers import (
     DOC,
     ERROR_CASES,
     FIXTURES,
     FREE_UNDETERMINED,
+    FRESH_ENV,
     GOLDEN,
     GOLDEN_CASES,
     SWEEP_ARGV,
+    assert_sweep_near_golden,
     count_calls,
     feasible_pair,
     fx,
+    matches_golden,
+    tally,
 )
 
 
@@ -32,11 +36,6 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def assert_golden(text, name):
-    expected = (GOLDEN / name).read_text()
-    assert text == expected, f"output does not match golden file {name}"
 
 
 # ---------------------------------------------------------------- golden files
@@ -50,7 +49,7 @@ def test_golden_table_names_every_golden_file_once():
 def test_golden_outputs_and_exit_codes(capsys, argv, expect_code, golden):
     code, out, _ = run(capsys, argv)
     assert code == expect_code
-    assert_golden(out, golden)
+    assert matches_golden(out, golden)
     # byte-identical on a second run
     code2, out2, _ = run(capsys, argv)
     assert code2 == code and out2 == out
@@ -62,17 +61,40 @@ def console(argv, cwd):
     detchan.cli`, importing the package under test."""
     script = shutil.which("detchan")
     command = [script] if script else [sys.executable, "-W", "error", "-m", "detchan.cli"]
-    src = str(Path(detchan.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error"}
+    env = {**FRESH_ENV, "PYTHONWARNINGS": "error"}
     return subprocess.run(command + argv, env=env, cwd=cwd, capture_output=True)
 
 
+#: How many console-entry-point processes run at once.
+CONSOLE_PROCESSES = 2
+
+
+@pytest.fixture(scope="module")
+def console_runs(request, tmp_path_factory):
+    """Per selected console-entry-point test id, the directory its fresh
+    process runs in and a future of its ``console`` result.  Every one is
+    queued on first use, in test order, and ``CONSOLE_PROCESSES`` run at once."""
+    runs = {}
+    with ThreadPoolExecutor(CONSOLE_PROCESSES) as pool:
+        for item in request.session.items:
+            if item.name.startswith("test_console_entry_point"):
+                params, cwd = item.callspec.params, tmp_path_factory.mktemp("console")
+                argv = params["argv"]
+                if "document" in params:
+                    argv = error_argv(cwd, argv, params["document"])
+                runs[item.nodeid] = cwd, pool.submit(console, argv, cwd)
+        yield runs
+        pool.shutdown(cancel_futures=True)
+
+
 @pytest.mark.parametrize("argv, expect_code, golden", GOLDEN_CASES)
-def test_console_entry_point_reproduces_the_goldens(tmp_path, argv, expect_code, golden):
+def test_console_entry_point_reproduces_the_goldens(
+    request, console_runs, argv, expect_code, golden
+):
     # The same bytes and exit code, and nothing on stderr.
-    done = console(argv, tmp_path)
+    done = console_runs[request.node.nodeid][1].result()
     assert (done.returncode, done.stderr.decode()) == (expect_code, "")
-    assert done.stdout == (GOLDEN / golden).read_bytes(), f"output differs from golden {golden}"
+    assert matches_golden(done.stdout, golden)
 
 
 #: uniform_purity column of sweep_cos.csv as the per-operator channel sum
@@ -112,20 +134,18 @@ def test_sweep_checks_each_grid_point_once(capsys, monkeypatch):
     code, out, _ = run(capsys, SWEEP_ARGV)
     assert code == 0
     assert (counts["_check"], counts["feasibility_check"]) == (50, 0)
-    assert_golden(out, "sweep_cos.csv")
+    assert matches_golden(out, "sweep_cos.csv")
 
 
 def test_only_synth_fingerprints_its_sets(capsys, monkeypatch):
     # sweep and coherence build channels that they never write out, so
     # they hash no state set; synth writes both fingerprints.
-    counts = count_calls(
-        monkeypatch, *[(module, "fingerprint") for module in (states, synthesis, coherence)]
-    )
+    counts = tally(monkeypatch)
     code, out, _ = run(capsys, SWEEP_ARGV)
     assert code == 0
-    assert_golden(out, "sweep_cos.csv")
+    assert matches_golden(out, "sweep_cos.csv")
     assert run(capsys, SUBCOMMAND_ARGV["coherence"])[0] == 0
-    assert sum(counts.values()) == 0
+    assert counts["fingerprint"] == 0
     assert run(capsys, SUBCOMMAND_ARGV["synth"])[0] == 0
     assert counts["fingerprint"] == 2
 
@@ -146,12 +166,13 @@ def test_repeated_calls_share_only_the_parser(capsys, monkeypatch):
     cli._build_parser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     check = ["check", fx("plus_pair.json"), fx("target_09.json")]
-    feasible = (GOLDEN / "check_feasible.json").read_text()
+    feasible = run(capsys, check)[1]
+    assert matches_golden(feasible, "check_feasible.json")
     loose = set()
     for argv, expect_code, golden in GOLDEN_CASES + GOLDEN_CASES[::-1]:
         code, out, _ = run(capsys, argv)
         assert code == expect_code
-        assert_golden(out, golden)
+        assert matches_golden(out, golden)
         assert run(capsys, check + ["--tol", "1e-6"])[:2] == (0, feasible)
         loose.add(run(capsys, check + ["--tol", "0.3"])[:2])
         assert run(capsys, check)[:2] == (0, feasible)
@@ -164,13 +185,11 @@ def test_repeated_calls_share_only_the_parser(capsys, monkeypatch):
 
 
 def test_importing_detchan_builds_no_parser():
-    src = str(Path(detchan.__file__).resolve().parents[1])
     probe = (
         "import detchan, detchan.cli; "
         "assert detchan.cli._build_parser.cache_info().currsize == 0"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", probe], check=True, env=env)
+    subprocess.run([sys.executable, "-c", probe], check=True, env=FRESH_ENV)
 
 
 #: Run in a fresh interpreter: the modules detchan adds to those numpy loads,
@@ -205,12 +224,10 @@ print(json.dumps([sorted(modules) for modules in loaded]))
 
 
 def test_startup_imports_only_what_the_first_call_runs():
-    src = str(Path(detchan.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     argv = [sys.executable, "-c", STARTUP_PROBE, fx("plus_pair.json"), fx("target_09.json"),
             fx("kraus_measure2.json"), fx("plus_state.json"), fx("basis2.json"),
             fx("swapped_basis.json"), fx("sweep_template.json")]
-    out = subprocess.run(argv, check=True, env=env, capture_output=True, text=True).stdout
+    out = subprocess.run(argv, check=True, env=FRESH_ENV, capture_output=True, text=True).stdout
     first, after_check, after_apply, after_sweep, after_synth = map(set, json.loads(out))
     assert {"detchan.feasibility", "detchan.cli"} <= first
     assert not first & {"detchan.coherence", "detchan.synthesis", "detchan.serialize",
@@ -233,7 +250,7 @@ def test_out_flag_writes_identical_bytes(capsys, tmp_path):
         capsys, ["check", fx("plus_pair.json"), fx("target_09.json"), "--out", str(out_file)]
     )
     assert code == 0 and out == ""
-    assert out_file.read_bytes() == (GOLDEN / "check_feasible.json").read_bytes()
+    assert matches_golden(out_file.read_bytes(), "check_feasible.json")
 
 
 def test_synth_output_applies_back(capsys, tmp_path):
@@ -370,23 +387,20 @@ def test_error_outcomes(capsys, tmp_path, argv, document, expect_code, reason):
 
 
 @ERROR_ROWS
-def test_console_entry_point_reports_each_error(tmp_path, argv, document, expect_code, reason):
-    done = console(error_argv(tmp_path, argv, document), tmp_path)
+def test_console_entry_point_reports_each_error(
+    request, console_runs, argv, document, expect_code, reason
+):
+    cwd, future = console_runs[request.node.nodeid]
+    done = future.result()
     out, err = done.stdout.decode(), done.stderr.decode()
-    assert_error_outcome(tmp_path, done.returncode, out, err, expect_code, reason)
+    assert_error_outcome(cwd, done.returncode, out, err, expect_code, reason)
 
 
 @pytest.mark.parametrize("name", ["unparseable", "count", "nan", "support"])
 def test_coherence_rejects_bad_coefficients(capsys, monkeypatch, name):
     # The library's coefficient checks, the only copy, run before any Gram
     # work; test_error_outcomes checks each row's outcome.
-    counts = count_calls(
-        monkeypatch,
-        (states, "gram"),
-        (coherence, "gram"),
-        (feasibility, "gram"),
-        (np.linalg, "cholesky"),
-    )
+    counts = tally(monkeypatch)
     argv, _, expect_code, _ = ERROR_CASES[f"coherence-{name}"]
     assert run(capsys, argv)[0] == expect_code
     assert not counts
@@ -443,7 +457,7 @@ def test_certified_check_accepts_without_eigenvectors(capsys, monkeypatch):
     # the completed ratio matrix and reads min_eigenvalue (exactly 1/2) with
     # eigvalsh, whose last bits at N >= 3 may differ between LAPACK builds,
     # so it is compared within 1e-12, not byte for byte.
-    counts = count_calls(monkeypatch, (np.linalg, "eigh"), (np.linalg, "eigvalsh"))
+    counts = tally(monkeypatch)
     pair = [fx("equiangular_quarter.json"), fx("equiangular_half.json")]
     code, out, _ = run(capsys, ["check", *pair])
     report = json.loads(out)
@@ -551,27 +565,22 @@ def test_sweep_with_pi_and_signs_reproduces_the_golden_sweep(capsys, tmp_path):
     path.write_text(json.dumps(tpl))
     code, out, _ = run(capsys, [SWEEP_ARGV[0], str(path), *SWEEP_ARGV[2:]])
     assert code == 0
-    assert_golden(out, "sweep_cos.csv")
+    assert matches_golden(out, "sweep_cos.csv")
 
 
 def test_sweep_of_a_scaled_row_matches_the_unscaled_sweep(capsys, tmp_path):
     # cos(theta) and sin(theta) times 1e200 square past the largest double,
-    # so normalizing divides that row by its largest modulus first: the same
-    # states to rounding, hence the same verdicts and numbers to 1e-12.
+    # and times 1e-200 below the smallest, so normalizing divides that row by
+    # its largest modulus first: the same states to rounding, hence the same
+    # verdicts and numbers to 1e-12.
     tpl = json.loads((FIXTURES / "sweep_template.json").read_text())
-    tpl["final"][1] = [["1e200*cos(theta)", 0], ["1e200*sin(theta)", 0]]
     path = tmp_path / "tpl.json"
-    path.write_text(json.dumps(tpl))
-    code, out, err = run(capsys, [SWEEP_ARGV[0], str(path), *SWEEP_ARGV[2:]])
-    assert (code, err) == (0, "")
-    rows = [line.split(",") for line in out.splitlines()]
-    golden = [line.split(",") for line in (GOLDEN / "sweep_cos.csv").read_text().splitlines()]
-    assert len(rows) == len(golden) == 51 and rows[0] == golden[0]
-    for row, want in zip(rows[1:], golden[1:]):
-        assert (row[0], row[2]) == (want[0], want[2])  # theta, verdict
-        for i in (1, 3, 4):  # min_eig, max_mu, uniform_purity
-            assert (row[i] == "") == (want[i] == "")
-            assert row[i] == "" or abs(float(row[i]) - float(want[i])) <= 1e-12
+    for scale in ("1e200", "1e-200"):
+        tpl["final"][1] = [[f"{scale}*cos(theta)", 0], [f"{scale}*sin(theta)", 0]]
+        path.write_text(json.dumps(tpl))
+        code, out, err = run(capsys, [SWEEP_ARGV[0], str(path), *SWEEP_ARGV[2:]])
+        assert (code, err) == (0, "")
+        assert_sweep_near_golden(out)
 
 
 def test_gen_unitary_image_preserves_gram(capsys):

@@ -26,28 +26,21 @@ from detchan import (
     synthesize,
     unitary_relation_test,
 )
-from detchan import coherence, feasibility, numerics, states, synthesis
+from detchan import coherence
 from detchan.numerics import frobenius
 from helpers import (
+    INV_SQRT2,
     bounded_complete_coefficients,
-    count_calls,
+    cos09_final,
     embedded,
     feasible_pair,
     near_parallel_pair,
     perturbed,
     sub_seed,
     subset_instance,
+    tally,
+    zero_plus,
 )
-
-INV_SQRT2 = 2**-0.5
-
-
-def zero_plus():
-    return StateSet.from_vectors([[1, 0], [INV_SQRT2, INV_SQRT2]])
-
-
-def cos09_final():
-    return StateSet.from_vectors([[1, 0], [0.9, np.sqrt(0.19)]])
 
 
 # ---------------------------------------------------------------- purity
@@ -154,14 +147,7 @@ def test_malformed_coefficients_are_refused_before_any_gram_work(
     # is formed, no Cholesky runs and no check starts before they are refused.
     s = zero_plus()
     ks = synthesize(s, s)
-    counts = count_calls(
-        monkeypatch,
-        (states, "gram"),
-        (coherence, "gram"),
-        (feasibility, "gram"),
-        (coherence, "_check"),
-        (np.linalg, "cholesky"),
-    )
+    counts = tally(monkeypatch)
     with pytest.raises(error, match=reason):
         coherence_roundtrip(s, s, coefficients)
     with pytest.raises(error, match=reason):
@@ -182,9 +168,7 @@ def test_probe_forms_one_gram_of_the_final_support(monkeypatch):
     # expansion is span_duals' bit for bit.
     base, image, q = unitary_probe_instance()
     ks = synthesize(base, image)
-    counts = count_calls(
-        monkeypatch, (states, "gram"), (coherence, "gram"), (np.linalg, "cholesky")
-    )
+    counts = tally(monkeypatch)
     report = coherence_probe(ks, base, q, final=image)
     assert (counts["gram"], counts["cholesky"]) == (1, 1)
     expected = span_duals(image).conj() @ report.output_state
@@ -511,26 +495,7 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         initial, final = embedded(initial, rng, d), embedded(final, rng, d)
         q = bounded_complete_coefficients(rng, n)
         cases += [(base, image, q, UNITARY_RELATED), (initial, final, q, DECOHERING)]
-    counts = count_calls(
-        monkeypatch,
-        (np.linalg, "eigh"),
-        (np.linalg, "eigvalsh"),
-        (np.linalg, "cholesky"),
-        (np.linalg, "cond"),
-        (np.linalg, "svd"),
-        (states, "gram"),
-        (feasibility, "gram"),
-        (coherence, "gram"),
-        (coherence, "apply_channel"),
-        (coherence, "_ratio_matrix"),
-        (states, "span_duals"),
-        (coherence, "_span_duals"),
-        (states, "linear_independence"),
-        (synthesis, "_span_duals"),
-        (feasibility, "_overlap_inverse"),
-        (coherence, "_overlap_inverse"),
-        (np.linalg, "lstsq"),
-    )
+    counts = tally(monkeypatch)
     for a, b, q, verdict in cases:
         counts.clear()
         rec = coherence_roundtrip(a, b, q)
@@ -540,8 +505,8 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == expected
         assert counts["cond"] == 0 and counts["svd"] <= 1
-        assert counts["apply_channel"] == 1
-        assert counts["_ratio_matrix"] == 0
+        assert counts["coherence.apply_channel"] == 1
+        assert counts["coherence._ratio_matrix"] == 0
         # One initial-dual construction (synthesis) and, per pure output,
         # one final-dual construction; no public re-entry, no least squares.
         pure = verdict == UNITARY_RELATED
@@ -566,7 +531,7 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         expected = (2, 0, 2, 2) if verdict == UNITARY_RELATED else (1, 0, 2, 2)
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == expected
-        assert counts["_ratio_matrix"] == 1
+        assert counts["coherence._ratio_matrix"] == 1
         assert (counts["linear_independence"], counts["span_duals"]) == (0, 0)
         pure = verdict == UNITARY_RELATED
         assert counts["_span_duals"] == counts["_overlap_inverse"] == 1 + pure
@@ -597,15 +562,7 @@ def test_roundtrip_hashes_nothing_and_forms_each_gram_once(monkeypatch):
     image = random_state_set(6, 6, sub_seed(rng), mode="unitary_image", base=base)
     initial, final, _ = feasible_pair(rng, 5, min_subdominant=0.01)
     decohering = embedded(initial, rng, 6), embedded(final, rng, 6)
-    counts = count_calls(
-        monkeypatch,
-        *[
-            (module, name)
-            for module in (numerics, states, feasibility, synthesis, coherence)
-            for name in ("gram", "fingerprint")
-            if hasattr(module, name)
-        ],
-    )
+    counts = tally(monkeypatch)
     for (a, b), verdict in [((base, image), UNITARY_RELATED), (decohering, DECOHERING)]:
         counts.clear()
         rec = coherence_roundtrip(a, b, bounded_complete_coefficients(rng, a.n))
@@ -654,13 +611,13 @@ def test_roundtrip_on_a_partial_support_runs_the_full_test(monkeypatch):
     base = random_state_set(6, 5, sub_seed(rng), mode="independent")
     image = random_state_set(6, 5, sub_seed(rng), mode="unitary_image", base=base)
     initial, final, _ = feasible_pair(rng, 5, min_subdominant=0.01)
-    counts = count_calls(monkeypatch, (coherence, "_ratio_matrix"))
+    counts = tally(monkeypatch)
     for a, b in [(base, image), (initial, final)]:
         q = bounded_complete_coefficients(rng, 5)
         q[2] = 0.0
         counts.clear()
         rec = coherence_roundtrip(a, b, q)
-        assert counts["_ratio_matrix"] == 1
+        assert counts["coherence._ratio_matrix"] == 1
         ref = unitary_relation_test(a, b, support=(0, 1, 3, 4))
         assert rec.test.support == ref.support == (0, 1, 3, 4)
         assert rec.test.verdict == ref.verdict

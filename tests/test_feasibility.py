@@ -1,9 +1,6 @@
-import os
 import re
 import subprocess
 import sys
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +41,10 @@ from detchan.numerics import (
 from detchan.states import _overlap_inverse
 from helpers import (
     FREE_UNDETERMINED,
+    FRESH_ENV,
+    INV_SQRT2,
     channel_residuals,
     check_mix,
-    count_calls,
     descending_eig,
     embedded,
     feasible_pair,
@@ -55,12 +53,13 @@ from helpers import (
     product_pair,
     spectral_factor,
     sub_seed,
+    tally,
+    traced_bare_check,
     transforms,
     unit_row_factor,
     well_conditioned_set,
+    zero_plus,
 )
-
-INV_SQRT2 = 2**-0.5
 
 
 AUDIT_DTYPE = np.dtype(
@@ -81,10 +80,6 @@ def assert_same_records(got, expected):
     assert got.dtype.names == AUDIT_DTYPE.names
     for name in AUDIT_DTYPE.names:
         np.testing.assert_array_equal(got[name], expected[name], strict=True)
-
-
-def zero_plus():
-    return StateSet.from_vectors([[1, 0], [INV_SQRT2, INV_SQRT2]])
 
 
 def cos_family_final(cos_theta):
@@ -379,8 +374,7 @@ print("numpy.rec" in sys.modules)
 def test_audit_records_leave_numpy_rec_unloaded():
     # The records are one filled array viewed as a record array, the dtype and
     # bytes np.rec.fromarrays made; that call imported numpy.rec besides.
-    env = {**os.environ, "PYTHONPATH": str(Path(detchan.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", REC_PROBE], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", REC_PROBE], env=FRESH_ENV, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "False\n"
 
@@ -1096,9 +1090,7 @@ def test_a_gram_condition_between_the_ceiling_and_one_over_tol_takes_one_cholesk
     # still raises where synthesize does, and the set still counts as
     # independent at tol.
     s = tilted(6.3e-7)
-    counts = count_calls(
-        monkeypatch, *((np.linalg, name) for name in ("cholesky", "eigh", "eigvalsh", "solve"))
-    )
+    counts = tally(monkeypatch)
     with pytest.raises(IllConditionedError):
         feasibility_check(s, s, 1e-15)
     assert (counts["cholesky"], counts["eigh"], counts["eigvalsh"]) == (2, 2, 1)
@@ -1153,7 +1145,7 @@ def test_a_bare_accept_between_the_cholesky_and_the_rank_cut_keeps_the_factor(mo
     g1 = (g1 + g1.conj().T) / 2.0
     w1, v1 = np.linalg.eigh(g1)
     initial = StateSet.from_vectors(v1 * np.sqrt(w1), normalize=True)
-    counts = count_calls(monkeypatch, (np.linalg, "solve"))
+    counts = tally(monkeypatch)
     bare = feasibility_check(initial, final)
     assert counts["solve"] == 0
     built = _check(initial, final, DEFAULT_TOL, build=True)
@@ -1240,19 +1232,13 @@ def test_spectral_work_per_check(monkeypatch):
     # Feasible pair once G1 is dependent) and the ratio matrix's eigh.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
     dependent = unit_rows(DEPENDENT_3)
-    counts = count_calls(
-        monkeypatch,
-        (detchan.feasibility, "gram"),
-        (np.linalg, "eigvalsh"),
-        (np.linalg, "eigh"),
-        (np.linalg, "cholesky"),
-    )
+    counts = tally(monkeypatch)
 
     def work(report, verdict):
         assert report.verdict == verdict
-        tally = (counts["gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"])
+        seen = counts["feasibility.gram"], counts["cholesky"], counts["eigvalsh"], counts["eigh"]
         counts.clear()
-        return tally
+        return seen
 
     assert work(feasibility_check(initial, final), FEASIBLE) == (2, 3, 1, 0)
     assert work(_check(initial, final, DEFAULT_TOL, build=True), FEASIBLE) == (2, 2, 0, 1)
@@ -1344,7 +1330,7 @@ def test_flagged_completion_psd_within_tol_takes_eigh(monkeypatch):
     # eigh's and eigvalsh's eigenvalues agree bitwise, so these pairs are
     # N >= 3.
     rng = np.random.default_rng(2612)
-    counts = count_calls(monkeypatch, (np.linalg, "eigvalsh"), (np.linalg, "eigh"))
+    counts = tally(monkeypatch)
     for n in (3, 4, 6, 8):
         initial, final = flagged_psd_pair(rng, n, DEFAULT_TOL)
         for build in (False, True):
@@ -1360,25 +1346,6 @@ def test_flagged_completion_psd_within_tol_takes_eigh(monkeypatch):
             assert repr(report.min_eigenvalue) == repr(float(w[0]))
             c = _spectral_factor(w[::-1], v[:, ::-1], DEFAULT_TOL)
             np.testing.assert_array_equal(report._pair.c, c, strict=True)
-
-
-def traced_bare_check(initial, final):
-    """A bare check's report, and the traced peak and retained memory of the
-    call (tracemalloc sees numpy's array data), in units of N^2 complex128."""
-    feasibility_check(initial, final)  # warm-up: lazy imports and caches
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        report = feasibility_check(initial, final)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        if started:
-            tracemalloc.stop()
-    unit = initial.n**2 * 16
-    return report, (peak - base) / unit, (kept - base) / unit
 
 
 def test_bare_check_allocation_budget():

@@ -22,17 +22,11 @@ from detchan import (
 )
 from detchan.numerics import DEFAULT_TOL
 from detchan.states import _gram_rank
-from helpers import count_calls
-
-INV_SQRT2 = 2**-0.5
+from helpers import INV_SQRT2, count_calls, tally, zero_plus
 
 
 def basis(d):
     return StateSet.from_vectors(np.eye(d))
-
-
-def zero_plus():
-    return StateSet.from_vectors([[1, 0], [INV_SQRT2, INV_SQRT2]])
 
 
 # ---------------------------------------------------------------- StateSet
@@ -93,6 +87,18 @@ def test_from_vectors_scales_only_rows_whose_squares_overflow():
     np.testing.assert_array_equal(
         s.states[2], StateSet.from_vectors([rows[2]], normalize=True).states[0], strict=True
     )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "rows, state", [([[1e-200, 0], [0, 1]], [1, 0]), ([[3e-160, 4e-160], [0, 1]], [0.6, 0.8])]
+)
+def test_from_vectors_scales_rows_whose_squares_underflow(rows, state):
+    # Squares below the smallest double vanish, and subnormal ones lose
+    # digits, so a row below 1e-150 is also divided by its largest modulus
+    # before its norm is taken.
+    s = StateSet.from_vectors(rows, normalize=True)
+    np.testing.assert_allclose(s.states, [state, [0, 1]], rtol=0, atol=2e-16)
 
 
 def test_from_vectors_refuses_to_normalize_a_zero_vector():
@@ -221,9 +227,7 @@ def test_linear_independence_takes_one_cholesky_unless_dependent(monkeypatch):
     # dependent one fails it and is decided by one eigenvalues-only solve.
     s = random_state_set(16, 16, 5, mode="independent")
     dependent = random_state_set(4, 6, 5)
-    counts = count_calls(
-        monkeypatch, (np.linalg, "eigvalsh"), (np.linalg, "eigh"), (np.linalg, "cholesky")
-    )
+    counts = tally(monkeypatch)
     assert linear_independence(s) is True
     assert (counts["eigvalsh"], counts["eigh"], counts["cholesky"]) == (0, 0, 1)
     counts.clear()
@@ -314,16 +318,9 @@ def test_rank_cutoff_fires_before_the_default_ceiling():
 
 def test_span_duals_takes_one_gram_and_no_eigh(monkeypatch):
     s = random_state_set(16, 16, 5, mode="independent")
-    counts = count_calls(
-        monkeypatch,
-        (detchan.states, "gram"),
-        (np.linalg, "eigh"),
-        (np.linalg, "cond"),
-        (np.linalg, "eigvalsh"),
-        (np.linalg, "cholesky"),
-    )
+    counts = tally(monkeypatch)
     span_duals(s)
-    assert (counts["gram"], counts["eigh"], counts["cond"]) == (1, 0, 0)
+    assert (counts["states.gram"], counts["eigh"], counts["cond"]) == (1, 0, 0)
     # One Cholesky proves rank and condition; no eigenvalue is computed.
     assert (counts["cholesky"], counts["eigvalsh"]) == (1, 0)
 

@@ -30,13 +30,15 @@ from detchan import (
     validate_density,
     verify_completeness,
 )
-from detchan import feasibility, serialize, states, synthesis
+from detchan import serialize, states, synthesis
 from detchan.numerics import frobenius
 from helpers import (
     FIXTURES,
     bounded_complete_coefficients,
     channel_residuals,
+    INV_SQRT2,
     count_calls,
+    cos09_final,
     embedded,
     feasible_pair,
     haar_unitary,
@@ -44,19 +46,11 @@ from helpers import (
     output_trace,
     product_pair,
     sub_seed,
+    tally,
     transforms,
     well_conditioned_set,
+    zero_plus,
 )
-
-INV_SQRT2 = 2**-0.5
-
-
-def zero_plus():
-    return StateSet.from_vectors([[1, 0], [INV_SQRT2, INV_SQRT2]])
-
-
-def cos09_final():
-    return StateSet.from_vectors([[1, 0], [0.9, np.sqrt(0.19)]])
 
 
 def measurement_channel(d=2, initial=None, final=None):
@@ -456,18 +450,7 @@ def test_spectral_work_per_synthesize(monkeypatch):
     # only Grams: the ratio matrix and G1 are read off the report, never
     # rebuilt.
     initial, final, _ = feasible_pair(np.random.default_rng(16), 16)
-    counts = count_calls(
-        monkeypatch,
-        (np.linalg, "eigh"),
-        (np.linalg, "cond"),
-        (np.linalg, "svd"),
-        *[
-            (module, name)
-            for module in (feasibility, states, synthesis)
-            for name in ("gram", "_ratio_matrix")
-            if hasattr(module, name)
-        ],
-    )
+    counts = tally(monkeypatch)
     synthesize(initial, final)
     assert counts["eigh"] == 1
     assert (counts["cond"], counts["svd"]) == (0, 0)
@@ -481,24 +464,16 @@ def test_dependent_synthesis_takes_no_more_eigh_than_its_check(monkeypatch):
     # Feasible, so synthesis adds that one inverse to a bare check's work and
     # no eigh, Cholesky or Gram; no SVD anywhere.
     initial, final = product_pair(np.random.default_rng(5), 7, 3, 2)
-    counts = count_calls(
-        monkeypatch,
-        (np.linalg, "eigh"),
-        (np.linalg, "cholesky"),
-        (np.linalg, "svd"),
-        (feasibility, "gram"),
-        (synthesis, "_span_duals"),
-        (feasibility, "_overlap_inverse"),
-    )
+    counts = tally(monkeypatch)
     assert feasibility_check(initial, final).verdict == FEASIBLE
-    names = ("eigh", "cholesky", "gram", "_overlap_inverse")
+    names = ("eigh", "cholesky", "feasibility.gram", "feasibility._overlap_inverse")
     check_work = [counts[name] for name in names]
     counts.clear()
     synthesize(initial, final)
     # The build check's pseudo-inverse of G1, kept on its record, gives the duals.
     assert check_work[3] == 0
     assert [counts[name] for name in names] == check_work[:3] + [1]
-    assert (counts["svd"], counts["_span_duals"]) == (0, 1)
+    assert (counts["svd"], counts["synthesis._span_duals"]) == (0, 1)
 
 
 def test_spanning_dependent_synthesis_gets_no_sink():
