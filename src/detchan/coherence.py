@@ -100,17 +100,31 @@ def coherence_probe(
     measure whether it survives as a pure state.
 
     The Kraus set must carry the fingerprint of ``initial`` (and of
-    ``final`` when supplied).  At least two coefficients must be nonzero.
-    For a pure output the state is recovered as the top eigenvector of
-    the output density matrix; when the final set is available and
-    independent on the support (``_gram_rank``, whose certificate also
-    serves the duals), the output is additionally expanded in the final
-    states, r = Psi2^+ output_state with Psi2^+ their conjugated
-    ``span_duals`` on the support, to recover its combination coefficients.
+    ``final`` when supplied, which must match ``initial`` in size and
+    dimension).  At least two coefficients must be nonzero.  For a pure
+    output the state is the top eigenvector of the output density matrix
+    rho, read by products with rho: with t = Tr rho and p = Tr rho^2 as
+    the probe has measured them, lambda_1 >= p/t and lambda_2 <= t - p/t,
+    so each product shrinks every other component by (t^2 - p)/p, about
+    1e-15 for a unitary channel.  Starting from rho's column at its
+    largest diagonal, the fewest products that this bound takes to
+    rounding run (at most two for a trace-preserving channel at the
+    default ``purity_tol`` and D below 10^4).  A full ``eigh`` runs only
+    where the bound certifies nothing within D products (2p <= t^2, or no
+    diagonal above t - p/t): a loose ``purity_tol``, or a hand-assembled
+    channel that is not trace preserving.  When the final set is
+    available and independent on the support (``_gram_rank``, whose
+    certificate also serves the duals), the output is additionally
+    expanded in the final states, r = Psi2^+ output_state with Psi2^+
+    their conjugated ``span_duals`` on the support, to recover its
+    combination coefficients.
     ``coherence_roundtrip`` skips the fingerprint and dimension checks.
     """
     _check_tolerances(purity_tol=purity_tol)
     q, vec, support = _superposition(initial, coefficients, tol)
+    if final is not None:
+        # A hand-assembled channel carries no final fingerprint to catch these.
+        _check_shapes(initial, final, tol)
     if fingerprint(initial) != ks.initial_fingerprint:
         raise FingerprintMismatchError("Kraus set was not synthesized from this initial set")
     if final is not None and ks.final_fingerprint and fingerprint(final) != ks.final_fingerprint:
@@ -146,9 +160,7 @@ def _probe(ks: KrausSet, q, vec, support, purity_tol):
     is_pure = (1.0 - p) <= purity_tol
     output_state = None
     if is_pure:
-        # apply_channel returns (X + X^dag)/2, exactly Hermitian, so eigh
-        # reads it unchecked; eigh sorts ascending.
-        top = np.linalg.eigh(rho)[1][:, -1]
+        top = _top_eigenvector(rho, p)
         output_state = top * phase_pin(top)
     return CoherenceReport(
         coefficients=q,
@@ -159,6 +171,34 @@ def _probe(ks: KrausSet, q, vec, support, purity_tol):
         output_state=output_state,
         verdict=UNITARY_RELATED if is_pure else DECOHERING,
     )
+
+
+def _top_eigenvector(rho, p: float) -> np.ndarray:
+    # The readout ``coherence_probe`` states, for PSD rho of trace t and
+    # purity p.  Each product shrinks the tangent to v1 by r = (t^2 - p)/p or
+    # more (power method, Golub & Van Loan 8.2), and
+    # rho_jj <= lambda_1 |<v1|e_j>|^2 + (t - p/t) bounds the overlap of e_j
+    # below by (rho_jj - t + p/t)/t.  t^2 - p takes an allowance of
+    # 4 D eps t^2 for the rounding of the measured sums, which also keeps the
+    # overlap bound below 1.  apply_channel returns (X + X^dag)/2, exactly
+    # Hermitian, so eigh reads it unchecked; eigh sorts ascending.
+    d, eps = len(rho), np.finfo(float).eps
+    t = float(np.trace(rho).real)
+    gap = max(t * t - p, 0.0) + 4.0 * d * eps * t * t
+    diag = rho.diagonal().real
+    j = int(np.argmax(diag))
+    overlap = (diag[j] - gap / t) / t
+    r = gap / p
+    if overlap > 0.0:
+        bound = r * np.sqrt((1.0 - overlap) / overlap)
+        for k in range(1, d + 1):
+            if bound <= eps:
+                v = rho[:, j]
+                for _ in range(k - 1):
+                    v = rho @ v
+                return v / np.linalg.norm(v)
+            bound *= r
+    return np.linalg.eigh(rho)[1][:, -1]
 
 
 def _expanded(probe: CoherenceReport, states, g, tol, certified):
@@ -199,7 +239,7 @@ def unitary_relation_test(
     """
     _check_shapes(initial, final, tol)
     n = initial.n
-    support = tuple(range(n)) if support is None else tuple(sorted(set(map(index, support))))
+    support = tuple(range(n)) if support is None else tuple(sorted(set(map(_index, support))))
     if any(i < 0 or i >= n for i in support):
         raise IndexError(f"support {support} out of range for {n} states")
     if len(support) < 2:
@@ -214,6 +254,14 @@ def unitary_relation_test(
         )
     m = _ratio_matrix(g1, g2, np.abs(g1), np.abs(g2), tol)
     return _unitary_relation(sub1, sub2, support, m)
+
+
+def _index(i) -> int:
+    # operator.index, which takes Python bools as 0 and 1: a mask is refused
+    # as numpy refuses its own bools, never read as a list of indices.
+    if isinstance(i, (bool, np.bool_)):
+        raise TypeError(f"support indices must be integers, not {type(i).__name__}")
+    return index(i)
 
 
 def _unitary_relation(sub1: StateSet, sub2: StateSet, support, m) -> CoherenceReport:

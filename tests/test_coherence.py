@@ -34,6 +34,7 @@ from helpers import (
     cos09_final,
     embedded,
     feasible_pair,
+    haar_unitary,
     near_parallel_pair,
     perturbed,
     sub_seed,
@@ -112,15 +113,40 @@ def test_probe_fingerprint_mismatch():
         coherence_probe(ks, other, [1, 1])
 
 
-def test_probe_final_fingerprint_and_dimension_mismatch():
+def test_probe_final_fingerprint_and_dimension_mismatch(monkeypatch):
     s = zero_plus()
-    with pytest.raises(FingerprintMismatchError, match="onto this final set"):
-        coherence_probe(synthesize(s, s), s, [1, 1], final=cos09_final())
-    # A hand-assembled 3-dimensional channel that carries the fingerprint of
-    # a 2-dimensional set.
-    ks = KrausSet.from_operators([np.eye(3)], initial=s)
-    with pytest.raises(DimensionMismatchError, match="channel dimension 3"):
-        coherence_probe(ks, s, [1, 1])
+    # A hand-assembled channel carries no final fingerprint, so a final set
+    # that does not match the initial one is refused by its shape.
+    hand = KrausSet.from_operators([np.eye(2)], initial=s)
+    cases = [
+        (synthesize(s, s), cos09_final(), FingerprintMismatchError, "onto this final set"),
+        # A hand-assembled 3-dimensional channel that carries the fingerprint
+        # of a 2-dimensional set.
+        (
+            KrausSet.from_operators([np.eye(3)], initial=s),
+            None,
+            DimensionMismatchError,
+            "channel dimension 3",
+        ),
+        (
+            hand,
+            StateSet.from_vectors(np.eye(3)[:2]),
+            DimensionMismatchError,
+            "initial dimension 2 != final dimension 3",
+        ),
+        (
+            hand,
+            StateSet.from_vectors([[1, 0], [0, 1], [INV_SQRT2, INV_SQRT2]]),
+            SizeMismatchError,
+            "2 initial states vs 3 final states",
+        ),
+    ]
+    counts = tally(monkeypatch)
+    for ks, final, error, reason in cases:
+        with pytest.raises(error, match=reason):
+            coherence_probe(ks, s, [1, 1], final=final)
+    # Refused before any Gram work or channel application.
+    assert counts["gram"] == counts["cholesky"] == counts["apply_channel"] == 0
 
 
 def test_probe_needs_two_support_states():
@@ -173,6 +199,109 @@ def test_probe_forms_one_gram_of_the_final_support(monkeypatch):
     assert (counts["gram"], counts["cholesky"]) == (1, 1)
     expected = span_duals(image).conj() @ report.output_state
     np.testing.assert_array_equal(report.output_coefficients, expected, strict=True)
+
+
+@st.composite
+def psd_matrices(draw):
+    """PSD matrices of any trace, D <= 12 and rank 1 to D, whose eigenvalue
+    weights spread over twelve decades, so near-rank-one spectra are common."""
+    d = draw(st.integers(min_value=2, max_value=12))
+    rank = draw(st.integers(min_value=1, max_value=d))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    b = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    b *= 10.0 ** rng.uniform(-6.0, 0.0, size=rank)
+    rho = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)) * (b @ b.conj().T)
+    return (rho + rho.conj().T) / 2.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(psd_matrices())
+def test_purity_bounds_the_spectral_gap_and_the_start_overlap(rho):
+    # The footing of the probe's power readout, in numpy alone: for PSD rho
+    # of trace t and purity p, lambda_1 >= p/t and lambda_2 <= t - p/t, so
+    # lambda_2 / lambda_1 <= (t^2 - p)/p; and at rho's largest diagonal j,
+    # |<v1|e_j>|^2 >= (rho_jj - (t - p/t))/t.  Slack 1e-12 covers rounding.
+    lam, vecs = np.linalg.eigh(rho)
+    t = np.trace(rho).real
+    p = np.trace(rho @ rho).real
+    assert lam[-2] / lam[-1] <= (t * t - p) / p + 1e-12
+    j = int(np.argmax(rho.diagonal().real))
+    assert abs(vecs[j, -1]) ** 2 >= (rho[j, j].real - (t - p / t)) / t - 1e-12
+
+
+def eigh_top_state(rho):
+    """The top eigenvector of rho from a full eigh, its largest-modulus
+    entry made real positive."""
+    top = np.linalg.eigh(rho)[1][:, -1]
+    pivot = top[np.argmax(np.abs(top))]
+    return top * (abs(pivot) / pivot)
+
+
+def readout_instances():
+    """(name, channel, initial, final, q) on which the probe reads a state:
+    unitary-related pairs at N = D, N < D and on a partial support; a
+    unitary followed by a dephasing of strength 1e-8; and a decohering
+    D = 2 pair, pure only at a loose purity_tol."""
+    rng = np.random.default_rng(53)
+    rows = []
+    for name, n, d, zero in [("N = D", 6, 6, None), ("N < D", 4, 7, None), ("partial", 6, 6, 2)]:
+        for _ in range(5):
+            base = random_state_set(d, n, sub_seed(rng), mode="independent")
+            image = random_state_set(d, n, sub_seed(rng), mode="unitary_image", base=base)
+            q = bounded_complete_coefficients(rng, n)
+            if zero is not None:
+                q[zero] = 0.0
+            rows.append((name, synthesize(base, image), base, image, q))
+    base = random_state_set(4, 4, sub_seed(rng), mode="independent")
+    u = haar_unitary(4, sub_seed(rng))
+    flip = np.diag([1.0, -1.0, 1.0, -1.0])
+    dephased = [np.sqrt(1.0 - 1e-8) * u, np.sqrt(1e-8) * flip @ u]
+    q = bounded_complete_coefficients(rng, 4)
+    rows.append(("dephased", KrausSet.from_operators(dephased, initial=base), base, None, q))
+    initial, final = zero_plus(), cos09_final()
+    rows.append(("decohering", synthesize(initial, final), initial, final, [1, 1]))
+    return rows
+
+
+@pytest.mark.parametrize("purity_tol", [0.0, 1e-9, 1e-6, 0.5])
+def test_probe_reads_the_top_eigenvector_without_eigh(monkeypatch, purity_tol):
+    # The probe's output state equals eigh's phase-pinned top eigenvector
+    # within 1e-13.  Near-pure outputs take products with rho only; the
+    # decohering D = 2 output, pure at the loose 0.5, is where the purity
+    # bound certifies nothing, and there the probe runs eigh.
+    counts = tally(monkeypatch)
+    read = set()
+    for name, ks, initial, final, q in readout_instances():
+        counts.clear()
+        report = coherence_probe(ks, initial, q, purity_tol=purity_tol, final=final)
+        assert report.is_pure == (1.0 - report.output_purity <= purity_tol)
+        if report.is_pure:
+            read.add(name)
+            assert counts["eigh"] == (name == "decohering")
+            expected = eigh_top_state(report.output_density)
+            np.testing.assert_allclose(report.output_state, expected, rtol=0, atol=1e-13)
+    # Rounding decides purity at purity_tol = 0, yet every kind of pair is
+    # read at least once; the dephased output is pure from 1e-6 up.
+    expected_kinds = {"N = D", "N < D", "partial"}
+    if purity_tol >= 1e-6:
+        expected_kinds.add("dephased")
+    if purity_tol >= 0.5:
+        expected_kinds.add("decohering")
+    assert read == expected_kinds
+
+
+def test_probe_of_a_channel_that_is_not_trace_preserving_runs_eigh():
+    # A1 = |0><v|, A2 = |1><v| with v = (|0> + |1>)/sqrt 2 send v to rho = I,
+    # of trace 2 and purity 2: no eigenvalue dominates, so no product with rho
+    # can single one out.  The probe reads eigh's top eigenvector, [0, 1];
+    # a readout that took the trace as 1 would return rho's column [1, 0].
+    basis = StateSet.from_vectors(np.eye(2))
+    v = np.array([INV_SQRT2, INV_SQRT2])
+    ks = KrausSet.from_operators([np.outer([1, 0], v), np.outer([0, 1], v)], initial=basis)
+    report = coherence_probe(ks, basis, [1, 1])
+    np.testing.assert_array_equal(report.output_density, np.eye(2))
+    assert report.output_purity == 2.0 and report.is_pure
+    np.testing.assert_array_equal(report.output_state, [0, 1])
 
 
 # ------------------------------------------------------- unitary_relation_test
@@ -239,11 +368,13 @@ def test_support_out_of_range_refused(support):
 
 
 def test_support_indices_must_be_integers():
-    # A fractional index is an error, never truncated to a neighbouring state;
-    # numpy integers are indices like any other.
+    # A fractional index is an error, never truncated to a neighbouring state,
+    # and a boolean mask is not a list of indices, whether of Python or numpy
+    # bools; numpy integers are indices like any other.
     s = zero_plus()
-    with pytest.raises(TypeError):
-        unitary_relation_test(s, s, support=[0.2, 1.9])
+    for support in [[0.2, 1.9], [False, True, True], np.array([False, True, True])]:
+        with pytest.raises(TypeError):
+            unitary_relation_test(s, s, support=support)
     report = unitary_relation_test(s, s, support=np.array([1, 0]))
     assert report.support == (0, 1) and report.verdict == UNITARY_RELATED
 
@@ -472,20 +603,21 @@ def test_ratio_trace_is_support_size_on_subsets():
 def test_spectral_work_per_roundtrip(monkeypatch):
     # One feasibility check owns both Gram matrices: it forms each once,
     # settles each rank by one shifted Cholesky with no eigenvalue solve,
-    # and supplies the ratio factor synthesis builds from (one eigh), plus
-    # the probe's output-state eigh for a pure output.  A unitary pair's
-    # ratio matrix has rank one, so its factor drops rounding-sized
-    # eigenvalues, and the check computes the built channel's residuals
-    # from G1's inverse (one solve, no Cholesky), which the initial duals
-    # then read; a decohering pair's duals come from one solve with the
-    # certified G1.  For a pure output the final duals are built once,
-    # from the check's G2 and certificate, and serve both the expansion of
-    # the output state and the device residual.  At full support the
-    # unitary test reads the check's ratio matrix and independence flags,
-    # so it builds no ratio matrix and no Gram.  It takes one SVD (the
-    # Procrustes polar factor) and no eigh, for N = D and N < D alike.  The
-    # channel runs once: the device residual reads the probe's output
-    # density.
+    # and supplies the ratio factor synthesis builds from (one eigh); the
+    # probe reads a pure output's state by products with the output, whose
+    # measured purity bounds the spectral gap, so it adds no eigh.  A
+    # unitary pair's ratio matrix has rank one, so its factor drops
+    # rounding-sized eigenvalues, and the check computes the built
+    # channel's residuals from G1's inverse (one solve, no Cholesky), which
+    # the initial duals then read; a decohering pair's duals come from one
+    # solve with the certified G1.  For a pure output the final duals are
+    # built once, from the check's G2 and certificate, and serve both the
+    # expansion of the output state and the device residual.  At full
+    # support the unitary test reads the check's ratio matrix and
+    # independence flags, so it builds no ratio matrix and no Gram.  It
+    # takes one SVD (the Procrustes polar factor) and no eigh, for N = D and
+    # N < D alike.  The channel runs once: the device residual reads the
+    # probe's output density.
     rng = np.random.default_rng(89)
     cases = []
     for n, d in [(8, 8), (6, 8)]:
@@ -501,9 +633,8 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         rec = coherence_roundtrip(a, b, q)
         assert rec.test.verdict == verdict
         # Every case is at full support: the coefficients are complete.
-        expected = (2, 0, 2, 2) if verdict == UNITARY_RELATED else (1, 0, 2, 2)
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
-        assert work == expected
+        assert work == (1, 0, 2, 2)
         assert counts["cond"] == 0 and counts["svd"] <= 1
         assert counts["coherence.apply_channel"] == 1
         assert counts["coherence._ratio_matrix"] == 0
@@ -528,9 +659,8 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         rec = coherence_roundtrip(a, b, q)
         support = (0, 1, 3, 4, 5)
         assert rec.probe.support == rec.test.support == support
-        expected = (2, 0, 2, 2) if verdict == UNITARY_RELATED else (1, 0, 2, 2)
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
-        assert work == expected
+        assert work == (1, 0, 2, 2)
         assert counts["coherence._ratio_matrix"] == 1
         assert (counts["linear_independence"], counts["span_duals"]) == (0, 0)
         pure = verdict == UNITARY_RELATED
@@ -555,8 +685,9 @@ def assert_same_unitary_on_span(test, ref, sub):
 def test_roundtrip_hashes_nothing_and_forms_each_gram_once(monkeypatch):
     # A roundtrip forms the check's two Grams and nothing else does, and the
     # channel it probes, built from these very sets, is neither fingerprinted
-    # nor checked against them.  (The probe's one plain eigh of the exactly
-    # Hermitian output is counted in ``test_spectral_work_per_roundtrip``.)
+    # nor checked against them.  (The probe reads a pure output's state by
+    # products with the output density and runs no eigh, as
+    # ``test_spectral_work_per_roundtrip`` counts.)
     rng = np.random.default_rng(97)
     base = random_state_set(6, 6, sub_seed(rng), mode="independent")
     image = random_state_set(6, 6, sub_seed(rng), mode="unitary_image", base=base)
