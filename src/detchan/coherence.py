@@ -34,7 +34,14 @@ from .states import (
     gram,
     superpose,
 )
-from .synthesis import KrausSet, _synthesize_from, apply_channel, purity, state_to_density
+from .synthesis import (
+    KrausSet,
+    _amplitudes,
+    _synthesize_from,
+    apply_channel,
+    purity,
+    state_to_density,
+)
 from .feasibility import RatioMatrix, _check, _check_shapes, _ratio_matrix
 
 UNITARY_RELATED = "UnitaryRelated"
@@ -101,23 +108,16 @@ def coherence_probe(
 
     The Kraus set must carry the fingerprint of ``initial`` (and of
     ``final`` when supplied, which must match ``initial`` in size and
-    dimension).  At least two coefficients must be nonzero.  For a pure
-    output the state is the top eigenvector of the output density matrix
-    rho, read by products with rho: with t = Tr rho and p = Tr rho^2 as
-    the probe has measured them, lambda_1 >= p/t and lambda_2 <= t - p/t,
-    so each product shrinks every other component by (t^2 - p)/p, about
-    1e-15 for a unitary channel.  Starting from rho's column at its
-    largest diagonal, the fewest products that this bound takes to
-    rounding run (at most two for a trace-preserving channel at the
-    default ``purity_tol`` and D below 10^4).  A full ``eigh`` runs only
-    where the bound certifies nothing within D products (2p <= t^2, or no
-    diagonal above t - p/t): a loose ``purity_tol``, or a hand-assembled
-    channel that is not trace preserving.  When the final set is
-    available and independent on the support (``_gram_rank``, whose
-    certificate also serves the duals), the output is additionally
-    expanded in the final states, r = Psi2^+ output_state with Psi2^+
-    their conjugated ``span_duals`` on the support, to recover its
-    combination coefficients.
+    dimension).  At least two coefficients must be nonzero.  The output
+    rho is pure when 1 - Tr rho^2 / t^2 <= ``purity_tol``, with t = Tr rho
+    (1 for a trace-preserving channel; a zero output is never pure).  For
+    a pure input v, rho = B B^dag with B the (D, K) matrix of columns
+    A_k v, so a pure output's state is B's top left singular vector, from
+    one thin SVD in O(D K^2).  When the final set is available and
+    independent on the support (``_gram_rank``, whose certificate also
+    serves the duals), the output is additionally expanded in the final
+    states, r = Psi2^+ output_state with Psi2^+ their conjugated
+    ``span_duals`` on the support, to recover its combination coefficients.
     ``coherence_roundtrip`` skips the fingerprint and dimension checks.
     """
     _check_tolerances(purity_tol=purity_tol)
@@ -157,10 +157,12 @@ def _probe(ks: KrausSet, q, vec, support, purity_tol):
     # The purity side of ``coherence_probe``, for the checked superposition vec.
     rho = apply_channel(ks, state_to_density(vec))
     p = purity(rho)
-    is_pure = (1.0 - p) <= purity_tol
+    # Purity of rho / t, since a hand-assembled set need not preserve trace.
+    t = float(np.trace(rho).real)
+    is_pure = t > 0.0 and 1.0 - p / t / t <= purity_tol
     output_state = None
     if is_pure:
-        top = _top_eigenvector(rho, p)
+        top = np.linalg.svd(_amplitudes(ks, vec), full_matrices=False)[0][:, 0]
         output_state = top * phase_pin(top)
     return CoherenceReport(
         coefficients=q,
@@ -171,34 +173,6 @@ def _probe(ks: KrausSet, q, vec, support, purity_tol):
         output_state=output_state,
         verdict=UNITARY_RELATED if is_pure else DECOHERING,
     )
-
-
-def _top_eigenvector(rho, p: float) -> np.ndarray:
-    # The readout ``coherence_probe`` states, for PSD rho of trace t and
-    # purity p.  Each product shrinks the tangent to v1 by r = (t^2 - p)/p or
-    # more (power method, Golub & Van Loan 8.2), and
-    # rho_jj <= lambda_1 |<v1|e_j>|^2 + (t - p/t) bounds the overlap of e_j
-    # below by (rho_jj - t + p/t)/t.  t^2 - p takes an allowance of
-    # 4 D eps t^2 for the rounding of the measured sums, which also keeps the
-    # overlap bound below 1.  apply_channel returns (X + X^dag)/2, exactly
-    # Hermitian, so eigh reads it unchecked; eigh sorts ascending.
-    d, eps = len(rho), np.finfo(float).eps
-    t = float(np.trace(rho).real)
-    gap = max(t * t - p, 0.0) + 4.0 * d * eps * t * t
-    diag = rho.diagonal().real
-    j = int(np.argmax(diag))
-    overlap = (diag[j] - gap / t) / t
-    r = gap / p
-    if overlap > 0.0:
-        bound = r * np.sqrt((1.0 - overlap) / overlap)
-        for k in range(1, d + 1):
-            if bound <= eps:
-                v = rho[:, j]
-                for _ in range(k - 1):
-                    v = rho @ v
-                return v / np.linalg.norm(v)
-            bound *= r
-    return np.linalg.eigh(rho)[1][:, -1]
 
 
 def _expanded(probe: CoherenceReport, states, g, tol, certified):

@@ -19,7 +19,7 @@ DEFAULT_TOL = 1e-9
 #: Relative eigenvalue cutoff of every PSD factor (``_spectral_factor``): the
 #: ratio matrix's factor C that each synthesized channel is built from.
 DEFAULT_RANK_TOL = 1e-10
-#: A state counts as pure when 1 - Tr(rho^2) is at most this.
+#: A state counts as pure when 1 - Tr(rho^2) / Tr(rho)^2 is at most this.
 DEFAULT_PURITY_TOL = 1e-9
 
 

@@ -303,6 +303,17 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
     return out
 
 
+def _amplitudes(ks: KrausSet, v) -> np.ndarray:
+    """The (D, K) matrix B whose column k is A_k v, so that the channel sends
+    the pure input |v><v| to B B^dag.  A set from ``synthesize`` reads its
+    factor, B = Phi diag(Psi^+ v) C, with the sink's S v as a last column."""
+    f = ks._factor
+    if f is None:
+        return (ks.operators @ v).T
+    b = f.targets @ ((f.bras @ v)[:, None] * f.c)
+    return b if f.sink is None else np.column_stack((b, f.sink @ v))
+
+
 def state_to_density(state) -> np.ndarray:
     """Projector |psi><psi| of an amplitude vector."""
     v = np.asarray(state, dtype=np.complex128).reshape(-1)

@@ -580,7 +580,7 @@ def count_calls(monkeypatch, *targets) -> Counter:
 TALLY_KERNELS = ("cholesky", "eigh", "eigvalsh", "solve", "svd", "cond", "lstsq")
 TALLY_FUNCTIONS = (
     "gram", "_ratio_matrix", "_overlap_inverse", "_span_duals", "span_duals",
-    "linear_independence", "apply_channel", "fingerprint", "_check",
+    "linear_independence", "apply_channel", "_amplitudes", "fingerprint", "_check",
 )
 
 

@@ -26,7 +26,7 @@ from detchan import (
     synthesize,
     unitary_relation_test,
 )
-from detchan import coherence
+from detchan import coherence, synthesis
 from detchan.numerics import frobenius
 from helpers import (
     INV_SQRT2,
@@ -37,9 +37,12 @@ from helpers import (
     haar_unitary,
     near_parallel_pair,
     perturbed,
+    spectral_factor,
     sub_seed,
     subset_instance,
     tally,
+    unit_row_factor,
+    well_conditioned_set,
     zero_plus,
 )
 
@@ -201,34 +204,6 @@ def test_probe_forms_one_gram_of_the_final_support(monkeypatch):
     np.testing.assert_array_equal(report.output_coefficients, expected, strict=True)
 
 
-@st.composite
-def psd_matrices(draw):
-    """PSD matrices of any trace, D <= 12 and rank 1 to D, whose eigenvalue
-    weights spread over twelve decades, so near-rank-one spectra are common."""
-    d = draw(st.integers(min_value=2, max_value=12))
-    rank = draw(st.integers(min_value=1, max_value=d))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
-    b = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-    b *= 10.0 ** rng.uniform(-6.0, 0.0, size=rank)
-    rho = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0)) * (b @ b.conj().T)
-    return (rho + rho.conj().T) / 2.0
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(psd_matrices())
-def test_purity_bounds_the_spectral_gap_and_the_start_overlap(rho):
-    # The footing of the probe's power readout, in numpy alone: for PSD rho
-    # of trace t and purity p, lambda_1 >= p/t and lambda_2 <= t - p/t, so
-    # lambda_2 / lambda_1 <= (t^2 - p)/p; and at rho's largest diagonal j,
-    # |<v1|e_j>|^2 >= (rho_jj - (t - p/t))/t.  Slack 1e-12 covers rounding.
-    lam, vecs = np.linalg.eigh(rho)
-    t = np.trace(rho).real
-    p = np.trace(rho @ rho).real
-    assert lam[-2] / lam[-1] <= (t * t - p) / p + 1e-12
-    j = int(np.argmax(rho.diagonal().real))
-    assert abs(vecs[j, -1]) ** 2 >= (rho[j, j].real - (t - p / t)) / t - 1e-12
-
-
 def eigh_top_state(rho):
     """The top eigenvector of rho from a full eigh, its largest-modulus
     entry made real positive."""
@@ -237,11 +212,25 @@ def eigh_top_state(rho):
     return top * (abs(pivot) / pivot)
 
 
+def rank_one_block_pair(rng, d):
+    """A feasible N = 4 pair, carried into C^d, whose ratio matrix
+    M = C C^dag has rank three while its block on states 0 and 1 is rank
+    one: C's rows 0 and 1 are equal, so M_01 = 1."""
+    final = well_conditioned_set(rng, 4, 4)
+    c = unit_row_factor(rng, 4, 3)
+    c[1] = c[0]
+    initial = StateSet.from_vectors(spectral_factor((c @ c.conj().T) * gram(final)), normalize=True)
+    return embedded(initial, rng, d), embedded(final, rng, d)
+
+
 def readout_instances():
     """(name, channel, initial, final, q) on which the probe reads a state:
     unitary-related pairs at N = D, N < D and on a partial support; a
-    unitary followed by a dephasing of strength 1e-8; and a decohering
-    D = 2 pair, pure only at a loose purity_tol."""
+    unitary written as three phased copies U / sqrt 3 (K = 3, operators);
+    a rank-three ratio matrix probed on its rank-one block (K = 3 at D = 4,
+    4 with the sink at D = 6, factor); a unitary followed by a dephasing of
+    strength 1e-8; and a decohering D = 2 pair, pure only at a loose
+    purity_tol."""
     rng = np.random.default_rng(53)
     rows = []
     for name, n, d, zero in [("N = D", 6, 6, None), ("N < D", 4, 7, None), ("partial", 6, 6, 2)]:
@@ -254,6 +243,14 @@ def readout_instances():
             rows.append((name, synthesize(base, image), base, image, q))
     base = random_state_set(4, 4, sub_seed(rng), mode="independent")
     u = haar_unitary(4, sub_seed(rng))
+    copies = [np.exp(1j * k) * u / np.sqrt(3.0) for k in range(3)]
+    q = bounded_complete_coefficients(rng, 4)
+    rows.append(("phased copies", KrausSet.from_operators(copies, initial=base), base, None, q))
+    for d in (4, 6):
+        initial, final = rank_one_block_pair(rng, d)
+        q = bounded_complete_coefficients(rng, 4)
+        q[2:] = 0.0
+        rows.append(("rank-one block", synthesize(initial, final), initial, final, q))
     flip = np.diag([1.0, -1.0, 1.0, -1.0])
     dephased = [np.sqrt(1.0 - 1e-8) * u, np.sqrt(1e-8) * flip @ u]
     q = bounded_complete_coefficients(rng, 4)
@@ -265,43 +262,67 @@ def readout_instances():
 
 @pytest.mark.parametrize("purity_tol", [0.0, 1e-9, 1e-6, 0.5])
 def test_probe_reads_the_top_eigenvector_without_eigh(monkeypatch, purity_tol):
-    # The probe's output state equals eigh's phase-pinned top eigenvector
-    # within 1e-13.  Near-pure outputs take products with rho only; the
-    # decohering D = 2 output, pure at the loose 0.5, is where the purity
-    # bound certifies nothing, and there the probe runs eigh.
+    # The output is pure when the purity of rho / Tr rho is within purity_tol
+    # of 1.  A pure output's state, B's top left singular vector, equals
+    # eigh's phase-pinned top eigenvector of rho = B B^dag within 1e-13, on
+    # both branches of _amplitudes and at K = 1 to 4; no probe runs eigh,
+    # and B is formed once per pure output only.
     counts = tally(monkeypatch)
     read = set()
     for name, ks, initial, final, q in readout_instances():
         counts.clear()
         report = coherence_probe(ks, initial, q, purity_tol=purity_tol, final=final)
-        assert report.is_pure == (1.0 - report.output_purity <= purity_tol)
+        t = np.trace(report.output_density).real
+        assert report.is_pure == (t > 0.0 and 1.0 - report.output_purity / t / t <= purity_tol)
+        assert (counts["eigh"], counts["_amplitudes"]) == (0, report.is_pure)
+        if name in ("phased copies", "rank-one block"):
+            assert ks.kraus_count >= 3
         if report.is_pure:
             read.add(name)
-            assert counts["eigh"] == (name == "decohering")
             expected = eigh_top_state(report.output_density)
             np.testing.assert_allclose(report.output_state, expected, rtol=0, atol=1e-13)
-    # Rounding decides purity at purity_tol = 0, yet every kind of pair is
-    # read at least once; the dephased output is pure from 1e-6 up.
+    # Rounding decides purity at purity_tol = 0, yet each kind of unitary
+    # pair, five instances apiece, is read at least once (the K >= 3 outputs,
+    # one to two apiece, may or may not be); from 1e-9 up every unitary
+    # output is pure, the dephased output from 1e-6 up.
+    few = {"phased copies", "rank-one block"}
     expected_kinds = {"N = D", "N < D", "partial"}
+    if purity_tol >= 1e-9:
+        expected_kinds |= few
     if purity_tol >= 1e-6:
         expected_kinds.add("dephased")
     if purity_tol >= 0.5:
         expected_kinds.add("decohering")
-    assert read == expected_kinds
+    assert expected_kinds <= read <= expected_kinds | few
 
 
-def test_probe_of_a_channel_that_is_not_trace_preserving_runs_eigh():
+def test_amplitudes_of_a_factored_set_match_its_operators():
+    # B read off the factor, Phi diag(Psi^+ v) C with the sink's column,
+    # equals the columns A_k v of the built operators, with and without a
+    # sink, for K = 1 to 4.
+    for _, ks, initial, _, q in readout_instances():
+        if ks.c_factor is None:
+            continue
+        v = np.asarray(q, dtype=complex) @ initial.states
+        b = synthesis._amplitudes(ks, v)
+        assert b.shape == (ks.dimension, ks.kraus_count)
+        np.testing.assert_allclose(b, (ks.operators @ v).T, rtol=0, atol=1e-13)
+
+
+def test_probe_of_a_channel_that_is_not_trace_preserving_normalizes_purity():
     # A1 = |0><v|, A2 = |1><v| with v = (|0> + |1>)/sqrt 2 send v to rho = I,
-    # of trace 2 and purity 2: no eigenvalue dominates, so no product with rho
-    # can single one out.  The probe reads eigh's top eigenvector, [0, 1];
-    # a readout that took the trace as 1 would return rho's column [1, 0].
+    # of trace 2 and purity 2: rho / 2 is maximally mixed, so the output
+    # decoheres and no state is read.  A zero channel's output is never pure.
     basis = StateSet.from_vectors(np.eye(2))
     v = np.array([INV_SQRT2, INV_SQRT2])
     ks = KrausSet.from_operators([np.outer([1, 0], v), np.outer([0, 1], v)], initial=basis)
     report = coherence_probe(ks, basis, [1, 1])
     np.testing.assert_array_equal(report.output_density, np.eye(2))
-    assert report.output_purity == 2.0 and report.is_pure
-    np.testing.assert_array_equal(report.output_state, [0, 1])
+    assert report.output_purity == 2.0 and not report.is_pure
+    assert report.verdict == DECOHERING and report.output_state is None
+    zero = KrausSet.from_operators([np.zeros((2, 2))], initial=basis)
+    report = coherence_probe(zero, basis, [1, 1])
+    assert report.output_purity == 0.0 and report.verdict == DECOHERING
 
 
 # ------------------------------------------------------- unitary_relation_test
@@ -600,24 +621,9 @@ def test_ratio_trace_is_support_size_on_subsets():
         assert np.trace(m.entries).real == pytest.approx(len(support), abs=1e-12)
 
 
-def test_spectral_work_per_roundtrip(monkeypatch):
-    # One feasibility check owns both Gram matrices: it forms each once,
-    # settles each rank by one shifted Cholesky with no eigenvalue solve,
-    # and supplies the ratio factor synthesis builds from (one eigh); the
-    # probe reads a pure output's state by products with the output, whose
-    # measured purity bounds the spectral gap, so it adds no eigh.  A
-    # unitary pair's ratio matrix has rank one, so its factor drops
-    # rounding-sized eigenvalues, and the check computes the built
-    # channel's residuals from G1's inverse (one solve, no Cholesky), which
-    # the initial duals then read; a decohering pair's duals come from one
-    # solve with the certified G1.  For a pure output the final duals are
-    # built once, from the check's G2 and certificate, and serve both the
-    # expansion of the output state and the device residual.  At full
-    # support the unitary test reads the check's ratio matrix and
-    # independence flags, so it builds no ratio matrix and no Gram.  It
-    # takes one SVD (the Procrustes polar factor) and no eigh, for N = D and
-    # N < D alike.  The channel runs once: the device residual reads the
-    # probe's output density.
+def roundtrip_cases():
+    """(initial, final, complete q, verdict): a unitary-related and a
+    decohering pair at N = D = 8 and at N = 6 < D = 8."""
     rng = np.random.default_rng(89)
     cases = []
     for n, d in [(8, 8), (6, 8)]:
@@ -627,25 +633,48 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         initial, final = embedded(initial, rng, d), embedded(final, rng, d)
         q = bounded_complete_coefficients(rng, n)
         cases += [(base, image, q, UNITARY_RELATED), (initial, final, q, DECOHERING)]
+    return cases
+
+
+def test_spectral_work_per_roundtrip(monkeypatch):
+    # One feasibility check owns both Gram matrices: it forms each once,
+    # settles each rank by one shifted Cholesky with no eigenvalue solve,
+    # and supplies the ratio factor synthesis builds from (one eigh); the
+    # probe reads a pure output's state as the top left singular vector of
+    # the channel's amplitudes B (one thin SVD of a D x K matrix, no eigh).
+    # A unitary pair's ratio matrix has rank one, so its factor drops
+    # rounding-sized eigenvalues, and the check computes the built
+    # channel's residuals from G1's inverse (one solve, no Cholesky), which
+    # the initial duals then read; a decohering pair's duals come from one
+    # solve with the certified G1.  For a pure output the final duals are
+    # built once, from the check's G2 and certificate, and serve both the
+    # expansion of the output state and the device residual.  At full
+    # support the unitary test reads the check's ratio matrix and
+    # independence flags, so it builds no ratio matrix and no Gram.  It
+    # takes one SVD (the Procrustes polar factor) and no eigh, for N = D and
+    # N < D alike; a decohering pair fails phase synchronisation first and
+    # takes no SVD.  The channel runs once: the device residual reads the
+    # probe's output density.
+    cases = roundtrip_cases()
     counts = tally(monkeypatch)
     for a, b, q, verdict in cases:
         counts.clear()
         rec = coherence_roundtrip(a, b, q)
         assert rec.test.verdict == verdict
+        pure = verdict == UNITARY_RELATED
         # Every case is at full support: the coefficients are complete.
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == (1, 0, 2, 2)
-        assert counts["cond"] == 0 and counts["svd"] <= 1
+        assert (counts["cond"], counts["svd"], counts["_amplitudes"]) == (0, 2 * pure, pure)
         assert counts["coherence.apply_channel"] == 1
         assert counts["coherence._ratio_matrix"] == 0
         # One initial-dual construction (synthesis) and, per pure output,
         # one final-dual construction; no public re-entry, no least squares.
-        pure = verdict == UNITARY_RELATED
         assert (counts["_span_duals"], counts["span_duals"]) == (1 + pure, 0)
         # G1's inverse once, in the check, G2's per pure output.
         assert counts["_overlap_inverse"] == 1 + pure
         assert (counts["linear_independence"], counts["lstsq"]) == (0, 0)
-        assert (rec.device_residual is not None) == (verdict == UNITARY_RELATED)
+        assert (rec.device_residual is not None) == pure
     # One zero coefficient at N = 6, D = 8: the unitary test runs on the
     # support, from the principal submatrices of the check's G1 and G2, so
     # no Gram is formed beyond the check's two and it builds one ratio
@@ -665,11 +694,26 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         assert (counts["linear_independence"], counts["span_duals"]) == (0, 0)
         pure = verdict == UNITARY_RELATED
         assert counts["_span_duals"] == counts["_overlap_inverse"] == 1 + pure
+        assert counts["svd"] == 2 * pure
         ref = unitary_relation_test(a, b, support=support)
         assert rec.test.verdict == ref.verdict == verdict and rec.agree
         if verdict == UNITARY_RELATED:
             np.testing.assert_allclose(rec.test.phases, ref.phases, rtol=0, atol=1e-12)
             assert_same_unitary_on_span(rec.test, ref, a.subset(support))
+
+
+def test_probe_purity_is_an_n_by_n_formula_on_the_ratio_matrix():
+    # For a synthesized channel on an independent set, A_k psi1_j =
+    # C_jk psi2_j sends the unit input sum_j q~_j psi1_j, q~ = q / ||sum_j
+    # q_j psi1_j||, to rho = Phi A Phi^dag with A = M o (q~ q~^dag) and M the
+    # completed ratio matrix; Phi^dag Phi = G2^T, so Tr rho^2 = Tr[(A G2^T)^2]
+    # with no D x D product.
+    for a, b, q, _ in roundtrip_cases():
+        m = feasibility_check(a, b).ratio_matrix
+        q_unit = q / np.linalg.norm(q @ a.states)
+        ag = (np.where(m.defined, m.entries, 1.0) * np.outer(q_unit, q_unit.conj())) @ gram(b).T
+        probe = coherence_probe(synthesize(a, b), a, q)
+        assert abs(np.trace(ag @ ag).real - probe.output_purity) <= 1e-13
 
 
 def assert_same_unitary_on_span(test, ref, sub):
@@ -686,7 +730,7 @@ def test_roundtrip_hashes_nothing_and_forms_each_gram_once(monkeypatch):
     # A roundtrip forms the check's two Grams and nothing else does, and the
     # channel it probes, built from these very sets, is neither fingerprinted
     # nor checked against them.  (The probe reads a pure output's state by
-    # products with the output density and runs no eigh, as
+    # one SVD of the channel's amplitudes and runs no eigh, as
     # ``test_spectral_work_per_roundtrip`` counts.)
     rng = np.random.default_rng(97)
     base = random_state_set(6, 6, sub_seed(rng), mode="independent")
