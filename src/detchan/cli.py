@@ -295,13 +295,13 @@ def _cmd_sweep(args) -> tuple[int, object]:
         theta = float(theta)
         initial = _template_state_set(initial_template, theta)
         final = _template_state_set(final_template, theta)
-        report = _check(initial, final, args.tol, build=True)
+        report, pair = _check(initial, final, args.tol, build=True)
         m = report.ratio_matrix
         upper = m.entries[np.triu(m.defined, 1)]  # m is Hermitian: this holds every |mu|
         max_mu = float(np.max(np.abs(upper))) if upper.size else None
         uniform_purity = None
         if report.verdict == FEASIBLE:
-            ks = _synthesize_from(report, initial, final, args.tol)
+            ks = _synthesize_from(report, pair, initial, final, args.tol)
             vec, _ = superpose(initial, np.ones(initial.n), args.tol)
             uniform_purity = purity(apply_channel(ks, state_to_density(vec)))
         cells = [cell(theta), cell(report.min_eigenvalue), report.verdict]

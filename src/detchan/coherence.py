@@ -308,30 +308,29 @@ def coherence_roundtrip(
     """Run the purity probe and the structural test on one instance and
     cross-check them.
 
-    Runs ``feasibility_check`` once; its independence flags guard the
-    input on every support and the channel is synthesized from its pair
-    record (the instance must be Feasible).  Probes the superposition given
-    by ``coefficients`` (restricting to its support, which must contain at
-    least two states) and runs the structural test on the same support,
-    from the check's Gram matrices; the two verdicts must agree.  For pure
-    outputs the coefficient law r_j r_k^* = q_j q_k^* mu_jk is verified
-    twice, through Psi2^+, the final states' conjugated duals on the
-    support: once from the expansion coefficients r = Psi2^+ output_state
-    and once by reading the output density matrix through Psi2^+, which
-    sends the final states to an orthonormal basis.  Psi2^+ is built once,
-    from the check's G2 and its certificate, so no Gram is formed again.
-    Its probe skips ``coherence_probe``'s fingerprint and dimension checks.
+    Runs the check once; its report's independence flags guard the input on
+    every support, and its record gives the channel (the instance must be
+    Feasible).  Probes the superposition given by ``coefficients``
+    (restricting to its support, which must contain at least two states) and
+    runs the structural test on the same support, from the check's Gram
+    matrices; the two verdicts must agree.  For pure outputs the coefficient
+    law r_j r_k^* = q_j q_k^* mu_jk is verified twice, through Psi2^+, the
+    final states' conjugated duals on the support: once from the expansion
+    coefficients r = Psi2^+ output_state and once by reading the output
+    density matrix through Psi2^+, which sends the final states to an
+    orthonormal basis.  Psi2^+ is built once, from the check's G2 and its
+    certificate, so no Gram is formed again.  Its probe skips
+    ``coherence_probe``'s fingerprint and dimension checks.
     """
     _check_tolerances(tol=tol, purity_tol=purity_tol)
     q, vec, support = _superposition(initial, coefficients, tol)
-    report = _check(initial, final, tol, build=True)
+    report, pair = _check(initial, final, tol, build=True)
     if not report.initial_independent:
         raise NotIndependentError("initial set must be linearly independent")
     if not report.final_independent:
         raise NotIndependentError("final set must be linearly independent")
-    ks = _synthesize_from(report, initial, final, tol)
+    ks = _synthesize_from(report, pair, initial, final, tol)
     probe = _probe(ks, q, vec, support, purity_tol)  # expanded below
-    pair = report._pair
     if len(support) == initial.n:
         # The report's ratio matrix covers exactly this support.
         sub1, sub2, g2, m, mu = initial, final, pair.g2, report.ratio_matrix, pair.completion

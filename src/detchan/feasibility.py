@@ -76,8 +76,9 @@ class RatioMatrix:
 
 
 class _PairAnalysis(NamedTuple):
-    """The check's read-only G1, G2, ``_certified(G2, tol)`` (False also when
-    not tried, as for a dependent G1), the completed ratio matrix (``m.entries``
+    """What ``_check`` returns beside its report: the read-only G1, G2,
+    ``_certified(G2, tol)`` (False also when not tried, as for a dependent
+    G1), G1's numerical rank, the completed ratio matrix (``m.entries``
     itself when fully defined) and, for a Feasible verdict, the completion's
     factor C (None after a bare fast accept) and G1's ``_overlap_inverse``
     (formed for a build check only)."""
@@ -85,6 +86,7 @@ class _PairAnalysis(NamedTuple):
     g1: np.ndarray
     g2: np.ndarray
     certified2: bool
+    rank1: int
     completion: np.ndarray
     c: np.ndarray | None
     inverse: np.ndarray | None
@@ -102,12 +104,9 @@ class FeasibilityReport:
     distinguishability audit, a read-only record array of the same fields,
     in (j, k) order with j < k; call ``distinguishability_audit`` for every
     pair.  ``ratio_matrix`` is the overlap-ratio matrix the verdict was
-    read from (not serialized).
-    The check owns the pair's Gram matrices: its private ``_pair`` record
-    keeps G1, G2 and what it computed from them, which ``synthesize`` and
-    ``coherence_roundtrip`` read instead of computing them again.  A bare
-    check keeps no inverse of G1; the check they run keeps one for every
-    Feasible verdict.
+    read from (not serialized).  The report keeps nothing else: the Gram
+    matrices and what ``synthesize`` builds from stay in the check's record
+    (``_check``), so a kept report does not pin them.
     """
 
     verdict: str
@@ -117,7 +116,6 @@ class FeasibilityReport:
     final_independent: bool
     notes: tuple[str, ...]
     ratio_matrix: RatioMatrix
-    _pair: _PairAnalysis
 
 
 def distinguishability_audit(
@@ -210,13 +208,16 @@ def feasibility_check(
     come from its eigenpairs, with no inverse formed.  Duals over the 1e12
     condition ceiling (only for tol < 1e-12) raise ``IllConditionedError``.
     """
-    return _check(initial, final, tol, build=False)
+    return _check(initial, final, tol, build=False)[0]
 
 
-def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> FeasibilityReport:
-    """``feasibility_check``; ``build`` also keeps, for a Feasible verdict,
-    the factor C and G1's inverse that ``_synthesize_from`` builds from
-    (for a dependent G1, formed from its eigenpairs)."""
+def _check(
+    initial: StateSet, final: StateSet, tol: float, build: bool
+) -> tuple[FeasibilityReport, _PairAnalysis]:
+    """``feasibility_check``'s report and the record of what it computed;
+    ``build`` also keeps, for a Feasible verdict, the factor C and G1's
+    inverse that ``_synthesize_from`` builds from (for a dependent G1, formed
+    from its eigenpairs)."""
     _check_shapes(initial, final, tol)
     n = initial.n
     g1, g2 = gram(initial), gram(final)
@@ -249,10 +250,10 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
         for part in (g1, g2, completion, c, inverse):
             if part is not None:
                 part.setflags(write=False)
-        pair = _PairAnalysis(g1, g2, certified2, completion, c, inverse)
-        return FeasibilityReport(
-            verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m, pair
+        kept = FeasibilityReport(
+            verdict, min_eig, violations, rank1 == n, rank2 == n, tuple(notes), m
         )
+        return kept, _PairAnalysis(g1, g2, certified2, rank1, completion, c, inverse)
 
     if m.undefined_nonzero_pairs:
         pairs = ", ".join(f"({j}, {k})" for j, k in m.undefined_nonzero_pairs)
@@ -292,8 +293,8 @@ def _check(initial: StateSet, final: StateSet, tol: float, build: bool) -> Feasi
             )
         # A fast accept reads no residuals, but still keeps the factor (and,
         # in a build check, G1's inverse) that synthesis builds from.
-        accept = fast and min_eig > DEFAULT_RANK_TOL * w[-1]
         c = _spectral_factor(*spectrum, tol)
+        accept = fast and c.shape[1] == n  # the factor drops no ratio eigenvalue
         # A build check keeps G1's inverse, and the residuals of a certified G1
         # read it; any other G1's residuals come from its eigenpairs.
         needs_inverse = build or (certified and not accept)

@@ -17,7 +17,7 @@ from .errors import (
     NotFeasibleError,
     SizeMismatchError,
 )
-from .feasibility import _GUARD, FEASIBLE, FeasibilityReport, _check
+from .feasibility import _GUARD, FEASIBLE, FeasibilityReport, _check, _PairAnalysis
 from .numerics import DEFAULT_TOL, _psd_verdict, frobenius
 from .states import StateSet, _span_duals, fingerprint
 
@@ -40,22 +40,24 @@ class KrausSet:
     ``operators`` is one read-only, C-contiguous complex128 array of shape
     (K, D, D): ``operators[k]`` is the Kraus operator A_k, and the set
     satisfies the completeness relation ``sum_k A_k^dag A_k = I``.  The
-    constructor accepts any (K, D, D) array or sequence of K (D, D)
-    matrices and copies it once, so the caller's input is never aliased.
+    constructor accepts any (K, D, D) array or sequence of K (D, D) matrices
+    and copies it once, so the caller's input is never aliased.
     ``c_factor`` is the rank-revealing factor of the overlap-ratio matrix
-    the operators were built from (None for hand-assembled sets); the
+    the operators were built from, or None when none was given (a set read
+    back from a ``detchan synth`` document keeps the document's); the
     fingerprints identify the state sets used during synthesis.
 
-    A set returned by ``synthesize`` is held in factored form instead:
-    ``A_k = Phi diag(C[:, k]) Psi^+`` plus the sink ``I - P`` when the
-    initial set spans a proper subspace, with Phi the final states as
-    columns, C = ``c_factor`` and Psi^+ the pseudo-inverse of the initial
-    states (their conjugated reciprocal states).  Its (K, D, D)
-    ``operators`` array is built from the factor on first read, checked
-    like a constructor argument and kept; ``apply_channel`` and the
-    synthesis guard never read it; its fingerprints are those of its two
-    state sets, each hashed once.  ``dimension`` (D) and ``kraus_count`` (K)
-    come from the factor or the array and never build it.
+    A set returned by ``synthesize`` is held in factored form instead, built
+    by the private ``_from_factor``: ``A_k = Phi diag(C[:, k]) Psi^+`` plus
+    the sink ``I - P`` when the initial set spans a proper subspace, with
+    Phi the final states as columns, C = ``c_factor`` and Psi^+ the
+    pseudo-inverse of the initial states (their conjugated reciprocal
+    states).  Its (K, D, D) ``operators`` array is built from the factor on
+    first read, checked like a constructor argument and kept;
+    ``apply_channel`` and the synthesis guard never read it; its
+    fingerprints are those of its two state sets, each hashed once.
+    ``dimension`` (D) and ``kraus_count`` (K) come from the factor or the
+    array and never build it.
 
     Instances are immutable and safe to share across threads: each lazy
     value is a pure function of what the set was built from and is stored
@@ -64,44 +66,41 @@ class KrausSet:
     """
 
     def __init__(
-        self,
-        operators=None,
-        c_factor=None,
-        initial_fingerprint: str = "",
-        final_fingerprint: str = "",
-        *,
-        _factor: _Factor | None = None,
-        _sources: tuple[StateSet, StateSet] | None = None,
+        self, operators, c_factor=None, initial_fingerprint: str = "", final_fingerprint: str = ""
     ):
-        if (operators is None) == (_factor is None):
-            raise TypeError("KrausSet takes either operators or a synthesis factor")
+        try:
+            ops = np.array(operators, dtype=np.complex128, order="C")
+        except ValueError as exc:
+            # numpy refuses ragged input (operators of different shapes).
+            raise SizeMismatchError(
+                f"Kraus operators do not form a (K, D, D) array: {exc}"
+            ) from exc
         fields = self.__dict__
-        if _factor is None:
-            try:
-                ops = np.array(operators, dtype=np.complex128, order="C")
-            except ValueError as exc:
-                # numpy refuses ragged input (operators of different shapes).
-                raise SizeMismatchError(
-                    f"Kraus operators do not form a (K, D, D) array: {exc}"
-                ) from exc
-            fields["_operators"] = _checked_operators(ops)
-            fields["_factor"] = None
-            fields["dimension"], fields["kraus_count"] = ops.shape[1], ops.shape[0]
-            if c_factor is not None:
-                c_factor = np.array(c_factor, dtype=np.complex128)
-                c_factor.setflags(write=False)
-        else:
-            for part in _factor:
-                if part is not None:
-                    if not np.all(np.isfinite(part)):
-                        raise NotFiniteError("Kraus factor contains NaN or Inf entries")
-                    part.setflags(write=False)
-            fields["_factor"] = _factor
-            fields["dimension"] = _factor.bras.shape[1]
-            fields["kraus_count"] = _factor.c.shape[1] + (_factor.sink is not None)
-            c_factor = _factor.c
+        fields["_operators"] = _checked_operators(ops)
+        fields["_factor"] = None
+        fields["dimension"], fields["kraus_count"] = ops.shape[1], ops.shape[0]
+        if c_factor is not None:
+            c_factor = np.array(c_factor, dtype=np.complex128)
+            c_factor.setflags(write=False)
         fields["c_factor"] = c_factor
-        fields["_sources"] = _sources or (initial_fingerprint, final_fingerprint)
+        fields["_sources"] = (initial_fingerprint, final_fingerprint)
+
+    @classmethod
+    def _from_factor(cls, factor: _Factor, sources: tuple) -> "KrausSet":
+        """A set held as ``factor``, made read-only once each part is finite;
+        ``sources`` are its two state sets, or two fingerprint strings."""
+        for part in factor:
+            if part is not None:
+                if not np.all(np.isfinite(part)):
+                    raise NotFiniteError("Kraus factor contains NaN or Inf entries")
+                part.setflags(write=False)
+        ks = cls.__new__(cls)
+        fields = ks.__dict__
+        fields["_factor"], fields["c_factor"] = factor, factor.c
+        fields["dimension"] = factor.bras.shape[1]
+        fields["kraus_count"] = factor.c.shape[1] + (factor.sink is not None)
+        fields["_sources"] = sources
+        return ks
 
     def __setattr__(self, name, value):
         raise AttributeError(f"KrausSet is immutable; cannot set {name!r}")
@@ -171,10 +170,11 @@ def _kraus_stack(targets, c, bras) -> np.ndarray:
 def synthesize(initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL) -> KrausSet:
     """Kraus operators realizing a Feasible transformation, in factored form.
 
-    Runs ``feasibility_check`` as a build check and reads its private pair
-    record, so no Gram matrix is formed, factored, eigensolved or inverted
-    a second time.  The record keeps the certified ratio matrix as
-    ``C @ C^dag`` with C of minimal column count (``_spectral_factor``, cut at
+    Runs ``feasibility_check`` as a build check and reads the record it
+    returns beside the report, so no Gram matrix is formed, factored,
+    eigensolved or inverted, nor its rank decided, a second time.  The
+    record keeps the certified ratio matrix as ``C @ C^dag`` with C of
+    minimal column count (``_spectral_factor``, cut at
     ``DEFAULT_RANK_TOL``), and ``A_k = sum_j C_jk |psi2_j><w_j|`` with w the
     reciprocal vectors of the initial set (``span_duals`` from the check's
     inverse of G1: the pseudo-inverse Psi^+, any rank), so
@@ -182,11 +182,11 @@ def synthesize(initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL) -> 
     holds because G1 = M o G2 makes ``sum_j n_j C_jk |psi2_j>`` vanish for
     every null vector n of the initial states.  These operators give
     ``sum_k A_k^dag A_k = P``, the projector onto the span of the initial
-    set.  When that span is a proper subspace (rank < D), one more
-    operator, ``I - P``, completes the identity resolution: it annihilates
-    the span and is itself a projector, so it adds ``I - P`` to the sum.
-    The count is K = rank(C) + [rank < D] with rank(C) <= N, so the bound
-    K <= D of an independent set does not carry over to N > D.
+    set.  When that span is a proper subspace (rank < D), one more operator,
+    ``I - P``, completes the identity resolution: it annihilates the span
+    and is itself a projector, so it adds ``I - P`` to the sum.  The count
+    is K = rank(C) + [rank < D] with rank(C) <= N, so the bound K <= D of an
+    independent set does not carry over to N > D.
 
     The returned set keeps the factor (final states, C, C C^dag, reciprocal
     states, sink) and builds its (K, D, D) ``operators`` only when they are
@@ -197,27 +197,25 @@ def synthesize(initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL) -> 
     is Feasible, and ``IllConditionedError`` when the residuals exceed
     ``1e3 * tol``, which a Feasible verdict has ruled out.
     """
-    report = _check(initial, final, tol, build=True)
-    return _synthesize_from(report, initial, final, tol)
+    report, pair = _check(initial, final, tol, build=True)
+    return _synthesize_from(report, pair, initial, final, tol)
 
 
-def _synthesize_from(
-    report: FeasibilityReport, initial: StateSet, final: StateSet, tol: float
-) -> KrausSet:
-    """``synthesize`` from the pair's build check (``_check(..., build=True)``)."""
+def _synthesize_from(report: FeasibilityReport, pair: _PairAnalysis, initial: StateSet,
+                     final: StateSet, tol: float) -> KrausSet:
+    """``synthesize`` from the report and record of the pair's build check
+    (``_check(..., build=True)``)."""
     if report.verdict != FEASIBLE:
         raise NotFeasibleError(
             f"feasibility verdict is {report.verdict}; synthesis needs Feasible",
             report=report,
         )
-    pair = report._pair
     bras = _span_duals(initial.states, pair.inverse).conj()
     sink = None
-    # The trace of the projector Psi^+ Psi is the rank of the initial set.
-    if round(float(np.sum(bras * initial.states).real)) < initial.dimension:
+    if pair.rank1 < initial.dimension:  # the initial set spans a proper subspace
         sink = np.eye(initial.dimension) - initial.states.T @ bras
     factor = _Factor(final.states.T, pair.c, pair.c @ pair.c.conj().T, bras, sink)
-    ks = KrausSet(_factor=factor, _sources=(initial, final))
+    ks = KrausSet._from_factor(factor, (initial, final))
     _verify_synthesis(factor, initial, pair.g2, tol)
     return ks
 

@@ -1,6 +1,8 @@
 """The public surface of the package, pinned name by name, and the
 tolerance validation every public entry point shares."""
 
+import dataclasses
+import inspect
 import subprocess
 import sys
 
@@ -101,6 +103,21 @@ def test_public_names_are_pinned_and_resolve():
     for name in PUBLIC_NAMES:
         assert getattr(detchan, name) is not None
     subprocess.run([sys.executable, "-c", LAZY_PROBE], check=True, env=FRESH_ENV)
+
+
+def test_the_two_answers_hold_only_what_they_report():
+    # The report and the Kraus set carry no private hand-off state: the
+    # check's build record travels beside the report, and a synthesized set
+    # is built by a private classmethod, not through the constructor.
+    fields = [f.name for f in dataclasses.fields(detchan.FeasibilityReport)]
+    assert fields == [
+        "verdict", "min_eigenvalue", "violating_pairs", "initial_independent",
+        "final_independent", "notes", "ratio_matrix",
+    ]
+    parameters = list(inspect.signature(detchan.KrausSet).parameters)
+    assert parameters == ["operators", "c_factor", "initial_fingerprint", "final_fingerprint"]
+    with pytest.raises(TypeError):
+        detchan.KrausSet()
 
 
 # ------------------------------------------------------------ tolerances

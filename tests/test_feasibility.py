@@ -574,7 +574,7 @@ def test_feasibility_check_branches(case):
 
 @pytest.mark.parametrize("case", sorted(BRANCH_CASES))
 def test_only_feasible_reports_keep_the_certifying_spectrum(case):
-    # A build check's private pair record keeps the factor C of the
+    # A build check's record, returned beside its report, keeps the factor C of the
     # certified spectrum, which reconstructs the matrix the verdict was read
     # from: the ratio matrix with its 0/0 pairs completed with 1 (the free_*
     # cases).  Synthesis builds from exactly that C and the kept inverse of
@@ -584,26 +584,26 @@ def test_only_feasible_reports_keep_the_certifying_spectrum(case):
     # keeps the same one.  Every record keeps the completion itself, read-only,
     # and no copy of a fully defined ratio matrix.
     a, b = unit_rows(BRANCH_CASES[case][0]), unit_rows(BRANCH_CASES[case][1])
-    report = _check(a, b, DEFAULT_TOL, build=True)
-    bare = feasibility_check(a, b)
-    assert not hasattr(report, "spectrum") and not hasattr(report._pair, "spectrum")
-    for r in (report, bare):
-        m, completion = r.ratio_matrix, r._pair.completion
+    report, record = _check(a, b, DEFAULT_TOL, build=True)
+    bare, bare_record = _check(a, b, DEFAULT_TOL, build=False)
+    assert not hasattr(report, "spectrum") and not hasattr(record, "spectrum")
+    for r, pair in ((report, record), (bare, bare_record)):
+        m, completion = r.ratio_matrix, pair.completion
         np.testing.assert_array_equal(completion, np.where(m.defined, m.entries, 1.0), strict=True)
         assert not completion.flags.writeable and (completion is m.entries) == m.fully_defined
     if report.verdict != FEASIBLE:
-        for pair in (report._pair, bare._pair):
+        for pair in (record, bare_record):
             assert pair.c is None and pair.inverse is None
         return
-    assert bare._pair.inverse is None
+    assert bare_record.inverse is None
     if case in ("defined_psd", "single_state"):
-        assert bare._pair.c is None
+        assert bare_record.c is None
     else:
-        np.testing.assert_array_equal(bare._pair.c, report._pair.c, strict=True)
+        np.testing.assert_array_equal(bare_record.c, record.c, strict=True)
     m = report.ratio_matrix
     assert bool(m.free_pairs) == case.startswith("free_")
     certified = np.where(m.defined, m.entries, 1.0)
-    c, inverse = report._pair.c, report._pair.inverse
+    c, inverse = record.c, record.inverse
     assert not c.flags.writeable and not inverse.flags.writeable
     np.testing.assert_allclose(c @ c.conj().T, certified, atol=1e-12)
     np.testing.assert_array_equal(c, spectral_factor(certified), strict=True)
@@ -614,10 +614,10 @@ def test_feasible_spectrum_reconstructs_random_ratio_matrices():
     rng = np.random.default_rng(23)
     for n in range(2, 9):
         initial, final, _ = feasible_pair(rng, n)
-        report = _check(initial, final, DEFAULT_TOL, build=True)
+        report, record = _check(initial, final, DEFAULT_TOL, build=True)
         assert report.verdict == FEASIBLE
-        assert feasibility_check(initial, final)._pair.c is None
-        c = report._pair.c
+        assert _check(initial, final, DEFAULT_TOL, build=False)[1].c is None
+        c = record.c
         np.testing.assert_allclose(c @ c.conj().T, report.ratio_matrix.entries, atol=1e-12)
 
 
@@ -798,14 +798,14 @@ def test_near_dependent_pairs_are_feasible_only_when_built():
     verdicts = {}
     for theta in np.geomspace(1e-7, 1e-3, 41):
         s = tilted(theta)
-        report = feasibility_check(s, s)
+        report, record = _check(s, s, DEFAULT_TOL, build=False)
         verdicts[theta] = report.verdict
         assert report.verdict in (FEASIBLE, UNDETERMINED)
         if report.verdict == UNDETERMINED:
             # The completion is all ones: only the dropped direction costs.
             assert not report.initial_independent
             assert report.notes[-1].startswith(RANK_CUT_NOTE)
-            assert report.min_eigenvalue is not None and report._pair.c is None
+            assert report.min_eigenvalue is not None and record.c is None
         assert_feasible_iff_built(s, s, GUARD)
     # The dropped direction costs a per-state residual of about
     # theta / sqrt(2) (theta / 2 on the span operators, theta / 2 in the
@@ -1146,17 +1146,17 @@ def test_a_bare_accept_between_the_cholesky_and_the_rank_cut_keeps_the_factor(mo
     w1, v1 = np.linalg.eigh(g1)
     initial = StateSet.from_vectors(v1 * np.sqrt(w1), normalize=True)
     counts = tally(monkeypatch)
-    bare = feasibility_check(initial, final)
+    bare, bare_record = _check(initial, final, DEFAULT_TOL, build=False)
     assert counts["solve"] == 0
-    built = _check(initial, final, DEFAULT_TOL, build=True)
+    built, record = _check(initial, final, DEFAULT_TOL, build=True)
     completion = bare.ratio_matrix.entries
     assert not _certifies_full_rank(completion, DEFAULT_RANK_TOL)
     lam = np.linalg.eigvalsh(completion)
     assert DEFAULT_RANK_TOL * lam[-1] < lam[0] < DEFAULT_RANK_TOL * n
     assert bare.verdict == built.verdict == FEASIBLE and bare.notes == ()
     assert bare.min_eigenvalue == built.min_eigenvalue
-    assert bare._pair.c is not None and bare._pair.inverse is None
-    np.testing.assert_array_equal(bare._pair.c, built._pair.c, strict=True)
+    assert bare_record.c is not None and bare_record.inverse is None
+    np.testing.assert_array_equal(bare_record.c, record.c, strict=True)
 
 
 def test_only_a_build_check_keeps_the_inverse():
@@ -1167,11 +1167,12 @@ def test_only_a_build_check_keeps_the_inverse():
     dependent = unit_rows(DEPENDENT_3)
     certified = tilted(1e-3), overlap_pair(np.cos(1e-3))
     for a, b in ((dependent, dependent), certified):
-        bare, built = feasibility_check(a, b), _check(a, b, DEFAULT_TOL, build=True)
+        bare, bare_record = _check(a, b, DEFAULT_TOL, build=False)
+        built, record = _check(a, b, DEFAULT_TOL, build=True)
         assert bare.verdict == built.verdict == FEASIBLE
-        assert bare._pair.c is not None and bare._pair.inverse is None
-        np.testing.assert_array_equal(bare._pair.c, built._pair.c, strict=True)
-        inverse = built._pair.inverse
+        assert bare_record.c is not None and bare_record.inverse is None
+        np.testing.assert_array_equal(bare_record.c, record.c, strict=True)
+        inverse = record.inverse
         assert inverse is not None and not inverse.flags.writeable
         np.testing.assert_allclose(
             inverse @ gram(a).conj() @ inverse, inverse, atol=1e-9 * np.linalg.norm(inverse)
@@ -1241,9 +1242,9 @@ def test_spectral_work_per_check(monkeypatch):
         return seen
 
     assert work(feasibility_check(initial, final), FEASIBLE) == (2, 3, 1, 0)
-    assert work(_check(initial, final, DEFAULT_TOL, build=True), FEASIBLE) == (2, 2, 0, 1)
+    assert work(_check(initial, final, DEFAULT_TOL, build=True)[0], FEASIBLE) == (2, 2, 0, 1)
     assert work(feasibility_check(final, initial), INFEASIBLE) == (2, 2, 1, 0)
-    assert work(_check(final, initial, DEFAULT_TOL, build=True), INFEASIBLE) == (2, 2, 1, 0)
+    assert work(_check(final, initial, DEFAULT_TOL, build=True)[0], INFEASIBLE) == (2, 2, 1, 0)
     assert work(feasibility_check(dependent, dependent), FEASIBLE) == (2, 0, 1, 2)
 
 
@@ -1283,20 +1284,20 @@ def test_no_completion_cholesky_could_certify_a_flagged_pair():
         for tol in (1e-9, 1e-6, 1e-3):
             for near in (False, True):
                 initial, final = flagged_pairs(rng, n, tol, near)
-                report = feasibility_check(initial, final, tol)
+                report, record = _check(initial, final, tol, build=False)
                 m = report.ratio_matrix
                 if not len(report.violating_pairs) or m.undefined_nonzero_pairs:
                     continue
                 completion = np.where(m.defined, m.entries, 1.0)
                 assert not _certifies_full_rank(completion, DEFAULT_RANK_TOL)
-                certified = not m.free_pairs and _certifies_full_rank(report._pair.g1, tol)
+                certified = not m.free_pairs and _certifies_full_rank(record.g1, tol)
                 skipped[near] += certified
                 w = np.linalg.eigvalsh(completion)
                 if report.min_eigenvalue is None or _psd_verdict(w[::-1], tol)[0]:
                     continue  # decided before any eigensolve, or PSD within tol
                 note = f"ratio matrix has negative eigenvalue {w[0]:.6e}"
-                for r in (report, _check(initial, final, tol, build=True)):
-                    assert (r.verdict, r.notes[-1], r._pair.c) == (INFEASIBLE, note, None)
+                for r, pair in ((report, record), _check(initial, final, tol, build=True)):
+                    assert (r.verdict, r.notes[-1], pair.c) == (INFEASIBLE, note, None)
                     assert repr(r.min_eigenvalue) == repr(float(w[0]))
                 decided += 1
     assert min(skipped.values()) >= 200, skipped
@@ -1335,17 +1336,17 @@ def test_flagged_completion_psd_within_tol_takes_eigh(monkeypatch):
         initial, final = flagged_psd_pair(rng, n, DEFAULT_TOL)
         for build in (False, True):
             counts.clear()
-            report = _check(initial, final, DEFAULT_TOL, build)
+            report, record = _check(initial, final, DEFAULT_TOL, build)
             assert (counts["eigvalsh"], counts["eigh"]) == (1, 1)
             assert len(report.violating_pairs) == 1
-            completion = report._pair.completion
+            completion = record.completion
             w, v = np.linalg.eigh(completion)
             radius = float(np.max(np.abs(w)))
             assert -DEFAULT_TOL * radius <= w[0] < -DEFAULT_TOL
             assert report.verdict == FEASIBLE and report.notes == ()
             assert repr(report.min_eigenvalue) == repr(float(w[0]))
             c = _spectral_factor(w[::-1], v[:, ::-1], DEFAULT_TOL)
-            np.testing.assert_array_equal(report._pair.c, c, strict=True)
+            np.testing.assert_array_equal(record.c, c, strict=True)
 
 
 def test_bare_check_allocation_budget():
@@ -1353,13 +1354,13 @@ def test_bare_check_allocation_budget():
     # and the ratio matrix's Hermitian parts are formed in place, the report
     # keeps the ratio matrix's own arrays, a fully defined completion is the
     # ratio matrix, |G1| and |G2| die before any factorization, and a flagged
-    # pair skips the completion's Cholesky.  The report keeps G1, G2 and the
-    # ratio matrix, plus the audit records (about one unit for the
+    # pair skips the completion's Cholesky.  The report keeps the ratio
+    # matrix, no Gram matrix, plus the audit records (about one unit for the
     # infeasible pair, which flags all 2016).
     budgets = {  # verdict, independent, peak at most, kept within
-        "feasible": (FEASIBLE, True, 6.25, (3.0, 3.2)),
-        "reversed": (INFEASIBLE, True, 7.5, (4.0, 4.2)),
-        "dependent": (FEASIBLE, False, 8.25, (3.0, 3.2)),
+        "feasible": (FEASIBLE, True, 6.25, (1.0, 1.2)),
+        "reversed": (INFEASIBLE, True, 7.5, (2.0, 2.2)),
+        "dependent": (FEASIBLE, False, 8.25, (1.0, 1.2)),
     }
     for (initial, final), (kind, budget) in zip(check_mix(6401), budgets.items()):
         verdict, independent, most, (low, high) = budget
@@ -1379,7 +1380,7 @@ def test_bare_check_allocation_budget():
 
 def assert_checks_agree(a, b, tol=DEFAULT_TOL):
     bare = feasibility_check(a, b, tol)
-    built = _check(a, b, tol, build=True)
+    built = _check(a, b, tol, build=True)[0]
     assert (bare.verdict, bare.notes) == (built.verdict, built.notes)
     assert bare.initial_independent == built.initial_independent
     assert bare.final_independent == built.final_independent

@@ -185,7 +185,7 @@ def test_kraus_set_rejects_a_non_finite_factor():
     bras = np.array(f.bras)
     bras[0, 0] = np.inf
     with pytest.raises(NotFiniteError):
-        KrausSet(_factor=f._replace(bras=bras))
+        KrausSet._from_factor(f._replace(bras=bras), ("", ""))
 
 
 def test_concurrent_first_reads_share_one_array():
@@ -233,7 +233,7 @@ def test_synthesized_fingerprints_are_hashed_on_first_read(monkeypatch):
         coherence_probe(ks, initial, [1, 1], final=final)
     given = KrausSet(ks.operators, None, "a", "b")
     assert (given.initial_fingerprint, given.final_fingerprint) == ("a", "b")
-    assert KrausSet(_factor=ks._factor).initial_fingerprint == ""
+    assert KrausSet._from_factor(ks._factor, ("", "")).initial_fingerprint == ""
     assert hashes["sha256"] == 2
     with pytest.raises(AttributeError):
         ks.initial_fingerprint = "x"
@@ -307,7 +307,7 @@ def test_factor_matches_per_operator_loops(shape, unitary, seed):
     with pytest.raises(IllConditionedError):
         synthesis._verify_synthesis(bad, initial, g2, 1e-9)
     worst, completeness = synthesis._verify_synthesis(bad, initial, g2, 1.0)
-    bad_set = KrausSet(_factor=bad)
+    bad_set = KrausSet._from_factor(bad, ("", ""))
     per_operator = 0.0
     for k in range(bad.c.shape[1]):
         images = initial.states @ bad_set.operators[k].T
@@ -329,7 +329,7 @@ def test_guard_counts_the_sink_image_of_a_near_dependent_set():
     sink = np.eye(2) - s.states.T @ bras
     f = synthesis._Factor(s.states.T, np.ones((2, 1)), np.ones((2, 2)), bras, sink)
     worst, _ = synthesis._verify_synthesis(f, s, states.gram(s), 1.0)
-    ops = KrausSet(_factor=f).operators
+    ops = KrausSet._from_factor(f, ("", "")).operators
     coefficients = np.hstack([f.c, np.zeros((2, 1))])
     images = np.einsum("kij,nj->nki", ops, s.states) - coefficients[:, :, None] * s.states[:, None]
     per_state = np.sqrt(np.sum(np.abs(images) ** 2, axis=(1, 2)))
