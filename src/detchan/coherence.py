@@ -34,14 +34,7 @@ from .states import (
     gram,
     superpose,
 )
-from .synthesis import (
-    KrausSet,
-    _amplitudes,
-    _synthesize_from,
-    apply_channel,
-    purity,
-    state_to_density,
-)
+from .synthesis import KrausSet, _amplitudes, _synthesize_from, purity
 from .feasibility import RatioMatrix, _check, _check_shapes, _ratio_matrix
 
 UNITARY_RELATED = "UnitaryRelated"
@@ -111,12 +104,12 @@ def coherence_probe(
     dimension).  At least two coefficients must be nonzero.  The output
     rho is pure when 1 - Tr rho^2 / t^2 <= ``purity_tol``, with t = Tr rho
     (1 for a trace-preserving channel; a zero output is never pure).  For
-    a pure input v, rho = B B^dag with B the (D, K) matrix of columns
-    A_k v, so a pure output's state is B's top left singular vector, from
-    one thin SVD in O(D K^2).  When the final set is available and
-    independent on the support (``_gram_rank``, whose certificate also
-    serves the duals), the output is additionally expanded in the final
-    states, r = Psi2^+ output_state with Psi2^+ their conjugated
+    the input v, rho = B B^dag in O(D^2 K) from B, the (D, K) matrix of
+    columns A_k v, formed once; a pure output's state is B's top left
+    singular vector, from one thin SVD in O(D K^2).  When the final set is
+    available and independent on the support (``_gram_rank``, whose
+    certificate also serves the duals), the output is additionally expanded
+    in the final states, r = Psi2^+ output_state with Psi2^+ their conjugated
     ``span_duals`` on the support, to recover its combination coefficients.
     ``coherence_roundtrip`` skips the fingerprint and dimension checks.
     """
@@ -133,7 +126,7 @@ def coherence_probe(
         raise DimensionMismatchError(
             f"state dimension {initial.dimension} != channel dimension {ks.dimension}"
         )
-    probe = _probe(ks, q, vec, support, purity_tol)
+    probe = _probe(ks, q, vec, support, purity_tol)[0]
     if probe.is_pure and final is not None:
         sub = final.subset(support)
         # One Gram and one shifted Cholesky serve the rank test and the duals.
@@ -154,15 +147,17 @@ def _superposition(initial: StateSet, coefficients, tol):
 
 
 def _probe(ks: KrausSet, q, vec, support, purity_tol):
-    # The purity side of ``coherence_probe``, for the checked superposition vec.
-    rho = apply_channel(ks, state_to_density(vec))
+    # ``coherence_probe``'s purity side for the checked vec, and the amplitudes B of rho = B B^dag.
+    b = _amplitudes(ks, vec)
+    rho = b @ b.conj().T
+    rho = (rho + rho.conj().T) / 2.0
     p = purity(rho)
     # Purity of rho / t, since a hand-assembled set need not preserve trace.
     t = float(np.trace(rho).real)
     is_pure = t > 0.0 and 1.0 - p / t / t <= purity_tol
     output_state = None
     if is_pure:
-        top = np.linalg.svd(_amplitudes(ks, vec), full_matrices=False)[0][:, 0]
+        top = np.linalg.svd(b, full_matrices=False)[0][:, 0]
         output_state = top * phase_pin(top)
     return CoherenceReport(
         coefficients=q,
@@ -172,7 +167,7 @@ def _probe(ks: KrausSet, q, vec, support, purity_tol):
         is_pure=is_pure,
         output_state=output_state,
         verdict=UNITARY_RELATED if is_pure else DECOHERING,
-    )
+    ), b
 
 
 def _expanded(probe: CoherenceReport, states, g, tol, certified):
@@ -318,9 +313,10 @@ def coherence_roundtrip(
     final states' conjugated duals on the support: once from the expansion
     coefficients r = Psi2^+ output_state and once by reading the output
     density matrix through Psi2^+, which sends the final states to an
-    orthonormal basis.  Psi2^+ is built once, from the check's G2 and its
-    certificate, so no Gram is formed again.  Its probe skips
-    ``coherence_probe``'s fingerprint and dimension checks.
+    orthonormal basis, as (Psi2^+ B)(Psi2^+ B)^dag with the probe's B.
+    Psi2^+ is built once, from the check's G2 and its certificate, so no
+    Gram is formed again.  Its probe skips ``coherence_probe``'s fingerprint
+    and dimension checks.
     """
     _check_tolerances(tol=tol, purity_tol=purity_tol)
     q, vec, support = _superposition(initial, coefficients, tol)
@@ -330,7 +326,7 @@ def coherence_roundtrip(
     if not report.final_independent:
         raise NotIndependentError("final set must be linearly independent")
     ks = _synthesize_from(report, pair, initial, final, tol)
-    probe = _probe(ks, q, vec, support, purity_tol)  # expanded below
+    probe, b = _probe(ks, q, vec, support, purity_tol)  # expanded below
     if len(support) == initial.n:
         # The report's ratio matrix covers exactly this support.
         sub1, sub2, g2, m, mu = initial, final, pair.g2, report.ratio_matrix, pair.completion
@@ -355,6 +351,7 @@ def coherence_roundtrip(
         analytic = (qs[:, None] * qs.conj()[None, :]) * mu
         rs = probe.output_coefficients[support]
         law_residual = float(np.max(np.abs(np.outer(rs, rs.conj()) - analytic)))
-        device = bras @ probe.output_density @ bras.conj().T
+        read = bras @ b
+        device = read @ read.conj().T
         device_residual = float(np.max(np.abs(device - analytic)))
     return CoherenceRoundTrip(probe, test, agree, law_residual, device_residual)

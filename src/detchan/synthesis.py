@@ -25,13 +25,14 @@ from .states import StateSet, _span_duals, fingerprint
 class _Factor(NamedTuple):
     """The synthesized operators in factored form, as ``KrausSet`` describes:
     ``targets`` is Phi (D, N), ``c`` the (N, K) factor C of the ratio matrix,
-    ``m`` is C C^dag, ``bras`` is Psi^+ (N, D) and ``sink`` is I - P or None."""
+    ``m`` is C C^dag, ``bras`` is Psi^+ (N, D) and ``kets`` is Psi1 (D, N)
+    when the sink I - Psi1 Psi^+ completes the set, else None."""
 
     targets: np.ndarray
     c: np.ndarray
     m: np.ndarray
     bras: np.ndarray
-    sink: np.ndarray | None
+    kets: np.ndarray | None
 
 
 class KrausSet:
@@ -49,13 +50,13 @@ class KrausSet:
 
     A set returned by ``synthesize`` is held in factored form instead, built
     by the private ``_from_factor``: ``A_k = Phi diag(C[:, k]) Psi^+`` plus
-    the sink ``I - P`` when the initial set spans a proper subspace, with
-    Phi the final states as columns, C = ``c_factor`` and Psi^+ the
-    pseudo-inverse of the initial states (their conjugated reciprocal
-    states).  Its (K, D, D) ``operators`` array is built from the factor on
-    first read, checked like a constructor argument and kept;
-    ``apply_channel`` and the synthesis guard never read it; its
-    fingerprints are those of its two state sets, each hashed once.
+    the sink ``I - Psi1 Psi^+`` when the initial set spans a proper
+    subspace, with Phi and Psi1 the final and initial states as columns,
+    C = ``c_factor`` and Psi^+ the pseudo-inverse of Psi1.  Its (K, D, D)
+    ``operators`` array is built from the factor on first read, checked
+    like a constructor argument and kept; ``apply_channel``, the probe and
+    the synthesis guard never read it, and the last two take O(D^2 N) for
+    any K; its fingerprints are those of its two state sets, each hashed once.
     ``dimension`` (D) and ``kraus_count`` (K) come from the factor or the
     array and never build it.
 
@@ -98,7 +99,7 @@ class KrausSet:
         fields = ks.__dict__
         fields["_factor"], fields["c_factor"] = factor, factor.c
         fields["dimension"] = factor.bras.shape[1]
-        fields["kraus_count"] = factor.c.shape[1] + (factor.sink is not None)
+        fields["kraus_count"] = factor.c.shape[1] + (factor.kets is not None)
         fields["_sources"] = sources
         return ks
 
@@ -118,8 +119,8 @@ class KrausSet:
             f = self._factor
             built = np.empty((self.kraus_count, self.dimension, self.dimension), np.complex128)
             built[: f.c.shape[1]] = _kraus_stack(f.targets, f.c, f.bras)
-            if f.sink is not None:
-                built[-1] = f.sink
+            if f.kets is not None:
+                built[-1] = np.eye(self.dimension) - f.kets @ f.bras
             # setdefault is atomic: the first stored array is the one every
             # reader gets, however many threads raced to build it.
             ops = self.__dict__.setdefault("_operators", _checked_operators(built))
@@ -189,9 +190,9 @@ def synthesize(initial: StateSet, final: StateSet, tol: float = DEFAULT_TOL) -> 
     independent set does not carry over to N > D.
 
     The returned set keeps the factor (final states, C, C C^dag, reciprocal
-    states, sink) and builds its (K, D, D) ``operators`` only when they are
-    first read; its completeness and per-state residuals are checked on the
-    factor and the check's G2 in O(N^2 D + N D^2 + D^3), whatever K is.
+    states, the initial states for a sink) and builds its (K, D, D)
+    ``operators`` only when first read; its residuals are checked on the
+    factor and the check's G2 in O(N^2 D + N D^2), whatever K is.
 
     Raises ``NotFeasibleError`` (carrying the report) unless the verdict
     is Feasible, and ``IllConditionedError`` when the residuals exceed
@@ -211,10 +212,8 @@ def _synthesize_from(report: FeasibilityReport, pair: _PairAnalysis, initial: St
             report=report,
         )
     bras = _span_duals(initial.states, pair.inverse).conj()
-    sink = None
-    if pair.rank1 < initial.dimension:  # the initial set spans a proper subspace
-        sink = np.eye(initial.dimension) - initial.states.T @ bras
-    factor = _Factor(final.states.T, pair.c, pair.c @ pair.c.conj().T, bras, sink)
+    kets = initial.states.T if pair.rank1 < initial.dimension else None  # a sink: rank < D
+    factor = _Factor(final.states.T, pair.c, pair.c @ pair.c.conj().T, bras, kets)
     ks = KrausSet._from_factor(factor, (initial, final))
     _verify_synthesis(factor, initial, pair.g2, tol)
     return ks
@@ -237,17 +236,19 @@ def _verify_synthesis(f: _Factor, initial: StateSet, g2, tol: float) -> tuple[fl
     # mapping error A_k psi1_j - C_jk psi2_j is Phi diag(C[:, k]) E[:, j],
     # whose squared norm summed over k is E[:, j]^dag mid E[:, j]: the
     # per-state residual below is never below the worst single operator's.
-    # The sink's target coefficient is 0, so its whole image of psi1_j
-    # (nonzero when a near-null direction was dropped) adds to that sum.
+    # The sink S = I - X Psi^+ (X = Psi1) has target coefficient 0, so its
+    # whole image psi1_j - X Psi^+ psi1_j adds to that sum, and with its
+    # S^dag S, acc - I is (Psi^+)^dag (mid + X^dag X) Psi^+ - X Psi^+ - (X Psi^+)^dag.
     mid = np.conj(f.m * g2)
-    acc = f.bras.conj().T @ mid @ f.bras
-    e = f.bras @ initial.states.T
-    e -= np.eye(initial.n)
+    duals = f.bras @ initial.states.T  # column j is Psi^+ psi1_j
+    e = duals - np.eye(initial.n)
     per_state = np.real(np.sum(e.conj() * (mid @ e), axis=0))
-    if f.sink is not None:
-        acc += f.sink.conj().T @ f.sink
-        per_state += np.sum(np.abs(initial.states @ f.sink.T) ** 2, axis=1)
-    acc -= np.eye(acc.shape[0])
+    if f.kets is None:
+        acc = f.bras.conj().T @ mid @ f.bras - np.eye(initial.dimension)
+    else:
+        per_state += np.sum(np.abs(f.kets - f.kets @ duals) ** 2, axis=0)
+        p = f.kets @ f.bras
+        acc = f.bras.conj().T @ (mid + f.kets.conj().T @ f.kets) @ f.bras - p - p.conj().T
     completeness = frobenius(acc)
     worst = float(np.sqrt(max(float(np.max(per_state)), 0.0)))
     # Written so that a NaN residual fails the guard too.
@@ -273,11 +274,11 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
 
     A set from ``synthesize`` is applied through its factor, as the Schur
     multiplier ``Phi ((C C^dag) o (Psi^+ rho (Psi^+)^dag)) Phi^dag`` plus
-    ``S rho S^dag`` for the sink S, in O(D^3) for any K and without
-    building ``operators`` or C C^dag, which the factor keeps; other sets
-    run the per-operator sum.  The output is re-Hermitized as
-    (X + X^dag)/2 to suppress floating-point asymmetry, keeping
-    density-matrix invariants checkable at tight tolerances.
+    ``S rho S^dag`` for the sink S = I - Psi1 Psi^+, in O(D^2 N) without a
+    sink and O(D^3) with one, for any K and without building ``operators``
+    or C C^dag, which the factor keeps; other sets run the per-operator sum.
+    The output is re-Hermitized as (X + X^dag)/2 to suppress floating-point
+    asymmetry, keeping density-matrix invariants checkable at tight tolerances.
     """
     r = np.asarray(rho, dtype=np.complex128)
     if r.shape != (ks.dimension, ks.dimension):
@@ -292,10 +293,10 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
         for op in ks.operators:
             out += op @ r @ op.conj().T
     else:
-        inner = f.m * (f.bras @ r @ f.bras.conj().T)
-        out = f.targets @ inner @ f.targets.conj().T
-        if f.sink is not None:
-            out += f.sink @ r @ f.sink.conj().T
+        out = f.targets @ (f.m * (f.bras @ r @ f.bras.conj().T)) @ f.targets.conj().T
+        if f.kets is not None:
+            sink = np.eye(ks.dimension) - f.kets @ f.bras
+            out += sink @ r @ sink.conj().T
     out += out.conj().T
     out /= 2.0
     return out
@@ -304,12 +305,13 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
 def _amplitudes(ks: KrausSet, v) -> np.ndarray:
     """The (D, K) matrix B whose column k is A_k v, so that the channel sends
     the pure input |v><v| to B B^dag.  A set from ``synthesize`` reads its
-    factor, B = Phi diag(Psi^+ v) C, with the sink's S v as a last column."""
+    factor, B = Phi diag(Psi^+ v) C, with the sink's v - X Psi^+ v last."""
     f = ks._factor
     if f is None:
         return (ks.operators @ v).T
-    b = f.targets @ ((f.bras @ v)[:, None] * f.c)
-    return b if f.sink is None else np.column_stack((b, f.sink @ v))
+    duals = f.bras @ v
+    b = f.targets @ (duals[:, None] * f.c)
+    return b if f.kets is None else np.column_stack((b, v - f.kets @ duals))
 
 
 def state_to_density(state) -> np.ndarray:
@@ -319,11 +321,12 @@ def state_to_density(state) -> np.ndarray:
 
 
 def purity(rho) -> float:
-    """Tr(rho^2); 1 for pure states, 1/D for the maximally mixed state."""
+    """Tr(rho^2), read as Re sum_ij rho_ij rho_ji in O(D^2) for any square
+    rho; 1 for pure states, 1/D for the maximally mixed state."""
     r = np.asarray(rho, dtype=np.complex128)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise SizeMismatchError(f"density matrix must be square, got {r.shape}")
-    return float(np.real(np.trace(r @ r)))
+    return float(np.vdot(r.conj().T, r).real)
 
 
 def validate_density(rho) -> np.ndarray:

@@ -463,6 +463,32 @@ def channel_residuals(ks, initial: StateSet, final: StateSet) -> tuple[float, fl
     return float(completeness), float(mapping)
 
 
+def rounding_bound(ks) -> float:
+    """8 (D + n) eps s: how far two routes to one output of the channel
+    ``ks`` on a density matrix of unit Frobenius norm may differ, to first
+    order in eps, with n the number of states of a factor (else K).
+
+    Each route takes at most four products, and a product of inner
+    dimension m <= D + n is off by at most m eps ||A||_F ||B||_F (a complex
+    inner product of length m rounds by sqrt(2) (m + 2) eps / 2; Higham,
+    Accuracy and Stability, 2nd ed., Lemma 3.5 and section 3.6).  s bounds the
+    products of norms the routes multiply: sum_k ||A_k||_F^2 for explicit
+    operators; for a factor, ||Phi||_F^2 ||C||_F^2 ||Psi^+||_F^2, which bounds
+    the span operators' sum_k ||A_k||_F^2 and their Schur form (||C C^dag||_F
+    <= ||C||_F^2), plus, for a sink S = I - Psi1 Psi^+ formed by both routes,
+    (1 + ||Psi1||_F ||Psi^+||_F)^2, which bounds the products with S through
+    the entrywise |S| <= I + |Psi1| |Psi^+|."""
+    f = ks._factor
+    if f is None:
+        n, s = ks.kraus_count, float(np.sum(np.abs(ks.operators) ** 2))
+    else:
+        n, bras = len(f.bras), np.linalg.norm(f.bras)
+        s = (np.linalg.norm(f.targets) * np.linalg.norm(f.c) * bras) ** 2
+        if f.kets is not None:
+            s += (1.0 + np.linalg.norm(f.kets) * bras) ** 2
+    return 8.0 * (ks.dimension + n) * np.finfo(float).eps * float(s)
+
+
 def embedded(s: StateSet, rng: np.random.Generator, d: int) -> StateSet:
     """The set carried into C^d (d >= its dimension) by a random isometry;
     its Gram matrix, and so every verdict, is unchanged."""

@@ -15,6 +15,7 @@ from detchan import (
     SupportTooSmallError,
     UNITARY_RELATED,
     ZeroVectorError,
+    apply_channel,
     coherence_probe,
     coherence_roundtrip,
     feasibility_check,
@@ -37,6 +38,7 @@ from helpers import (
     haar_unitary,
     near_parallel_pair,
     perturbed,
+    rounding_bound,
     spectral_factor,
     sub_seed,
     subset_instance,
@@ -48,6 +50,17 @@ from helpers import (
 
 
 # ---------------------------------------------------------------- purity
+
+
+def test_purity_is_the_trace_of_the_square_for_any_square_input():
+    # Re sum_ij rho_ij rho_ji is Tr rho^2 also off the Hermitian matrices,
+    # where sum_ij |rho_ij|^2 is not: this nilpotent input squares to zero.
+    assert purity([[0, 1], [0, 0]]) == 0.0
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    # Each of the two sums of 25 products rounds by at most 25 eps sum |r_ij r_ji|.
+    bound = 2 * 25 * np.finfo(float).eps * np.sum(np.abs(r * r.T))
+    assert abs(purity(r) - np.trace(r @ r).real) <= bound
 
 
 def test_purity_of_pure_projector():
@@ -266,7 +279,7 @@ def test_probe_reads_the_top_eigenvector_without_eigh(monkeypatch, purity_tol):
     # of 1.  A pure output's state, B's top left singular vector, equals
     # eigh's phase-pinned top eigenvector of rho = B B^dag within 1e-13, on
     # both branches of _amplitudes and at K = 1 to 4; no probe runs eigh,
-    # and B is formed once per pure output only.
+    # and B is formed once per probe, pure or not.
     counts = tally(monkeypatch)
     read = set()
     for name, ks, initial, final, q in readout_instances():
@@ -274,7 +287,7 @@ def test_probe_reads_the_top_eigenvector_without_eigh(monkeypatch, purity_tol):
         report = coherence_probe(ks, initial, q, purity_tol=purity_tol, final=final)
         t = np.trace(report.output_density).real
         assert report.is_pure == (t > 0.0 and 1.0 - report.output_purity / t / t <= purity_tol)
-        assert (counts["eigh"], counts["_amplitudes"]) == (0, report.is_pure)
+        assert (counts["eigh"], counts["_amplitudes"]) == (0, 1)
         if name in ("phased copies", "rank-one block"):
             assert ks.kraus_count >= 3
         if report.is_pure:
@@ -307,6 +320,32 @@ def test_amplitudes_of_a_factored_set_match_its_operators():
         b = synthesis._amplitudes(ks, v)
         assert b.shape == (ks.dimension, ks.kraus_count)
         np.testing.assert_allclose(b, (ks.operators @ v).T, rtol=0, atol=1e-13)
+
+
+def test_probe_output_is_the_channel_output_on_the_pure_input():
+    # The probe reads rho = B B^dag off the amplitudes; apply_channel on
+    # |v><v| (unit Frobenius norm) is the independent route.  The two agree
+    # within delta = ``rounding_bound``, and their purities within
+    # 2 t delta + 2 D^2 eps t^2: Tr rho^2 moves by at most
+    # (||rho||_F + ||rho'||_F) ||rho - rho'||_F, with ||rho||_F <= t = Tr rho,
+    # and its sum of D^2 products rounds by at most D^2 eps ||rho||_F^2.
+    # Synthesized sets with and without a sink (at N = D, N < D and with
+    # zero coefficients), three phased copies (K = 3) and a dephased unitary.
+    eps = np.finfo(float).eps
+    cases = [(ks, initial, q) for _, ks, initial, _, q in readout_instances()]
+    cases += [(synthesize(a, b), a, q) for a, b, q, _ in roundtrip_cases()]
+    layouts = set()
+    for ks, initial, q in cases:
+        f = ks._factor
+        layouts.add("operators" if f is None else "sink" if f.kets is not None else "no sink")
+        report = coherence_probe(ks, initial, q)
+        vec = np.asarray(q, dtype=complex) @ initial.states
+        rho = apply_channel(ks, state_to_density(vec / np.linalg.norm(vec)))
+        delta, d, t = rounding_bound(ks), ks.dimension, np.trace(rho).real
+        assert frobenius(report.output_density - rho) <= delta
+        assert abs(report.output_purity - purity(rho)) <= 2 * t * delta + 2 * d * d * eps * t * t
+        np.testing.assert_array_equal(report.output_density, report.output_density.conj().T)
+    assert layouts == {"operators", "sink", "no sink"}
 
 
 def test_probe_of_a_channel_that_is_not_trace_preserving_normalizes_purity():
@@ -653,8 +692,9 @@ def test_spectral_work_per_roundtrip(monkeypatch):
     # independence flags, so it builds no ratio matrix and no Gram.  It
     # takes one SVD (the Procrustes polar factor) and no eigh, for N = D and
     # N < D alike; a decohering pair fails phase synchronisation first and
-    # takes no SVD.  The channel runs once: the device residual reads the
-    # probe's output density.
+    # takes no SVD.  The channel is read once, as the probe's amplitudes B,
+    # which give the output density and the device residual; apply_channel
+    # never runs.
     cases = roundtrip_cases()
     counts = tally(monkeypatch)
     for a, b, q, verdict in cases:
@@ -665,8 +705,8 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         # Every case is at full support: the coefficients are complete.
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == (1, 0, 2, 2)
-        assert (counts["cond"], counts["svd"], counts["_amplitudes"]) == (0, 2 * pure, pure)
-        assert counts["coherence.apply_channel"] == 1
+        assert (counts["cond"], counts["svd"], counts["_amplitudes"]) == (0, 2 * pure, 1)
+        assert counts["apply_channel"] == 0
         assert counts["coherence._ratio_matrix"] == 0
         # One initial-dual construction (synthesis) and, per pure output,
         # one final-dual construction; no public re-entry, no least squares.

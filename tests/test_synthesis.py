@@ -45,6 +45,7 @@ from helpers import (
     near_parallel_pair,
     output_trace,
     product_pair,
+    rounding_bound,
     sub_seed,
     tally,
     transforms,
@@ -162,7 +163,11 @@ def test_factored_set_builds_its_operators_once_on_first_read(monkeypatch):
         ops[0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         ks.c_factor[0, 0] = 5.0
-    np.testing.assert_array_equal(ops[-1], ks._factor.sink)
+    # The sink is kept as the initial states, a read-only view of the set's
+    # array, and only the build forms I - Psi1 Psi^+.
+    f = ks._factor
+    assert np.shares_memory(f.kets, initial.states) and not f.kets.flags.writeable
+    np.testing.assert_array_equal(ops[-1], np.eye(6) - f.kets @ f.bras, strict=True)
 
 
 def test_kraus_set_is_immutable_and_takes_one_source():
@@ -323,11 +328,10 @@ def test_guard_counts_the_sink_image_of_a_near_dependent_set():
     # guard's per-state residual is the root of the sum over every operator,
     # the sink included, of ||A_k psi_j - c_jk psi_j||^2.
     # The identity's factor: M = C C^dag is all ones, and the rank-one
-    # pseudo-inverse leaves the sink I - P.
+    # pseudo-inverse leaves the sink I - Psi1 Psi^+, kept as Psi1.
     s = StateSet.from_vectors([[1, 0], [np.cos(2e-5), np.sin(2e-5)]])
     bras = states.span_duals(s).conj()
-    sink = np.eye(2) - s.states.T @ bras
-    f = synthesis._Factor(s.states.T, np.ones((2, 1)), np.ones((2, 2)), bras, sink)
+    f = synthesis._Factor(s.states.T, np.ones((2, 1)), np.ones((2, 2)), bras, s.states.T)
     worst, _ = synthesis._verify_synthesis(f, s, states.gram(s), 1.0)
     ops = KrausSet._from_factor(f, ("", "")).operators
     coefficients = np.hstack([f.c, np.zeros((2, 1))])
@@ -347,10 +351,11 @@ def fixture_state_sets():
 def test_apply_channel_is_the_factored_reference_bit_for_bit():
     # For every pair of same-shape fixtures that synthesize builds, the
     # channel's output is, bit for bit, the re-Hermitized
-    # Phi ((C C^dag) o (Psi^+ rho Psi^+^dag)) Phi^dag + S rho S^dag with
-    # C C^dag formed here from c_factor: the C C^dag the factor carries
+    # Phi ((C C^dag) o (Psi^+ rho Psi^+^dag)) Phi^dag plus, for a sink,
+    # S rho S^dag with S = I - X Psi^+ (X = Psi1) formed explicitly, and
+    # with C C^dag formed here from c_factor: the C C^dag the factor carries
     # is that product.
-    built = 0
+    built = sinks = 0
     for initial, final in itertools.product(fixture_state_sets(), repeat=2):
         if initial.states.shape != final.states.shape:
             continue
@@ -360,14 +365,76 @@ def test_apply_channel_is_the_factored_reference_bit_for_bit():
             continue
         built += 1
         f, c, d = ks._factor, ks.c_factor, initial.dimension
+        sinks += f.kets is not None
         for rho in [state_to_density(psi) for psi in initial.states] + [np.eye(d) / d + 0j]:
-            inner = (c @ c.conj().T) * (f.bras @ rho @ f.bras.conj().T)
-            out = f.targets @ inner @ f.targets.conj().T
-            if f.sink is not None:
-                out += f.sink @ rho @ f.sink.conj().T
+            dual = f.bras @ rho @ f.bras.conj().T
+            out = f.targets @ ((c @ c.conj().T) * dual) @ f.targets.conj().T
+            if f.kets is not None:
+                sink = np.eye(d) - f.kets @ f.bras
+                out += sink @ rho @ sink.conj().T
             expected = (out + out.conj().T) / 2.0
             assert apply_channel(ks, rho).tobytes() == expected.tobytes()
-    assert built == 42
+    assert built == 42 and sinks > 0
+
+
+def sink_instances():
+    """Synthesized sets of each factor layout: independent at N = D (no
+    sink) and carried from C^4 into C^7 (sink), dependent spanning C^4 (no
+    sink) and carried into C^6 (sink, from G1's pseudo-inverse)."""
+    rng = np.random.default_rng(41)
+    pairs = [feasible_pair(rng, 5)[:2], feasible_pair(rng, 4)[:2]]
+    pairs += [product_pair(rng, 6, 2, 2), product_pair(rng, 6, 2, 2)]
+    for i, d in ((1, 7), (3, 6)):
+        pairs[i] = embedded(pairs[i][0], rng, d), embedded(pairs[i][1], rng, d)
+    return [(synthesize(a, b), a, b) for a, b in pairs]
+
+
+def test_factored_channel_is_the_operator_sum_on_any_square_rho():
+    # The factored route, sink included, against the re-Hermitized
+    # sum_k A_k rho A_k^dag over the built operators, on Hermitian and
+    # non-Hermitian rho of unit Frobenius norm: within ``rounding_bound``.
+    rng = np.random.default_rng(43)
+    layouts = []
+    for ks, initial, _ in sink_instances():
+        layouts.append(ks._factor.kets is not None)
+        d = ks.dimension
+        z = random_rows(rng, d, d)
+        for rho in (z, z @ z.conj().T, state_to_density(initial.states[0])):
+            rho = rho / np.linalg.norm(rho)
+            expected = per_operator_reference(list(ks.operators), rho)[1]
+            assert frobenius(apply_channel(ks, rho) - expected) <= rounding_bound(ks)
+    assert layouts == [False, True, False, True]
+
+
+def test_guard_residuals_are_those_of_the_built_operators():
+    # _verify_synthesis reads both residuals off the factor; the built
+    # operators give them as ||sum_k A_k^dag A_k - I||_F and as
+    # max_j sqrt(sum_k ||A_k psi1_j - C_jk psi2_j||^2) with the sink's C_jk = 0.
+    # The two routes agree within delta = ``rounding_bound``.  Completeness
+    # is the norm of the channel's image of the identity (fewer products),
+    # and a norm moves by no more than its argument.  The guard reads the
+    # squared per-state residual as a quadratic form in the columns of
+    # Psi^+ Psi1 - I, so it is the squares that agree within delta, and the
+    # residuals only within sqrt(delta) where they are near zero: for a
+    # dependent set those columns are of order one and the guard reads about
+    # 1e-8 where the operators give 1e-15.  Reciprocal states off by 1e-5
+    # make both residuals about 1e-5, so the comparison is not one of
+    # rounding noise.
+    rng = np.random.default_rng(47)
+    for ks, initial, final in sink_instances():
+        f, g2 = ks._factor, states.gram(final)
+        for error in (0.0, 1e-5):
+            bad = f._replace(bras=f.bras + error * random_rows(rng, *f.bras.shape))
+            worst, completeness = synthesis._verify_synthesis(bad, initial, g2, 1.0)
+            built = KrausSet._from_factor(bad, ("", ""))
+            coefficients = np.hstack([f.c, np.zeros((initial.n, built.kraus_count - f.c.shape[1]))])
+            images = np.einsum("kij,nj->nki", built.operators, initial.states)
+            images -= coefficients[:, :, None] * final.states[:, None]
+            per_state = np.sqrt(np.max(np.sum(np.abs(images) ** 2, axis=(1, 2))))
+            delta = rounding_bound(built)
+            assert abs(worst**2 - per_state**2) <= delta
+            assert abs(completeness - verify_completeness(built)) <= delta
+            assert error == 0.0 or min(worst, completeness) >= 1e-6
 
 
 def test_roundtrips_and_channel_use_the_factor(monkeypatch):
@@ -481,15 +548,15 @@ def test_spanning_dependent_synthesis_gets_no_sink():
     # K is the rank of the ratio matrix, the ancillas' Gram of rank 2.
     initial, final = product_pair(np.random.default_rng(6), 8, 3, 2)
     ks = synthesize(initial, final)
-    assert ks._factor.sink is None
+    assert ks._factor.kets is None
     assert ks.kraus_count == ks.c_factor.shape[1] == 2
     assert max(channel_residuals(ks, initial, final)) <= 1e-12
     # Repeating a state of a non-spanning set keeps the sink.
     pair = StateSet.from_vectors([[1, 0, 0], [INV_SQRT2, INV_SQRT2, 0]])
     repeated = StateSet.from_vectors(np.vstack([pair.states, pair.states[:1]]))
     ks = synthesize(repeated, repeated)
-    assert ks._factor.sink is not None
-    np.testing.assert_allclose(ks._factor.sink, np.diag([0, 0, 1]), atol=1e-14)
+    assert np.shares_memory(ks._factor.kets, repeated.states)
+    np.testing.assert_allclose(ks.operators[-1], np.diag([0, 0, 1]), atol=1e-14)
 
 
 def test_per_state_action_matches_factor():
