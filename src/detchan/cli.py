@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (DetchanError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (DetchanError, OSError, ValueError, KeyError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # synth refusing a pair that is not Feasible is its negative outcome.
         return 1 if args.command == "synth" and isinstance(exc, NotFeasibleError) else 2
@@ -117,21 +117,20 @@ def _cmd_check(args) -> tuple[int, object]:
 
 def _cmd_synth(args) -> tuple[int, object]:
     from . import serialize
-    from .synthesis import apply_channel, state_to_density, synthesize, verify_completeness
+    from .synthesis import _pure_output, synthesize, verify_completeness
 
     initial, final = _load_state_sets(args.initial, args.final)
     ks = synthesize(initial, final, args.tol)
     obj = serialize.kraus_set_to_obj(ks)
-    # Per state: the fidelity <psi2|L(|psi1><psi1|)|psi2> and sum_k |c_k|^2
-    # over the coefficients c_k = <psi2|A_k|psi1>.
+    # Per state, from the amplitudes B (column k is A_k psi1) and rho = B B^dag:
+    # the fidelity <psi2|rho|psi2> and sum_k |c_k|^2 over c_k = <psi2|A_k|psi1>.
     records = []
     for j, (psi1, psi2) in enumerate(zip(initial.states, final.states)):
-        out = apply_channel(ks, state_to_density(psi1))
-        coeffs = (ks.operators @ psi1) @ psi2.conj()
+        b, rho = _pure_output(ks, psi1)
         records.append({
             "index": j,
-            "fidelity": float(np.real(psi2.conj() @ out @ psi2)),
-            "total_probability": float(np.sum(np.abs(coeffs) ** 2)),
+            "fidelity": float(np.real(psi2.conj() @ rho @ psi2)),
+            "total_probability": float(np.sum(np.abs(psi2.conj() @ b) ** 2)),
         })
     obj["verification"] = {
         "kraus_count": ks.kraus_count,
@@ -143,7 +142,7 @@ def _cmd_synth(args) -> tuple[int, object]:
 
 def _cmd_apply(args) -> tuple[int, object]:
     from . import serialize
-    from .synthesis import apply_channel, purity, state_to_density, validate_density
+    from .synthesis import _pure_output, apply_channel, purity, validate_density
 
     ks = serialize.kraus_set_from_obj(serialize.load_document(args.kraus))
     doc = serialize.load_document(args.state)
@@ -151,12 +150,11 @@ def _cmd_apply(args) -> tuple[int, object]:
         state_set = serialize.state_set_from_obj(doc)
         if state_set.n != 1:
             raise SchemaError(f"apply expects a single state, got {state_set.n}")
-        rho = state_to_density(state_set.states[0])
+        out = _pure_output(ks, state_set.states[0])[1]
     elif isinstance(doc, dict) and "matrix" in doc:
-        rho = validate_density(serialize.density_from_obj(doc))
+        out = apply_channel(ks, validate_density(serialize.density_from_obj(doc)))
     else:
         raise SchemaError("input must be a StateSet or density-matrix document")
-    out = apply_channel(ks, rho)
     obj = serialize.density_to_obj(out)
     obj["purity"] = purity(out)
     return 0, obj
@@ -271,7 +269,7 @@ def _template_state_set(compiled, theta: float) -> StateSet:
 
 def _cmd_sweep(args) -> tuple[int, object]:
     from . import serialize
-    from .synthesis import _synthesize_from, apply_channel, purity, state_to_density
+    from .synthesis import _pure_output, _synthesize_from, purity
 
     if args.steps < 2:
         raise SchemaError(f"sweep needs at least 2 steps, got {args.steps}")
@@ -303,7 +301,7 @@ def _cmd_sweep(args) -> tuple[int, object]:
         if report.verdict == FEASIBLE:
             ks = _synthesize_from(report, pair, initial, final, args.tol)
             vec, _ = superpose(initial, np.ones(initial.n), args.tol)
-            uniform_purity = purity(apply_channel(ks, state_to_density(vec)))
+            uniform_purity = purity(_pure_output(ks, vec)[1])
         cells = [cell(theta), cell(report.min_eigenvalue), report.verdict]
         cells += [cell(max_mu), cell(uniform_purity)]
         rows.append(",".join(cells))

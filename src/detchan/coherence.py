@@ -19,7 +19,6 @@ from operator import index
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     FingerprintMismatchError,
     NotIndependentError,
     SupportTooSmallError,
@@ -34,7 +33,7 @@ from .states import (
     gram,
     superpose,
 )
-from .synthesis import KrausSet, _amplitudes, _synthesize_from, purity
+from .synthesis import KrausSet, _pure_output, _synthesize_from, purity
 from .feasibility import RatioMatrix, _check, _check_shapes, _ratio_matrix
 
 UNITARY_RELATED = "UnitaryRelated"
@@ -105,13 +104,14 @@ def coherence_probe(
     rho is pure when 1 - Tr rho^2 / t^2 <= ``purity_tol``, with t = Tr rho
     (1 for a trace-preserving channel; a zero output is never pure).  For
     the input v, rho = B B^dag in O(D^2 K) from B, the (D, K) matrix of
-    columns A_k v, formed once; a pure output's state is B's top left
+    columns A_k v, formed once (``DimensionMismatchError`` unless the channel
+    acts on the states' dimension); a pure output's state is B's top left
     singular vector, from one thin SVD in O(D K^2).  When the final set is
     available and independent on the support (``_gram_rank``, whose
     certificate also serves the duals), the output is additionally expanded
     in the final states, r = Psi2^+ output_state with Psi2^+ their conjugated
     ``span_duals`` on the support, to recover its combination coefficients.
-    ``coherence_roundtrip`` skips the fingerprint and dimension checks.
+    ``coherence_roundtrip`` skips the fingerprint checks.
     """
     _check_tolerances(purity_tol=purity_tol)
     q, vec, support = _superposition(initial, coefficients, tol)
@@ -122,10 +122,6 @@ def coherence_probe(
         raise FingerprintMismatchError("Kraus set was not synthesized from this initial set")
     if final is not None and ks.final_fingerprint and fingerprint(final) != ks.final_fingerprint:
         raise FingerprintMismatchError("Kraus set was not synthesized onto this final set")
-    if initial.dimension != ks.dimension:
-        raise DimensionMismatchError(
-            f"state dimension {initial.dimension} != channel dimension {ks.dimension}"
-        )
     probe = _probe(ks, q, vec, support, purity_tol)[0]
     if probe.is_pure and final is not None:
         sub = final.subset(support)
@@ -148,9 +144,7 @@ def _superposition(initial: StateSet, coefficients, tol):
 
 def _probe(ks: KrausSet, q, vec, support, purity_tol):
     # ``coherence_probe``'s purity side for the checked vec, and the amplitudes B of rho = B B^dag.
-    b = _amplitudes(ks, vec)
-    rho = b @ b.conj().T
-    rho = (rho + rho.conj().T) / 2.0
+    b, rho = _pure_output(ks, vec)
     p = purity(rho)
     # Purity of rho / t, since a hand-assembled set need not preserve trace.
     t = float(np.trace(rho).real)
@@ -316,7 +310,7 @@ def coherence_roundtrip(
     orthonormal basis, as (Psi2^+ B)(Psi2^+ B)^dag with the probe's B.
     Psi2^+ is built once, from the check's G2 and its certificate, so no
     Gram is formed again.  Its probe skips ``coherence_probe``'s fingerprint
-    and dimension checks.
+    checks; the reader of B still checks the dimension.
     """
     _check_tolerances(tol=tol, purity_tol=purity_tol)
     q, vec, support = _superposition(initial, coefficients, tol)

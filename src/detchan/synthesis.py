@@ -54,9 +54,9 @@ class KrausSet:
     subspace, with Phi and Psi1 the final and initial states as columns,
     C = ``c_factor`` and Psi^+ the pseudo-inverse of Psi1.  Its (K, D, D)
     ``operators`` array is built from the factor on first read, checked
-    like a constructor argument and kept; ``apply_channel``, the probe and
-    the synthesis guard never read it, and the last two take O(D^2 N) for
-    any K; its fingerprints are those of its two state sets, each hashed once.
+    like a constructor argument and kept; ``apply_channel``, the pure-input
+    reader and the synthesis guard never read it, the last two take O(D^2 N)
+    for any K; its fingerprints are those of its two state sets, each hashed once.
     ``dimension`` (D) and ``kraus_count`` (K) come from the factor or the
     array and never build it.
 
@@ -270,8 +270,8 @@ def verify_completeness(ks: KrausSet) -> float:
 
 
 def apply_channel(ks: KrausSet, rho) -> np.ndarray:
-    """Operator-sum action ``sum_k A_k rho A_k^dag``.
-
+    """Operator-sum action ``sum_k A_k rho A_k^dag`` on a density matrix (a
+    pure input's output is read off the amplitudes A_k v by ``_pure_output``).
     A set from ``synthesize`` is applied through its factor, as the Schur
     multiplier ``Phi ((C C^dag) o (Psi^+ rho (Psi^+)^dag)) Phi^dag`` plus
     ``S rho S^dag`` for the sink S = I - Psi1 Psi^+, in O(D^2 N) without a
@@ -302,16 +302,24 @@ def apply_channel(ks: KrausSet, rho) -> np.ndarray:
     return out
 
 
-def _amplitudes(ks: KrausSet, v) -> np.ndarray:
-    """The (D, K) matrix B whose column k is A_k v, so that the channel sends
-    the pure input |v><v| to B B^dag.  A set from ``synthesize`` reads its
-    factor, B = Phi diag(Psi^+ v) C, with the sink's v - X Psi^+ v last."""
+def _pure_output(ks: KrausSet, v) -> tuple[np.ndarray, np.ndarray]:
+    """The channel's output on the pure input |v><v|, the one route to it: the
+    (D, K) matrix B of columns A_k v and rho = B B^dag, made exactly Hermitian.
+    A set from ``synthesize`` reads its factor, B = Phi diag(Psi^+ v) C, with
+    the sink's v - X Psi^+ v last."""
+    if len(v) != ks.dimension:
+        raise DimensionMismatchError(
+            f"state dimension {len(v)} != channel dimension {ks.dimension}"
+        )
     f = ks._factor
     if f is None:
-        return (ks.operators @ v).T
-    duals = f.bras @ v
-    b = f.targets @ (duals[:, None] * f.c)
-    return b if f.kets is None else np.column_stack((b, v - f.kets @ duals))
+        b = (ks.operators @ v).T
+    else:
+        duals = f.bras @ v
+        b = f.targets @ (duals[:, None] * f.c)
+        b = b if f.kets is None else np.column_stack((b, v - f.kets @ duals))
+    rho = b @ b.conj().T
+    return b, (rho + rho.conj().T) / 2.0
 
 
 def state_to_density(state) -> np.ndarray:

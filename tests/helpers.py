@@ -190,7 +190,7 @@ ERROR_CASES = {
     "apply-dimension-mismatch": (
         ["apply", fx("kraus_measure2.json"), DOC],
         json.dumps({"dimension": 3, "states": [[[1, 0], [0, 0], [0, 0]]]}), 2,
-        "density matrix shape (3, 3) does not match channel dimension 2",
+        "state dimension 3 != channel dimension 2",
     ),
     "apply-not-hermitian": (["apply", fx("kraus_measure2.json"), DOC],
                             density([[0.5, 0.5], [0.0, 0.5]]), 2, "symmetry residual"),
@@ -243,6 +243,11 @@ ERROR_CASES = {
         for flag in flags
         for value in ("nan", "inf", "-1e-9", "1")
     },
+    # An input that asks for 10**15 doubles (7 PiB, past the 128 TiB x86-64
+    # address space), which numpy refuses at once: an input error, not exit 1.
+    "sweep-huge-grid": (["sweep", fx("sweep_template.json"), "--start", "0", "--stop", "1",
+                         "--steps", str(10**15)], None, 2, "Unable to allocate"),
+    "gen-huge-dimension": (["gen", str(10**15), "1"], None, 2, "Unable to allocate"),
     "sweep-single-step": (["sweep", fx("sweep_template.json"), "--start", "0", "--stop", "1",
                            "--steps", "1"], None, 2, "sweep needs at least 2 steps, got 1"),
     # Non-finite bounds, or a span past the doubles, never reach np.linspace.
@@ -606,7 +611,7 @@ def count_calls(monkeypatch, *targets) -> Counter:
 TALLY_KERNELS = ("cholesky", "eigh", "eigvalsh", "solve", "svd", "cond", "lstsq")
 TALLY_FUNCTIONS = (
     "gram", "_ratio_matrix", "_overlap_inverse", "_span_duals", "span_duals",
-    "linear_independence", "apply_channel", "_amplitudes", "fingerprint", "_check",
+    "linear_independence", "apply_channel", "_pure_output", "fingerprint", "_check",
 )
 
 

@@ -139,15 +139,23 @@ def test_sweep_checks_each_grid_point_once(capsys, monkeypatch):
 
 def test_only_synth_fingerprints_its_sets(capsys, monkeypatch):
     # sweep and coherence build channels that they never write out, so
-    # they hash no state set; synth writes both fingerprints.
+    # they hash no state set; synth writes both fingerprints.  Every output
+    # on a pure input comes from the one reader, _pure_output: once per
+    # Feasible sweep point (25 of 50), per probe, per synth state (N = 2)
+    # and per apply on a state document; apply_channel never runs.
     counts = tally(monkeypatch)
     code, out, _ = run(capsys, SWEEP_ARGV)
     assert code == 0
     assert matches_golden(out, "sweep_cos.csv")
+    assert counts["_pure_output"] == 25
     assert run(capsys, SUBCOMMAND_ARGV["coherence"])[0] == 0
     assert counts["fingerprint"] == 0
+    assert counts["_pure_output"] == 26
     assert run(capsys, SUBCOMMAND_ARGV["synth"])[0] == 0
     assert counts["fingerprint"] == 2
+    assert counts["_pure_output"] == 28
+    assert run(capsys, SUBCOMMAND_ARGV["apply"])[0] == 0
+    assert (counts["_pure_output"], counts["apply_channel"]) == (29, 0)
 
 
 def test_repeated_calls_share_only_the_parser(capsys, monkeypatch):
@@ -270,8 +278,9 @@ def test_synth_output_applies_back(capsys, tmp_path):
 
 
 def test_synth_total_probability_matches_per_operator_loop(capsys, tmp_path):
-    # Each state's sum_k |<psi2|A_k|psi1>|^2 that synth reports, against a
-    # per-operator loop over the Kraus operators it writes, for a random
+    # Each state's sum_k |<psi2|A_k|psi1>|^2 and fidelity
+    # <psi2| sum_k A_k |psi1><psi1| A_k^dag |psi2> that synth reports, against
+    # per-operator loops over the Kraus operators it writes, for a random
     # feasible pair whose channel has more than one operator.
     initial, final, _ = feasible_pair(np.random.default_rng(5), 4)
     paths = []
@@ -288,6 +297,8 @@ def test_synth_total_probability_matches_per_operator_loop(capsys, tmp_path):
     for record, psi1, psi2 in zip(records, initial.states, final.states, strict=True):
         expected = sum(abs(psi2.conj() @ (op @ psi1)) ** 2 for op in ops)
         assert abs(record["total_probability"] - expected) <= 1e-12
+        rho = sum(op @ np.outer(psi1, psi1.conj()) @ op.conj().T for op in ops)
+        assert abs(record["fidelity"] - np.real(psi2.conj() @ rho @ psi2)) <= 1e-12
 
 
 # ---------------------------------------------------------------- flags

@@ -278,7 +278,7 @@ def test_probe_reads_the_top_eigenvector_without_eigh(monkeypatch, purity_tol):
     # The output is pure when the purity of rho / Tr rho is within purity_tol
     # of 1.  A pure output's state, B's top left singular vector, equals
     # eigh's phase-pinned top eigenvector of rho = B B^dag within 1e-13, on
-    # both branches of _amplitudes and at K = 1 to 4; no probe runs eigh,
+    # both branches of _pure_output and at K = 1 to 4; no probe runs eigh,
     # and B is formed once per probe, pure or not.
     counts = tally(monkeypatch)
     read = set()
@@ -287,7 +287,7 @@ def test_probe_reads_the_top_eigenvector_without_eigh(monkeypatch, purity_tol):
         report = coherence_probe(ks, initial, q, purity_tol=purity_tol, final=final)
         t = np.trace(report.output_density).real
         assert report.is_pure == (t > 0.0 and 1.0 - report.output_purity / t / t <= purity_tol)
-        assert (counts["eigh"], counts["_amplitudes"]) == (0, 1)
+        assert (counts["eigh"], counts["_pure_output"]) == (0, 1)
         if name in ("phased copies", "rank-one block"):
             assert ks.kraus_count >= 3
         if report.is_pure:
@@ -317,7 +317,7 @@ def test_amplitudes_of_a_factored_set_match_its_operators():
         if ks.c_factor is None:
             continue
         v = np.asarray(q, dtype=complex) @ initial.states
-        b = synthesis._amplitudes(ks, v)
+        b = synthesis._pure_output(ks, v)[0]
         assert b.shape == (ks.dimension, ks.kraus_count)
         np.testing.assert_allclose(b, (ks.operators @ v).T, rtol=0, atol=1e-13)
 
@@ -705,7 +705,7 @@ def test_spectral_work_per_roundtrip(monkeypatch):
         # Every case is at full support: the coefficients are complete.
         work = (counts["eigh"], counts["eigvalsh"], counts["cholesky"], counts["gram"])
         assert work == (1, 0, 2, 2)
-        assert (counts["cond"], counts["svd"], counts["_amplitudes"]) == (0, 2 * pure, 1)
+        assert (counts["cond"], counts["svd"], counts["_pure_output"]) == (0, 2 * pure, 1)
         assert counts["apply_channel"] == 0
         assert counts["coherence._ratio_matrix"] == 0
         # One initial-dual construction (synthesis) and, per pure output,
